@@ -44,6 +44,10 @@ def _emit(args, text_fn, doc_fn):
 # -- endomorphism input/output ------------------------------------------------
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def load_endo(spec: str, rank: int = 0) -> endos.Endo:
     for prefix in ("inner:", "elementary:"):
         if spec.startswith(prefix):
@@ -55,6 +59,15 @@ def load_endo(spec: str, rank: int = 0) -> endos.Endo:
             return endos.elementary(rank, expr)
     if spec.startswith("linear:"):
         matrix = json.loads(spec[len("linear:") :])
+        if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
+            raise ValueError("linear: matrix must be a JSON list of rows")
+        for i, row in enumerate(matrix):
+            for j, c in enumerate(row):
+                if not _is_int(c):
+                    raise ValueError(
+                        f"linear: entry [{i}][{j}] must be an integer,"
+                        f" got {json.dumps(c)}"
+                    )
         return endos.linear(matrix)
 
     text = spec
@@ -64,8 +77,16 @@ def load_endo(spec: str, rank: int = 0) -> endos.Endo:
     text = text.strip()
     if text.startswith("{"):
         doc = json.loads(text)
-        doc_rank = int(doc["rank"])
-        images = list(doc["images"])
+        for key in ("rank", "images"):
+            if key not in doc:
+                raise ValueError(f"endomorphism document has no '{key}' field")
+        doc_rank, images = doc["rank"], doc["images"]
+        if not _is_int(doc_rank) or doc_rank < 1:
+            raise ValueError(
+                f"'rank' must be a positive integer, got {json.dumps(doc_rank)}"
+            )
+        if not isinstance(images, list) or not all(isinstance(s, str) for s in images):
+            raise ValueError("'images' must be a JSON list of expression strings")
     else:
         images = [part for part in text.split(";") if part.strip()]
         doc_rank = len(images)

@@ -4,13 +4,13 @@ matrices, exact inverse construction, and the identity-modulo-degree
 filtration level.
 
 Composition convention, fixed once for the whole package:
-compose(phi, psi) is the map x -> phi(psi(x)); concretely the images of psi
-are rewritten with every generator replaced by the corresponding image of
-phi. Under this convention the Jacobian satisfies the chain rule
-J(compose(phi, psi)) = phibar(J(psi)) * J(phi), where phibar is the
-polynomial-ring endomorphism induced by the linear parts of phi; on the
-subgroup acting as the identity modulo brackets, J is therefore an
-antimorphism into GL_n of the polynomial ring.
+compose(phi, psi) is the map x -> phi(psi(x)). Under this convention the
+Jacobian satisfies the chain rule J(compose(phi, psi)) = phibar(J(psi)) *
+J(phi), where phibar is the polynomial-ring endomorphism induced by the
+linear parts of phi, and compose is computed from exactly that formula: the
+Fox row of an image is its module part, so no bracket expression is ever
+built. On the subgroup acting as the identity modulo brackets, J is
+therefore an antimorphism into GL_n of the polynomial ring.
 """
 
 from __future__ import annotations
@@ -21,28 +21,19 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import metabelian as mb
-from .lieexpr import (
-    Bracket,
-    Gen,
-    LieExpr,
-    Sum,
-    generators_used,
-    left_normed,
-    scale_expr,
-    substitute_generators,
-    sum_exprs,
-)
+from .lieexpr import LieExpr, generators_used, left_normed, scale_expr, sum_exprs
 from .metabelian import MElement
 from .polyring import PolyMatrix, Polynomial, as_rat, col_vector
 
 
 @dataclass(frozen=True)
 class Endo:
-    """An endomorphism of M_n given by the images of the generators.
+    """An endomorphism of M_n given by the images of the generators, each an
+    element of M_n in normal form.
 
-    `exprs`, when present, caches one bracket expression per image; it is
-    carried along by the constructors so that composition never has to
-    reconstruct preimages, and it never participates in equality.
+    `exprs` is an optional record of one source expression per image for
+    callers that pass it (bench/workloads.py); the package never reads it
+    and it never participates in equality.
     """
 
     rank: int
@@ -58,12 +49,6 @@ class Endo:
         if self.exprs is not None and len(self.exprs) != self.rank:
             raise ValueError("need exactly one cached expression per generator")
 
-    def image_exprs(self) -> Tuple[LieExpr, ...]:
-        """Cached expressions, or lifts of the normal forms."""
-        if self.exprs is not None:
-            return self.exprs
-        return tuple(mb.lift(img) for img in self.images)
-
     def linear_matrix(self) -> List[List[Fraction]]:
         """Row i = linear part of the image of x_{i+1}."""
         return [list(img.linear) for img in self.images]
@@ -75,17 +60,12 @@ class Endo:
 
 
 def identity(rank: int) -> Endo:
-    return Endo(
-        rank,
-        tuple(mb.generator(rank, i) for i in range(1, rank + 1)),
-        tuple(Gen(i) for i in range(1, rank + 1)),
-    )
+    return Endo(rank, tuple(mb.generator(rank, i) for i in range(1, rank + 1)))
 
 
 def from_exprs(rank: int, exprs: Sequence[LieExpr]) -> Endo:
     """Endomorphism with image i = evaluation of exprs[i-1]."""
-    exprs = tuple(exprs)
-    return Endo(rank, tuple(mb.evaluate(e, rank) for e in exprs), exprs)
+    return Endo(rank, tuple(mb.evaluate(e, rank) for e in exprs))
 
 
 def elementary(rank: int, f: LieExpr, position: int = 1) -> Endo:
@@ -103,16 +83,9 @@ def elementary(rank: int, f: LieExpr, position: int = 1) -> Endo:
     value = mb.evaluate(f, rank)
     if not mb.is_derived(value):
         raise ValueError("perturbation is not in the bracket subalgebra")
-    images = []
-    exprs = []
-    for i in range(1, rank + 1):
-        if i == position:
-            images.append(mb.generator(rank, i) + value)
-            exprs.append(sum_exprs([Gen(i), f]))
-        else:
-            images.append(mb.generator(rank, i))
-            exprs.append(Gen(i))
-    return Endo(rank, tuple(images), tuple(exprs))
+    images = [mb.generator(rank, i) for i in range(1, rank + 1)]
+    images[position - 1] = images[position - 1] + value
+    return Endo(rank, tuple(images))
 
 
 def inner(rank: int, z: MElement) -> Endo:
@@ -123,14 +96,8 @@ def inner(rank: int, z: MElement) -> Endo:
         raise ValueError("z must be nonzero")
     if not mb.is_derived(z):
         raise ValueError("z must lie in the bracket subalgebra")
-    z_expr = mb.lift(z)
-    images = []
-    exprs = []
-    for i in range(1, rank + 1):
-        xi = mb.generator(rank, i)
-        images.append(xi + mb.bracket(z, xi))
-        exprs.append(sum_exprs([Gen(i), Bracket(z_expr, Gen(i))]))
-    return Endo(rank, tuple(images), tuple(exprs))
+    gens = [mb.generator(rank, i) for i in range(1, rank + 1)]
+    return Endo(rank, tuple(xi + mb.bracket(z, xi) for xi in gens))
 
 
 def linear(matrix: Sequence[Sequence]) -> Endo:
@@ -140,20 +107,21 @@ def linear(matrix: Sequence[Sequence]) -> Endo:
     for row in a:
         if len(row) != rank:
             raise ValueError("matrix must be square")
-    if _rat_det(a) == 0:
+    if _rat_mat_inverse(a) is None:
         raise ValueError("matrix is singular")
-    images = []
-    exprs = []
-    for i in range(rank):
-        img = mb.zero(rank)
-        terms = []
-        for j, c in enumerate(a[i]):
-            if c:
-                img = img + mb.generator(rank, j + 1).scaled(c)
-                terms.append(scale_expr(c, Gen(j + 1)))
-        images.append(img)
-        exprs.append(sum_exprs(terms) if terms else Sum(()))
-    return Endo(rank, tuple(images), tuple(exprs))
+    return _linear(a)
+
+
+def _linear(a) -> Endo:
+    """`linear` of a square rational matrix already known to be invertible."""
+    n = len(a)
+    return Endo(
+        n,
+        tuple(
+            MElement(n, tuple(r), tuple(Polynomial.constant(n, c) for c in r))
+            for r in a
+        ),
+    )
 
 
 def apply(phi: Endo, e: LieExpr) -> MElement:
@@ -162,14 +130,20 @@ def apply(phi: Endo, e: LieExpr) -> MElement:
 
 
 def compose(phi: Endo, psi: Endo) -> Endo:
-    """The map x -> phi(psi(x))."""
+    """The map x -> phi(psi(x)), by the chain rule.
+
+    Row i of phibar(J(psi)) * J(phi) is the Fox row of the image of x_i. Its
+    constant terms are the image's linear part: the Fox row of an element of
+    M_n differs from its linear part only by a row annihilating Y, and such
+    a row has no constant term.
+    """
     if phi.rank != psi.rank:
         raise ValueError(f"rank mismatch: {phi.rank} vs {psi.rank}")
-    psi_exprs = psi.image_exprs()
-    images = tuple(apply(phi, e) for e in psi_exprs)
-    phi_exprs = phi.image_exprs()
-    exprs = tuple(substitute_generators(e, phi_exprs) for e in psi_exprs)
-    return Endo(phi.rank, images, exprs)
+    n = phi.rank
+    rows = (apply_induced(phi, jacobian(psi)) * jacobian(phi)).rows
+    return Endo(
+        n, tuple(MElement(n, tuple(p.constant_term() for p in r), r) for r in rows)
+    )
 
 
 def jacobian(phi: Endo) -> PolyMatrix:
@@ -207,7 +181,7 @@ def conjugate_elementary(alpha: Sequence[Sequence], f: LieExpr, rank: int):
         raise ValueError("alpha has the wrong rank")
     phi_f = elementary(rank, f)
     a_inv = _rat_mat_inverse(a)
-    conj = compose(compose(alpha_endo, phi_f), linear(a_inv))
+    conj = compose(compose(alpha_endo, phi_f), _linear(a_inv))
 
     phi_col = col_vector(rank, [a_inv[i][0] for i in range(rank)])
     dfox = mb.fox(mb.evaluate(f, rank))
@@ -226,17 +200,16 @@ def inverse(phi: Endo) -> Optional[Endo]:
     identity, so no unproven invertibility criterion is ever relied on.
     """
     n = phi.rank
-    abar = phi.linear_matrix()
-    if _rat_det(abar) == 0:
+    abar_inv = _rat_mat_inverse(phi.linear_matrix())
+    if abar_inv is None:
         return None
-    lam = linear(_rat_mat_inverse(abar))
+    lam = _linear(abar_inv)
     reduced = compose(phi, lam)
 
     jac_inv = jacobian(reduced).inverse_over_ring()
     if jac_inv is None:
         return None
     images = []
-    exprs = []
     for j in range(n):
         row = list(jac_inv.rows[j])
         row[j] = row[j] - Polynomial.one(n)
@@ -244,8 +217,7 @@ def inverse(phi: Endo) -> Optional[Endo]:
         if not mb.is_derived(u):
             return None
         images.append(mb.generator(n, j + 1) + u)
-        exprs.append(sum_exprs([Gen(j + 1), mb.lift(u)]))
-    candidate = compose(lam, Endo(n, tuple(images), tuple(exprs)))
+    candidate = compose(lam, Endo(n, tuple(images)))
     if compose(phi, candidate).is_identity() and compose(candidate, phi).is_identity():
         return candidate
     return None
@@ -271,7 +243,7 @@ def iaut_level(phi: Endo):
 def _random_invertible_matrix(rng: random.Random, n: int):
     while True:
         a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        if _rat_det([[Fraction(v) for v in row] for row in a]) != 0:
+        if _rat_mat_inverse(a) is not None:
             return a
 
 
@@ -353,31 +325,8 @@ def random_tame_iaut(rank: int, seed: int, length: int, degree_bound: int = 4) -
 # ---------------------------------------------------------------------------
 
 
-def _rat_det(a) -> Fraction:
-    m = [[as_rat(c) for c in row] for row in a]
-    n = len(m)
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k]:
-                f = m[i][k] * inv
-                m[i] = [m[i][j] - f * m[k][j] for j in range(n)]
-    return det
-
-
 def _rat_mat_inverse(a):
+    """Inverse of a rational matrix by Gauss-Jordan, or None when singular."""
     m = [[as_rat(c) for c in row] for row in a]
     n = len(m)
     aug = [m[i] + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
@@ -388,7 +337,7 @@ def _rat_mat_inverse(a):
                 piv = i
                 break
         if piv is None:
-            raise ValueError("matrix is singular")
+            return None
         aug[k], aug[piv] = aug[piv], aug[k]
         inv = 1 / aug[k][k]
         aug[k] = [v * inv for v in aug[k]]

@@ -123,22 +123,6 @@ def generators_used(e: LieExpr) -> frozenset:
     raise TypeError(f"not a LieExpr: {e!r}")
 
 
-def substitute_generators(e: LieExpr, images) -> LieExpr:
-    """Graft images[i-1] in place of every generator i (pure tree rewrite)."""
-    if isinstance(e, Gen):
-        return images[e.index - 1]
-    if isinstance(e, Bracket):
-        return Bracket(
-            substitute_generators(e.left, images),
-            substitute_generators(e.right, images),
-        )
-    if isinstance(e, Scale):
-        return Scale(e.coeff, substitute_generators(e.arg, images))
-    if isinstance(e, Sum):
-        return Sum(tuple(substitute_generators(p, images) for p in e.parts))
-    raise TypeError(f"not a LieExpr: {e!r}")
-
-
 # -- printing ---------------------------------------------------------------
 
 

@@ -126,40 +126,25 @@ def bracket(u: MElement, v: MElement) -> MElement:
 
 
 def eval_with(e: LieExpr, images) -> MElement:
-    """Evaluate an expression tree with generator i mapped to images[i-1].
-
-    Subtrees are memoized by identity for the duration of the call, so
-    expression graphs produced by substitution (which share nodes heavily)
-    evaluate in time proportional to the number of distinct nodes.
-    """
-    return _eval_memo(e, tuple(images), {})
-
-
-def _eval_memo(e: LieExpr, images, memo: dict) -> MElement:
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+    """Evaluate an expression tree with generator i mapped to images[i-1]."""
     if isinstance(e, Gen):
         if e.index > len(images):
             raise ValueError(
                 f"generator index {e.index} out of range 1..{len(images)}"
             )
-        value = images[e.index - 1]
-    elif isinstance(e, Bracket):
-        value = bracket(_eval_memo(e.left, images, memo), _eval_memo(e.right, images, memo))
-    elif isinstance(e, Scale):
-        value = _eval_memo(e.arg, images, memo).scaled(e.coeff)
-    elif isinstance(e, Sum):
+        return images[e.index - 1]
+    if isinstance(e, Bracket):
+        return bracket(eval_with(e.left, images), eval_with(e.right, images))
+    if isinstance(e, Scale):
+        return eval_with(e.arg, images).scaled(e.coeff)
+    if isinstance(e, Sum):
         if not images:
             raise ValueError("cannot evaluate with an empty image list")
         value = zero(images[0].rank)
         for p in e.parts:
-            value = value + _eval_memo(p, images, memo)
-    else:
-        raise TypeError(f"not a LieExpr: {e!r}")
-    memo[key] = value
-    return value
+            value = value + eval_with(p, images)
+        return value
+    raise TypeError(f"not a LieExpr: {e!r}")
 
 
 def evaluate(e: LieExpr, rank: int) -> MElement:

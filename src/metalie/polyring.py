@@ -231,13 +231,13 @@ class Polynomial:
         for img in images:
             if img.nvars != nv:
                 raise ValueError("images live in different rings")
-        powers = [[Polynomial.one(nv), img] for img in images]
+        powers = [[img] for img in images]  # powers[i][e - 1] = images[i]^e
 
         def power(i: int, e: int) -> Polynomial:
             cache = powers[i]
-            while len(cache) <= e:
-                cache.append(cache[-1] * cache[1])
-            return cache[e]
+            while len(cache) < e:
+                cache.append(cache[-1] * cache[0])
+            return cache[e - 1]
 
         out: dict = {}
         for mono, coeff in self.terms.items():

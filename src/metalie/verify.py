@@ -68,7 +68,8 @@ def random_derived_element(rng: random.Random, rank: int, degree: int) -> mb.MEl
 
 
 def random_endo(rng: random.Random, rank: int, degree: int) -> endos.Endo:
-    """Random endomorphism with expression-backed images."""
+    """Random endomorphism whose images evaluate random expressions of
+    degree <= degree."""
     exprs = [random_melement_expr(rng, rank, degree) for _ in range(rank)]
     return endos.from_exprs(rank, exprs)
 
@@ -91,7 +92,9 @@ def random_nc_poly(
 
 def suite_chainrule(seed: int, cases: int = 200, degree: int = 5) -> SuiteResult:
     """J(compose(phi, psi)) = phibar(J(psi)) * J(phi) on random endo pairs,
-    ranks 2..5, exact equality."""
+    ranks 2..5, exact equality. compose is built from that formula, so each
+    image is also checked against the independent direct evaluation
+    phi(lift(psi_i))."""
     rng = _rng(seed, "chainrule")
     result = SuiteResult("chainrule", cases)
     ranks = [2, 3, 4, 5]
@@ -99,10 +102,15 @@ def suite_chainrule(seed: int, cases: int = 200, degree: int = 5) -> SuiteResult
         rank = ranks[case % len(ranks)]
         phi = random_endo(rng, rank, degree)
         psi = random_endo(rng, rank, degree)
-        lhs = endos.jacobian(endos.compose(phi, psi))
+        comp = endos.compose(phi, psi)
+        lhs = endos.jacobian(comp)
         rhs = endos.apply_induced(phi, endos.jacobian(psi)) * endos.jacobian(phi)
         if lhs != rhs:
             result.failures.append(f"case {case}: chain rule failed at rank {rank}")
+        if list(comp.images) != [endos.apply(phi, mb.lift(g)) for g in psi.images]:
+            result.failures.append(
+                f"case {case}: compose != direct evaluation at rank {rank}"
+            )
     return result
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from metalie import verify as verify_mod
 from metalie.cli import main
 
@@ -81,6 +83,27 @@ class TestEndoInput:
         code, out, _ = run(capsys, "jac", "linear:[[0,1],[1,0]]")
         assert code == 0
         assert out.splitlines() == ["[0, 1]", "[1, 0]"]
+
+
+class TestMalformedEndoInput:
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ("linear:[[1.5,0],[0,1]]", "entry [0][0]"),
+            ('linear:{"a":1}', "list of rows"),
+            ("linear:[[1,0],[0,true]]", "entry [1][1]"),
+            ('{"rank":2}', "'images'"),
+            ('{"images":["x1"]}', "'rank'"),
+            ('{"rank":2.5,"images":["x1","x2"]}', "'rank'"),
+            ('{"rank":2,"images":[1,2]}', "'images'"),
+        ],
+    )
+    def test_exits_one_naming_the_field(self, capsys, spec, field):
+        code, out, err = run(capsys, "jac", spec)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert field in err
 
 
 class TestComposeInverse:

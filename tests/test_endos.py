@@ -133,22 +133,26 @@ class TestApplyCompose:
         with pytest.raises(ValueError):
             en.compose(en.identity(2), en.identity(3))
 
-    def test_compose_of_hand_entered_normal_forms_uses_lift(self):
-        # an Endo built from bare normal forms has no cached expressions;
-        # composition must still work by lifting the images
-        phi = en.elementary(3, ex("[x2,x3]"))
-        bare = en.Endo(3, phi.images)
-        assert bare.exprs is None
-        assert en.compose(bare, bare) == en.compose(phi, phi)
+    def test_compose_of_hand_entered_normal_forms(self):
+        # an Endo built from bare normal forms composes to the direct
+        # evaluation of the map on the lift of each of its images
+        bare = en.Endo(3, en.elementary(3, ex("[x2,x3]")).images)
+        comp = en.compose(bare, bare)
+        assert comp.images == tuple(en.apply(bare, mb.lift(g)) for g in bare.images)
+        assert comp.images[0] == ev("x1 + 2*[x2,x3]", 3)
 
     def test_chain_rule_concrete_pair(self):
-        # both sides computed independently: compose() substitutes images,
-        # the right-hand side multiplies Jacobians
+        # compose() multiplies Jacobians, so the Jacobian identity alone
+        # restates its definition; the independent check is direct
+        # evaluation of phi on a bracket expression of each image of psi
         phi = en.elementary(3, ex("[x2,x3]"))
         psi = en.inner(3, ev("[x1,x2]", 3))
-        lhs = en.jacobian(en.compose(phi, psi))
+        comp = en.compose(phi, psi)
+        lhs = en.jacobian(comp)
         rhs = en.apply_induced(phi, en.jacobian(psi)) * en.jacobian(phi)
         assert lhs == rhs
+        for i in range(3):
+            assert comp.images[i] == en.apply(phi, mb.lift(psi.images[i]))
 
     def test_chain_rule_randomized(self):
         rng = random.Random(14)
@@ -157,9 +161,28 @@ class TestApplyCompose:
         for _ in range(40):
             rank = rng.randint(2, 5)
             phi, psi = random_endo(rng, rank, 4), random_endo(rng, rank, 4)
-            lhs = en.jacobian(en.compose(phi, psi))
+            comp = en.compose(phi, psi)
+            lhs = en.jacobian(comp)
             rhs = en.apply_induced(phi, en.jacobian(psi)) * en.jacobian(phi)
             assert lhs == rhs
+            for i in range(rank):
+                assert comp.images[i] == en.apply(phi, mb.lift(psi.images[i]))
+
+    def test_long_tame_product_composes_by_direct_evaluation(self):
+        # a long product, where composition must stay bound by the size of
+        # its output: replay random_tame_iaut(4, 1, 9, 3) factor by factor
+        # and check the last factor against direct evaluation on the lifted
+        # images of the length-8 product (inverting it would take minutes)
+        rng = random.Random((1, "iaut", 4, 9, 3).__repr__())
+        acc = en.identity(4)
+        for _ in range(9):
+            alpha = en._random_unimodular_matrix(rng, 4)
+            f = en.random_derived_expr(rng, 4, 3, [2, 3, 4])
+            factor, _, _ = en.conjugate_elementary(alpha, f, 4)
+            prev, acc = acc, en.compose(factor, acc)
+        assert acc == en.random_tame_iaut(4, 1, 9, 3)
+        for i in range(4):
+            assert acc.images[i] == en.apply(factor, mb.lift(prev.images[i]))
 
     def test_jacobian_with_linear_part_determines_endo(self):
         # injectivity in normal form: the Jacobian rows are exactly the

@@ -17,7 +17,6 @@ from metalie.lieexpr import (
     max_generator,
     parse_expr,
     scale_expr,
-    substitute_generators,
     sum_exprs,
 )
 from metalie.polyring import ParseError
@@ -111,5 +110,3 @@ def test_helpers():
     assert max_generator(e) == 3
     assert generators_used(e) == frozenset({1, 2, 3})
     assert left_normed([1, 2, 3]) == Bracket(Bracket(Gen(1), Gen(2)), Gen(3))
-    swapped = substitute_generators(e, [Gen(2), Gen(1), Gen(3)])
-    assert swapped == parse_expr("[x2, x3] + 2*x1")
