@@ -3,6 +3,12 @@
 Exit codes: 0 = success (including "NotAutomorphism" verdicts), 1 = usage or
 input error, 2 = verification failure.
 
+The replays grow exponentially with their size argument, so the CLI caps
+them to keep each run within a few seconds: `replay-bn --factors` at
+MAX_FACTORS (the expansion has 2^k - 1 dyads) and `replay-oe --rank` at
+MAX_OE_RANK (at n = 9 the witness solve has 249 equations in 5670
+unknowns). Bracket nesting is capped at `lieexpr.MAX_NESTING`.
+
 Endomorphisms are given either as a JSON document {"rank": n, "images":
 [...]} (inline or as a file path), as a semicolon-separated list of bracket
 expressions ("x1 + [x2,x3]; x2; x3"), or through the constructor shorthands
@@ -22,6 +28,10 @@ from . import metabelian as mb
 from . import verify as verify_mod
 from .lieexpr import format_expr, max_generator, parse_expr
 from .polyring import ParseError
+
+
+MAX_FACTORS = 14
+MAX_OE_RANK = 9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,13 +199,20 @@ def cmd_iaut_level(args) -> int:
     return 0
 
 
+def _check_limit(option: str, value: int, limit: int):
+    if value > limit:
+        raise ValueError(f"{option} {value} exceeds the limit of {limit}")
+
+
 def cmd_replay_bn(args) -> int:
+    _check_limit("--factors", args.factors, MAX_FACTORS)
     report = dyadic.residual_check(args.factors)
     _emit(args, report.to_text, report.to_doc)
     return 0
 
 
 def cmd_replay_oe(args) -> int:
+    _check_limit("--rank", args.rank, MAX_OE_RANK)
     report = freeassoc.replay(args.rank, include_witness=args.witness)
     _emit(args, report.to_text, report.to_doc)
     return 0
@@ -265,14 +282,21 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "replay-bn", help="rank-one update product trace and residual verdict"
     )
-    p.add_argument("--factors", type=int, default=3, help="number of factors k >= 2")
+    p.add_argument(
+        "--factors",
+        type=int,
+        default=3,
+        help=f"number of factors, 2 <= k <= {MAX_FACTORS}",
+    )
     _add_format(p)
     p.set_defaults(func=cmd_replay_bn)
 
     p = sub.add_parser(
         "replay-oe", help="free-associative degree-4 trace computation"
     )
-    p.add_argument("--rank", type=int, required=True, help="rank n >= 4")
+    p.add_argument(
+        "--rank", type=int, required=True, help=f"rank, 4 <= n <= {MAX_OE_RANK}"
+    )
     p.add_argument(
         "--witness",
         action="store_true",

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .polyring import PolyMatrix, Polynomial, Scalar, as_coeff, as_rat, y_column
+from .polyring import PolyMatrix, Polynomial, Scalar, as_coeff, y_column
 
 # a lambda monomial is a sorted tuple of (i, j) index pairs
 Pair = Tuple[int, int]
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
 class ScalarPoly:
@@ -99,10 +99,10 @@ class ScalarPoly:
                         del out[m]
             return _raw(out)
         if isinstance(other, (int, Fraction)):
-            c = as_rat(other)
+            c = as_coeff(other)
             if not c:
                 return ScalarPoly.zero()
-            return _raw({m: v * c for m, v in self.terms.items()})
+            return _raw({m: as_coeff(v * c) for m, v in self.terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -118,12 +118,12 @@ class ScalarPoly:
     def substituted(self, pair: Pair, value: Scalar) -> "ScalarPoly":
         """Replace one lambda indeterminate by a rational constant."""
         pair = tuple(pair)
-        value = as_rat(value)
+        value = as_coeff(value)
         out: dict = {}
         for mono, coeff in self.terms.items():
             hits = sum(1 for p in mono if p == pair)
             rest = tuple(p for p in mono if p != pair)
-            c = coeff * value**hits
+            c = as_coeff(coeff * value**hits)
             if not c:
                 continue
             s = out.get(rest, _ZERO) + c
@@ -187,7 +187,7 @@ def format_scalar(s: ScalarPoly) -> str:
     return " ".join(chunks)
 
 
-def _signed(c: Fraction, body: str, first: bool) -> str:
+def _signed(c: Scalar, body: str, first: bool) -> str:
     neg = c < 0
     mag = -c if neg else c
     if mag != 1:

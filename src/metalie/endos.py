@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import metabelian as mb
 from .lieexpr import LieExpr, generators_used, left_normed, scale_expr, sum_exprs
 from .metabelian import MElement
-from .polyring import PolyMatrix, Polynomial, as_rat, col_vector
+from .polyring import PolyMatrix, Polynomial, Scalar, as_coeff, as_rat, col_vector
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,7 @@ class Endo:
         if self.exprs is not None and len(self.exprs) != self.rank:
             raise ValueError("need exactly one cached expression per generator")
 
-    def linear_matrix(self) -> List[List[Fraction]]:
+    def linear_matrix(self) -> List[List[Scalar]]:
         """Row i = linear part of the image of x_{i+1}."""
         return [list(img.linear) for img in self.images]
 
@@ -102,7 +101,7 @@ def inner(rank: int, z: MElement) -> Endo:
 
 def linear(matrix: Sequence[Sequence]) -> Endo:
     """x_i -> sum_j A[i][j] x_j for an invertible rational matrix A."""
-    a = [[as_rat(c) for c in row] for row in matrix]
+    a = [[as_coeff(c) for c in row] for row in matrix]
     rank = len(a)
     for row in a:
         if len(row) != rank:
@@ -175,7 +174,7 @@ def conjugate_elementary(alpha: Sequence[Sequence], f: LieExpr, rank: int):
     Phi (column), Psi (row) satisfy J(endo) = E + Phi*Psi with Psi*Phi = 0
     and Psi*Y = 0: Phi = A^{-1} e1 and Psi = alphabar(dfox(f)) * A.
     """
-    a = [[as_rat(c) for c in row] for row in alpha]
+    a = [[as_coeff(c) for c in row] for row in alpha]
     alpha_endo = linear(a)
     if alpha_endo.rank != rank:
         raise ValueError("alpha has the wrong rank")
@@ -213,7 +212,7 @@ def inverse(phi: Endo) -> Optional[Endo]:
     for j in range(n):
         row = list(jac_inv.rows[j])
         row[j] = row[j] - Polynomial.one(n)
-        u = MElement(n, (Fraction(0),) * n, tuple(row))
+        u = MElement(n, (0,) * n, tuple(row))
         if not mb.is_derived(u):
             return None
         images.append(mb.generator(n, j + 1) + u)
@@ -326,10 +325,11 @@ def random_tame_iaut(rank: int, seed: int, length: int, degree_bound: int = 4) -
 
 
 def _rat_mat_inverse(a):
-    """Inverse of a rational matrix by Gauss-Jordan, or None when singular."""
-    m = [[as_rat(c) for c in row] for row in a]
+    """Inverse of a rational matrix by Gauss-Jordan, or None when singular.
+    Integral entries of the result are demoted to int."""
+    m = [[as_coeff(c) for c in row] for row in a]
     n = len(m)
-    aug = [m[i] + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
+    aug = [m[i] + [1 if j == i else 0 for j in range(n)] for i in range(n)]
     for k in range(n):
         piv = None
         for i in range(k, n):
@@ -339,10 +339,10 @@ def _rat_mat_inverse(a):
         if piv is None:
             return None
         aug[k], aug[piv] = aug[piv], aug[k]
-        inv = 1 / aug[k][k]
-        aug[k] = [v * inv for v in aug[k]]
+        inv = 1 / as_rat(aug[k][k])
+        aug[k] = [as_coeff(v * inv) if v else 0 for v in aug[k]]
         for i in range(n):
             if i != k and aug[i][k]:
                 f = aug[i][k]
-                aug[i] = [v - f * p for v, p in zip(aug[i], aug[k])]
-    return [row[n:] for row in aug]
+                aug[i] = [v - f * p if p else v for v, p in zip(aug[i], aug[k])]
+    return [[as_coeff(v) for v in row[n:]] for row in aug]

@@ -32,7 +32,7 @@ from .polyring import Scalar, as_coeff, solve_linear
 
 Word = Tuple[int, ...]
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
 class NCPoly:
@@ -79,7 +79,7 @@ class NCPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> Scalar:
         return self.terms.get((), _ZERO)
 
     def degree(self) -> int:
@@ -211,7 +211,7 @@ def cyclic_representative(word: Word) -> Word:
     return min(word[k:] + word[:k] for k in range(len(word)))
 
 
-def cyclic_signature(p: NCPoly) -> Dict[Word, Fraction]:
+def cyclic_signature(p: NCPoly) -> Dict[Word, Scalar]:
     """Sum of coefficients over each cyclic-rotation class of words, keyed by
     the canonical representative; classes summing to zero are omitted."""
     sums: dict = {}
@@ -273,7 +273,7 @@ class TraceReplay:
     rank: int
     source_expr: LieExpr
     derivative: NCPoly
-    signature: Tuple[Tuple[Word, Fraction], ...]
+    signature: Tuple[Tuple[Word, Scalar], ...]
     in_commutators: bool
     witness: Optional[WitnessSearch]
 

@@ -12,15 +12,18 @@ Grammar (whitespace-insensitive; LETTER is 'x' or 'z' depending on context):
 "0" denotes the empty sum. Parsing produces trees in a fixed shape (signs
 folded into scalar coefficients, one Sum node per '+/-' chain), and the
 printer emits exactly that shape, so parse(print(e)) == e.
+
+The parser, the evaluator and the printer recurse once per nesting level, so
+input may nest '[' and '(' at most MAX_NESTING levels deep; deeper input is a
+ParseError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple, Union
 
-from .polyring import ParseError, Scalar, _Scanner, as_rat
+from .polyring import ParseError, Scalar, _Scanner, as_coeff
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,7 @@ class Bracket:
 
 @dataclass(frozen=True)
 class Scale:
-    coeff: Fraction
+    coeff: Scalar
     arg: "LieExpr"
 
 
@@ -50,6 +53,10 @@ class Sum:
 LieExpr = Union[Gen, Bracket, Scale, Sum]
 
 ZERO_EXPR = Sum(())
+
+# deepest '[' / '(' nesting parse_expr accepts; keeps every recursive walk of
+# a parsed tree well inside Python's default recursion limit
+MAX_NESTING = 200
 
 
 def gen(i: int) -> Gen:
@@ -63,7 +70,7 @@ def bracket_expr(a: LieExpr, b: LieExpr) -> Bracket:
 
 
 def scale_expr(c: Scalar, e: LieExpr) -> LieExpr:
-    c = as_rat(c)
+    c = as_coeff(c)
     if c == 0:
         return ZERO_EXPR
     if c == 1:
@@ -144,7 +151,7 @@ def format_expr(e: LieExpr, letter: str = "x") -> str:
         if isinstance(t, Scale):
             c, body = t.coeff, t.arg
         else:
-            c, body = Fraction(1), t
+            c, body = 1, t
         neg = c < 0
         mag = -c if neg else c
         fstr = _format_factor(body, letter)
@@ -162,13 +169,13 @@ def format_expr(e: LieExpr, letter: str = "x") -> str:
 def parse_expr(text: str, letter: str = "x", rank: int = 0) -> LieExpr:
     """Parse the bracket-expression grammar; rank > 0 bounds generator indices."""
     sc = _Scanner(text)
-    e = _parse_element(sc, letter, rank)
+    e = _parse_element(sc, letter, rank, 0)
     if not sc.at_end():
         raise ParseError("trailing input", sc.pos)
     return e
 
 
-def _parse_element(sc: _Scanner, letter: str, rank: int) -> LieExpr:
+def _parse_element(sc: _Scanner, letter: str, rank: int, depth: int) -> LieExpr:
     if sc.peek() == "0":
         # lone zero is the empty sum
         mark = sc.pos
@@ -181,12 +188,12 @@ def _parse_element(sc: _Scanner, letter: str, rank: int) -> LieExpr:
     sign = -1 if sc.take("-") else 1
     if sign == 1:
         sc.take("+")
-    terms.append(_parse_term(sc, letter, rank, sign))
+    terms.append(_parse_term(sc, letter, rank, depth, sign))
     while True:
         if sc.take("+"):
-            terms.append(_parse_term(sc, letter, rank, 1))
+            terms.append(_parse_term(sc, letter, rank, depth, 1))
         elif sc.take("-"):
-            terms.append(_parse_term(sc, letter, rank, -1))
+            terms.append(_parse_term(sc, letter, rank, depth, -1))
         else:
             break
     if len(terms) == 1:
@@ -194,19 +201,23 @@ def _parse_element(sc: _Scanner, letter: str, rank: int) -> LieExpr:
     return Sum(tuple(terms))
 
 
-def _parse_term(sc: _Scanner, letter: str, rank: int, sign: int) -> LieExpr:
-    coeff = Fraction(sign)
+def _parse_term(
+    sc: _Scanner, letter: str, rank: int, depth: int, sign: int
+) -> LieExpr:
+    coeff = sign
     if sc.peek().isdigit():
         coeff *= sc.rational()
         sc.expect("*")
-    factor = _parse_factor(sc, letter, rank)
+    factor = _parse_factor(sc, letter, rank, depth)
     if coeff == 1:
         return factor
     return Scale(coeff, factor)
 
 
-def _parse_factor(sc: _Scanner, letter: str, rank: int) -> LieExpr:
+def _parse_factor(sc: _Scanner, letter: str, rank: int, depth: int) -> LieExpr:
     ch = sc.peek()
+    if ch in ("[", "(") and depth == MAX_NESTING:
+        raise ParseError(f"nesting deeper than {MAX_NESTING} levels", sc.pos)
     if ch == letter:
         pos = sc.pos
         sc.pos += 1
@@ -217,14 +228,14 @@ def _parse_factor(sc: _Scanner, letter: str, rank: int) -> LieExpr:
         return Gen(idx)
     if ch == "[":
         sc.pos += 1
-        left = _parse_element(sc, letter, rank)
+        left = _parse_element(sc, letter, rank, depth + 1)
         sc.expect(",")
-        right = _parse_element(sc, letter, rank)
+        right = _parse_element(sc, letter, rank, depth + 1)
         sc.expect("]")
         return Bracket(left, right)
     if ch == "(":
         sc.pos += 1
-        inner = _parse_element(sc, letter, rank)
+        inner = _parse_element(sc, letter, rank, depth + 1)
         sc.expect(")")
         return inner
     raise ParseError(f"expected '{letter}<index>', '[' or '('", sc.pos)

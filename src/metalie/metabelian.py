@@ -12,7 +12,6 @@ exact and mechanical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Tuple
 
 from .lieexpr import (
@@ -26,16 +25,20 @@ from .lieexpr import (
     scale_expr,
     sum_exprs,
 )
-from .polyring import PolyMatrix, Polynomial, Scalar, as_rat, row_vector, y_column
+from .polyring import PolyMatrix, Polynomial, Scalar, as_coeff, row_vector, y_column
 
 
 @dataclass(frozen=True)
 class MElement:
     """Normal form y + t: `linear` holds the y-coordinates, `tpart` the
-    module coordinates d1..dn (polynomials in y1..yn)."""
+    module coordinates d1..dn (polynomials in y1..yn).
+
+    The y-coordinates follow the package's coefficient convention: plain int
+    until a division makes them non-integral, Fraction after (see
+    `polyring.as_coeff`)."""
 
     rank: int
-    linear: Tuple[Fraction, ...]
+    linear: Tuple[Scalar, ...]
     tpart: Tuple[Polynomial, ...]
 
     def __post_init__(self):
@@ -76,10 +79,10 @@ class MElement:
         )
 
     def scaled(self, c: Scalar) -> "MElement":
-        c = as_rat(c)
+        c = as_coeff(c)
         return MElement(
             self.rank,
-            tuple(c * a for a in self.linear),
+            tuple(as_coeff(c * a) for a in self.linear),
             tuple(p * c for p in self.tpart),
         )
 
@@ -99,7 +102,7 @@ class MElement:
 def zero(rank: int) -> MElement:
     return MElement(
         rank,
-        (Fraction(0),) * rank,
+        (0,) * rank,
         (Polynomial.zero(rank),) * rank,
     )
 
@@ -108,7 +111,7 @@ def generator(rank: int, i: int) -> MElement:
     """x_i = y_i + t_i."""
     if not 1 <= i <= rank:
         raise ValueError(f"generator index {i} out of range 1..{rank}")
-    lin = tuple(Fraction(1 if j == i - 1 else 0) for j in range(rank))
+    lin = tuple(1 if j == i - 1 else 0 for j in range(rank))
     tp = tuple(
         Polynomial.constant(rank, 1) if j == i - 1 else Polynomial.zero(rank)
         for j in range(rank)
@@ -122,7 +125,7 @@ def bracket(u: MElement, v: MElement) -> MElement:
     a = u.linear_poly()
     b = v.linear_poly()
     tp = tuple(a * s - b * t for t, s in zip(u.tpart, v.tpart))
-    return MElement(u.rank, (Fraction(0),) * u.rank, tp)
+    return MElement(u.rank, (0,) * u.rank, tp)
 
 
 def eval_with(e: LieExpr, images) -> MElement:
@@ -181,7 +184,7 @@ def degree_components(f: MElement) -> Dict[int, MElement]:
     for slot, poly in enumerate(f.tpart):
         for d, hom in poly.homogeneous_components().items():
             entry = pieces.setdefault(
-                d + 1, [[Fraction(0)] * n, [dict() for _ in range(n)]]
+                d + 1, [[0] * n, [dict() for _ in range(n)]]
             )
             entry[1][slot] = hom.terms
     return {

@@ -1,7 +1,11 @@
 """Exact arithmetic substrate: rationals, sparse multivariate polynomials,
 matrices over the polynomial ring, and exact rational linear solving.
 
-All coefficients are `fractions.Fraction`; nothing here ever rounds. A
+Coefficients are exact rationals under one convention shared by the whole
+package: a coefficient is a plain `int` until a division makes it
+non-integral, and then a `fractions.Fraction`; integral quotients are demoted
+back to `int` with `as_coeff`. Every division divides an actual Fraction
+(`1 / as_rat(x)`), so nothing here ever rounds or produces a float. A
 polynomial is a sparse map from exponent tuples to nonzero coefficients over
 a fixed number of variables y1..yn. The text form ("2*y1^2*y2 - y3") is
 canonical -- terms are ordered by total degree (highest first), ties broken
@@ -37,9 +41,11 @@ def as_rat(c: Scalar) -> Fraction:
 def as_coeff(c: Scalar):
     """Normalize an exact rational, demoting integral values to int.
 
-    int and Fraction mix exactly under Python arithmetic and agree on
-    equality and hashing, so term maps may hold either; plain ints keep the
-    all-integer fast path cheap.
+    This is the package's coefficient convention: int until a division makes
+    a value non-integral, Fraction after. int and Fraction mix exactly under
+    Python arithmetic and agree on equality and hashing, so integer inputs
+    stay on the all-integer fast path and rational ones stay exact. Divide
+    only by `as_rat(x)`: `1 / x` on an int gives a float.
     """
     if isinstance(c, int):
         return c
@@ -126,8 +132,8 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self.terms.get((0,) * self.nvars, 0)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -135,8 +141,8 @@ class Polynomial:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def coefficient(self, mono: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+    def coefficient(self, mono: Sequence[int]) -> Scalar:
+        return self.terms.get(tuple(mono), 0)
 
     def sorted_terms(self):
         """Terms in the canonical (printing) order."""
@@ -194,7 +200,9 @@ class Polynomial:
             c = as_coeff(other)
             if not c:
                 return Polynomial.zero(self.nvars)
-            return _raw_poly(self.nvars, {m: v * c for m, v in self.terms.items()})
+            return _raw_poly(
+                self.nvars, {m: as_coeff(v * c) for m, v in self.terms.items()}
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -312,7 +320,7 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {self})"
 
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
 def _raw_poly(nvars: int, terms: dict) -> Polynomial:
@@ -406,14 +414,14 @@ class _Scanner:
             raise ParseError("expected an integer", start)
         return int(self.text[start : self.pos])
 
-    def rational(self) -> Fraction:
+    def rational(self) -> Scalar:
         num = self.integer()
         if self.take("/"):
             den = self.integer()
             if den == 0:
                 raise ParseError("zero denominator", self.pos)
-            return Fraction(num, den)
-        return Fraction(num)
+            return as_coeff(Fraction(num, den))
+        return num
 
     def at_end(self) -> bool:
         self.skip_ws()
@@ -440,7 +448,7 @@ def parse_polynomial(text: str, nvars: int, letter: str = "y") -> Polynomial:
 
     def parse_term(sign: int):
         mono = [0] * nvars
-        coeff = Fraction(sign)
+        coeff = sign
         ch = sc.peek()
         if ch.isdigit():
             coeff *= sc.rational()
@@ -632,7 +640,7 @@ class PolyMatrix:
         d = self.det()
         if d.is_zero() or not d.is_constant():
             return None
-        scale = 1 / as_rat(d.constant_term())
+        scale = as_coeff(1 / as_rat(d.constant_term()))
         n = self.nrows
         if n == 1:
             return PolyMatrix(self.nvars, [[Polynomial.constant(self.nvars, scale)]])
@@ -765,8 +773,8 @@ def solve_linear(a_rows: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
     particular solution sets every free variable to zero; the null basis has
     one vector per free column, in column order.
     """
-    m = [[as_rat(c) for c in row] for row in a_rows]
-    rhs = [as_rat(c) for c in b]
+    m = [[as_coeff(c) for c in row] for row in a_rows]
+    rhs = [as_coeff(c) for c in b]
     if len(m) != len(rhs):
         raise ValueError("row count of A must match length of b")
     nrows = len(m)
@@ -789,13 +797,13 @@ def solve_linear(a_rows: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
             continue
         m[r], m[piv] = m[piv], m[r]
         rhs[r], rhs[piv] = rhs[piv], rhs[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        rhs[r] = rhs[r] * inv
+        inv = 1 / as_rat(m[r][c])
+        m[r] = [as_coeff(v * inv) if v else 0 for v in m[r]]
+        rhs[r] = as_coeff(rhs[r] * inv)
         for i in range(nrows):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [a - f * p for a, p in zip(m[i], m[r])]
+                m[i] = [a - f * p if p else a for a, p in zip(m[i], m[r])]
                 rhs[i] = rhs[i] - f * rhs[r]
         pivot_cols.append(c)
         r += 1
@@ -805,16 +813,16 @@ def solve_linear(a_rows: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
         if rhs[i]:
             return None
 
-    particular = [Fraction(0)] * ncols
+    particular = [0] * ncols
     for i, c in enumerate(pivot_cols):
-        particular[c] = rhs[i]
+        particular[c] = as_coeff(rhs[i])
     free_cols = [c for c in range(ncols) if c not in set(pivot_cols)]
     basis = []
     for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        vec = [0] * ncols
+        vec[fc] = 1
         for i, c in enumerate(pivot_cols):
-            vec[c] = -m[i][fc]
+            vec[c] = as_coeff(-m[i][fc])
         basis.append(tuple(vec))
     return LinearSolution(tuple(particular), tuple(basis))
 
@@ -823,9 +831,9 @@ class RowSpace:
     """Incremental exact row-echelon accumulator over sparse rational rows.
 
     Rows are dicts mapping totally ordered, hashable column keys to nonzero
-    Fractions. Each stored pivot row is normalized to coefficient 1 at its
-    minimal key, so reduction strictly increases the minimal key of the
-    remainder and terminates.
+    exact rationals. Each stored pivot row is normalized to coefficient 1 at
+    its minimal key (entries demoted to int where integral), so reduction
+    strictly increases the minimal key of the remainder and terminates.
     """
 
     def __init__(self):
@@ -836,7 +844,7 @@ class RowSpace:
         return len(self._pivots)
 
     def reduce(self, row: Mapping) -> dict:
-        rem = {k: as_rat(c) for k, c in row.items() if c}
+        rem = {k: as_coeff(c) for k, c in row.items() if c}
         while rem:
             k = min(rem)
             pivot = self._pivots.get(k)
@@ -857,8 +865,8 @@ class RowSpace:
         if not rem:
             return False
         k = min(rem)
-        inv = 1 / rem[k]
-        self._pivots[k] = {kk: cc * inv for kk, cc in rem.items()}
+        inv = 1 / as_rat(rem[k])
+        self._pivots[k] = {kk: as_coeff(cc * inv) for kk, cc in rem.items()}
         return True
 
     def contains(self, row: Mapping) -> bool:

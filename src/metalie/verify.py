@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Dict, List, Sequence
 
 from . import dyadic, endos, freeassoc
@@ -227,7 +226,7 @@ def commutator_row_space(rank: int, degree: int) -> RowSpace:
         for u in words_by_len[lu]:
             for v in words_by_len[lv]:
                 if u + v != v + u:
-                    space.add({u + v: Fraction(1), v + u: Fraction(-1)})
+                    space.add({u + v: 1, v + u: -1})
     return space
 
 

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from metalie import verify as verify_mod
-from metalie.cli import main
+from metalie.cli import MAX_FACTORS, MAX_OE_RANK, main
+from metalie.lieexpr import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -258,3 +259,50 @@ class TestUsage:
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "nf", "--bogus", "x1")
         assert code == 1
+
+
+class TestSizeLimits:
+    def test_deep_nesting_is_a_parse_error(self, capsys):
+        depth = 1200
+        code, out, err = run(
+            capsys, "nf", "--rank", "2", "[" * depth + "x1" + ",x2]" * depth
+        )
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert f"nesting deeper than {MAX_NESTING} levels" in err
+
+    def test_nesting_at_the_limit_is_accepted(self, capsys):
+        depth = MAX_NESTING
+        code, out, _ = run(
+            capsys, "nf", "--rank", "2", "[" * depth + "x1" + ",x2]" * depth
+        )
+        assert code == 0
+        assert f"y2^{depth}" in out
+        code, _, err = run(capsys, "nf", "(" * (depth + 1) + "x1" + ")" * (depth + 1))
+        assert code == 1
+        assert str(MAX_NESTING) in err
+
+    def test_replay_bn_factor_limit(self, capsys):
+        code, out, err = run(capsys, "replay-bn", "--factors", str(MAX_FACTORS + 1))
+        assert code == 1
+        assert out == ""
+        assert f"--factors {MAX_FACTORS + 1} exceeds the limit of {MAX_FACTORS}" in err
+
+    def test_replay_oe_rank_limit(self, capsys):
+        code, out, err = run(capsys, "replay-oe", "--rank", str(MAX_OE_RANK + 1), "--witness")
+        assert code == 1
+        assert out == ""
+        assert f"--rank {MAX_OE_RANK + 1} exceeds the limit of {MAX_OE_RANK}" in err
+        code, out, _ = run(capsys, "replay-oe", "--rank", str(MAX_OE_RANK))
+        assert code == 0
+        assert f"rank n = {MAX_OE_RANK}" in out
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [("replay-bn", f"k <= {MAX_FACTORS}"), ("replay-oe", f"n <= {MAX_OE_RANK}")],
+    )
+    def test_limits_are_stated_in_help(self, capsys, command, text):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert text in capsys.readouterr().out

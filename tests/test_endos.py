@@ -1,12 +1,15 @@
 """Endomorphism constructors, composition, Jacobians, inverse, filtration."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metalie.endos as en
 import metalie.metabelian as mb
-from metalie.lieexpr import parse_expr
+from metalie.lieexpr import Bracket, Scale, Sum, parse_expr
 from metalie.polyring import (
     PolyMatrix,
     Polynomial,
@@ -333,3 +336,72 @@ class TestRandomTame:
 
     def test_distinct_seeds_differ(self):
         assert en.random_tame(4, 1, 3, 3) != en.random_tame(4, 2, 3, 3)
+
+
+def melement_coeffs(*elems):
+    for f in elems:
+        yield from f.linear
+        for p in f.tpart:
+            yield from p.terms.values()
+
+
+def endo_coeffs(*phis):
+    for phi in phis:
+        yield from melement_coeffs(*phi.images)
+
+
+def scale_coeffs(e):
+    if isinstance(e, Scale):
+        yield e.coeff
+        yield from scale_coeffs(e.arg)
+    elif isinstance(e, Bracket):
+        yield from scale_coeffs(e.left)
+        yield from scale_coeffs(e.right)
+    elif isinstance(e, Sum):
+        for part in e.parts:
+            yield from scale_coeffs(part)
+
+
+def assert_int(coeffs):
+    for c in coeffs:
+        assert type(c) is int, f"{c!r} is a {type(c).__name__}"
+
+
+def assert_exact(coeffs):
+    for c in coeffs:
+        assert type(c) in (int, Fraction), f"{c!r} is a {type(c).__name__}"
+
+
+class TestCoefficientConvention:
+    """Integer inputs keep every stored coefficient an int; rational inputs
+    never produce a float."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6))
+    def test_integer_iaut_products_store_int(self, seed):
+        phi = en.random_tame_iaut(4, seed, 3, 3)
+        psi = en.random_tame_iaut(4, seed + 1, 3, 3)
+        inv = en.inverse(phi)
+        assert inv is not None
+        gens = [mb.generator(4, i) for i in range(1, 5)]
+        value = mb.evaluate(ex("2*[[x1,x2],x3] - [x4,x1] + 3*x2"), 4)
+        assert_int(endo_coeffs(phi, psi, en.compose(phi, psi), inv))
+        assert_int(melement_coeffs(value, mb.bracket(value, gens[0]), *gens))
+        assert_int(melement_coeffs(value.scaled(-3), -value, value - gens[1]))
+        for img in phi.images + inv.images:
+            assert_int(scale_coeffs(mb.lift(img)))
+        assert_int(scale_coeffs(ex("-2*[x1,x2] + 4/2*x3 - x1")))
+        assert_int(c for row in en.jacobian(phi).rows for p in row for c in p.terms.values())
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6))
+    def test_rational_inputs_stay_exact(self, seed):
+        phi = en.random_tame(3, seed, 3, 3)
+        inv = en.inverse(phi)
+        assert inv is not None and en.compose(inv, phi).is_identity()
+        value = mb.evaluate(ex("1/2*[[x1,x2],x3] - 2/3*x2"), 3)
+        assert_exact(endo_coeffs(phi, inv, en.compose(inv, phi)))
+        assert_exact(melement_coeffs(value, value.scaled(Fraction(3, 4)), mb.bracket(value, value)))
+        for img in inv.images:
+            assert_exact(scale_coeffs(mb.lift(img)))
+        assert_int(mb.evaluate(ex("2*(1/2*x1)"), 1).linear)

@@ -5,11 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metalie.dyadic import ScalarPoly
+from metalie.freeassoc import NCPoly
 from metalie.polyring import (
     ParseError,
     PolyMatrix,
     Polynomial,
+    LinearSolution,
     RowSpace,
     col_vector,
     parse_polynomial,
@@ -32,6 +37,68 @@ def rand_poly(rng, n, degree=3, terms=4):
             mono = tuple(0 for _ in mono)
         t[mono] = t.get(mono, 0) + rng.randint(-4, 4)
     return Polynomial(n, t)
+
+
+def stored_coeffs(*objs):
+    """Every coefficient stored in Polynomials, PolyMatrix entries, NCPolys,
+    ScalarPolys, LinearSolutions and plain sequences of scalars."""
+    for obj in objs:
+        if isinstance(obj, PolyMatrix):
+            yield from stored_coeffs(*(e for row in obj.rows for e in row))
+        elif isinstance(obj, (Polynomial, NCPoly, ScalarPoly)):
+            yield from obj.terms.values()
+        elif isinstance(obj, LinearSolution):
+            yield from stored_coeffs(obj.particular, *obj.null_basis)
+        elif isinstance(obj, (list, tuple)):
+            yield from stored_coeffs(*obj)
+        else:
+            yield obj
+
+
+def assert_all_int(*objs):
+    for c in stored_coeffs(*objs):
+        assert type(c) is int, f"{c!r} is a {type(c).__name__}"
+
+
+def assert_demoted(*objs):
+    """The coefficient convention on results that may need a division: ints,
+    and Fractions only where the value is not integral; never a float."""
+    for c in stored_coeffs(*objs):
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def assert_exact(*objs):
+    for c in stored_coeffs(*objs):
+        assert type(c) in (int, Fraction), f"{c!r} is a {type(c).__name__}"
+
+
+int_coeffs = st.integers(-6, 6)
+rat_coeffs = st.one_of(int_coeffs, st.fractions(-6, 6, max_denominator=5))
+monos2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+def polys2(coeffs):
+    return st.dictionaries(monos2, coeffs, max_size=5).map(lambda t: Polynomial(2, t))
+
+
+def unimodular(rng, n):
+    """Product of a lower and an upper unitriangular matrix with integer
+    polynomial entries: determinant 1, so the ring inverse is integral."""
+    def tri(upper):
+        return PolyMatrix(
+            n,
+            [
+                [
+                    Polynomial.one(n)
+                    if i == j
+                    else (rand_poly(rng, n, 2, 2) if (i < j) == upper else 0)
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ],
+        )
+
+    return tri(False) * tri(True)
 
 
 def perm_det(mat):
@@ -295,3 +362,135 @@ class TestTextForm:
         with pytest.raises(ParseError) as err:
             parse_polynomial("y1 & y2", 2)
         assert err.value.position == 3
+
+
+def _random_system(rng, nr, nc, rational):
+    def pick():
+        if rational:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return rng.randint(-4, 4)
+
+    a = [[pick() for _ in range(nc)] for _ in range(nr)]
+    # a few rows repeat combinations of others, so ranks below min(nr, nc) occur
+    for i in range(1, nr):
+        if rng.random() < 0.3:
+            j = rng.randrange(i)
+            k = pick()
+            a[i] = [x * k for x in a[j]]
+    x = [pick() for _ in range(nc)]
+    b = [sum(a[i][j] * x[j] for j in range(nc)) for i in range(nr)]
+    return a, b
+
+
+class TestCoefficientConvention:
+    """Coefficients stay int until a division makes them non-integral."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(polys2(int_coeffs), polys2(int_coeffs), polys2(int_coeffs))
+    def test_integer_ring_operations_store_int(self, p, q, r):
+        assert_all_int(p, q, p + q, p - q, -p, p * q, p**3, p * 3, 2 * q)
+        assert_all_int(p.substitute([q, r]), p.constant_term(), p.coefficient((1, 1)))
+        if not q.is_zero():
+            assert_all_int((p * q).divexact(q))
+        assert_all_int((p * 4).divexact(Polynomial.constant(2, -2)))
+        assert_all_int(parse_polynomial(str(p), 2))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(polys2(rat_coeffs), polys2(rat_coeffs), polys2(rat_coeffs))
+    def test_rational_ring_operations_stay_exact(self, p, q, r):
+        assert_demoted(p, q, p * Fraction(2, 3), parse_polynomial(str(p), 2))
+        assert_exact(p + q, p - q, p * q, p**2, p.substitute([q, r]))
+        if not q.is_zero():
+            assert_exact((p * q).divexact(q))
+            assert (p * q).divexact(q) == p
+        assert_exact(p.divexact(Polynomial.constant(2, 3)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_integer_matrices_store_int(self, seed):
+        rng = random.Random(seed)
+        n = 2 + seed % 3
+        m = unimodular(rng, n)
+        a = PolyMatrix(n, [[rand_poly(rng, n, 2, 2) for _ in range(n)] for _ in range(n)])
+        inv = m.inverse_over_ring()
+        assert m.det() == Polynomial.one(n)
+        assert inv * m == PolyMatrix.identity(n, n)
+        assert_all_int(m, a * m, m.det(), a.det(), inv)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rational_matrices_stay_exact(self, seed):
+        rng = random.Random(seed)
+        n = 2 + seed % 3
+        m = unimodular(rng, n) * Fraction(2, 3)
+        inv = m.inverse_over_ring()
+        assert inv * m == PolyMatrix.identity(n, n)
+        assert_exact(m, m * m, m.det(), inv)
+        assert_demoted(inv)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.dictionaries(st.lists(st.integers(1, 3), max_size=3).map(tuple), int_coeffs, max_size=5),
+        st.dictionaries(st.lists(st.integers(1, 3), max_size=3).map(tuple), int_coeffs, max_size=5),
+    )
+    def test_integer_nc_and_scalar_polys_store_int(self, t1, t2):
+        p, q = NCPoly(3, t1), NCPoly(3, t2)
+        assert_all_int(p + q, p - q, p * q, p * 5, p.constant_term())
+
+        def lam_terms(t):
+            # each word a1 a2 a3 becomes the lambda monomial l_a1a2 * l_a2a3
+            return {tuple(zip(w, w[1:])): c for w, c in t.items()}
+
+        s, u = ScalarPoly(lam_terms(t1)), ScalarPoly(lam_terms(t2))
+        assert_all_int(s + u, s - u, s * u, s * -2, s.substituted((1, 2), 3))
+        assert_demoted((s * Fraction(1, 2)) * 2, s.substituted((1, 2), Fraction(1, 2)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32), st.booleans())
+    def test_solve_linear_results_are_demoted(self, nr, nc, seed, rational):
+        a, b = _random_system(random.Random(seed), nr, nc, rational)
+        assert_demoted(solve_linear(a, b))
+
+    def test_integral_eliminations_store_int(self):
+        assert_all_int(solve_linear([[2, 0], [0, 3]], [4, 9]))
+        assert_all_int(solve_linear([[2, 4], [1, 2]], [6, 3]))
+        space = RowSpace()
+        space.add({"a": 2, "b": 4, "c": 3})
+        space.add({"a": Fraction(1, 3), "b": 1, "d": 1})
+        space.add({"b": 2, "c": 2, "d": 2})
+        assert space.rank == 3
+        assert_demoted(*(list(p.values()) for p in space._pivots.values()))
+
+
+class TestSolveLinearOracle:
+    """solve_linear against an independent check: substitution back into the
+    system, and the rank computed by sympy."""
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_solution_null_space_and_rank(self, rational):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(41 + rational)
+        for _ in range(60):
+            nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+            a, b = _random_system(rng, nr, nc, rational)
+            sol = solve_linear(a, b)
+            assert sol is not None
+            for i in range(nr):
+                assert sum(a[i][j] * sol.particular[j] for j in range(nc)) == b[i]
+            for v in sol.null_basis:
+                assert len(v) == nc
+                for i in range(nr):
+                    assert sum(a[i][j] * v[j] for j in range(nc)) == 0
+            rank = sympy.Matrix(a).rank()
+            assert len(sol.null_basis) == nc - rank
+            if sol.null_basis:
+                assert sympy.Matrix([list(v) for v in sol.null_basis]).rank() == nc - rank
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_inconsistent_system_returns_none(self, rational):
+        rng = random.Random(43 + rational)
+        for _ in range(40):
+            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+            a, b = _random_system(rng, nr, nc, rational)
+            # the sum of all rows with a shifted right-hand side has no solution
+            a.append([sum(col) for col in zip(*a)])
+            b.append(sum(b) + 1)
+            assert solve_linear(a, b) is None
