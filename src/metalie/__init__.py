@@ -13,6 +13,7 @@ from .polyring import (
     RowSpace,
     parse_polynomial,
     solve_linear,
+    solve_sparse,
     y_column,
 )
 from .lieexpr import (

@@ -7,7 +7,8 @@ The replays grow exponentially with their size argument, so the CLI caps
 them to keep each run within a few seconds: `replay-bn --factors` at
 MAX_FACTORS (the expansion has 2^k - 1 dyads) and `replay-oe --rank` at
 MAX_OE_RANK (at n = 9 the witness solve has 249 equations in 5670
-unknowns). Bracket nesting is capped at `lieexpr.MAX_NESTING`.
+unknowns). At the caps the two take about 0.6 s and 0.1 s on a 2-core
+virtual machine. Bracket nesting is capped at `lieexpr.MAX_NESTING`.
 
 Endomorphisms are given either as a JSON document {"rank": n, "images":
 [...]} (inline or as a file path), as a semicolon-separated list of bracket

@@ -17,9 +17,10 @@ products.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .polyring import PolyMatrix, Polynomial, Scalar, as_coeff, y_column
 
@@ -81,7 +82,14 @@ class ScalarPoly:
         return _raw(out)
 
     def __sub__(self, other: "ScalarPoly") -> "ScalarPoly":
-        return self + (-other)
+        out = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            s = out.get(mono, _ZERO) - coeff
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+        return _raw(out)
 
     def __neg__(self) -> "ScalarPoly":
         return _raw({m: -c for m, c in self.terms.items()})
@@ -151,6 +159,7 @@ class ScalarPoly:
 
 
 def _raw(terms: dict) -> ScalarPoly:
+    """Build a ScalarPoly from an already-normalized term dict (internal)."""
     p = object.__new__(ScalarPoly)
     object.__setattr__(p, "terms", terms)
     return p
@@ -158,7 +167,7 @@ def _raw(terms: dict) -> ScalarPoly:
 
 def lam(i: int, j: int) -> ScalarPoly:
     """The indeterminate lambda_ij; lambda_ii is identically zero."""
-    return ScalarPoly({((i, j),): 1})
+    return _raw({((i, j),): 1} if i != j else {})
 
 
 def _format_pair(p: Pair) -> str:
@@ -264,14 +273,16 @@ class DyadExpr:
     def __add__(self, other: "DyadExpr") -> "DyadExpr":
         dy = dict(self.dyads)
         for key, coeff in other.dyads.items():
-            dy[key] = dy.get(key, ScalarPoly.zero()) + coeff
-        return DyadExpr(self.scalar + other.scalar, dy)
+            cur = dy.get(key)
+            _store(dy, key, coeff if cur is None else cur + coeff)
+        return _raw_dyad(self.scalar + other.scalar, dy)
 
     def __sub__(self, other: "DyadExpr") -> "DyadExpr":
         dy = dict(self.dyads)
         for key, coeff in other.dyads.items():
-            dy[key] = dy.get(key, ScalarPoly.zero()) - coeff
-        return DyadExpr(self.scalar - other.scalar, dy)
+            cur = dy.get(key)
+            _store(dy, key, -coeff if cur is None else cur - coeff)
+        return _raw_dyad(self.scalar - other.scalar, dy)
 
     def __eq__(self, other):
         if not isinstance(other, DyadExpr):
@@ -307,16 +318,31 @@ class DyadExpr:
         return f"DyadExpr({self})"
 
 
+def _raw_dyad(scalar: ScalarPoly, dyads: dict) -> DyadExpr:
+    """Build a DyadExpr from a map of nonzero coefficients (internal)."""
+    x = object.__new__(DyadExpr)
+    object.__setattr__(x, "scalar", scalar)
+    object.__setattr__(x, "dyads", dyads)
+    return x
+
+
+def _store(acc: dict, key, value: ScalarPoly):
+    """Set acc[key] to value, or drop the key when value is zero, so that a
+    map of nonzero coefficients stays normalized."""
+    if value.terms:
+        acc[key] = value
+    else:
+        acc.pop(key, None)
+
+
 def dyad_mul(a: DyadExpr, b: DyadExpr) -> DyadExpr:
     """Bilinear product with the contraction rule
     (u x r)(u' x r') = (r.u') * (u x r')."""
     dy: dict = {}
 
     def accum(key, coeff):
-        if coeff.is_zero():
-            return
         cur = dy.get(key)
-        dy[key] = coeff if cur is None else cur + coeff
+        _store(dy, key, coeff if cur is None else cur + coeff)
 
     for key, coeff in a.dyads.items():
         accum(key, coeff * b.scalar)
@@ -325,7 +351,7 @@ def dyad_mul(a: DyadExpr, b: DyadExpr) -> DyadExpr:
     for (u, r), c1 in a.dyads.items():
         for (u2, r2), c2 in b.dyads.items():
             accum((u, r2), c1 * c2 * _contract(r, u2))
-    return DyadExpr(a.scalar * b.scalar, dy)
+    return _raw_dyad(a.scalar * b.scalar, dy)
 
 
 def expand_product(k: int) -> DyadExpr:
@@ -335,15 +361,14 @@ def expand_product(k: int) -> DyadExpr:
     """
     if k < 1:
         raise ValueError("need at least one factor")
-    dy: dict = {}
+    terms: dict = {}
     for m in range(1, k + 1):
         for seq in itertools.combinations(range(1, k + 1), m):
-            coeff = ScalarPoly.one()
-            for a, b in zip(seq, seq[1:]):
-                coeff = coeff * lam(a, b)
             key = (phi_sym(seq[0]), psi_sym(seq[-1]))
-            dy[key] = dy.get(key, ScalarPoly.zero()) + coeff
-    return DyadExpr(ScalarPoly.one(), dy)
+            # the pairs of an increasing sequence are sorted, never (i, i),
+            # and differ between sequences, so no two monomials cancel
+            terms.setdefault(key, {})[tuple(zip(seq, seq[1:]))] = 1
+    return _raw_dyad(ScalarPoly.one(), {key: _raw(t) for key, t in terms.items()})
 
 
 def factors(k: int) -> List[DyadExpr]:
@@ -385,22 +410,28 @@ class RowExpr:
     def __add__(self, other: "RowExpr") -> "RowExpr":
         out = dict(self.coeffs)
         for sym, coeff in other.coeffs.items():
-            out[sym] = out.get(sym, ScalarPoly.zero()) + coeff
-        return RowExpr(out)
+            cur = out.get(sym)
+            _store(out, sym, coeff if cur is None else cur + coeff)
+        return _raw_row(out)
 
     def __sub__(self, other: "RowExpr") -> "RowExpr":
         out = dict(self.coeffs)
         for sym, coeff in other.coeffs.items():
-            out[sym] = out.get(sym, ScalarPoly.zero()) - coeff
-        return RowExpr(out)
+            cur = out.get(sym)
+            _store(out, sym, -coeff if cur is None else cur - coeff)
+        return _raw_row(out)
 
     def scaled(self, s: ScalarPoly) -> "RowExpr":
-        return RowExpr({sym: s * coeff for sym, coeff in self.coeffs.items()})
+        if s.is_zero():
+            return _raw_row({})
+        # the lambda polynomials have no zero divisors
+        return _raw_row({sym: s * coeff for sym, coeff in self.coeffs.items()})
 
     def substituted(self, pair: Pair, value: Scalar) -> "RowExpr":
-        return RowExpr(
-            {sym: coeff.substituted(pair, value) for sym, coeff in self.coeffs.items()}
-        )
+        out: dict = {}
+        for sym, coeff in self.coeffs.items():
+            _store(out, sym, coeff.substituted(pair, value))
+        return _raw_row(out)
 
     def __eq__(self, other):
         if not isinstance(other, RowExpr):
@@ -435,6 +466,13 @@ class RowExpr:
         return f"RowExpr({self})"
 
 
+def _raw_row(coeffs: dict) -> RowExpr:
+    """Build a RowExpr from a map of nonzero coefficients (internal)."""
+    x = object.__new__(RowExpr)
+    object.__setattr__(x, "coeffs", coeffs)
+    return x
+
+
 def row_mul(i: int, x: DyadExpr) -> RowExpr:
     """Left-multiply a dyad expression by the row symbol Psi_i."""
     sym = psi_sym(i)
@@ -443,11 +481,9 @@ def row_mul(i: int, x: DyadExpr) -> RowExpr:
         out[sym] = x.scalar
     for (col, row), coeff in x.dyads.items():
         c = _contract(sym, col) * coeff
-        if c.is_zero():
-            continue
         cur = out.get(row)
-        out[row] = c if cur is None else cur + c
-    return RowExpr(out)
+        _store(out, row, c if cur is None else cur + c)
+    return _raw_row(out)
 
 
 def derive_reduced_relation(k: int = 3) -> RowExpr:

@@ -13,9 +13,11 @@ whose diagonal Fox derivatives push the sum into [U, U].
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .lieexpr import (
     Bracket,
@@ -28,7 +30,7 @@ from .lieexpr import (
     scale_expr,
     sum_exprs,
 )
-from .polyring import Scalar, as_coeff, solve_linear
+from .polyring import Scalar, as_coeff, solve_sparse
 
 Word = Tuple[int, ...]
 
@@ -74,7 +76,7 @@ class NCPoly:
     def gen(cls, rank: int, i: int) -> "NCPoly":
         if not 1 <= i <= rank:
             raise ValueError(f"letter {i} out of range 1..{rank}")
-        return cls(rank, {(i,): 1})
+        return _raw_nc(rank, {(i,): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -104,13 +106,21 @@ class NCPoly:
                 out[w] = s
             else:
                 del out[w]
-        return NCPoly(self.rank, out)
+        return _raw_nc(self.rank, out)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (-other)
+        self._check_rank(other)
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            s = out.get(w, _ZERO) - c
+            if s:
+                out[w] = s
+            else:
+                del out[w]
+        return _raw_nc(self.rank, out)
 
     def __neg__(self) -> "NCPoly":
-        return NCPoly(self.rank, {w: -c for w, c in self.terms.items()})
+        return _raw_nc(self.rank, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, NCPoly):
@@ -124,10 +134,14 @@ class NCPoly:
                         out[w] = s
                     else:
                         del out[w]
-            return NCPoly(self.rank, out)
+            return _raw_nc(self.rank, out)
         if isinstance(other, (int, Fraction)):
             c = as_coeff(other)
-            return NCPoly(self.rank, {w: v * c for w, v in self.terms.items()})
+            if not c:
+                return NCPoly.zero(self.rank)
+            return _raw_nc(
+                self.rank, {w: as_coeff(v * c) for w, v in self.terms.items()}
+            )
         return NotImplemented
 
     def __rmul__(self, other):
@@ -166,6 +180,14 @@ class NCPoly:
         return f"NCPoly({self.rank}, {self})"
 
 
+def _raw_nc(rank: int, terms: dict) -> NCPoly:
+    """Build an NCPoly from an already-normalized term dict (internal)."""
+    p = object.__new__(NCPoly)
+    object.__setattr__(p, "rank", rank)
+    object.__setattr__(p, "terms", terms)
+    return p
+
+
 def nc_mul(p: NCPoly, q: NCPoly) -> NCPoly:
     return p * q
 
@@ -199,7 +221,8 @@ def fox_assoc(f: NCPoly, i: int) -> NCPoly:
         raise ValueError("Fox derivative needs a zero constant term")
     if not 1 <= i <= f.rank:
         raise ValueError(f"letter {i} out of range 1..{f.rank}")
-    return NCPoly(
+    # distinct words ending in z_i have distinct prefixes: nothing collides
+    return _raw_nc(
         f.rank, {w[:-1]: c for w, c in f.terms.items() if w and w[-1] == i}
     )
 
@@ -235,6 +258,12 @@ def derived_degree4_basis(n: int) -> List[LieExpr]:
     """Spanning set of the degree-4 part of the second derived subalgebra:
     all [[z_i, z_j], [z_k, z_l]] with i > j, k > l and (i, j) > (k, l);
     candidates whose associative expansion vanishes are dropped."""
+    return [expr for expr, _ in _derived_degree4(n)]
+
+
+def _derived_degree4(n: int) -> List[Tuple[LieExpr, NCPoly]]:
+    """The elements of derived_degree4_basis(n), each with its associative
+    expansion."""
     if n < 2:
         raise ValueError("need rank >= 2")
     pairs = [(i, j) for i in range(2, n + 1) for j in range(1, i)]
@@ -245,8 +274,9 @@ def derived_degree4_basis(n: int) -> List[LieExpr]:
             expr = bracket_expr(
                 bracket_expr(Gen(i), Gen(j)), bracket_expr(Gen(k), Gen(l))
             )
-            if not lie_to_assoc(expr, n).is_zero():
-                out.append(expr)
+            expansion = lie_to_assoc(expr, n)
+            if not expansion.is_zero():
+                out.append((expr, expansion))
     return out
 
 
@@ -353,10 +383,7 @@ def replay(rank: int, include_witness: bool = True) -> TraceReplay:
 
 
 def _witness_search(rank: int, s: NCPoly) -> WitnessSearch:
-    import itertools
-
-    basis = derived_degree4_basis(rank)
-    expansions = [lie_to_assoc(e, rank) for e in basis]
+    basis, expansions = zip(*_derived_degree4(rank))
     unknowns = [(i, k) for i in range(1, rank + 1) for k in range(len(basis))]
 
     # one equation per cyclic class of degree-3 words
@@ -370,10 +397,15 @@ def _witness_search(rank: int, s: NCPoly) -> WitnessSearch:
             for w in itertools.product(range(1, rank + 1), repeat=3)
         }
     )
-    a_rows = [[col.get(cls, _ZERO) for col in columns] for cls in class_list]
+    # the sparse rows of the system are the transpose of its columns
+    row_of = {cls: r for r, cls in enumerate(class_list)}
+    a_rows: List[dict] = [{} for _ in class_list]
+    for u, col in enumerate(columns):
+        for cls, c in col.items():
+            a_rows[row_of[cls]][u] = c
     b = [-rhs_sig.get(cls, _ZERO) for cls in class_list]
 
-    solution = solve_linear(a_rows, b)
+    solution = solve_sparse(a_rows, b, len(unknowns))
     if solution is None:
         return WitnessSearch(False, len(unknowns), len(class_list), 0, (), False)
 
@@ -393,7 +425,7 @@ def _witness_search(rank: int, s: NCPoly) -> WitnessSearch:
         True,
         len(unknowns),
         len(class_list),
-        len(solution.null_basis),
+        solution.nullity,
         witness_exprs,
         verified,
     )

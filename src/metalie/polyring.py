@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: rationals, sparse multivariate polynomials,
-matrices over the polynomial ring, and exact rational linear solving.
+matrices over the polynomial ring, and exact rational linear solving on
+sparse rows.
 
 Coefficients are exact rationals under one convention shared by the whole
 package: a coefficient is a plain `int` until a division makes it
@@ -14,9 +15,10 @@ by exponent vector -- and parse/print round-trips exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Optional, Union
 
 Rat = Fraction
 Scalar = Union[int, Fraction]
@@ -760,71 +762,83 @@ def _det_bareiss(rows, nvars: int) -> Polynomial:
 
 @dataclass(frozen=True)
 class LinearSolution:
-    """One exact solution of A x = b plus a basis of the null space of A."""
+    """One exact solution of A x = b and the null space of A.
+
+    `particular` sets every free unknown to zero. `nullity` is the dimension
+    of the null space (unknowns minus rank); `null_basis` builds its basis
+    from the reduced row echelon form only when read: one vector per free
+    column, in column order, 1 at that column and 0 at the other free ones.
+    """
 
     particular: tuple
-    null_basis: tuple
+    nullity: int
+    # pivot column -> its row of the reduced row echelon form of A
+    echelon: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def null_basis(self) -> tuple:
+        ncols = len(self.particular)
+        basis = []
+        for fc in range(ncols):
+            if fc in self.echelon:
+                continue
+            vec = [0] * ncols
+            vec[fc] = 1
+            for c, row in self.echelon.items():
+                v = row.get(fc)
+                if v:
+                    vec[c] = -v
+            basis.append(tuple(vec))
+        return tuple(basis)
+
+
+def solve_sparse(
+    rows: Sequence[Mapping[int, Scalar]], b: Sequence[Scalar], ncols: int
+) -> Optional[LinearSolution]:
+    """Exact solution of A x = b over the rationals, A given by sparse rows.
+
+    Row i of A maps column indices in 0..ncols-1 to coefficients (absent
+    means zero). The augmented rows are eliminated in a RowSpace and reduced
+    to the reduced row echelon form, which is unique, so the result does not
+    depend on the order of the rows. Returns None when the system is
+    inconsistent.
+    """
+    if len(rows) != len(b):
+        raise ValueError("row count of A must match length of b")
+    space = RowSpace()
+    for row, rhs in zip(rows, b):
+        if row and not (0 <= min(row) and max(row) < ncols):
+            raise ValueError(f"column index out of range 0..{ncols - 1}")
+        aug = dict(row)
+        if rhs:
+            # the right-hand side is the last column, after every unknown
+            aug[ncols] = rhs
+        space.add(aug)
+    echelon = space.reduced()
+    if ncols in echelon:
+        # a row of A reduced to zero against a nonzero right-hand side
+        return None
+    particular = [0] * ncols
+    for c, row in echelon.items():
+        particular[c] = row.pop(ncols, 0)
+    return LinearSolution(tuple(particular), ncols - len(echelon), echelon)
 
 
 def solve_linear(a_rows: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
-    """Exact Gauss-Jordan elimination over the rationals.
-
-    Returns a LinearSolution, or None when the system is inconsistent. The
-    particular solution sets every free variable to zero; the null basis has
-    one vector per free column, in column order.
-    """
-    m = [[as_coeff(c) for c in row] for row in a_rows]
-    rhs = [as_coeff(c) for c in b]
-    if len(m) != len(rhs):
+    """Exact solution of A x = b for a dense matrix A: an adapter onto
+    `solve_sparse`. Returns a LinearSolution, or None when the system is
+    inconsistent."""
+    if len(a_rows) != len(b):
         raise ValueError("row count of A must match length of b")
-    nrows = len(m)
-    if nrows == 0:
-        return LinearSolution((), ())
-    ncols = len(m[0])
-    for row in m:
+    if not a_rows:
+        return LinearSolution((), 0)
+    ncols = len(a_rows[0])
+    rows = []
+    for row in a_rows:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
-
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        rhs[r], rhs[piv] = rhs[piv], rhs[r]
-        inv = 1 / as_rat(m[r][c])
-        m[r] = [as_coeff(v * inv) if v else 0 for v in m[r]]
-        rhs[r] = as_coeff(rhs[r] * inv)
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * p if p else a for a, p in zip(m[i], m[r])]
-                rhs[i] = rhs[i] - f * rhs[r]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if rhs[i]:
-            return None
-
-    particular = [0] * ncols
-    for i, c in enumerate(pivot_cols):
-        particular[c] = as_coeff(rhs[i])
-    free_cols = [c for c in range(ncols) if c not in set(pivot_cols)]
-    basis = []
-    for fc in free_cols:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for i, c in enumerate(pivot_cols):
-            vec[c] = as_coeff(-m[i][fc])
-        basis.append(tuple(vec))
-    return LinearSolution(tuple(particular), tuple(basis))
+        rows.append({c: v for c, v in enumerate(map(as_coeff, row)) if v})
+    return solve_sparse(rows, [as_coeff(c) for c in b], ncols)
 
 
 class RowSpace:
@@ -832,8 +846,9 @@ class RowSpace:
 
     Rows are dicts mapping totally ordered, hashable column keys to nonzero
     exact rationals. Each stored pivot row is normalized to coefficient 1 at
-    its minimal key (entries demoted to int where integral), so reduction
-    strictly increases the minimal key of the remainder and terminates.
+    its minimal key, so reduction strictly increases the minimal key of the
+    remainder and terminates. Stored pivots and returned remainders follow
+    the coefficient convention: integral values are ints.
     """
 
     def __init__(self):
@@ -850,13 +865,7 @@ class RowSpace:
             pivot = self._pivots.get(k)
             if pivot is None:
                 return rem
-            f = rem[k]
-            for kk, cc in pivot.items():
-                s = rem.get(kk, _ZERO) - f * cc
-                if s:
-                    rem[kk] = s
-                else:
-                    rem.pop(kk, None)
+            _sub_scaled(rem, rem[k], pivot)
         return rem
 
     def add(self, row: Mapping) -> bool:
@@ -871,3 +880,28 @@ class RowSpace:
 
     def contains(self, row: Mapping) -> bool:
         return not self.reduce(row)
+
+    def reduced(self) -> dict:
+        """The reduced row echelon form of the span, as pivot key -> row in
+        increasing key order: each row is 1 at its own key and 0 at every
+        other pivot key. The stored rows are left as they are."""
+        done = {}
+        for k in sorted(self._pivots, reverse=True):
+            row = dict(self._pivots[k])
+            # every pivot key in the row other than k is larger, so its row
+            # is already in `done`, and that row is 0 at every other pivot key
+            for kk in [kk for kk in row if kk != k and kk in done]:
+                _sub_scaled(row, row[kk], done[kk])
+            done[k] = row
+        return {k: done[k] for k in sorted(done)}
+
+
+def _sub_scaled(acc: dict, f: Scalar, row: Mapping):
+    """acc -= f * row on sparse rows, dropping cancelled entries and demoting
+    integral results."""
+    for k, c in row.items():
+        s = as_coeff(acc.get(k, _ZERO) - f * c)
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)

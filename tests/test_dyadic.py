@@ -3,8 +3,11 @@ residual verdict, grounding."""
 
 import functools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metalie.dyadic as dy
 import metalie.endos as en
@@ -245,3 +248,79 @@ class TestInstantiate:
         dz = mb.fox(z)
         out = dy.instantiate(dy.minus_y_dz(), {}, {}, dz_row=dz)
         assert out == (y_column(3) * dz) * -1
+
+
+def assert_normalized(x):
+    """x equals its terms passed back through the validating constructor:
+    the same dict, no zero coefficient, and ScalarPoly monomials sorted with
+    no lambda_ii."""
+    if isinstance(x, dy.ScalarPoly):
+        assert dy.ScalarPoly(x.terms).terms == x.terms
+        for mono, c in x.terms.items():
+            assert c != 0
+            assert list(mono) == sorted(mono)
+            assert all(i != j for i, j in mono)
+    elif isinstance(x, dy.DyadExpr):
+        assert dy.DyadExpr(x.scalar, x.dyads).dyads == x.dyads
+        for c in (x.scalar, *x.dyads.values()):
+            assert_normalized(c)
+        assert all(not c.is_zero() for c in x.dyads.values())
+    elif isinstance(x, dy.RowExpr):
+        assert dy.RowExpr(x.coeffs).coeffs == x.coeffs
+        for c in x.coeffs.values():
+            assert not c.is_zero()
+            assert_normalized(c)
+    else:
+        raise TypeError(type(x))
+
+
+_rats = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3))
+_pairs = st.tuples(st.integers(1, 3), st.integers(1, 3))
+scalar_polys = st.dictionaries(
+    st.lists(_pairs, max_size=3).map(tuple), _rats, max_size=4
+).map(dy.ScalarPoly)
+_cols = st.sampled_from([dy.Y_COL, phi(1), phi(2), phi(3)])
+_rows = st.sampled_from([psi(1), psi(2), psi(3)])
+dyad_exprs = st.builds(
+    dy.DyadExpr,
+    scalar_polys,
+    st.dictionaries(st.tuples(_cols, _rows), scalar_polys, max_size=4),
+)
+row_exprs = st.dictionaries(
+    st.sampled_from([psi(1), psi(2), psi(3), dy.DZ_ROW]), scalar_polys, max_size=3
+).map(dy.RowExpr)
+
+
+class TestNormalizedResults:
+    """Internal arithmetic builds its results without re-validating them;
+    each must still be what the validating constructor would build."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(scalar_polys, scalar_polys, _rats, _pairs)
+    def test_scalar_poly_operations(self, s, u, c, pair):
+        for x in (s + u, s - u, s - s, -s, s * u, s * c, c * s, s.substituted(pair, c)):
+            assert_normalized(x)
+
+    @pytest.mark.parametrize("i", range(1, 4))
+    def test_lam(self, i):
+        for j in range(1, 4):
+            assert_normalized(lam(i, j))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dyad_exprs, dyad_exprs)
+    def test_dyad_expr_operations(self, a, b):
+        for x in (a + b, a - b, a - a, dy.dyad_mul(a, b), dy.dyad_mul(b, a)):
+            assert_normalized(x)
+        for i in range(1, 4):
+            assert_normalized(dy.row_mul(i, a))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(row_exprs, row_exprs, scalar_polys, _pairs, _rats)
+    def test_row_expr_operations(self, r, q, s, pair, c):
+        for x in (r + q, r - q, r - r, r.scaled(s), r.substituted(pair, c)):
+            assert_normalized(x)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_expand_product(self, k):
+        assert_normalized(dy.expand_product(k))
+        assert_normalized(dy.derive_reduced_relation(max(k, 2)))

@@ -1,10 +1,13 @@
 """Free associative algebra: words, bracket expansion, Fox derivatives,
 cyclic-word commutator test, degree-4 trace replay."""
 
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metalie.freeassoc as fa
 from metalie.lieexpr import parse_expr
@@ -46,6 +49,33 @@ class TestNCPoly:
     def test_str(self):
         p = NC(4, ((4, 2, 3), 1), ((4, 3, 2), -1))
         assert str(p) == "z4*z2*z3 - z4*z3*z2"
+
+
+_rats = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3))
+nc_polys = st.dictionaries(
+    st.lists(st.integers(1, 3), max_size=3).map(tuple), _rats, max_size=5
+).map(lambda t: fa.NCPoly(3, t))
+
+
+def assert_normalized(p):
+    """p equals its terms passed back through the validating constructor: the
+    same dict and no zero coefficient."""
+    assert fa.NCPoly(p.rank, p.terms).terms == p.terms
+    assert all(c != 0 for c in p.terms.values())
+
+
+class TestNormalizedResults:
+    """NCPoly arithmetic builds its results without re-validating them."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(nc_polys, nc_polys, _rats)
+    def test_operations(self, p, q, c):
+        for x in (p + q, p - q, p - p, -p, p * q, q * p, p * c, c * p):
+            assert_normalized(x)
+        p0 = p - fa.NCPoly(3, {(): p.constant_term()})
+        for i in range(1, 4):
+            assert_normalized(fa.fox_assoc(p0, i))
+            assert_normalized(fa.NCPoly.gen(3, i))
 
 
 class TestLieToAssoc:
@@ -224,3 +254,58 @@ class TestReplay:
     def test_higher_rank_runs(self):
         rep = fa.replay(5)
         assert rep.witness.solvable
+
+
+class TestWitnessOracle:
+    """The witness solve against checks that do not use the cyclic-word
+    criterion that builds its equations: membership in the brute-force span of
+    all u*v - v*u, and the rank of the system computed by sympy as the
+    dimension the corrections add to that span."""
+
+    @pytest.mark.parametrize("rank", [4, 5, 6])
+    def test_corrected_sum_in_commutator_span(self, rank):
+        rep = fa.replay(rank)
+        corrected = rep.derivative
+        for i, expr in rep.witness.witness_exprs:
+            corrected = corrected + fa.fox_assoc(fa.lie_to_assoc(expr, rank), i)
+        space = commutator_row_space(rank, 3)
+        assert not space.contains(rep.derivative.terms)
+        assert space.contains(corrected.terms)
+
+    @pytest.mark.parametrize("rank", [4, 5, 6])
+    def test_null_space_dimension_against_sympy_rank(self, rank):
+        pytest.importorskip("sympy")
+        from sympy import QQ
+        from sympy.polys.matrices import DomainMatrix
+
+        words = list(itertools.product(range(1, rank + 1), repeat=3))
+        column = {w: j for j, w in enumerate(words)}
+
+        def dense(p):
+            row = [QQ(0)] * len(words)
+            for w, c in p.terms.items():
+                row[column[w]] = QQ(c)
+            return row
+
+        def sympy_rank(rows):
+            return DomainMatrix(rows, (len(rows), len(words)), QQ).rank()
+
+        basis = fa.derived_degree4_basis(rank)
+        corrections = [
+            dense(fa.fox_assoc(fa.lie_to_assoc(e, rank), i))
+            for i in range(1, rank + 1)
+            for e in basis
+        ]
+        commutators = [
+            dense(fa.NCPoly(rank, {u + v: 1, v + u: -1}))
+            for lu in (1, 2)
+            for u in itertools.product(range(1, rank + 1), repeat=lu)
+            for v in itertools.product(range(1, rank + 1), repeat=3 - lu)
+            if u + v != v + u
+        ]
+        # the rank of the system is the dimension of the corrections' image in
+        # the degree-3 words modulo the commutator span
+        system_rank = sympy_rank(corrections + commutators) - sympy_rank(commutators)
+        w = fa.replay(rank).witness
+        assert w.unknowns == len(corrections)
+        assert w.null_space_dimension == w.unknowns - system_rank

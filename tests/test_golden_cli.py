@@ -4,7 +4,8 @@ Every README example, `compose` and `inverse` on `linear:`, `inner:`,
 rational and NotAutomorphism inputs, and `verify --suite all --seed 7`, each
 in text and (where the command has it) structured form. The recorded stdout
 and exit code live in `golden/cli.json`; a refactor must reproduce them
-exactly.
+exactly. Outputs longer than `HASH_OVER` characters are recorded by the
+SHA-256 of their UTF-8 bytes, which keeps the file small.
 
 Regenerate after an intended output change with
 
@@ -12,6 +13,7 @@ Regenerate after an intended output change with
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -21,6 +23,7 @@ import pytest
 from metalie.cli import main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden") / "cli.json"
+HASH_OVER = 20_000
 
 _DOC = json.dumps({"rank": 3, "images": ["x1 + [x2,x3]", "x2", "x3"]})
 
@@ -61,6 +64,10 @@ _FORMATTED = [
     ["replay-bn", "--factors", "5"],
     ["replay-oe", "--rank", "5"],
     ["replay-oe", "--rank", "5", "--witness"],
+    # the replays at the benchmark's sizes and at the caps
+    ["replay-oe", "--rank", "6", "--witness"],
+    ["replay-oe", "--rank", "9", "--witness"],
+    ["replay-bn", "--factors", "10"],
 ]
 
 CASES = (
@@ -74,7 +81,11 @@ def run_cli(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(list(argv))
-    return {"argv": list(argv), "exit": code, "stdout": out.getvalue()}
+    stdout = out.getvalue()
+    if len(stdout) > HASH_OVER:
+        digest = hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+        return {"argv": list(argv), "exit": code, "stdout_sha256": digest}
+    return {"argv": list(argv), "exit": code, "stdout": stdout}
 
 
 def _load():

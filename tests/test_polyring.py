@@ -20,6 +20,7 @@ from metalie.polyring import (
     parse_polynomial,
     row_vector,
     solve_linear,
+    solve_sparse,
     unit_column,
     y_column,
 )
@@ -459,6 +460,25 @@ class TestCoefficientConvention:
         assert space.rank == 3
         assert_demoted(*(list(p.values()) for p in space._pivots.values()))
 
+    def test_row_space_remainder_is_demoted(self):
+        space = RowSpace()
+        space.add({0: 2, 1: 3})
+        rem = space.reduce({0: 1, 1: Fraction(-1, 2)})
+        assert rem == {1: -2}
+        assert_all_int(list(rem.values()))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.dictionaries(st.integers(0, 5), rat_coeffs, max_size=4), max_size=6),
+        st.dictionaries(st.integers(0, 5), rat_coeffs, max_size=4),
+    )
+    def test_row_space_stores_no_integral_fraction(self, rows, probe):
+        space = RowSpace()
+        for row in rows:
+            space.add(row)
+        stored = [space.reduce(probe), *space._pivots.values(), *space.reduced().values()]
+        assert_demoted(*(list(r.values()) for r in stored))
+
 
 class TestSolveLinearOracle:
     """solve_linear against an independent check: substitution back into the
@@ -481,8 +501,26 @@ class TestSolveLinearOracle:
                     assert sum(a[i][j] * v[j] for j in range(nc)) == 0
             rank = sympy.Matrix(a).rank()
             assert len(sol.null_basis) == nc - rank
+            assert sol.nullity == nc - rank
             if sol.null_basis:
                 assert sympy.Matrix([list(v) for v in sol.null_basis]).rank() == nc - rank
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32), st.booleans())
+    def test_nullity_counts_the_null_basis(self, nr, nc, seed, rational):
+        a, b = _random_system(random.Random(seed), nr, nc, rational)
+        sol = solve_linear(a, b)
+        assert sol.nullity == len(sol.null_basis)
+
+    def test_sparse_rows_are_checked(self):
+        with pytest.raises(ValueError):
+            solve_sparse([{0: 1, 2: 1}], [1], 2)
+        with pytest.raises(ValueError):
+            solve_sparse([{0: 1}], [1, 2], 1)
+        sol = solve_sparse([{1: 2}, {}], [4, 0], 3)
+        assert sol.particular == (0, 2, 0)
+        assert sol.nullity == 2
+        assert sol.null_basis == ((1, 0, 0), (0, 0, 1))
 
     @pytest.mark.parametrize("rational", [False, True])
     def test_inconsistent_system_returns_none(self, rational):
