@@ -9,7 +9,6 @@ from .polyring import (
     ParseError,
     PolyMatrix,
     Polynomial,
-    Rat,
     RowSpace,
     parse_polynomial,
     solve_linear,
@@ -72,7 +71,6 @@ from .freeassoc import (
     fox_assoc,
     in_commutator_subspace,
     lie_to_assoc,
-    nc_mul,
     replay,
 )
 

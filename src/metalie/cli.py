@@ -140,10 +140,6 @@ def jacobian_doc(j) -> list:
     return [[str(p) for p in row] for row in j.rows]
 
 
-def jacobian_text(j) -> str:
-    return "\n".join("[" + ", ".join(str(p) for p in row) + "]" for row in j.rows)
-
-
 # -- subcommands --------------------------------------------------------------
 
 
@@ -162,7 +158,7 @@ def cmd_nf(args) -> int:
 def cmd_jac(args) -> int:
     phi = load_endo(args.endo, args.rank)
     j = endos.jacobian(phi)
-    _emit(args, lambda: jacobian_text(j), lambda: {"rank": phi.rank, "jacobian": jacobian_doc(j)})
+    _emit(args, lambda: str(j), lambda: {"rank": phi.rank, "jacobian": jacobian_doc(j)})
     return 0
 
 

@@ -22,7 +22,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .polyring import PolyMatrix, Polynomial, Scalar, as_coeff, y_column
+from .polyring import (
+    PolyMatrix,
+    Polynomial,
+    Scalar,
+    _add_into,
+    as_coeff,
+    format_term,
+    format_terms,
+    y_column,
+)
 
 # a lambda monomial is a sorted tuple of (i, j) index pairs
 Pair = Tuple[int, int]
@@ -73,22 +82,12 @@ class ScalarPoly:
 
     def __add__(self, other: "ScalarPoly") -> "ScalarPoly":
         out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = out.get(mono, _ZERO) + coeff
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
+        _add_into(out, other.terms)
         return _raw(out)
 
     def __sub__(self, other: "ScalarPoly") -> "ScalarPoly":
         out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = out.get(mono, _ZERO) - coeff
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
+        _add_into(out, other.terms, -1)
         return _raw(out)
 
     def __neg__(self) -> "ScalarPoly":
@@ -129,30 +128,14 @@ class ScalarPoly:
         value = as_coeff(value)
         out: dict = {}
         for mono, coeff in self.terms.items():
-            hits = sum(1 for p in mono if p == pair)
             rest = tuple(p for p in mono if p != pair)
-            c = as_coeff(coeff * value**hits)
-            if not c:
-                continue
-            s = out.get(rest, _ZERO) + c
-            if s:
-                out[rest] = s
-            else:
-                del out[rest]
+            hits = len(mono) - len(rest)
+            _add_into(out, {rest: coeff * value**hits})
         return _raw(out)
 
-    def evaluate(self, values: Mapping[Pair, Polynomial], nvars: int) -> Polynomial:
-        """Ground every lambda_ij with a concrete polynomial."""
-        total = Polynomial.zero(nvars)
-        for mono, coeff in self.terms.items():
-            prod = Polynomial.constant(nvars, coeff)
-            for p in mono:
-                prod = prod * values[p]
-            total = total + prod
-        return total
-
     def __str__(self):
-        return format_scalar(self)
+        terms = sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        return format_terms((c, _format_mono(mono)) for mono, c in terms)
 
     def __repr__(self):
         return f"ScalarPoly({self})"
@@ -177,33 +160,12 @@ def _format_pair(p: Pair) -> str:
     return f"λ({i},{j})"
 
 
-def format_scalar(s: ScalarPoly) -> str:
-    if s.is_zero():
-        return "0"
-    chunks = []
-    for mono, coeff in sorted(s.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        body = "*".join(_format_pair(p) for p in mono)
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
-        if not body:
-            body = str(mag)
-        elif mag != 1:
-            body = f"{mag}*{body}"
-        if not chunks:
-            chunks.append(f"-{body}" if neg else body)
-        else:
-            chunks.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(chunks)
-
-
-def _signed(c: Scalar, body: str, first: bool) -> str:
-    neg = c < 0
-    mag = -c if neg else c
-    if mag != 1:
-        body = f"{mag}*{body}"
-    if first:
-        return f"-{body}" if neg else body
-    return f"- {body}" if neg else f"+ {body}"
+def _format_mono(mono: Tuple[Pair, ...], symbol: str = "") -> str:
+    """A lambda monomial times an optional symbol, e.g. "λ12*λ23*Φ1Ψ3"."""
+    parts = [_format_pair(p) for p in mono]
+    if symbol:
+        parts.append(symbol)
+    return "*".join(parts)
 
 
 # column symbols: ("phi", i) or ("Y",); row symbols: ("psi", j) or ("dz",)
@@ -250,12 +212,9 @@ class DyadExpr:
         scalar: ScalarPoly = ScalarPoly.zero(),
         dyads: Mapping[Tuple[ColSym, RowSym], ScalarPoly] = (),
     ):
-        clean = {}
-        items = dyads.items() if isinstance(dyads, Mapping) else dyads
-        for key, coeff in items:
-            if not coeff.is_zero():
-                clean[key] = clean.get(key, ScalarPoly.zero()) + coeff
-        clean = {k: v for k, v in clean.items() if not v.is_zero()}
+        clean: dict = {}
+        for key, coeff in dyads.items() if isinstance(dyads, Mapping) else dyads:
+            _accum(clean, key, coeff)
         object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "dyads", clean)
 
@@ -273,15 +232,13 @@ class DyadExpr:
     def __add__(self, other: "DyadExpr") -> "DyadExpr":
         dy = dict(self.dyads)
         for key, coeff in other.dyads.items():
-            cur = dy.get(key)
-            _store(dy, key, coeff if cur is None else cur + coeff)
+            _accum(dy, key, coeff)
         return _raw_dyad(self.scalar + other.scalar, dy)
 
     def __sub__(self, other: "DyadExpr") -> "DyadExpr":
         dy = dict(self.dyads)
         for key, coeff in other.dyads.items():
-            cur = dy.get(key)
-            _store(dy, key, -coeff if cur is None else cur - coeff)
+            _accum(dy, key, -coeff)
         return _raw_dyad(self.scalar - other.scalar, dy)
 
     def __eq__(self, other):
@@ -302,17 +259,22 @@ class DyadExpr:
         out.sort(key=lambda t: (len(t[0]), t[0], t[2], t[3]))
         return out
 
+    def _term_pairs(self):
+        """(coefficient, text) of each term of term_list(), without sign."""
+        return [
+            (c, _format_mono(mono, f"{_format_col(col)}{_format_row(row)}"))
+            for mono, c, col, row in self.term_list()
+        ]
+
+    def _text(self, pairs) -> str:
+        """The text form, given this expression's _term_pairs()."""
+        if self.scalar.is_zero():
+            return format_terms(pairs)
+        s = str(self.scalar)
+        return format_terms([(1, "E" if s == "1" else f"({s})*E")] + pairs)
+
     def __str__(self):
-        chunks = []
-        if not self.scalar.is_zero():
-            s = format_scalar(self.scalar)
-            chunks.append("E" if s == "1" else f"({s})*E")
-        for mono, c, col, row in self.term_list():
-            body = f"{_format_col(col)}{_format_row(row)}"
-            if mono:
-                body = "*".join(_format_pair(p) for p in mono) + f"*{body}"
-            chunks.append(_signed(c, body, first=not chunks))
-        return " ".join(chunks) if chunks else "0"
+        return self._text(self._term_pairs())
 
     def __repr__(self):
         return f"DyadExpr({self})"
@@ -326,9 +288,12 @@ def _raw_dyad(scalar: ScalarPoly, dyads: dict) -> DyadExpr:
     return x
 
 
-def _store(acc: dict, key, value: ScalarPoly):
-    """Set acc[key] to value, or drop the key when value is zero, so that a
-    map of nonzero coefficients stays normalized."""
+def _accum(acc: dict, key, value: ScalarPoly):
+    """acc[key] += value on a map of nonzero ScalarPoly coefficients,
+    dropping the key when the sum is zero."""
+    cur = acc.get(key)
+    if cur is not None:
+        value = cur + value
     if value.terms:
         acc[key] = value
     else:
@@ -339,18 +304,13 @@ def dyad_mul(a: DyadExpr, b: DyadExpr) -> DyadExpr:
     """Bilinear product with the contraction rule
     (u x r)(u' x r') = (r.u') * (u x r')."""
     dy: dict = {}
-
-    def accum(key, coeff):
-        cur = dy.get(key)
-        _store(dy, key, coeff if cur is None else cur + coeff)
-
     for key, coeff in a.dyads.items():
-        accum(key, coeff * b.scalar)
+        _accum(dy, key, coeff * b.scalar)
     for key, coeff in b.dyads.items():
-        accum(key, coeff * a.scalar)
+        _accum(dy, key, coeff * a.scalar)
     for (u, r), c1 in a.dyads.items():
         for (u2, r2), c2 in b.dyads.items():
-            accum((u, r2), c1 * c2 * _contract(r, u2))
+            _accum(dy, (u, r2), c1 * c2 * _contract(r, u2))
     return _raw_dyad(a.scalar * b.scalar, dy)
 
 
@@ -390,12 +350,9 @@ class RowExpr:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[RowSym, ScalarPoly] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        clean = {}
-        for sym, coeff in items:
-            if not coeff.is_zero():
-                clean[sym] = clean.get(sym, ScalarPoly.zero()) + coeff
-        clean = {k: v for k, v in clean.items() if not v.is_zero()}
+        clean: dict = {}
+        for sym, coeff in coeffs.items() if isinstance(coeffs, Mapping) else coeffs:
+            _accum(clean, sym, coeff)
         object.__setattr__(self, "coeffs", clean)
 
     def __setattr__(self, name, value):
@@ -410,15 +367,13 @@ class RowExpr:
     def __add__(self, other: "RowExpr") -> "RowExpr":
         out = dict(self.coeffs)
         for sym, coeff in other.coeffs.items():
-            cur = out.get(sym)
-            _store(out, sym, coeff if cur is None else cur + coeff)
+            _accum(out, sym, coeff)
         return _raw_row(out)
 
     def __sub__(self, other: "RowExpr") -> "RowExpr":
         out = dict(self.coeffs)
         for sym, coeff in other.coeffs.items():
-            cur = out.get(sym)
-            _store(out, sym, -coeff if cur is None else cur - coeff)
+            _accum(out, sym, -coeff)
         return _raw_row(out)
 
     def scaled(self, s: ScalarPoly) -> "RowExpr":
@@ -430,7 +385,7 @@ class RowExpr:
     def substituted(self, pair: Pair, value: Scalar) -> "RowExpr":
         out: dict = {}
         for sym, coeff in self.coeffs.items():
-            _store(out, sym, coeff.substituted(pair, value))
+            _accum(out, sym, coeff.substituted(pair, value))
         return _raw_row(out)
 
     def __eq__(self, other):
@@ -451,16 +406,19 @@ class RowExpr:
         out.sort(key=lambda t: (len(t[0]), t[0], t[2]))
         return out
 
+    def _term_pairs(self):
+        """(coefficient, text) of each term of term_list(), without sign."""
+        return [
+            (c, _format_mono(mono, _format_row(sym)))
+            for mono, c, sym in self.term_list()
+        ]
+
+    def _text(self, pairs) -> str:
+        """The text form, given this expression's _term_pairs()."""
+        return format_terms(pairs)
+
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        chunks = []
-        for mono, c, sym in self.term_list():
-            body = _format_row(sym)
-            if mono:
-                body = "*".join(_format_pair(p) for p in mono) + f"*{body}"
-            chunks.append(_signed(c, body, first=not chunks))
-        return " ".join(chunks)
+        return self._text(self._term_pairs())
 
     def __repr__(self):
         return f"RowExpr({self})"
@@ -480,9 +438,7 @@ def row_mul(i: int, x: DyadExpr) -> RowExpr:
     if not x.scalar.is_zero():
         out[sym] = x.scalar
     for (col, row), coeff in x.dyads.items():
-        c = _contract(sym, col) * coeff
-        cur = out.get(row)
-        _store(out, row, c if cur is None else cur + c)
+        _accum(out, row, _contract(sym, col) * coeff)
     return _raw_row(out)
 
 
@@ -502,21 +458,12 @@ class TraceStep:
     terms: Tuple[str, ...] = ()
 
 
-def _term_strings(x) -> Tuple[str, ...]:
-    out = []
-    if isinstance(x, DyadExpr):
-        for mono, c, col, row in x.term_list():
-            body = f"{_format_col(col)}{_format_row(row)}"
-            if mono:
-                body = "*".join(_format_pair(p) for p in mono) + f"*{body}"
-            out.append(_signed(c, body, first=True))
-    else:
-        for mono, c, sym in x.term_list():
-            body = _format_row(sym)
-            if mono:
-                body = "*".join(_format_pair(p) for p in mono) + f"*{body}"
-            out.append(_signed(c, body, first=True))
-    return tuple(out)
+def _step(label: str, template: str, x) -> TraceStep:
+    """The trace step showing a DyadExpr or RowExpr x in `template`, with
+    each term's text built once for both the equation and the term list."""
+    pairs = x._term_pairs()
+    terms = tuple(format_term(c, body, True) for c, body in pairs)
+    return TraceStep(label, template.format(x._text(pairs)), terms)
 
 
 @dataclass(frozen=True)
@@ -568,10 +515,10 @@ def residual_check(k: int = 3) -> ResidualReport:
             f"{prod_str} = E - Y∂z",
             tuple(f"E + Φ{i}Ψ{i}" for i in range(1, k + 1)),
         ),
-        TraceStep("X", f"{lhs} = -Y∂z", _term_strings(lhs)),
-        TraceStep("R1", f"Ψ1 * X:  {eq1} = 0", _term_strings(eq1)),
-        TraceStep("R2", f"Ψ2 * X:  {eq2} = 0", _term_strings(eq2)),
-        TraceStep("R", f"R2 - λ21*R1:  {reduced} = 0", _term_strings(reduced)),
+        _step("X", "{} = -Y∂z", lhs),
+        _step("R1", "Ψ1 * X:  {} = 0", eq1),
+        _step("R2", "Ψ2 * X:  {} = 0", eq2),
+        _step("R", "R2 - λ21*R1:  {} = 0", reduced),
     ]
     psi1 = reduced.coefficient(psi_sym(1))
     survives = psi1 == lam(2, 1)

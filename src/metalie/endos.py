@@ -22,7 +22,14 @@ from typing import List, Optional, Sequence, Tuple
 from . import metabelian as mb
 from .lieexpr import LieExpr, generators_used, left_normed, scale_expr, sum_exprs
 from .metabelian import MElement
-from .polyring import PolyMatrix, Polynomial, Scalar, as_coeff, as_rat, col_vector
+from .polyring import (
+    PolyMatrix,
+    Polynomial,
+    Scalar,
+    as_coeff,
+    col_vector,
+    rational_inverse,
+)
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,7 @@ def linear(matrix: Sequence[Sequence]) -> Endo:
     for row in a:
         if len(row) != rank:
             raise ValueError("matrix must be square")
-    if _rat_mat_inverse(a) is None:
+    if rational_inverse(a) is None:
         raise ValueError("matrix is singular")
     return _linear(a)
 
@@ -179,7 +186,7 @@ def conjugate_elementary(alpha: Sequence[Sequence], f: LieExpr, rank: int):
     if alpha_endo.rank != rank:
         raise ValueError("alpha has the wrong rank")
     phi_f = elementary(rank, f)
-    a_inv = _rat_mat_inverse(a)
+    a_inv = rational_inverse(a)
     conj = compose(compose(alpha_endo, phi_f), _linear(a_inv))
 
     phi_col = col_vector(rank, [a_inv[i][0] for i in range(rank)])
@@ -199,7 +206,7 @@ def inverse(phi: Endo) -> Optional[Endo]:
     identity, so no unproven invertibility criterion is ever relied on.
     """
     n = phi.rank
-    abar_inv = _rat_mat_inverse(phi.linear_matrix())
+    abar_inv = rational_inverse(phi.linear_matrix())
     if abar_inv is None:
         return None
     lam = _linear(abar_inv)
@@ -242,7 +249,7 @@ def iaut_level(phi: Endo):
 def _random_invertible_matrix(rng: random.Random, n: int):
     while True:
         a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        if _rat_mat_inverse(a) is not None:
+        if rational_inverse(a) is not None:
             return a
 
 
@@ -318,31 +325,3 @@ def random_tame_iaut(rank: int, seed: int, length: int, degree_bound: int = 4) -
         acc = compose(conj, acc)
     return acc
 
-
-# ---------------------------------------------------------------------------
-# rational matrix helpers
-# ---------------------------------------------------------------------------
-
-
-def _rat_mat_inverse(a):
-    """Inverse of a rational matrix by Gauss-Jordan, or None when singular.
-    Integral entries of the result are demoted to int."""
-    m = [[as_coeff(c) for c in row] for row in a]
-    n = len(m)
-    aug = [m[i] + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if aug[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[k], aug[piv] = aug[piv], aug[k]
-        inv = 1 / as_rat(aug[k][k])
-        aug[k] = [as_coeff(v * inv) if v else 0 for v in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                f = aug[i][k]
-                aug[i] = [v - f * p if p else v for v, p in zip(aug[i], aug[k])]
-    return [[as_coeff(v) for v in row[n:]] for row in aug]

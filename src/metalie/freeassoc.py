@@ -25,12 +25,11 @@ from .lieexpr import (
     LieExpr,
     Scale,
     Sum,
-    bracket_expr,
     format_expr,
     scale_expr,
     sum_exprs,
 )
-from .polyring import Scalar, as_coeff, solve_sparse
+from .polyring import Scalar, _add_into, as_coeff, format_terms, solve_sparse
 
 Word = Tuple[int, ...]
 
@@ -100,23 +99,13 @@ class NCPoly:
     def __add__(self, other: "NCPoly") -> "NCPoly":
         self._check_rank(other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, _ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
+        _add_into(out, other.terms)
         return _raw_nc(self.rank, out)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         self._check_rank(other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, _ZERO) - c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
+        _add_into(out, other.terms, -1)
         return _raw_nc(self.rank, out)
 
     def __neg__(self) -> "NCPoly":
@@ -161,20 +150,9 @@ class NCPoly:
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for word, coeff in self.sorted_terms():
-            body = "*".join(f"z{a}" for a in word) or "1"
-            neg = coeff < 0
-            mag = -coeff if neg else coeff
-            if mag != 1 or not word:
-                body = f"{mag}*{body}" if word else str(mag)
-            if not chunks:
-                chunks.append(f"-{body}" if neg else body)
-            else:
-                chunks.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(chunks)
+        return format_terms(
+            (c, "*".join(f"z{a}" for a in w)) for w, c in self.sorted_terms()
+        )
 
     def __repr__(self):
         return f"NCPoly({self.rank}, {self})"
@@ -186,10 +164,6 @@ def _raw_nc(rank: int, terms: dict) -> NCPoly:
     object.__setattr__(p, "rank", rank)
     object.__setattr__(p, "terms", terms)
     return p
-
-
-def nc_mul(p: NCPoly, q: NCPoly) -> NCPoly:
-    return p * q
 
 
 def lie_to_assoc(e: LieExpr, rank: int) -> NCPoly:
@@ -271,9 +245,7 @@ def _derived_degree4(n: int) -> List[Tuple[LieExpr, NCPoly]]:
     for a in range(len(pairs)):
         for b in range(a):
             (i, j), (k, l) = pairs[a], pairs[b]
-            expr = bracket_expr(
-                bracket_expr(Gen(i), Gen(j)), bracket_expr(Gen(k), Gen(l))
-            )
+            expr = Bracket(Bracket(Gen(i), Gen(j)), Bracket(Gen(k), Gen(l)))
             expansion = lie_to_assoc(expr, n)
             if not expansion.is_zero():
                 out.append((expr, expansion))
@@ -365,9 +337,7 @@ class TraceReplay:
 
 def source_monomial() -> LieExpr:
     """[[z1, [z2, z3]], z4]."""
-    return bracket_expr(
-        bracket_expr(Gen(1), bracket_expr(Gen(2), Gen(3))), Gen(4)
-    )
+    return Bracket(Bracket(Gen(1), Bracket(Gen(2), Gen(3))), Gen(4))
 
 
 def replay(rank: int, include_witness: bool = True) -> TraceReplay:

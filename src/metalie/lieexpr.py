@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple, Union
 
-from .polyring import ParseError, Scalar, _Scanner, as_coeff
+from .polyring import ParseError, Scalar, _Scanner, as_coeff, format_terms
 
 
 @dataclass(frozen=True)
@@ -57,16 +57,6 @@ ZERO_EXPR = Sum(())
 # deepest '[' / '(' nesting parse_expr accepts; keeps every recursive walk of
 # a parsed tree well inside Python's default recursion limit
 MAX_NESTING = 200
-
-
-def gen(i: int) -> Gen:
-    if i < 1:
-        raise ValueError("generator indices are 1-based")
-    return Gen(i)
-
-
-def bracket_expr(a: LieExpr, b: LieExpr) -> Bracket:
-    return Bracket(a, b)
 
 
 def scale_expr(c: Scalar, e: LieExpr) -> LieExpr:
@@ -143,24 +133,16 @@ def _format_factor(e: LieExpr, letter: str) -> str:
 
 def format_expr(e: LieExpr, letter: str = "x") -> str:
     """Canonical text form; inverse of parse_expr on parser-shaped trees."""
+    if isinstance(e, (Gen, Bracket)):
+        # every nesting level of a lifted word lands here: skip the sum printer
+        return _format_factor(e, letter)
     terms = e.parts if isinstance(e, Sum) else (e,)
-    if not terms:
-        return "0"
-    chunks = []
-    for t in terms:
-        if isinstance(t, Scale):
-            c, body = t.coeff, t.arg
-        else:
-            c, body = 1, t
-        neg = c < 0
-        mag = -c if neg else c
-        fstr = _format_factor(body, letter)
-        piece = fstr if mag == 1 else f"{mag}*{fstr}"
-        if not chunks:
-            chunks.append(f"-{piece}" if neg else piece)
-        else:
-            chunks.append(f"- {piece}" if neg else f"+ {piece}")
-    return " ".join(chunks)
+    return format_terms(
+        (t.coeff, _format_factor(t.arg, letter))
+        if isinstance(t, Scale)
+        else (1, _format_factor(t, letter))
+        for t in terms
+    )
 
 
 # -- parsing ----------------------------------------------------------------

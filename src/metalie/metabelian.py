@@ -59,7 +59,7 @@ class MElement:
         self._check_rank(other)
         return MElement(
             self.rank,
-            tuple(a + b for a, b in zip(self.linear, other.linear)),
+            tuple(as_coeff(a + b) for a, b in zip(self.linear, other.linear)),
             tuple(p + q for p, q in zip(self.tpart, other.tpart)),
         )
 
@@ -67,7 +67,7 @@ class MElement:
         self._check_rank(other)
         return MElement(
             self.rank,
-            tuple(a - b for a, b in zip(self.linear, other.linear)),
+            tuple(as_coeff(a - b) for a, b in zip(self.linear, other.linear)),
             tuple(p - q for p, q in zip(self.tpart, other.tpart)),
         )
 

@@ -2,6 +2,14 @@
 matrices over the polynomial ring, and exact rational linear solving on
 sparse rows.
 
+Each shared concept has one implementation here, used by the whole package:
+`format_terms` prints every signed sum (polynomials, bracket expressions,
+lambda polynomials, dyad and row expressions, free-algebra polynomials);
+`_add_into` is the sparse add-with-cancellation kernel; `_minors`, a
+Laplace expansion over column subsets, gives both the determinant and the
+adjugate; and `RowSpace` is the one exact rational elimination, behind
+`solve_sparse`, `solve_linear` and `rational_inverse`.
+
 Coefficients are exact rationals under one convention shared by the whole
 package: a coefficient is a plain `int` until a division makes it
 non-integral, and then a `fractions.Fraction`; integral quotients are demoted
@@ -20,7 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-Rat = Fraction
 Scalar = Union[int, Fraction]
 
 
@@ -168,12 +175,7 @@ class Polynomial:
             return NotImplemented
         self._check_rank(other)
         out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = out.get(mono, _ZERO) + coeff
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
+        _add_into(out, other.terms)
         return _raw_poly(self.nvars, out)
 
     def __sub__(self, other):
@@ -181,12 +183,7 @@ class Polynomial:
             return NotImplemented
         self._check_rank(other)
         out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = out.get(mono, _ZERO) - coeff
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
+        _add_into(out, other.terms, -1)
         return _raw_poly(self.nvars, out)
 
     def __neg__(self):
@@ -255,12 +252,7 @@ class Polynomial:
             for i, e in enumerate(mono):
                 if e:
                     prod = prod * power(i, e)
-            for m, c in prod.terms.items():
-                s = out.get(m, _ZERO) + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+            _add_into(out, prod.terms)
         return _raw_poly(nv, out)
 
     # -- division helpers ----------------------------------------------------
@@ -316,7 +308,7 @@ class Polynomial:
     # -- text form -----------------------------------------------------------
 
     def __str__(self):
-        return format_polynomial(self)
+        return format_terms((c, _format_mono(m)) for m, c in self.sorted_terms())
 
     def __repr__(self):
         return f"Polynomial({self.nvars}, {self})"
@@ -347,8 +339,37 @@ def _mul_into(acc: dict, a: Mapping, b: Mapping):
                 del acc[m]
 
 
-def format_rat(c: Fraction) -> str:
-    return str(c)
+def _add_into(acc: dict, terms: Mapping, f: Scalar = 1):
+    """acc += f * terms on sparse term maps, dropping cancelled keys and
+    demoting integral Fractions: the one add-with-cancellation kernel."""
+    for k, c in terms.items():
+        s = acc.get(k, _ZERO) + f * c
+        if s:
+            acc[k] = as_coeff(s)
+        else:
+            acc.pop(k, None)
+
+
+def format_term(c: Scalar, body: str, first: bool) -> str:
+    """One signed term of a sum: the coefficient goes before the body unless
+    it is 1, and stands alone when the body is empty. The first term carries
+    a bare '-'; later ones a spaced '+ ' or '- '."""
+    neg = c < 0
+    mag = -c if neg else c
+    if not body:
+        body = str(mag)
+    elif mag != 1:
+        body = f"{mag}*{body}"
+    if first:
+        return f"-{body}" if neg else body
+    return f"- {body}" if neg else f"+ {body}"
+
+
+def format_terms(pairs: Iterable) -> str:
+    """The signed sum of (coefficient, body) pairs; "0" when there are none.
+    This is the package's one printer of signed sums."""
+    chunks = [format_term(c, body, not i) for i, (c, body) in enumerate(pairs)]
+    return " ".join(chunks) if chunks else "0"
 
 
 def _format_mono(mono: tuple) -> str:
@@ -359,27 +380,6 @@ def _format_mono(mono: tuple) -> str:
         elif e > 1:
             parts.append(f"y{i + 1}^{e}")
     return "*".join(parts)
-
-
-def format_polynomial(p: Polynomial) -> str:
-    if p.is_zero():
-        return "0"
-    chunks = []
-    for mono, coeff in p.sorted_terms():
-        mstr = _format_mono(mono)
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
-        if not mstr:
-            body = format_rat(mag)
-        elif mag == 1:
-            body = mstr
-        else:
-            body = f"{format_rat(mag)}*{mstr}"
-        if not chunks:
-            chunks.append(f"-{body}" if neg else body)
-        else:
-            chunks.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(chunks)
 
 
 class _Scanner:
@@ -544,12 +544,6 @@ class PolyMatrix:
         i, j = key
         return self.rows[i][j]
 
-    def row(self, i: int) -> "PolyMatrix":
-        return PolyMatrix(self.nvars, [self.rows[i]])
-
-    def col(self, j: int) -> "PolyMatrix":
-        return PolyMatrix(self.nvars, [[r[j]] for r in self.rows])
-
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.nvars, list(zip(*self.rows)))
 
@@ -623,31 +617,41 @@ class PolyMatrix:
     # -- determinant and inverse ---------------------------------------------
 
     def det(self) -> Polynomial:
-        """Exact determinant: cofactor expansion for n <= 4, Bareiss above."""
+        """Exact determinant, by Laplace expansion over column subsets
+        (`_minors`)."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        if self.nrows <= 4:
-            return _det_cofactor(self.rows, self.nvars)
-        return _det_bareiss(self.rows, self.nvars)
+        full = (1 << self.ncols) - 1
+        table = _minors(self.rows, self.ncols, self.nvars)
+        return table.get(full, Polynomial.zero(self.nvars))
 
     def inverse_over_ring(self) -> Optional["PolyMatrix"]:
         """Inverse over the polynomial ring, or None.
 
         A square matrix over K[y1..yn] is invertible over the ring iff its
         determinant is a nonzero constant; then the inverse is the adjugate
-        divided by the determinant.
+        divided by the determinant. The determinant is the expansion along
+        row 0 of the minors the adjugate needs anyway.
         """
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        d = self.det()
+        n, nvars = self.nrows, self.nvars
+        full = (1 << n) - 1
+        zero = Polynomial.zero(nvars)
+
+        def row_deleted_minors(j):
+            # entry c: the minor on the rows other than j and the columns other than c
+            table = _minors(self.rows[:j] + self.rows[j + 1 :], n, nvars)
+            return [table.get(full ^ (1 << c), zero) for c in range(n)]
+
+        minors = [row_deleted_minors(0)]
+        d = zero
+        for c, (entry, minor) in enumerate(zip(self.rows[0], minors[0])):
+            d = d - entry * minor if c % 2 else d + entry * minor
         if d.is_zero() or not d.is_constant():
             return None
         scale = as_coeff(1 / as_rat(d.constant_term()))
-        n = self.nrows
-        if n == 1:
-            return PolyMatrix(self.nvars, [[Polynomial.constant(self.nvars, scale)]])
-        # adjugate via one subset-DP pass per deleted row, sharing sub-minors
-        minors = [self._row_deleted_minors(j) for j in range(n)]
+        minors.extend(row_deleted_minors(j) for j in range(1, n))
         adj = [
             [
                 minors[j][i] * (scale if (i + j) % 2 == 0 else -scale)
@@ -655,40 +659,7 @@ class PolyMatrix:
             ]
             for i in range(n)
         ]
-        return PolyMatrix(self.nvars, adj)
-
-    def _row_deleted_minors(self, skip_row: int):
-        """All (n-1)x(n-1) minors that avoid `skip_row`: entry c is the
-        determinant of the submatrix on the remaining rows and the columns
-        other than c. Computed by Laplace expansion over column subsets, so
-        shared sub-minors are evaluated once."""
-        n = self.nrows
-        rows = [self.rows[r] for r in range(n) if r != skip_row]
-        zero = Polynomial.zero(self.nvars)
-        table = {0: Polynomial.one(self.nvars)}
-        for t, row in enumerate(rows):
-            new_table: dict = {}
-            for mask, sub in table.items():
-                if sub.is_zero():
-                    continue
-                pos = 0
-                for c in range(n):
-                    bit = 1 << c
-                    if mask & bit:
-                        pos += 1
-                        continue
-                    entry = row[c]
-                    if not entry.is_zero():
-                        # expansion along the last row: sign (-1)^(t + pos)
-                        term = entry * sub
-                        if (t + pos) % 2:
-                            term = -term
-                        m = mask | bit
-                        cur = new_table.get(m)
-                        new_table[m] = term if cur is None else cur + term
-            table = new_table
-        full = (1 << n) - 1
-        return [table.get(full ^ (1 << c), zero) for c in range(n)]
+        return PolyMatrix(nvars, adj)
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(a) for a in r) + "]" for r in self.rows)
@@ -715,44 +686,37 @@ def unit_column(nvars: int, n: int, index: int) -> PolyMatrix:
     return col_vector(nvars, [1 if i == index - 1 else 0 for i in range(n)])
 
 
-def _det_cofactor(rows, nvars: int) -> Polynomial:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Polynomial.zero(nvars)
-    for j, entry in enumerate(rows[0]):
-        if entry.is_zero():
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = entry * _det_cofactor(minor, nvars)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+def _minors(rows, ncols: int, nvars: int) -> dict:
+    """Map each bitmask of len(rows) of the ncols columns to the determinant
+    of `rows` on those columns (a zero minor may be absent).
 
-
-def _det_bareiss(rows, nvars: int) -> Polynomial:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = Polynomial.one(nvars)
-    for k in range(n - 1):
-        piv = k
-        while piv < n and m[piv][k].is_zero():
-            piv += 1
-        if piv == n:
-            return Polynomial.zero(nvars)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.divexact(prev)
-            m[i][k] = Polynomial.zero(nvars)
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
+    Laplace expansion along the last row, over column subsets, so every
+    sub-minor shared between larger minors is computed once and no division
+    is needed: O(2^ncols * ncols) products in place of ncols! terms.
+    """
+    table = {0: Polynomial.one(nvars)}
+    for t, row in enumerate(rows):
+        new_table: dict = {}
+        for mask, sub in table.items():
+            if sub.is_zero():
+                continue
+            pos = 0
+            for c in range(ncols):
+                bit = 1 << c
+                if mask & bit:
+                    pos += 1
+                    continue
+                entry = row[c]
+                if not entry.is_zero():
+                    # expansion along the last row: sign (-1)^(t + pos)
+                    term = entry * sub
+                    if (t + pos) % 2:
+                        term = -term
+                    m = mask | bit
+                    cur = new_table.get(m)
+                    new_table[m] = term if cur is None else cur + term
+        table = new_table
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -841,6 +805,25 @@ def solve_linear(a_rows: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
     return solve_sparse(rows, [as_coeff(c) for c in b], ncols)
 
 
+def rational_inverse(a: Sequence[Sequence[Scalar]]) -> Optional[list]:
+    """Inverse of a square rational matrix, or None when it is singular.
+
+    The inverse is read from the reduced row echelon form [E | A^-1] of
+    [A | E] in a RowSpace; A is singular exactly when a pivot lies right of
+    column n - 1. Integral entries are ints.
+    """
+    n = len(a)
+    space = RowSpace()
+    for i, row in enumerate(a):
+        aug = {c: v for c, v in enumerate(row) if v}
+        aug[n + i] = 1
+        space.add(aug)
+    echelon = space.reduced()
+    if any(k >= n for k in echelon):
+        return None
+    return [[echelon[i].get(n + j, 0) for j in range(n)] for i in range(n)]
+
+
 class RowSpace:
     """Incremental exact row-echelon accumulator over sparse rational rows.
 
@@ -865,7 +848,7 @@ class RowSpace:
             pivot = self._pivots.get(k)
             if pivot is None:
                 return rem
-            _sub_scaled(rem, rem[k], pivot)
+            _add_into(rem, pivot, -rem[k])
         return rem
 
     def add(self, row: Mapping) -> bool:
@@ -891,17 +874,7 @@ class RowSpace:
             # every pivot key in the row other than k is larger, so its row
             # is already in `done`, and that row is 0 at every other pivot key
             for kk in [kk for kk in row if kk != k and kk in done]:
-                _sub_scaled(row, row[kk], done[kk])
+                _add_into(row, done[kk], -row[kk])
             done[k] = row
         return {k: done[k] for k in sorted(done)}
 
-
-def _sub_scaled(acc: dict, f: Scalar, row: Mapping):
-    """acc -= f * row on sparse rows, dropping cancelled entries and demoting
-    integral results."""
-    for k, c in row.items():
-        s = as_coeff(acc.get(k, _ZERO) - f * c)
-        if s:
-            acc[k] = s
-        else:
-            acc.pop(k, None)

@@ -68,6 +68,17 @@ _FORMATTED = [
     ["replay-oe", "--rank", "6", "--witness"],
     ["replay-oe", "--rank", "9", "--witness"],
     ["replay-bn", "--factors", "10"],
+    # rank-5 inverses (the largest determinants), rational and negative
+    # leading coefficients, constant terms, and a linear factor at rank 5
+    ["inverse", "inner:[[x1,x2],x5] - 2*[x3,x4]", "--rank", "5"],
+    ["inverse", "x1 + [[x2,x3],x4]; x2 - 1/2*[x3,x5]; x3; x4 + [x1,x5]; x5"],
+    ["inverse", "x1; x2; x3; x4 + [x1,x2]; x4 + [x2,x3]"],
+    ["jac", "-1/2*x1 + 3/4*[x2,x3]; x2 - x3 + [[x1,x2],x2]; x3"],
+    [
+        "compose",
+        "linear:[[1,1,0,0,0],[0,1,0,0,0],[0,0,1,0,0],[0,0,0,1,0],[0,0,0,0,1]]",
+        "x1; x2 + [x1,x3]; x3; x4; x5 - 2/3*[[x1,x2],x4]",
+    ],
 ]
 
 CASES = (

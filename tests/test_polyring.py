@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metalie import endos
 from metalie.dyadic import ScalarPoly
 from metalie.freeassoc import NCPoly
+from metalie.metabelian import MElement
 from metalie.polyring import (
     ParseError,
     PolyMatrix,
@@ -18,6 +20,7 @@ from metalie.polyring import (
     RowSpace,
     col_vector,
     parse_polynomial,
+    rational_inverse,
     row_vector,
     solve_linear,
     solve_sparse,
@@ -82,17 +85,20 @@ def polys2(coeffs):
     return st.dictionaries(monos2, coeffs, max_size=5).map(lambda t: Polynomial(2, t))
 
 
-def unimodular(rng, n):
+def unimodular(rng, n, nvars=None, degree=2):
     """Product of a lower and an upper unitriangular matrix with integer
-    polynomial entries: determinant 1, so the ring inverse is integral."""
+    polynomial entries of degree <= `degree` in `nvars` (default n)
+    variables: determinant 1, so the ring inverse is integral."""
+    nvars = nvars or n
+
     def tri(upper):
         return PolyMatrix(
-            n,
+            nvars,
             [
                 [
-                    Polynomial.one(n)
+                    Polynomial.one(nvars)
                     if i == j
-                    else (rand_poly(rng, n, 2, 2) if (i < j) == upper else 0)
+                    else (rand_poly(rng, nvars, degree, 2) if (i < j) == upper else 0)
                     for j in range(n)
                 ]
                 for i in range(n)
@@ -241,13 +247,41 @@ class TestDeterminant:
             b = PolyMatrix(2, [[rand_poly(rng, 2, 2, 2) for _ in range(n)] for _ in range(n)])
             assert (a * b).det() == a.det() * b.det()
 
-    def test_bareiss_matches_permutation_oracle(self):
-        rng = random.Random(12)
-        for _ in range(6):
-            a = PolyMatrix(
-                2, [[rand_poly(rng, 2, 1, 2) for _ in range(5)] for _ in range(5)]
-            )
-            assert a.det() == perm_det(a)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 6),
+        st.sampled_from(["polynomial", "constant", "unimodular"]),
+        st.sampled_from([None, "zero row", "repeated row"]),
+        st.integers(0, 2**32),
+    )
+    def test_det_and_ring_inverse_match_permutation_oracle(self, n, kind, defect, seed):
+        rng = random.Random(seed)
+        if kind == "polynomial":
+            rows = [[rand_poly(rng, 2, 1, 2) for _ in range(n)] for _ in range(n)]
+        elif kind == "constant":
+            rows = [
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+                for _ in range(n)
+            ]
+        else:
+            # a nonzero constant determinant: scale**n
+            scale = rng.choice([1, -1, 2, Fraction(-2, 3)])
+            rows = [list(r) for r in (unimodular(rng, n, 2, 1) * scale).rows]
+        if defect == "zero row":
+            rows[rng.randrange(n)] = [0] * n
+        elif defect == "repeated row" and n > 1:
+            i, j = rng.sample(range(n), 2)
+            rows[i] = rows[j]
+        m = PolyMatrix(2, rows)
+        d = perm_det(m)
+        assert m.det() == d
+        inv = m.inverse_over_ring()
+        if d.is_zero() or not d.is_constant():
+            assert inv is None
+        else:
+            e = PolyMatrix.identity(2, n)
+            assert m * inv == e
+            assert inv * m == e
 
     def test_non_square(self):
         with pytest.raises(ValueError):
@@ -399,8 +433,9 @@ class TestCoefficientConvention:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(polys2(rat_coeffs), polys2(rat_coeffs), polys2(rat_coeffs))
     def test_rational_ring_operations_stay_exact(self, p, q, r):
-        assert_demoted(p, q, p * Fraction(2, 3), parse_polynomial(str(p), 2))
-        assert_exact(p + q, p - q, p * q, p**2, p.substitute([q, r]))
+        assert_demoted(p, q, p + q, p - q, p * Fraction(2, 3), parse_polynomial(str(p), 2))
+        assert_demoted(p.substitute([q, r]))
+        assert_exact(p * q, p**2)
         if not q.is_zero():
             assert_exact((p * q).divexact(q))
             assert (p * q).divexact(q) == p
@@ -444,6 +479,38 @@ class TestCoefficientConvention:
         assert_all_int(s + u, s - u, s * u, s * -2, s.substituted((1, 2), 3))
         assert_demoted((s * Fraction(1, 2)) * 2, s.substituted((1, 2), Fraction(1, 2)))
 
+    def test_sum_of_halves_stores_int(self):
+        p = Polynomial(2, {(1, 0): Fraction(1, 2)})
+        assert (p + p).terms == {(1, 0): 1}
+        assert_all_int(p + p, p - (-p))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.dictionaries(st.lists(st.integers(1, 2), max_size=3).map(tuple), rat_coeffs, max_size=5),
+        st.dictionaries(st.lists(st.integers(1, 2), max_size=3).map(tuple), int_coeffs, max_size=5),
+    )
+    def test_sums_that_cancel_to_integers_store_int(self, t, u):
+        # t + comp == both - t == u: rational operands, integral results
+        keys = set(t) | set(u)
+        comp = {w: u.get(w, 0) - t.get(w, 0) for w in keys}
+        both = {w: u.get(w, 0) + t.get(w, 0) for w in keys}
+
+        def polys(make, key=lambda w: w):
+            # the constructors add up the coefficients of keys that collide
+            return [make([(key(w), c) for w, c in d.items()]) for d in (t, comp, both)]
+
+        for p, q, r in (
+            polys(lambda d: Polynomial(2, d), lambda w: (w.count(1), w.count(2))),
+            polys(lambda d: NCPoly(2, d)),
+            polys(ScalarPoly, lambda w: tuple(zip(w, w[1:]))),
+        ):
+            assert_all_int(p + q, r - p)
+        lin = [tuple(d.get((i,), 0) for i in (1, 2)) for d in (t, comp, both)]
+        tp = (Polynomial(2, {(1, 0): 1}), Polynomial.zero(2))
+        a, b, c = (MElement(2, v, tp) for v in lin)
+        for s in ((a + b).linear, (c - a).linear):
+            assert_all_int(s)
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32), st.booleans())
     def test_solve_linear_results_are_demoted(self, nr, nc, seed, rational):
@@ -478,6 +545,40 @@ class TestCoefficientConvention:
             space.add(row)
         stored = [space.reduce(probe), *space._pivots.values(), *space.reduced().values()]
         assert_demoted(*(list(r.values()) for r in stored))
+
+
+class TestRationalInverse:
+    """rational_inverse against the definition and against sympy."""
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_inverse_or_none_matches_sympy(self, rational):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(51 + rational)
+        singular = 0
+        for _ in range(120):
+            n = rng.randint(1, 6)
+            a, _ = _random_system(rng, n, n, rational)
+            inv = rational_inverse(a)
+            expected = sympy.Matrix(a)
+            if expected.det() == 0:
+                singular += 1
+                assert inv is None
+                with pytest.raises(ValueError, match="matrix is singular"):
+                    endos.linear(a)
+                continue
+            assert [[sum(a[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)] == [[int(i == j) for j in range(n)] for i in range(n)]
+            assert_demoted(inv)
+            assert inv == [[Fraction(int(x.p), int(x.q)) for x in row]
+                           for row in expected.inv().tolist()]
+        assert singular  # repeated and zero rows occur
+
+    def test_small_cases(self):
+        assert rational_inverse([[2]]) == [[Fraction(1, 2)]]
+        assert rational_inverse([[0]]) is None
+        assert rational_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+        assert_all_int(rational_inverse([[2, 1], [1, 1]]))
+        assert rational_inverse([[1, 2], [2, 4]]) is None
 
 
 class TestSolveLinearOracle:
