@@ -27,7 +27,7 @@ import sys
 from . import __version__, dyadic, endos, freeassoc
 from . import metabelian as mb
 from . import verify as verify_mod
-from .lieexpr import format_expr, max_generator, parse_expr
+from .lieexpr import format_expr, generators_used, parse_expr
 from .polyring import ParseError
 
 
@@ -85,6 +85,8 @@ def load_endo(spec: str, rank: int = 0) -> endos.Endo:
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
+    elif spec.endswith(".json"):
+        raise ValueError(f"no such file: {spec}")
     text = text.strip()
     if text.startswith("{"):
         doc = json.loads(text)
@@ -145,11 +147,10 @@ def jacobian_doc(j) -> list:
 
 def cmd_nf(args) -> int:
     expr = parse_expr(args.expr, "x")
-    rank = args.rank or max(max_generator(expr), 1)
-    if max_generator(expr) > rank:
-        raise ValueError(
-            f"expression uses x{max_generator(expr)} but rank is {rank}"
-        )
+    top = max(generators_used(expr), default=0)
+    rank = args.rank or max(top, 1)
+    if top > rank:
+        raise ValueError(f"expression uses x{top} but rank is {rank}")
     value = mb.evaluate(expr, rank)
     _emit(args, lambda: melement_text(value), lambda: melement_doc(value))
     return 0

@@ -19,13 +19,13 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .polyring import (
     PolyMatrix,
     Polynomial,
     Scalar,
+    SparseTerms,
     _add_into,
     as_coeff,
     format_term,
@@ -35,122 +35,6 @@ from .polyring import (
 
 # a lambda monomial is a sorted tuple of (i, j) index pairs
 Pair = Tuple[int, int]
-
-_ZERO = 0
-
-
-class ScalarPoly:
-    """Commutative polynomial with rational coefficients in the
-    indeterminates lambda_ij (i != j); lambda_ii collapses to 0."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Tuple[Pair, ...], Scalar] = ()):
-        clean: dict = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for mono, coeff in items:
-            mono = tuple(sorted(tuple(p) for p in mono))
-            if any(i == j for i, j in mono):
-                continue
-            c = as_coeff(coeff)
-            if not c:
-                continue
-            s = clean.get(mono, _ZERO) + c
-            if s:
-                clean[mono] = s
-            else:
-                del clean[mono]
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScalarPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "ScalarPoly":
-        return cls()
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "ScalarPoly":
-        return cls({(): c})
-
-    @classmethod
-    def one(cls) -> "ScalarPoly":
-        return cls.constant(1)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "ScalarPoly") -> "ScalarPoly":
-        out = dict(self.terms)
-        _add_into(out, other.terms)
-        return _raw(out)
-
-    def __sub__(self, other: "ScalarPoly") -> "ScalarPoly":
-        out = dict(self.terms)
-        _add_into(out, other.terms, -1)
-        return _raw(out)
-
-    def __neg__(self) -> "ScalarPoly":
-        return _raw({m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, ScalarPoly):
-            out: dict = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = tuple(sorted(m1 + m2))
-                    s = out.get(m, _ZERO) + c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-            return _raw(out)
-        if isinstance(other, (int, Fraction)):
-            c = as_coeff(other)
-            if not c:
-                return ScalarPoly.zero()
-            return _raw({m: as_coeff(v * c) for m, v in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, ScalarPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def substituted(self, pair: Pair, value: Scalar) -> "ScalarPoly":
-        """Replace one lambda indeterminate by a rational constant."""
-        pair = tuple(pair)
-        value = as_coeff(value)
-        out: dict = {}
-        for mono, coeff in self.terms.items():
-            rest = tuple(p for p in mono if p != pair)
-            hits = len(mono) - len(rest)
-            _add_into(out, {rest: coeff * value**hits})
-        return _raw(out)
-
-    def __str__(self):
-        terms = sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        return format_terms((c, _format_mono(mono)) for mono, c in terms)
-
-    def __repr__(self):
-        return f"ScalarPoly({self})"
-
-
-def _raw(terms: dict) -> ScalarPoly:
-    """Build a ScalarPoly from an already-normalized term dict (internal)."""
-    p = object.__new__(ScalarPoly)
-    object.__setattr__(p, "terms", terms)
-    return p
-
-
-def lam(i: int, j: int) -> ScalarPoly:
-    """The indeterminate lambda_ij; lambda_ii is identically zero."""
-    return _raw({((i, j),): 1} if i != j else {})
 
 
 def _format_pair(p: Pair) -> str:
@@ -166,6 +50,58 @@ def _format_mono(mono: Tuple[Pair, ...], symbol: str = "") -> str:
     if symbol:
         parts.append(symbol)
     return "*".join(parts)
+
+
+class ScalarPoly(SparseTerms):
+    """Commutative polynomial with rational coefficients in the
+    indeterminates lambda_ij (i != j); lambda_ii collapses to 0."""
+
+    __slots__ = ()
+
+    def __init__(self, terms: Mapping[Tuple[Pair, ...], Scalar] = ()):
+        super().__init__(None, terms)
+
+    @staticmethod
+    def _key(mono) -> Optional[Tuple[Pair, ...]]:
+        mono = tuple(sorted(tuple(p) for p in mono))
+        return None if any(i == j for i, j in mono) else mono
+
+    @staticmethod
+    def _key_mul(m1: Tuple[Pair, ...], m2: Tuple[Pair, ...]) -> Tuple[Pair, ...]:
+        return tuple(sorted(m1 + m2))
+
+    _format_key = staticmethod(_format_mono)
+
+    @classmethod
+    def zero(cls) -> "ScalarPoly":
+        return cls()
+
+    @classmethod
+    def constant(cls, c: Scalar) -> "ScalarPoly":
+        return cls({(): c})
+
+    @classmethod
+    def one(cls) -> "ScalarPoly":
+        return cls.constant(1)
+
+    def substituted(self, pair: Pair, value: Scalar) -> "ScalarPoly":
+        """Replace one lambda indeterminate by a rational constant."""
+        pair = tuple(pair)
+        value = as_coeff(value)
+        out: dict = {}
+        _add_into(
+            out,
+            (
+                (tuple(p for p in mono if p != pair), c * value ** mono.count(pair))
+                for mono, c in self.terms.items()
+            ),
+        )
+        return ScalarPoly._raw(None, out)
+
+
+def lam(i: int, j: int) -> ScalarPoly:
+    """The indeterminate lambda_ij; lambda_ii is identically zero."""
+    return ScalarPoly._raw(None, {((i, j),): 1} if i != j else {})
 
 
 # column symbols: ("phi", i) or ("Y",); row symbols: ("psi", j) or ("dz",)
@@ -328,7 +264,9 @@ def expand_product(k: int) -> DyadExpr:
             # the pairs of an increasing sequence are sorted, never (i, i),
             # and differ between sequences, so no two monomials cancel
             terms.setdefault(key, {})[tuple(zip(seq, seq[1:]))] = 1
-    return _raw_dyad(ScalarPoly.one(), {key: _raw(t) for key, t in terms.items()})
+    return _raw_dyad(
+        ScalarPoly.one(), {key: ScalarPoly._raw(None, t) for key, t in terms.items()}
+    )
 
 
 def factors(k: int) -> List[DyadExpr]:

@@ -106,16 +106,22 @@ def inner(rank: int, z: MElement) -> Endo:
     return Endo(rank, tuple(xi + mb.bracket(z, xi) for xi in gens))
 
 
+def _invertible(matrix: Sequence[Sequence]):
+    """The rational matrix with normalized entries, and its inverse; raises
+    ValueError unless it is square and invertible."""
+    a = [[as_coeff(c) for c in row] for row in matrix]
+    for row in a:
+        if len(row) != len(a):
+            raise ValueError("matrix must be square")
+    a_inv = rational_inverse(a)
+    if a_inv is None:
+        raise ValueError("matrix is singular")
+    return a, a_inv
+
+
 def linear(matrix: Sequence[Sequence]) -> Endo:
     """x_i -> sum_j A[i][j] x_j for an invertible rational matrix A."""
-    a = [[as_coeff(c) for c in row] for row in matrix]
-    rank = len(a)
-    for row in a:
-        if len(row) != rank:
-            raise ValueError("matrix must be square")
-    if rational_inverse(a) is None:
-        raise ValueError("matrix is singular")
-    return _linear(a)
+    return _linear(_invertible(matrix)[0])
 
 
 def _linear(a) -> Endo:
@@ -181,12 +187,11 @@ def conjugate_elementary(alpha: Sequence[Sequence], f: LieExpr, rank: int):
     Phi (column), Psi (row) satisfy J(endo) = E + Phi*Psi with Psi*Phi = 0
     and Psi*Y = 0: Phi = A^{-1} e1 and Psi = alphabar(dfox(f)) * A.
     """
-    a = [[as_coeff(c) for c in row] for row in alpha]
-    alpha_endo = linear(a)
+    a, a_inv = _invertible(alpha)
+    alpha_endo = _linear(a)
     if alpha_endo.rank != rank:
         raise ValueError("alpha has the wrong rank")
     phi_f = elementary(rank, f)
-    a_inv = rational_inverse(a)
     conj = compose(compose(alpha_endo, phi_f), _linear(a_inv))
 
     phi_col = col_vector(rank, [a_inv[i][0] for i in range(rank)])
@@ -306,7 +311,7 @@ def random_tame(rank: int, seed: int, length: int, degree_bound: int = 4) -> End
                 rank, random_derived_expr(rng, rank, degree_bound, letters), position
             )
         else:
-            factor = linear(_random_invertible_matrix(rng, rank))
+            factor = _linear(_random_invertible_matrix(rng, rank))
         acc = compose(factor, acc)
     return acc
 

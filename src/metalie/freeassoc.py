@@ -14,9 +14,8 @@ whose diagonal Fox derivatives push the sum into [U, U].
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import add, attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from .lieexpr import (
@@ -29,39 +28,31 @@ from .lieexpr import (
     scale_expr,
     sum_exprs,
 )
-from .polyring import Scalar, _add_into, as_coeff, format_terms, solve_sparse
+from .polyring import Scalar, SparseTerms, _add_into, solve_sparse
 
 Word = Tuple[int, ...]
 
-_ZERO = 0
 
-
-class NCPoly:
+class NCPoly(SparseTerms):
     """Noncommutative polynomial: a sparse map word -> coefficient, where a
     word is a tuple of 1-based letter indices and () is the unit."""
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ()
 
-    def __init__(self, rank: int, terms: Mapping[Word, Scalar] = ()):
-        clean: dict = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for word, coeff in items:
-            word = tuple(word)
-            if any(not 1 <= a <= rank for a in word):
-                raise ValueError(f"letter out of range 1..{rank} in {word}")
-            c = as_coeff(coeff)
-            if not c:
-                continue
-            s = clean.get(word, _ZERO) + c
-            if s:
-                clean[word] = s
-            else:
-                del clean[word]
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", clean)
+    rank = property(attrgetter("_dim"))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("NCPoly is immutable")
+    def _key(self, word) -> Word:
+        word = tuple(word)
+        if any(not 1 <= a <= self._dim for a in word):
+            raise ValueError(f"letter out of range 1..{self._dim} in {word}")
+        return word
+
+    # the product of two words is their concatenation
+    _key_mul = staticmethod(add)
+
+    @staticmethod
+    def _format_key(word: Word) -> str:
+        return "*".join(f"z{a}" for a in word)
 
     @classmethod
     def zero(cls, rank: int) -> "NCPoly":
@@ -75,13 +66,10 @@ class NCPoly:
     def gen(cls, rank: int, i: int) -> "NCPoly":
         if not 1 <= i <= rank:
             raise ValueError(f"letter {i} out of range 1..{rank}")
-        return _raw_nc(rank, {(i,): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return cls._raw(rank, {(i,): 1})
 
     def constant_term(self) -> Scalar:
-        return self.terms.get((), _ZERO)
+        return self.terms.get((), 0)
 
     def degree(self) -> int:
         """Maximal word length; -1 for the zero polynomial."""
@@ -90,80 +78,9 @@ class NCPoly:
         return max(len(w) for w in self.terms)
 
     def homogeneous_component(self, d: int) -> "NCPoly":
-        return NCPoly(self.rank, {w: c for w, c in self.terms.items() if len(w) == d})
-
-    def _check_rank(self, other: "NCPoly"):
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
-
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        self._check_rank(other)
-        out = dict(self.terms)
-        _add_into(out, other.terms)
-        return _raw_nc(self.rank, out)
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        self._check_rank(other)
-        out = dict(self.terms)
-        _add_into(out, other.terms, -1)
-        return _raw_nc(self.rank, out)
-
-    def __neg__(self) -> "NCPoly":
-        return _raw_nc(self.rank, {w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, NCPoly):
-            self._check_rank(other)
-            out: dict = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    s = out.get(w, _ZERO) + c1 * c2
-                    if s:
-                        out[w] = s
-                    else:
-                        del out[w]
-            return _raw_nc(self.rank, out)
-        if isinstance(other, (int, Fraction)):
-            c = as_coeff(other)
-            if not c:
-                return NCPoly.zero(self.rank)
-            return _raw_nc(
-                self.rank, {w: as_coeff(v * c) for w, v in self.terms.items()}
-            )
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def __str__(self):
-        return format_terms(
-            (c, "*".join(f"z{a}" for a in w)) for w, c in self.sorted_terms()
+        return NCPoly._raw(
+            self._dim, {w: c for w, c in self.terms.items() if len(w) == d}
         )
-
-    def __repr__(self):
-        return f"NCPoly({self.rank}, {self})"
-
-
-def _raw_nc(rank: int, terms: dict) -> NCPoly:
-    """Build an NCPoly from an already-normalized term dict (internal)."""
-    p = object.__new__(NCPoly)
-    object.__setattr__(p, "rank", rank)
-    object.__setattr__(p, "terms", terms)
-    return p
 
 
 def lie_to_assoc(e: LieExpr, rank: int) -> NCPoly:
@@ -196,7 +113,7 @@ def fox_assoc(f: NCPoly, i: int) -> NCPoly:
     if not 1 <= i <= f.rank:
         raise ValueError(f"letter {i} out of range 1..{f.rank}")
     # distinct words ending in z_i have distinct prefixes: nothing collides
-    return _raw_nc(
+    return NCPoly._raw(
         f.rank, {w[:-1]: c for w, c in f.terms.items() if w and w[-1] == i}
     )
 
@@ -212,13 +129,7 @@ def cyclic_signature(p: NCPoly) -> Dict[Word, Scalar]:
     """Sum of coefficients over each cyclic-rotation class of words, keyed by
     the canonical representative; classes summing to zero are omitted."""
     sums: dict = {}
-    for word, coeff in p.terms.items():
-        rep = cyclic_representative(word)
-        s = sums.get(rep, _ZERO) + coeff
-        if s:
-            sums[rep] = s
-        else:
-            del sums[rep]
+    _add_into(sums, zip(map(cyclic_representative, p.terms), p.terms.values()))
     return sums
 
 
@@ -373,7 +284,7 @@ def _witness_search(rank: int, s: NCPoly) -> WitnessSearch:
     for u, col in enumerate(columns):
         for cls, c in col.items():
             a_rows[row_of[cls]][u] = c
-    b = [-rhs_sig.get(cls, _ZERO) for cls in class_list]
+    b = [-rhs_sig.get(cls, 0) for cls in class_list]
 
     solution = solve_sparse(a_rows, b, len(unknowns))
     if solution is None:

@@ -93,18 +93,6 @@ def left_normed(indices) -> LieExpr:
     return e
 
 
-def max_generator(e: LieExpr) -> int:
-    if isinstance(e, Gen):
-        return e.index
-    if isinstance(e, Bracket):
-        return max(max_generator(e.left), max_generator(e.right))
-    if isinstance(e, Scale):
-        return max_generator(e.arg)
-    if isinstance(e, Sum):
-        return max((max_generator(p) for p in e.parts), default=0)
-    raise TypeError(f"not a LieExpr: {e!r}")
-
-
 def generators_used(e: LieExpr) -> frozenset:
     if isinstance(e, Gen):
         return frozenset((e.index,))

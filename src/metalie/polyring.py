@@ -3,12 +3,16 @@ matrices over the polynomial ring, and exact rational linear solving on
 sparse rows.
 
 Each shared concept has one implementation here, used by the whole package:
-`format_terms` prints every signed sum (polynomials, bracket expressions,
-lambda polynomials, dyad and row expressions, free-algebra polynomials);
-`_add_into` is the sparse add-with-cancellation kernel; `_minors`, a
-Laplace expansion over column subsets, gives both the determinant and the
-adjugate; and `RowSpace` is the one exact rational elimination, behind
-`solve_sparse`, `solve_linear` and `rational_inverse`.
+`SparseTerms` is the one sparse term type, the immutable map of keys to
+coefficients behind `Polynomial`, `freeassoc.NCPoly` and
+`dyadic.ScalarPoly`; `_add_into` is its add-with-cancellation kernel and
+`_mul_into` its one product loop, which takes the ring's product of two keys
+(exponent vectors, words or lambda monomials); `format_terms` prints every
+signed sum (polynomials, bracket expressions, lambda polynomials, dyad and
+row expressions, free-algebra polynomials); `_minors`, a Laplace expansion
+over column subsets, gives both the determinant and the adjugate; and
+`RowSpace` is the one exact rational elimination, behind `solve_sparse`,
+`solve_linear` and `rational_inverse`.
 
 Coefficients are exact rationals under one convention shared by the whole
 package: a coefficient is a plain `int` until a division makes it
@@ -26,6 +30,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, attrgetter
 from typing import Optional, Union
 
 Scalar = Union[int, Fraction]
@@ -69,47 +74,186 @@ def _mono_key(mono: tuple) -> tuple:
     return (-sum(mono), tuple(-e for e in mono))
 
 
-def _mono_order(mono: tuple) -> tuple:
-    # monomial order used for exact division (graded, then lex); compatible
-    # with multiplication
-    return (sum(mono), mono)
+def _mono_mul(m1: tuple, m2: tuple) -> tuple:
+    return tuple(map(add, m1, m2))
 
 
-class Polynomial:
-    """Sparse polynomial in y1..yn with rational coefficients.
+def _mul_into(acc: dict, a: Mapping, b: Mapping, key_mul):
+    """acc += a * b on raw term maps, where key_mul(k1, k2) is the key of the
+    product of two terms: the one product loop. Integral Fractions are
+    demoted, as in `_add_into`."""
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = key_mul(k1, k2)
+            s = acc.get(k, 0) + c1 * c2
+            if s:
+                acc[k] = s if type(s) is int else as_coeff(s)
+            else:
+                del acc[k]
 
-    Immutable by convention: the term map is normalized on construction and
-    never mutated afterwards, so instances can be shared freely across
-    threads.
+
+def _add_into(acc: dict, pairs: Iterable, f: Scalar = 1):
+    """acc += f * c for each (key, c) of pairs, on a sparse term map, dropping
+    cancelled keys and demoting integral Fractions: the one
+    add-with-cancellation kernel."""
+    for k, c in pairs:
+        s = acc.get(k, 0) + f * c
+        if s:
+            acc[k] = s if type(s) is int else as_coeff(s)
+        else:
+            acc.pop(k, None)
+
+
+class SparseTerms:
+    """An immutable sparse map `terms` from keys to nonzero exact rationals,
+    over a ring of size `_dim` (None when the ring has no size): the one term
+    type behind `Polynomial`, `freeassoc.NCPoly` and `dyadic.ScalarPoly`.
+
+    This base owns the validating constructor, the raw builder, sums, scalar
+    and ring products (through `_mul_into`), equality, hashing and the text
+    form. A subclass supplies only what differs between the rings:
+    `_key(k)` checks and normalizes one key of a constructor's input (None
+    drops the term), `_key_mul` is the product of two keys, `_format_key`
+    is the text of a key, and `_sort_key` may replace the default print
+    order. Operations with another type return NotImplemented; operands of
+    different sizes raise ValueError.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("_dim", "terms")
+
+    def __init__(self, dim, terms: Mapping = ()):
+        _set_dim(self, dim)
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        clean: dict = {}
+        for k, c in items:
+            k = self._key(k)
+            if k is not None:
+                _add_into(clean, ((k, as_coeff(c)),))
+        _set_terms(self, clean)
+
+    @classmethod
+    def _raw(cls, dim, terms: dict):
+        """Build from an already-normalized term map (internal)."""
+        p = object.__new__(cls)
+        _set_dim(p, dim)
+        _set_terms(p, terms)
+        return p
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._dim != other._dim:
+            raise _size_mismatch(self, other)
+        out = dict(self.terms)
+        _add_into(out, other.terms.items())
+        return self._raw(self._dim, out)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._dim != other._dim:
+            raise _size_mismatch(self, other)
+        out = dict(self.terms)
+        _add_into(out, other.terms.items(), -1)
+        return self._raw(self._dim, out)
+
+    def __neg__(self):
+        return self._raw(self._dim, {k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if type(other) is type(self):
+            if self._dim != other._dim:
+                raise _size_mismatch(self, other)
+            out: dict = {}
+            _mul_into(out, self.terms, other.terms, self._key_mul)
+            return self._raw(self._dim, out)
+        if isinstance(other, (int, Fraction)):
+            c = as_coeff(other)
+            if not c:
+                return self._raw(self._dim, {})
+            return self._raw(
+                self._dim, {k: as_coeff(v * c) for k, v in self.terms.items()}
+            )
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        return NotImplemented
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._dim == other._dim and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._dim, frozenset(self.terms.items())))
+
+    @staticmethod
+    def _sort_key(k):
+        # default print order: shorter keys first, then by key
+        return (len(k), k)
+
+    def sorted_terms(self):
+        """Terms in the canonical (printing) order."""
+        key = self._sort_key
+        return sorted(self.terms.items(), key=lambda kv: key(kv[0]))
+
+    def __str__(self):
+        fmt = self._format_key
+        return format_terms((c, fmt(k)) for k, c in self.sorted_terms())
+
+    def __repr__(self):
+        dim = "" if self._dim is None else f"{self._dim}, "
+        return f"{type(self).__name__}({dim}{self})"
+
+
+# the slot setters, past the immutability guard of __setattr__
+_set_dim = SparseTerms._dim.__set__
+_set_terms = SparseTerms.terms.__set__
+
+
+def _size_mismatch(a: SparseTerms, b: SparseTerms) -> ValueError:
+    return ValueError(f"rank mismatch: {a._dim} vs {b._dim}")
+
+
+class Polynomial(SparseTerms):
+    """Sparse polynomial in y1..yn with rational coefficients: a map from
+    exponent vectors of length `nvars` to coefficients.
+
+    Immutable: the term map is normalized on construction and never mutated
+    afterwards, so instances can be shared freely across threads.
+    """
+
+    __slots__ = ()
+
+    nvars = property(attrgetter("_dim"))
 
     def __init__(self, nvars: int, terms: Mapping[tuple, Scalar] = ()):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
-        clean = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for mono, coeff in items:
-            mono = tuple(mono)
-            if len(mono) != nvars or any(e < 0 for e in mono):
-                raise ValueError(f"bad exponent vector {mono} for {nvars} variables")
-            c = as_coeff(coeff)
-            if c:
-                prev = clean.get(mono)
-                if prev is None:
-                    clean[mono] = c
-                else:
-                    s = prev + c
-                    if s:
-                        clean[mono] = s
-                    else:
-                        del clean[mono]
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        super().__init__(nvars, terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+    def _key(self, mono) -> tuple:
+        mono = tuple(mono)
+        if len(mono) != self._dim or any(e < 0 for e in mono):
+            raise ValueError(f"bad exponent vector {mono} for {self._dim} variables")
+        return mono
+
+    _key_mul = staticmethod(_mono_mul)
+    _sort_key = staticmethod(_mono_key)
+
+    @staticmethod
+    def _format_key(mono: tuple) -> str:
+        return "*".join(
+            f"y{i + 1}" if e == 1 else f"y{i + 1}^{e}" for i, e in enumerate(mono) if e
+        )
 
     # -- constructors ------------------------------------------------------
 
@@ -135,14 +279,11 @@ class Polynomial:
 
     # -- predicates and views ----------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
 
     def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * self.nvars, 0)
+        return self.terms.get((0,) * self._dim, 0)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -153,63 +294,17 @@ class Polynomial:
     def coefficient(self, mono: Sequence[int]) -> Scalar:
         return self.terms.get(tuple(mono), 0)
 
-    def sorted_terms(self):
-        """Terms in the canonical (printing) order."""
-        return sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0]))
-
     def homogeneous_components(self) -> dict:
         """Map total degree -> homogeneous part; zero parts omitted."""
         parts = {}
         for mono, coeff in self.terms.items():
             parts.setdefault(sum(mono), {})[mono] = coeff
-        return {d: Polynomial(self.nvars, t) for d, t in sorted(parts.items())}
-
-    # -- ring operations -----------------------------------------------------
-
-    def _check_rank(self, other: "Polynomial"):
-        if self.nvars != other.nvars:
-            raise ValueError(f"rank mismatch: {self.nvars} vs {other.nvars}")
-
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_rank(other)
-        out = dict(self.terms)
-        _add_into(out, other.terms)
-        return _raw_poly(self.nvars, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_rank(other)
-        out = dict(self.terms)
-        _add_into(out, other.terms, -1)
-        return _raw_poly(self.nvars, out)
-
-    def __neg__(self):
-        return _raw_poly(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            self._check_rank(other)
-            out: dict = {}
-            _mul_into(out, self.terms, other.terms)
-            return _raw_poly(self.nvars, out)
-        if isinstance(other, (int, Fraction)):
-            c = as_coeff(other)
-            if not c:
-                return Polynomial.zero(self.nvars)
-            return _raw_poly(
-                self.nvars, {m: as_coeff(v * c) for m, v in self.terms.items()}
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
+        return {d: Polynomial._raw(self._dim, t) for d, t in sorted(parts.items())}
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.one(self.nvars)
+        result = Polynomial.one(self._dim)
         base = self
         while k:
             if k & 1:
@@ -218,21 +313,13 @@ class Polynomial:
             k >>= 1
         return result
 
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     # -- substitution --------------------------------------------------------
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Ring homomorphism sending y_i to images[i-1]."""
-        if len(images) != self.nvars:
-            raise ValueError(f"need {self.nvars} images, got {len(images)}")
-        if not images and self.nvars == 0:
+        if len(images) != self._dim:
+            raise ValueError(f"need {self._dim} images, got {len(images)}")
+        if not images and self._dim == 0:
             return self
         nv = images[0].nvars
         for img in images:
@@ -252,15 +339,13 @@ class Polynomial:
             for i, e in enumerate(mono):
                 if e:
                     prod = prod * power(i, e)
-            _add_into(out, prod.terms)
-        return _raw_poly(nv, out)
-
-    # -- division helpers ----------------------------------------------------
+            _add_into(out, prod.terms.items())
+        return Polynomial._raw(nv, out)
 
     def split_by_var(self, index: int):
         """Write self = q * y_index + r with r free of y_index; returns (q, r)."""
-        if not 1 <= index <= self.nvars:
-            raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
+        if not 1 <= index <= self._dim:
+            raise ValueError(f"variable index {index} out of range 1..{self._dim}")
         i = index - 1
         q, r = {}, {}
         for mono, coeff in self.terms.items():
@@ -268,86 +353,7 @@ class Polynomial:
                 q[mono[:i] + (mono[i] - 1,) + mono[i + 1 :]] = coeff
             else:
                 r[mono] = coeff
-        return _raw_poly(self.nvars, q), _raw_poly(self.nvars, r)
-
-    def leading_term(self):
-        """(monomial, coefficient) maximal in the graded-lex order."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        mono = max(self.terms, key=_mono_order)
-        return mono, self.terms[mono]
-
-    def divexact(self, divisor: "Polynomial") -> "Polynomial":
-        """Exact division; raises ValueError if divisor does not divide self."""
-        self._check_rank(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if divisor.is_constant():
-            return self * (1 / as_rat(divisor.constant_term()))
-        if self.is_zero():
-            return self
-        dmono, dcoeff = divisor.leading_term()
-        rem = dict(self.terms)
-        quot: dict = {}
-        while rem:
-            rmono = max(rem, key=_mono_order)
-            qmono = tuple(a - b for a, b in zip(rmono, dmono))
-            if any(e < 0 for e in qmono):
-                raise ValueError("inexact polynomial division")
-            qcoeff = as_coeff(Fraction(rem[rmono]) / Fraction(dcoeff))
-            quot[qmono] = qcoeff
-            for mono, coeff in divisor.terms.items():
-                m = tuple(a + b for a, b in zip(mono, qmono))
-                s = rem.get(m, _ZERO) - coeff * qcoeff
-                if s:
-                    rem[m] = s
-                else:
-                    rem.pop(m, None)
-        return _raw_poly(self.nvars, quot)
-
-    # -- text form -----------------------------------------------------------
-
-    def __str__(self):
-        return format_terms((c, _format_mono(m)) for m, c in self.sorted_terms())
-
-    def __repr__(self):
-        return f"Polynomial({self.nvars}, {self})"
-
-
-_ZERO = 0
-
-
-def _raw_poly(nvars: int, terms: dict) -> Polynomial:
-    """Build a Polynomial from an already-normalized term dict (internal)."""
-    p = object.__new__(Polynomial)
-    object.__setattr__(p, "nvars", nvars)
-    object.__setattr__(p, "terms", terms)
-    return p
-
-
-def _mul_into(acc: dict, a: Mapping, b: Mapping):
-    """acc += a * b on raw term dicts."""
-    if len(a) > len(b):
-        a, b = b, a
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-            s = acc.get(m, _ZERO) + c1 * c2
-            if s:
-                acc[m] = s
-            else:
-                del acc[m]
-
-
-def _add_into(acc: dict, terms: Mapping, f: Scalar = 1):
-    """acc += f * terms on sparse term maps, dropping cancelled keys and
-    demoting integral Fractions: the one add-with-cancellation kernel."""
-    for k, c in terms.items():
-        s = acc.get(k, _ZERO) + f * c
-        if s:
-            acc[k] = as_coeff(s)
-        else:
-            acc.pop(k, None)
+        return Polynomial._raw(self._dim, q), Polynomial._raw(self._dim, r)
 
 
 def format_term(c: Scalar, body: str, first: bool) -> str:
@@ -370,16 +376,6 @@ def format_terms(pairs: Iterable) -> str:
     This is the package's one printer of signed sums."""
     chunks = [format_term(c, body, not i) for i, (c, body) in enumerate(pairs)]
     return " ".join(chunks) if chunks else "0"
-
-
-def _format_mono(mono: tuple) -> str:
-    parts = []
-    for i, e in enumerate(mono):
-        if e == 1:
-            parts.append(f"y{i + 1}")
-        elif e > 1:
-            parts.append(f"y{i + 1}^{e}")
-    return "*".join(parts)
 
 
 class _Scanner:
@@ -433,7 +429,7 @@ class _Scanner:
 def parse_polynomial(text: str, nvars: int, letter: str = "y") -> Polynomial:
     """Parse the canonical polynomial text form; inverse of str()."""
     sc = _Scanner(text)
-    terms: dict = {}
+    terms: list = []  # (exponent vector, coefficient); the constructor merges
 
     def parse_factor():
         sc.skip_ws()
@@ -455,15 +451,14 @@ def parse_polynomial(text: str, nvars: int, letter: str = "y") -> Polynomial:
         if ch.isdigit():
             coeff *= sc.rational()
             if not sc.take("*"):
-                terms[tuple(mono)] = terms.get(tuple(mono), _ZERO) + coeff
+                terms.append((tuple(mono), coeff))
                 return
         idx, exp = parse_factor()
         mono[idx - 1] += exp
         while sc.take("*"):
             idx, exp = parse_factor()
             mono[idx - 1] += exp
-        key = tuple(mono)
-        terms[key] = terms.get(key, _ZERO) + coeff
+        terms.append((tuple(mono), coeff))
 
     sign = -1 if sc.take("-") else 1
     if sign == 1:
@@ -598,8 +593,8 @@ class PolyMatrix:
                     acc: dict = {}
                     for a, b in zip(r, c):
                         if a.terms and b.terms:
-                            _mul_into(acc, a.terms, b.terms)
-                    line.append(_raw_poly(self.nvars, acc))
+                            _mul_into(acc, a.terms, b.terms, _mono_mul)
+                    line.append(Polynomial._raw(self.nvars, acc))
                 out.append(line)
             return PolyMatrix(self.nvars, out)
         if isinstance(other, (int, Fraction, Polynomial)):
@@ -623,7 +618,7 @@ class PolyMatrix:
             raise ValueError("determinant of a non-square matrix")
         full = (1 << self.ncols) - 1
         table = _minors(self.rows, self.ncols, self.nvars)
-        return table.get(full, Polynomial.zero(self.nvars))
+        return Polynomial._raw(self.nvars, table.get(full, {}))
 
     def inverse_over_ring(self) -> Optional["PolyMatrix"]:
         """Inverse over the polynomial ring, or None.
@@ -637,15 +632,16 @@ class PolyMatrix:
             raise ValueError("inverse of a non-square matrix")
         n, nvars = self.nrows, self.nvars
         full = (1 << n) - 1
-        zero = Polynomial.zero(nvars)
 
         def row_deleted_minors(j):
             # entry c: the minor on the rows other than j and the columns other than c
             table = _minors(self.rows[:j] + self.rows[j + 1 :], n, nvars)
-            return [table.get(full ^ (1 << c), zero) for c in range(n)]
+            return [
+                Polynomial._raw(nvars, table.get(full ^ (1 << c), {})) for c in range(n)
+            ]
 
         minors = [row_deleted_minors(0)]
-        d = zero
+        d = Polynomial.zero(nvars)
         for c, (entry, minor) in enumerate(zip(self.rows[0], minors[0])):
             d = d - entry * minor if c % 2 else d + entry * minor
         if d.is_zero() or not d.is_constant():
@@ -687,18 +683,21 @@ def unit_column(nvars: int, n: int, index: int) -> PolyMatrix:
 
 
 def _minors(rows, ncols: int, nvars: int) -> dict:
-    """Map each bitmask of len(rows) of the ncols columns to the determinant
-    of `rows` on those columns (a zero minor may be absent).
+    """Map each bitmask of len(rows) of the ncols columns to the term map of
+    the determinant of `rows` on those columns (a zero minor may be absent).
 
     Laplace expansion along the last row, over column subsets, so every
     sub-minor shared between larger minors is computed once and no division
     is needed: O(2^ncols * ncols) products in place of ncols! terms.
     """
-    table = {0: Polynomial.one(nvars)}
+    table = {0: {(0,) * nvars: 1}}
     for t, row in enumerate(rows):
+        # entry c of the last row t, with pos sub-minor columns left of c,
+        # has the sign (-1)^(t + pos)
+        signed = ([e.terms for e in row], [(-e).terms for e in row])
         new_table: dict = {}
         for mask, sub in table.items():
-            if sub.is_zero():
+            if not sub:
                 continue
             pos = 0
             for c in range(ncols):
@@ -706,15 +705,10 @@ def _minors(rows, ncols: int, nvars: int) -> dict:
                 if mask & bit:
                     pos += 1
                     continue
-                entry = row[c]
-                if not entry.is_zero():
-                    # expansion along the last row: sign (-1)^(t + pos)
-                    term = entry * sub
-                    if (t + pos) % 2:
-                        term = -term
-                    m = mask | bit
-                    cur = new_table.get(m)
-                    new_table[m] = term if cur is None else cur + term
+                entry = signed[(t + pos) % 2][c]
+                if entry:
+                    acc = new_table.setdefault(mask | bit, {})
+                    _mul_into(acc, entry, sub, _mono_mul)
         table = new_table
     return table
 
@@ -848,7 +842,7 @@ class RowSpace:
             pivot = self._pivots.get(k)
             if pivot is None:
                 return rem
-            _add_into(rem, pivot, -rem[k])
+            _add_into(rem, pivot.items(), -rem[k])
         return rem
 
     def add(self, row: Mapping) -> bool:
@@ -874,7 +868,7 @@ class RowSpace:
             # every pivot key in the row other than k is larger, so its row
             # is already in `done`, and that row is 0 at every other pivot key
             for kk in [kk for kk in row if kk != k and kk in done]:
-                _add_into(row, done[kk], -row[kk])
+                _add_into(row, done[kk].items(), -row[kk])
             done[k] = row
         return {k: done[k] for k in sorted(done)}
 

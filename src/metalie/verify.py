@@ -76,11 +76,11 @@ def random_endo(rng: random.Random, rank: int, degree: int) -> endos.Endo:
 def random_nc_poly(
     rng: random.Random, rank: int, degree: int, nterms: int = 4
 ) -> freeassoc.NCPoly:
-    terms = {}
+    terms = []  # (word, coefficient); the constructor merges repeated words
     for _ in range(nterms):
         length = rng.randint(1, degree)
         word = tuple(rng.randint(1, rank) for _ in range(length))
-        terms[word] = terms.get(word, 0) + rng.choice([c for c in range(-3, 4) if c])
+        terms.append((word, rng.choice([c for c in range(-3, 4) if c])))
     return freeassoc.NCPoly(rank, terms)
 
 

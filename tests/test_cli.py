@@ -97,6 +97,7 @@ class TestMalformedEndoInput:
             ('{"images":["x1"]}', "'rank'"),
             ('{"rank":2.5,"images":["x1","x2"]}', "'rank'"),
             ('{"rank":2,"images":[1,2]}', "'images'"),
+            ("no-such-endo.json", "no such file: no-such-endo.json"),
         ],
     )
     def test_exits_one_naming_the_field(self, capsys, spec, field):

@@ -263,6 +263,23 @@ class TestConjugateElementary:
             assert (psi_row * phi_col)[0, 0].is_zero()
             assert (psi_row * y_column(rank))[0, 0].is_zero()
 
+    def test_inverts_alpha_once(self, monkeypatch):
+        calls = []
+        real = en.rational_inverse
+        monkeypatch.setattr(
+            en, "rational_inverse", lambda a: calls.append(a) or real(a)
+        )
+        rng = random.Random(16)
+        for _ in range(8):
+            alpha = en._random_invertible_matrix(rng, 3)
+            calls.clear()
+            en.conjugate_elementary(alpha, en.random_derived_expr(rng, 3, 3, [2, 3]), 3)
+            assert len(calls) == 1
+
+    def test_singular_alpha_rejected(self):
+        with pytest.raises(ValueError, match="matrix is singular"):
+            en.conjugate_elementary([[1, 1, 0], [1, 1, 0], [0, 0, 1]], ex("[x2,x3]"), 3)
+
 
 class TestInverse:
     def test_inner(self):

@@ -14,7 +14,6 @@ from metalie.lieexpr import (
     format_expr,
     generators_used,
     left_normed,
-    max_generator,
     parse_expr,
     scale_expr,
     sum_exprs,
@@ -107,6 +106,7 @@ def test_format_round_trip_randomized():
 
 def test_helpers():
     e = parse_expr("[x1, x3] + 2*x2")
-    assert max_generator(e) == 3
     assert generators_used(e) == frozenset({1, 2, 3})
+    assert max(generators_used(e), default=0) == 3
+    assert max(generators_used(parse_expr("0")), default=0) == 0
     assert left_normed([1, 2, 3]) == Bracket(Bracket(Gen(1), Gen(2)), Gen(3))
