@@ -18,6 +18,7 @@ from .polyring import (
 from .lieexpr import (
     Bracket,
     Gen,
+    LeftNormed,
     LieExpr,
     Scale,
     Sum,

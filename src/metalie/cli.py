@@ -8,7 +8,11 @@ them to keep each run within a few seconds: `replay-bn --factors` at
 MAX_FACTORS (the expansion has 2^k - 1 dyads) and `replay-oe --rank` at
 MAX_OE_RANK (at n = 9 the witness solve has 249 equations in 5670
 unknowns). At the caps the two take about 0.6 s and 0.1 s on a 2-core
-virtual machine. Bracket nesting is capped at `lieexpr.MAX_NESTING`.
+virtual machine. Bracket expressions are read with the limits of `lieexpr`:
+a left-normed word has at most `MAX_WORD_LENGTH` letters and costs no
+recursion, and every other nest ('(' or '[') is at most `MAX_NESTING`
+levels deep. Lifts print as sums of left-normed words, so `endo_doc` output
+parses back at any degree up to the word cap.
 
 Endomorphisms are given either as a JSON document {"rank": n, "images":
 [...]} (inline or as a file path), as a semicolon-separated list of bracket
@@ -219,16 +223,28 @@ def cmd_replay_oe(args) -> int:
 def cmd_verify(args) -> int:
     names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
     results = verify_mod.run_suites(names, args.seed)
-    failed = False
-    for res in results:
-        status = "pass" if res.passed else "FAIL"
-        print(f"{res.name}: {status} ({res.cases} cases)")
-        for line in res.failures:
-            print(f"  {line}")
-        failed = failed or not res.passed
+    passed = all(r.passed for r in results)
     total = sum(r.cases for r in results)
-    print(f"total: {total} cases, {'FAIL' if failed else 'pass'}")
-    return 2 if failed else 0
+
+    def text():
+        lines = []
+        for res in results:
+            status = "pass" if res.passed else "FAIL"
+            lines.append(f"{res.name}: {status} ({res.cases} cases)")
+            lines += [f"  {line}" for line in res.failures]
+        lines.append(f"total: {total} cases, {'pass' if passed else 'FAIL'}")
+        return "\n".join(lines)
+
+    def doc():
+        suites = [
+            {"name": r.name, "passed": r.passed, "cases": r.cases,
+             "failures": r.failures}
+            for r in results
+        ]
+        return {"suites": suites, "total": {"cases": total, "passed": passed}}
+
+    _emit(args, text, doc)
+    return 0 if passed else 2
 
 
 # -- parser -------------------------------------------------------------------
@@ -310,6 +326,7 @@ def build_parser() -> _Parser:
         required=True,
     )
     p.add_argument("--seed", type=int, default=0)
+    _add_format(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

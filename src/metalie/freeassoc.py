@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from .lieexpr import (
     Bracket,
     Gen,
+    LeftNormed,
     LieExpr,
     Scale,
     Sum,
@@ -86,6 +87,13 @@ class NCPoly(SparseTerms):
 def lie_to_assoc(e: LieExpr, rank: int) -> NCPoly:
     """Expand a bracket expression in the free associative algebra via
     [u, v] = uv - vu."""
+    if isinstance(e, LeftNormed):
+        # the letters of a left-normed word, one commutator each
+        u = NCPoly.gen(rank, e.indices[0])
+        for i in e.indices[1:]:
+            v = NCPoly.gen(rank, i)
+            u = u * v - v * u
+        return u
     if isinstance(e, Gen):
         return NCPoly.gen(rank, e.index)
     if isinstance(e, Bracket):
@@ -156,7 +164,7 @@ def _derived_degree4(n: int) -> List[Tuple[LieExpr, NCPoly]]:
     for a in range(len(pairs)):
         for b in range(a):
             (i, j), (k, l) = pairs[a], pairs[b]
-            expr = Bracket(Bracket(Gen(i), Gen(j)), Bracket(Gen(k), Gen(l)))
+            expr = Bracket(LeftNormed((i, j)), LeftNormed((k, l)))
             expansion = lie_to_assoc(expr, n)
             if not expansion.is_zero():
                 out.append((expr, expansion))
@@ -248,7 +256,7 @@ class TraceReplay:
 
 def source_monomial() -> LieExpr:
     """[[z1, [z2, z3]], z4]."""
-    return Bracket(Bracket(Gen(1), Bracket(Gen(2), Gen(3))), Gen(4))
+    return Bracket(Bracket(Gen(1), LeftNormed((2, 3))), Gen(4))
 
 
 def replay(rank: int, include_witness: bool = True) -> TraceReplay:

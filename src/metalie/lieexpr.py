@@ -10,12 +10,16 @@ Grammar (whitespace-insensitive; LETTER is 'x' or 'z' depending on context):
     rational:= INT ('/' INT)?
 
 "0" denotes the empty sum. Parsing produces trees in a fixed shape (signs
-folded into scalar coefficients, one Sum node per '+/-' chain), and the
+folded into scalar coefficients, one Sum node per '+/-' chain, and every
+left-normed word [[x_i1, x_i2], ..., x_im] one flat LeftNormed node), and the
 printer emits exactly that shape, so parse(print(e)) == e.
 
-The parser, the evaluator and the printer recurse once per nesting level, so
-input may nest '[' and '(' at most MAX_NESTING levels deep; deeper input is a
-ParseError.
+Left-normed words cost no recursion: the parser reads a run of '[' in a loop,
+and the printer, the evaluator and the free-associative expansion walk a
+word's letters in a loop, so a word may have up to MAX_WORD_LENGTH letters.
+Every other nest (a '(' or a '[' that does not extend a left-normed word) is
+walked recursively, so such nests may be at most MAX_NESTING levels deep.
+Longer or deeper input is a ParseError naming the limit.
 """
 
 from __future__ import annotations
@@ -31,6 +35,15 @@ class Gen:
     """Generator with 1-based index."""
 
     index: int
+
+
+@dataclass(frozen=True)
+class LeftNormed:
+    """The left-normed word [[x_i1, x_i2], x_i3, ..., x_im], stored flat as
+    its generator indices (i1, ..., im), m >= 2; build it with
+    `left_normed`, which checks the length."""
+
+    indices: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -50,13 +63,18 @@ class Sum:
     parts: Tuple["LieExpr", ...]
 
 
-LieExpr = Union[Gen, Bracket, Scale, Sum]
+LieExpr = Union[Gen, LeftNormed, Bracket, Scale, Sum]
 
 ZERO_EXPR = Sum(())
 
-# deepest '[' / '(' nesting parse_expr accepts; keeps every recursive walk of
-# a parsed tree well inside Python's default recursion limit
+# deepest nesting of '(' and of '[' that does not extend a left-normed word;
+# keeps every recursive walk of a parsed tree well inside Python's default
+# recursion limit
 MAX_NESTING = 200
+
+# most letters in one left-normed word (a run of MAX_WORD_LENGTH - 1 '[');
+# bounds the input, not the recursion, which words do not use
+MAX_WORD_LENGTH = 10_000
 
 
 def scale_expr(c: Scalar, e: LieExpr) -> LieExpr:
@@ -82,20 +100,19 @@ def sum_exprs(parts) -> LieExpr:
     return Sum(tuple(flat))
 
 
-def left_normed(indices) -> LieExpr:
-    """[[x_{i1}, x_{i2}], x_{i3}, ..., x_{im}] as nested brackets."""
-    idx = list(indices)
+def left_normed(indices) -> LeftNormed:
+    """[[x_{i1}, x_{i2}], x_{i3}, ..., x_{im}] as one flat node."""
+    idx = tuple(indices)
     if len(idx) < 2:
         raise ValueError("need at least two generators")
-    e: LieExpr = Bracket(Gen(idx[0]), Gen(idx[1]))
-    for i in idx[2:]:
-        e = Bracket(e, Gen(i))
-    return e
+    return LeftNormed(idx)
 
 
 def generators_used(e: LieExpr) -> frozenset:
     if isinstance(e, Gen):
         return frozenset((e.index,))
+    if isinstance(e, LeftNormed):
+        return frozenset(e.indices)
     if isinstance(e, Bracket):
         return generators_used(e.left) | generators_used(e.right)
     if isinstance(e, Scale):
@@ -112,6 +129,11 @@ def generators_used(e: LieExpr) -> frozenset:
 
 
 def _format_factor(e: LieExpr, letter: str) -> str:
+    if isinstance(e, LeftNormed):
+        # one '[' per bracket, the first letter, then ", x<i>]" per letter
+        idx = e.indices
+        rest = f"], {letter}".join(map(str, idx[1:]))
+        return f"{'[' * (len(idx) - 1)}{letter}{idx[0]}, {letter}{rest}]"
     if isinstance(e, Gen):
         return f"{letter}{e.index}"
     if isinstance(e, Bracket):
@@ -121,8 +143,7 @@ def _format_factor(e: LieExpr, letter: str) -> str:
 
 def format_expr(e: LieExpr, letter: str = "x") -> str:
     """Canonical text form; inverse of parse_expr on parser-shaped trees."""
-    if isinstance(e, (Gen, Bracket)):
-        # every nesting level of a lifted word lands here: skip the sum printer
+    if isinstance(e, (LeftNormed, Gen, Bracket)):
         return _format_factor(e, letter)
     terms = e.parts if isinstance(e, Sum) else (e,)
     return format_terms(
@@ -154,11 +175,18 @@ def _parse_element(sc: _Scanner, letter: str, rank: int, depth: int) -> LieExpr:
         if nxt in ("", ",", ")", "]"):
             return ZERO_EXPR
         sc.pos = mark
-    terms = []
     sign = -1 if sc.take("-") else 1
     if sign == 1:
         sc.take("+")
-    terms.append(_parse_term(sc, letter, rank, depth, sign))
+    first = _parse_term(sc, letter, rank, depth, sign)
+    return _parse_more_terms(sc, letter, rank, depth, first)
+
+
+def _parse_more_terms(
+    sc: _Scanner, letter: str, rank: int, depth: int, first: LieExpr
+) -> LieExpr:
+    """The rest of an element whose first term has been parsed."""
+    terms = [first]
     while True:
         if sc.take("+"):
             terms.append(_parse_term(sc, letter, rank, depth, 1))
@@ -167,7 +195,7 @@ def _parse_element(sc: _Scanner, letter: str, rank: int, depth: int) -> LieExpr:
         else:
             break
     if len(terms) == 1:
-        return terms[0]
+        return first
     return Sum(tuple(terms))
 
 
@@ -184,10 +212,12 @@ def _parse_term(
     return Scale(coeff, factor)
 
 
+def _nesting_error(pos: int) -> ParseError:
+    return ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+
+
 def _parse_factor(sc: _Scanner, letter: str, rank: int, depth: int) -> LieExpr:
     ch = sc.peek()
-    if ch in ("[", "(") and depth == MAX_NESTING:
-        raise ParseError(f"nesting deeper than {MAX_NESTING} levels", sc.pos)
     if ch == letter:
         pos = sc.pos
         sc.pos += 1
@@ -196,16 +226,57 @@ def _parse_factor(sc: _Scanner, letter: str, rank: int, depth: int) -> LieExpr:
             bound = rank if rank else "n"
             raise ParseError(f"generator index {idx} out of range 1..{bound}", pos)
         return Gen(idx)
-    if ch == "[":
-        sc.pos += 1
-        left = _parse_element(sc, letter, rank, depth + 1)
-        sc.expect(",")
-        right = _parse_element(sc, letter, rank, depth + 1)
-        sc.expect("]")
-        return Bracket(left, right)
+    if ch in ("[", "(") and depth >= MAX_NESTING:
+        raise _nesting_error(sc.pos)
     if ch == "(":
         sc.pos += 1
         inner = _parse_element(sc, letter, rank, depth + 1)
         sc.expect(")")
         return inner
-    raise ParseError(f"expected '{letter}<index>', '[' or '('", sc.pos)
+    if ch != "[":
+        raise ParseError(f"expected '{letter}<index>', '[' or '('", sc.pos)
+    # A run of k '[' opens k brackets, each the first factor of the next
+    # one's left operand. They are closed in a loop from the innermost out;
+    # a bracket whose left side is a generator or word and whose right side
+    # is a generator extends the word and costs no nesting level. Level j
+    # (1 = outermost) reads the rest of its left operand and its right
+    # operand at depth + j: their depth unless the level extends a word, and
+    # then they are plain generators.
+    opens = []
+    while sc.peek() == "[":
+        if len(opens) == MAX_WORD_LENGTH - 1:
+            raise ParseError(
+                f"left-normed word longer than {MAX_WORD_LENGTH} letters", sc.pos
+            )
+        opens.append(sc.pos)
+        sc.pos += 1
+    k = len(opens)
+    left = _parse_element(sc, letter, rank, depth + k)
+    if isinstance(left, Gen):
+        word = [left.index]
+    elif isinstance(left, LeftNormed):
+        word = list(left.indices)
+    else:
+        word = None
+    for level in range(k, 0, -1):
+        inner = depth + level
+        if sc.peek() in ("+", "-"):
+            if word is not None:
+                left = _word_node(word)
+                word = None
+            left = _parse_more_terms(sc, letter, rank, inner, left)
+        sc.expect(",")
+        right = _parse_element(sc, letter, rank, inner)
+        sc.expect("]")
+        if word is not None and isinstance(right, Gen):
+            word.append(right.index)
+            continue
+        if inner > MAX_NESTING:
+            raise _nesting_error(opens[MAX_NESTING - depth])
+        left = Bracket(_word_node(word) if word is not None else left, right)
+        word = None
+    return _word_node(word) if word is not None else left
+
+
+def _word_node(word: list) -> LieExpr:
+    return Gen(word[0]) if len(word) == 1 else LeftNormed(tuple(word))

@@ -12,20 +12,29 @@ exact and mechanical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Tuple
 
 from .lieexpr import (
     Bracket,
     Gen,
+    LeftNormed,
     LieExpr,
     Scale,
     Sum,
-    ZERO_EXPR,
-    left_normed,
     scale_expr,
     sum_exprs,
 )
-from .polyring import PolyMatrix, Polynomial, Scalar, as_coeff, row_vector, y_column
+from .polyring import (
+    PolyMatrix,
+    Polynomial,
+    Scalar,
+    _add_into,
+    _mul_into,
+    as_coeff,
+    row_vector,
+    y_column,
+)
 
 
 @dataclass(frozen=True)
@@ -88,15 +97,17 @@ class MElement:
 
     def linear_poly(self) -> Polynomial:
         """The linear part as a degree <= 1 polynomial in y1..yn."""
-        n = self.rank
-        return Polynomial(
-            n,
-            {
-                tuple(1 if j == i else 0 for j in range(n)): c
-                for i, c in enumerate(self.linear)
-                if c
-            },
+        units = _units(self.rank)
+        return Polynomial._raw(
+            self.rank,
+            {units[i]: as_coeff(c) for i, c in enumerate(self.linear) if c},
         )
+
+
+@lru_cache(maxsize=None)
+def _units(n: int) -> tuple:
+    """The exponent vectors of y1..yn."""
+    return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
 
 def zero(rank: int) -> MElement:
@@ -122,32 +133,76 @@ def generator(rank: int, i: int) -> MElement:
 def bracket(u: MElement, v: MElement) -> MElement:
     """[a+t, b+s] = a.s - b.t, with a, b acting through their polynomials."""
     u._check_rank(v)
-    a = u.linear_poly()
-    b = v.linear_poly()
-    tp = tuple(a * s - b * t for t, s in zip(u.tpart, v.tpart))
-    return MElement(u.rank, (0,) * u.rank, tp)
+    n = u.rank
+    slots: list = [{} for _ in range(n)]
+    _add_bracket(slots, u.linear_poly(), u, v.linear_poly(), v)
+    return MElement(n, (0,) * n, tuple(Polynomial._raw(n, acc) for acc in slots))
+
+
+def _add_bracket(slots, a: Polynomial, u: MElement, b: Polynomial, v: MElement):
+    """Add a.s - b.t to the module slots (term maps) for u = a'+t and
+    v = b'+s, where a and b are given apart from u and v."""
+    mul = Polynomial._key_mul
+    nb = (-b).terms
+    for acc, t, s in zip(slots, u.tpart, v.tpart):
+        _mul_into(acc, a.terms, s.terms, mul)
+        _mul_into(acc, nb, t.terms, mul)
 
 
 def eval_with(e: LieExpr, images) -> MElement:
     """Evaluate an expression tree with generator i mapped to images[i-1]."""
-    if isinstance(e, Gen):
-        if e.index > len(images):
-            raise ValueError(
-                f"generator index {e.index} out of range 1..{len(images)}"
-            )
-        return images[e.index - 1]
-    if isinstance(e, Bracket):
-        return bracket(eval_with(e.left, images), eval_with(e.right, images))
+    if not images:
+        raise ValueError("cannot evaluate with an empty image list")
+    n = images[0].rank
+    lin = [0] * n
+    slots: list = [{} for _ in range(n)]
+    _eval_into(e, images, 1, lin, slots)
+    return MElement(n, tuple(lin), tuple(Polynomial._raw(n, acc) for acc in slots))
+
+
+def _image(images, i: int, n: int) -> MElement:
+    if i > len(images):
+        raise ValueError(f"generator index {i} out of range 1..{len(images)}")
+    g = images[i - 1]
+    if g.rank != n:
+        raise ValueError(f"rank mismatch: {g.rank} vs {n}")
+    return g
+
+
+def _eval_into(e: LieExpr, images, c: Scalar, lin: list, slots: list) -> None:
+    """Add c times the value of e to the linear part `lin` and the module
+    slots (term maps) of a sum: a Sum or Scale builds no element of its own."""
+    n = len(lin)
+    if isinstance(e, LeftNormed):
+        idx = e.indices
+        u, v = _image(images, idx[0], n), _image(images, idx[1], n)
+        # [u, v] is derived (zero linear part), so each further letter b + s
+        # acts as [t, b + s] = -b.t: the word is [u, v] times the product f
+        # of the -b, and f.[a+t, b'+s] = (f.a).s - (f.b').t
+        f = Polynomial.constant(n, -c if len(idx) % 2 else c)
+        for i in idx[2:]:
+            f = f * _image(images, i, n).linear_poly()
+        _add_bracket(slots, f * u.linear_poly(), u, f * v.linear_poly(), v)
+        return
     if isinstance(e, Scale):
-        return eval_with(e.arg, images).scaled(e.coeff)
+        _eval_into(e.arg, images, as_coeff(c * e.coeff), lin, slots)
+        return
     if isinstance(e, Sum):
-        if not images:
-            raise ValueError("cannot evaluate with an empty image list")
-        value = zero(images[0].rank)
         for p in e.parts:
-            value = value + eval_with(p, images)
-        return value
-    raise TypeError(f"not a LieExpr: {e!r}")
+            _eval_into(p, images, c, lin, slots)
+        return
+    if isinstance(e, Bracket):
+        u, v = eval_with(e.left, images), eval_with(e.right, images)
+        _add_bracket(slots, u.linear_poly() * c, u, v.linear_poly() * c, v)
+        return
+    if not isinstance(e, Gen):
+        raise TypeError(f"not a LieExpr: {e!r}")
+    g = _image(images, e.index, n)
+    for k, x in enumerate(g.linear):
+        if x:
+            lin[k] = as_coeff(lin[k] + c * x)
+    for acc, p in zip(slots, g.tpart):
+        _add_into(acc, p.terms.items(), c)
 
 
 def evaluate(e: LieExpr, rank: int) -> MElement:
@@ -219,10 +274,15 @@ def lift(f: MElement) -> LieExpr:
         if c:
             terms.append(scale_expr(c, Gen(i + 1)))
             row[i] = row[i] - Polynomial.constant(n, c)
-    residue = Polynomial.zero(n)
+    # the residue d1*y1 + ... + dn*yn: multiplying by y_i shifts exponent i
+    residue: dict = {}
     for i, p in enumerate(row):
-        residue = residue + p * Polynomial.variable(n, i + 1)
-    if not residue.is_zero():
+        shifted = (
+            (mono[:i] + (mono[i] + 1,) + mono[i + 1 :], c)
+            for mono, c in p.terms.items()
+        )
+        _add_into(residue, shifted)
+    if residue:
         raise ValueError("element is not in M_n: Fox row does not annihilate Y")
 
     for m in range(n, 1, -1):
@@ -232,16 +292,17 @@ def lift(f: MElement) -> LieExpr:
             quotients.append(q)
             row[i] = r
         for i, q in enumerate(quotients):
-            if q.is_zero():
-                continue
             for mono, coeff in q.sorted_terms():
                 word = [i + 1, m]
-                for var, e in enumerate(mono):
-                    word.extend([var + 1] * e)
-                sign = -1 if (len(word) - 2) % 2 == 0 else 1
-                terms.append(scale_expr(coeff * sign, left_normed(word)))
+                for var, e in enumerate(mono, 1):
+                    if e:
+                        word += [var] * e
+                # [[x_i, x_m], x_j, ...] carries the sign (-1)^(len - 1)
+                if len(word) % 2 == 0:
+                    coeff = -coeff
+                terms.append(scale_expr(coeff, LeftNormed(tuple(word))))
         row[m - 1] = Polynomial.zero(n)
     # the syzygy condition forces the final single-variable remainder to zero
     if not row[0].is_zero():
         raise ValueError("element is not in M_n")
-    return sum_exprs(terms) if terms else ZERO_EXPR
+    return sum_exprs(terms)

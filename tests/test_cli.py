@@ -4,9 +4,17 @@ import json
 
 import pytest
 
+from metalie import endos
 from metalie import verify as verify_mod
-from metalie.cli import MAX_FACTORS, MAX_OE_RANK, main
-from metalie.lieexpr import MAX_NESTING
+from metalie.cli import (
+    MAX_FACTORS,
+    MAX_OE_RANK,
+    build_parser,
+    endo_doc,
+    load_endo,
+    main,
+)
+from metalie.lieexpr import MAX_NESTING, MAX_WORD_LENGTH
 
 
 def run(capsys, *argv):
@@ -234,6 +242,21 @@ class TestVerify:
         assert code == 2
         assert "FAIL" in out
 
+    def test_structured_failure(self, capsys, monkeypatch):
+        def failing(seed):
+            return verify_mod.SuiteResult("stub", 3, ["case 0: boom"])
+
+        monkeypatch.setitem(verify_mod.SUITES, "lift", failing)
+        code, out, _ = run(
+            capsys, "verify", "--suite", "lift", "--format", "structured"
+        )
+        assert code == 2
+        stub = {"name": "stub", "passed": False, "cases": 3, "failures": ["case 0: boom"]}
+        assert json.loads(out) == {
+            "suites": [stub],
+            "total": {"cases": 3, "passed": False},
+        }
+
 
 class TestRoundTrips:
     def test_endo_document_round_trip(self):
@@ -251,6 +274,42 @@ class TestRoundTrips:
         tame = endos.random_tame(3, 7, 2, 3)
         assert load_endo(json.dumps(endo_doc(tame))) == tame
 
+    def test_golden_results_round_trip(self):
+        # the endomorphisms printed by the golden compose and inverse cases
+        from test_golden_cli import _FORMATTED
+
+        results = []
+        for argv in _FORMATTED:
+            if argv[0] in ("compose", "inverse"):
+                args = build_parser().parse_args(argv)
+                phi = load_endo(args.endo, args.rank)
+                if argv[0] == "compose":
+                    results.append(endos.compose(phi, load_endo(args.other, args.rank)))
+                elif endos.inverse(phi) is not None:
+                    results.append(endos.inverse(phi))
+        assert len(results) == 15
+        for phi in results:
+            assert load_endo(json.dumps(endo_doc(phi))) == phi
+
+    def test_deep_composite_round_trips(self, capsys, tmp_path):
+        # x1 + [[...[x1, x2]..., x2], x2]; x2 (150 levels) composed with itself
+        # once and twice lifts to words nested 300 and 450 levels deep
+        c = load_endo("x1 + " + "[" * 150 + "x1" + ",x2]" * 150 + "; x2")
+        twice = endos.compose(c, c)
+        for phi, depth in ((twice, 300), (endos.compose(twice, c), 450)):
+            doc = endo_doc(phi)
+            assert "[" * depth + "x1" in doc["images"][0]
+            assert "[" * (depth + 1) not in doc["images"][0]
+            assert depth > MAX_NESTING
+            text = json.dumps(doc)
+            assert load_endo(text) == phi
+            path = tmp_path / f"composite{depth}.json"
+            path.write_text(text, encoding="utf-8")
+            for spec in (text, str(path)):
+                code, out, err = run(capsys, "jac", spec)
+                assert (code, err) == (0, "")
+                assert f"y2^{depth}" in out
+
 
 class TestUsage:
     def test_missing_subcommand(self, capsys):
@@ -262,27 +321,60 @@ class TestUsage:
         assert code == 1
 
 
+def right_nested(depth):
+    """[x2, [x2, ... [x2, x1]]]: every level is a nest that recurses."""
+    return "[x2," * depth + "x1" + "]" * depth
+
+
+def left_spine(depth):
+    """[[... [x1, x1 + x2], ...], x1 + x2]: left-nested, but no level has a
+    generator on the right, so none folds into a word."""
+    return "[" * depth + "x1" + ", x1 + x2]" * depth
+
+
+def word(letters):
+    """The left-normed word [[... [x1, x2], x2] ..., x2] of that many letters."""
+    return "[" * (letters - 1) + "x1" + ",x2]" * (letters - 1)
+
+
 class TestSizeLimits:
     def test_deep_nesting_is_a_parse_error(self, capsys):
-        depth = 1200
-        code, out, err = run(
-            capsys, "nf", "--rank", "2", "[" * depth + "x1" + ",x2]" * depth
-        )
-        assert code == 1
-        assert out == ""
-        assert "Traceback" not in err
-        assert f"nesting deeper than {MAX_NESTING} levels" in err
+        for text in (
+            right_nested(1200),
+            right_nested(MAX_NESTING + 1),
+            left_spine(MAX_NESTING + 1),
+            "(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1),
+        ):
+            code, out, err = run(capsys, "nf", "--rank", "2", text)
+            assert code == 1
+            assert out == ""
+            assert "Traceback" not in err
+            assert f"nesting deeper than {MAX_NESTING} levels" in err
 
     def test_nesting_at_the_limit_is_accepted(self, capsys):
         depth = MAX_NESTING
-        code, out, _ = run(
-            capsys, "nf", "--rank", "2", "[" * depth + "x1" + ",x2]" * depth
-        )
+        code, out, _ = run(capsys, "nf", "--rank", "2", right_nested(depth))
         assert code == 0
         assert f"y2^{depth}" in out
+        code, out, _ = run(capsys, "nf", "--rank", "2", left_spine(depth))
+        assert code == 0
         code, _, err = run(capsys, "nf", "(" * (depth + 1) + "x1" + ")" * (depth + 1))
         assert code == 1
         assert str(MAX_NESTING) in err
+
+    def test_word_at_the_length_limit_is_accepted(self, capsys):
+        # left-normed words are read in a loop: no nesting limit applies
+        code, out, _ = run(capsys, "nf", "--rank", "2", word(MAX_WORD_LENGTH))
+        assert code == 0
+        assert f"y2^{MAX_WORD_LENGTH - 1}" in out
+
+    def test_word_beyond_the_length_limit_is_a_parse_error(self, capsys):
+        for letters in (MAX_WORD_LENGTH + 1, 3 * MAX_WORD_LENGTH):
+            code, out, err = run(capsys, "nf", "--rank", "2", word(letters))
+            assert code == 1
+            assert out == ""
+            assert "Traceback" not in err
+            assert f"left-normed word longer than {MAX_WORD_LENGTH} letters" in err
 
     def test_replay_bn_factor_limit(self, capsys):
         code, out, err = run(capsys, "replay-bn", "--factors", str(MAX_FACTORS + 1))

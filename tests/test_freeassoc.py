@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metalie.freeassoc as fa
-from metalie.lieexpr import parse_expr
+from metalie.lieexpr import Bracket, Gen, LeftNormed, parse_expr
 from metalie.verify import commutator_row_space, random_nc_poly
 
 
@@ -88,6 +88,18 @@ class TestLieToAssoc:
         assert out == NC(
             3, ((1, 2, 3), 1), ((2, 1, 3), -1), ((3, 1, 2), -1), ((3, 2, 1), 1)
         )
+
+    def test_word_matches_nested_brackets(self):
+        rng = random.Random(3)
+        for _ in range(80):
+            rank = rng.randint(2, 4)
+            word = [rng.randint(1, rank) for _ in range(rng.randint(2, 7))]
+            tree = Gen(word[0])
+            for i in word[1:]:
+                tree = Bracket(tree, Gen(i))
+            assert fa.lie_to_assoc(LeftNormed(tuple(word)), rank) == fa.lie_to_assoc(
+                tree, rank
+            )
 
     def test_self_bracket(self):
         assert fa.lie_to_assoc(parse_expr("[z1,z1]", "z"), 2).is_zero()

@@ -2,7 +2,7 @@
 
 Every README example, `compose` and `inverse` on `linear:`, `inner:`,
 rational and NotAutomorphism inputs, and `verify --suite all --seed 7`, each
-in text and (where the command has it) structured form. The recorded stdout
+in text and structured form. The recorded stdout
 and exit code live in `golden/cli.json`; a refactor must reproduce them
 exactly. Outputs longer than `HASH_OVER` characters are recorded by the
 SHA-256 of their UTF-8 bytes, which keeps the file small.
@@ -85,6 +85,7 @@ CASES = (
     list(_FORMATTED)
     + [argv + ["--format", "structured"] for argv in _FORMATTED]
     + [["verify", "--suite", "all", "--seed", "7"]]
+    + [["verify", "--suite", "all", "--seed", "7", "--format", "structured"]]
 )
 
 

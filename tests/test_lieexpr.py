@@ -8,6 +8,7 @@ import pytest
 from metalie.lieexpr import (
     Bracket,
     Gen,
+    LeftNormed,
     Scale,
     Sum,
     ZERO_EXPR,
@@ -27,8 +28,14 @@ def test_parse_generator():
 
 
 def test_parse_bracket():
-    assert parse_expr("[x1,x2]") == Bracket(Gen(1), Gen(2))
-    assert parse_expr("[ [x1, x2 ] , x3 ]") == Bracket(Bracket(Gen(1), Gen(2)), Gen(3))
+    # left-normed nests fold into one flat word node
+    assert parse_expr("[x1,x2]") == LeftNormed((1, 2))
+    assert parse_expr("[ [x1, x2 ] , x3 ]") == LeftNormed((1, 2, 3))
+    # any other bracket stays a Bracket over its parsed operands
+    assert parse_expr("[x1, [x2, x3]]") == Bracket(Gen(1), LeftNormed((2, 3)))
+    assert parse_expr("[[x1, x2] + x3, x4]") == Bracket(
+        Sum((LeftNormed((1, 2)), Gen(3))), Gen(4)
+    )
 
 
 def test_parse_sum_and_scalars():
@@ -36,7 +43,7 @@ def test_parse_sum_and_scalars():
     assert e == Sum(
         (
             Gen(1),
-            Scale(Fraction(2), Bracket(Gen(1), Gen(2))),
+            Scale(Fraction(2), LeftNormed((1, 2))),
             Scale(Fraction(-1, 2), Gen(3)),
         )
     )
@@ -83,12 +90,28 @@ def test_format_round_trip_examples():
         assert parse_expr(format_expr(e)) == e
 
 
+def _bracket(left, right):
+    """The parser's shape of [left, right]: a generator or left-normed word
+    bracketed with a generator is one longer word."""
+    if isinstance(right, Gen):
+        if isinstance(left, Gen):
+            return LeftNormed((left.index, right.index))
+        if isinstance(left, LeftNormed):
+            return LeftNormed(left.indices + (right.index,))
+    return Bracket(left, right)
+
+
 def _random_expr(rng, rank, depth):
+    """A random parser-shaped tree."""
     roll = rng.random()
     if depth == 0 or roll < 0.3:
         return Gen(rng.randint(1, rank))
+    if roll < 0.45:
+        return left_normed(rng.randint(1, rank) for _ in range(rng.randint(2, 6)))
     if roll < 0.6:
-        return Bracket(_random_expr(rng, rank, depth - 1), _random_expr(rng, rank, depth - 1))
+        return _bracket(
+            _random_expr(rng, rank, depth - 1), _random_expr(rng, rank, depth - 1)
+        )
     if roll < 0.8:
         c = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
         return scale_expr(c, _random_expr(rng, rank, depth - 1))
@@ -99,9 +122,41 @@ def _random_expr(rng, rank, depth):
 
 def test_format_round_trip_randomized():
     rng = random.Random(17)
+    shapes = set()
     for _ in range(120):
         e = _random_expr(rng, 4, 3)
         assert parse_expr(format_expr(e)) == e
+        shapes.add(type(e))
+    assert shapes == {Gen, LeftNormed, Bracket, Scale, Sum}
+
+
+def _format_nested(indices, letter):
+    """Test-local recursive printer of [[x_i1, x_i2], ..., x_im]."""
+    if len(indices) == 1:
+        return f"{letter}{indices[0]}"
+    return f"[{_format_nested(indices[:-1], letter)}, {letter}{indices[-1]}]"
+
+
+def test_flat_word_printer_matches_recursive_printer():
+    rng = random.Random(19)
+    for _ in range(300):
+        word = tuple(rng.randint(1, 12) for _ in range(rng.randint(2, 40)))
+        letter = rng.choice("xz")
+        text = format_expr(LeftNormed(word), letter)
+        assert text == _format_nested(word, letter)
+        assert parse_expr(text, letter) == LeftNormed(word)
+        scaled = format_expr(Scale(Fraction(-3, 2), LeftNormed(word)), letter)
+        assert scaled == f"-3/2*{_format_nested(word, letter)}"
+
+
+def test_long_words_parse_without_recursion():
+    # far beyond the recursion limit of a recursive-descent parser
+    word = (1,) + (2,) * 5000
+    text = format_expr(LeftNormed(word))
+    assert parse_expr(text) == LeftNormed(word)
+    assert parse_expr(f"x1 - 2*{text}") == Sum(
+        (Gen(1), Scale(-2, LeftNormed(word)))
+    )
 
 
 def test_helpers():
@@ -109,4 +164,8 @@ def test_helpers():
     assert generators_used(e) == frozenset({1, 2, 3})
     assert max(generators_used(e), default=0) == 3
     assert max(generators_used(parse_expr("0")), default=0) == 0
-    assert left_normed([1, 2, 3]) == Bracket(Bracket(Gen(1), Gen(2)), Gen(3))
+    assert generators_used(parse_expr("[[x4, x1], x4]")) == frozenset({1, 4})
+    assert left_normed([1, 2, 3]) == LeftNormed((1, 2, 3))
+    assert left_normed([1, 2, 3]) == parse_expr("[[x1, x2], x3]")
+    with pytest.raises(ValueError):
+        left_normed([1])

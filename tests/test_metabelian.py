@@ -6,7 +6,15 @@ from fractions import Fraction
 import pytest
 
 import metalie.metabelian as mb
-from metalie.lieexpr import ZERO_EXPR, parse_expr
+from metalie.lieexpr import (
+    Bracket,
+    Gen,
+    LeftNormed,
+    Scale,
+    Sum,
+    ZERO_EXPR,
+    parse_expr,
+)
 from metalie.polyring import Polynomial, y_column
 
 
@@ -110,6 +118,44 @@ class TestEvaluate:
             ev("x4", 3)
 
 
+def nested(word):
+    """The left-normed word as a tree of binary Brackets, built by hand."""
+    e = Gen(word[0])
+    for i in word[1:]:
+        e = Bracket(e, Gen(i))
+    return e
+
+
+class TestLeftNormedWord:
+    def test_matches_nested_brackets_on_random_images(self):
+        rng = random.Random(31)
+        for case in range(150):
+            rank = rng.randint(2, 4)
+            images = [rand_element(rng, rank, 3) for _ in range(rank)]
+            if case % 3 == 0:
+                # rational images, and one image with no linear part
+                images = [g.scaled(Fraction(rng.choice([-3, 1, 5]), 2)) for g in images]
+                images[rng.randrange(rank)] = rand_derived(rng, rank, 3)
+            word = [rng.randint(1, rank) for _ in range(rng.randint(2, 7))]
+            assert mb.eval_with(LeftNormed(tuple(word)), images) == mb.eval_with(
+                nested(word), images
+            )
+
+    def test_matches_nested_brackets_on_generators(self):
+        rng = random.Random(32)
+        for _ in range(100):
+            rank = rng.randint(2, 5)
+            word = [rng.randint(1, rank) for _ in range(rng.randint(2, 12))]
+            assert mb.evaluate(LeftNormed(tuple(word)), rank) == mb.evaluate(
+                nested(word), rank
+            )
+
+    def test_every_letter_is_range_checked(self):
+        for word in [(3, 1), (1, 3), (1, 2, 3), (1, 2, 2, 3)]:
+            with pytest.raises(ValueError):
+                mb.evaluate(LeftNormed(word), 2)
+
+
 class TestFox:
     def test_generator_rows(self):
         for i in range(1, 4):
@@ -189,6 +235,29 @@ class TestLift:
         )
         with pytest.raises(ValueError):
             mb.lift(bad)
+
+    def test_rejects_random_elements_outside_m(self):
+        # adding p to Fox coordinate i adds p*y_i to d1*y1 + ... + dn*yn
+        rng = random.Random(14)
+        for _ in range(60):
+            rank = rng.randint(2, 5)
+            f = rand_element(rng, rank)
+            slot = rng.randrange(rank)
+            mono = tuple(rng.randint(0, 2) for _ in range(rank))
+            p = Polynomial(rank, {mono: rng.choice([-2, -1, 1, Fraction(1, 3)])})
+            tpart = list(f.tpart)
+            tpart[slot] = tpart[slot] + p
+            with pytest.raises(ValueError):
+                mb.lift(mb.MElement(rank, f.linear, tuple(tpart)))
+
+    def test_lifts_are_sums_of_flat_words(self):
+        rng = random.Random(15)
+        for _ in range(40):
+            rank = rng.randint(2, 5)
+            e = mb.lift(rand_element(rng, rank, 6))
+            for t in e.parts if isinstance(e, Sum) else (e,):
+                arg = t.arg if isinstance(t, Scale) else t
+                assert isinstance(arg, (Gen, LeftNormed))
 
     def test_deterministic(self):
         rng = random.Random(10)
