@@ -149,16 +149,6 @@ def test_flat_word_printer_matches_recursive_printer():
         assert scaled == f"-3/2*{_format_nested(word, letter)}"
 
 
-def test_long_words_parse_without_recursion():
-    # far beyond the recursion limit of a recursive-descent parser
-    word = (1,) + (2,) * 5000
-    text = format_expr(LeftNormed(word))
-    assert parse_expr(text) == LeftNormed(word)
-    assert parse_expr(f"x1 - 2*{text}") == Sum(
-        (Gen(1), Scale(-2, LeftNormed(word)))
-    )
-
-
 def test_helpers():
     e = parse_expr("[x1, x3] + 2*x2")
     assert generators_used(e) == frozenset({1, 2, 3})
