@@ -250,6 +250,20 @@ def cmd_verify(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _rank_option(text: str) -> int:
+    """--rank of the commands that can infer it: 0 infers the rank from the
+    input."""
+    try:
+        rank = int(text)
+    except ValueError:
+        rank = -1
+    if rank < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative integer (0 infers the rank), got {text!r}"
+        )
+    return rank
+
+
 def _add_format(p):
     p.add_argument(
         "--format",
@@ -271,7 +285,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("nf", help="normal form of a bracket expression")
     p.add_argument("expr", help="bracket expression, e.g. '[x1,x2]'")
-    p.add_argument("--rank", type=int, default=0, help="rank n (default: inferred)")
+    p.add_argument(
+        "--rank", type=_rank_option, default=0, help="rank n (default: inferred)"
+    )
     _add_format(p)
     p.set_defaults(func=cmd_nf)
 
@@ -282,14 +298,14 @@ def build_parser() -> _Parser:
     ]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("endo", help="endomorphism (file, JSON, images, shorthand)")
-        p.add_argument("--rank", type=int, default=0)
+        p.add_argument("--rank", type=_rank_option, default=0)
         _add_format(p)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("compose", help="compose two endomorphisms")
     p.add_argument("endo", help="phi (applied last)")
     p.add_argument("other", help="psi (applied first)")
-    p.add_argument("--rank", type=int, default=0)
+    p.add_argument("--rank", type=_rank_option, default=0)
     _add_format(p)
     p.set_defaults(func=cmd_compose)
 

@@ -110,9 +110,6 @@ def _invertible(matrix: Sequence[Sequence]):
     """The rational matrix with normalized entries, and its inverse; raises
     ValueError unless it is square and invertible."""
     a = [[as_coeff(c) for c in row] for row in matrix]
-    for row in a:
-        if len(row) != len(a):
-            raise ValueError("matrix must be square")
     a_inv = rational_inverse(a)
     if a_inv is None:
         raise ValueError("matrix is singular")
@@ -172,11 +169,8 @@ def induced_poly_images(phi: Endo) -> List[Polynomial]:
 def apply_induced(phi: Endo, target):
     """Apply the induced polynomial-ring endomorphism to a Polynomial or to
     a PolyMatrix entrywise."""
-    images = induced_poly_images(phi)
-    if isinstance(target, Polynomial):
-        return target.substitute(images)
-    if isinstance(target, PolyMatrix):
-        return target.map_entries(lambda p: p.substitute(images))
+    if isinstance(target, (Polynomial, PolyMatrix)):
+        return target.substitute(induced_poly_images(phi))
     raise TypeError("expected a Polynomial or PolyMatrix")
 
 

@@ -18,8 +18,13 @@ Coefficients are exact rationals under one convention shared by the whole
 package: a coefficient is a plain `int` until a division makes it
 non-integral, and then a `fractions.Fraction`; integral quotients are demoted
 back to `int` with `as_coeff`. Every division divides an actual Fraction
-(`1 / as_rat(x)`), so nothing here ever rounds or produces a float. A
-polynomial is a sparse map from exponent tuples to nonzero coefficients over
+(`1 / as_rat(x)`, `Fraction(num, den)`), so nothing here ever rounds or
+produces a float. The polynomial-matrix kernels (the matrix product, the
+minors behind the determinant and the ring inverse, and substitution) run
+fraction-free inside: each operand is scaled to integer numerators by the
+lcm of its denominators, the product loop runs on ints, and each output
+coefficient is divided once. What they store follows the same convention,
+so this changes no stored value. A polynomial is a sparse map from exponent tuples to nonzero coefficients over
 a fixed number of variables y1..yn. The text form ("2*y1^2*y2 - y3") is
 canonical -- terms are ordered by total degree (highest first), ties broken
 by exponent vector -- and parse/print round-trips exactly.
@@ -30,6 +35,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm, prod
 from operator import add, attrgetter
 from typing import Optional, Union
 
@@ -102,6 +108,45 @@ def _add_into(acc: dict, pairs: Iterable, f: Scalar = 1):
             acc[k] = s if type(s) is int else as_coeff(s)
         else:
             acc.pop(k, None)
+
+
+# The polynomial-matrix kernels (`PolyMatrix.__mul__`, `_minors`,
+# `_substitute`) run on integer numerators: each operand is scaled by the lcm
+# of its coefficients' denominators (`_den`, `_numerators`), the product loop
+# runs on ints, and each output coefficient is divided once (`_divided`).
+
+
+def _den(maps: Iterable[Mapping]) -> int:
+    """The lcm of the denominators of every coefficient in the term maps."""
+    d = 1
+    for t in maps:
+        for c in t.values():
+            if type(c) is not int:
+                d = lcm(d, c.denominator)
+    return d
+
+
+def _numerators(t: Mapping, d: int) -> Mapping:
+    """The term map d * t, all ints, for d a (signed) multiple of every
+    denominator in t (t itself when d is 1)."""
+    if d == 1:
+        return t
+    return {
+        k: c * d if type(c) is int else c.numerator * (d // c.denominator)
+        for k, c in t.items()
+    }
+
+
+def _divided(t: Mapping, q: int, p: int = 1) -> Mapping:
+    """The term map t * p / q of an int term map t, for q > 0, under the
+    coefficient convention (t itself when p and q are 1)."""
+    if p == q == 1:
+        return t
+    out = {}
+    for k, c in t.items():
+        c *= p
+        out[k] = c // q if c % q == 0 else Fraction(c, q)
+    return out
 
 
 class SparseTerms:
@@ -317,30 +362,7 @@ class Polynomial(SparseTerms):
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Ring homomorphism sending y_i to images[i-1]."""
-        if len(images) != self._dim:
-            raise ValueError(f"need {self._dim} images, got {len(images)}")
-        if not images and self._dim == 0:
-            return self
-        nv = images[0].nvars
-        for img in images:
-            if img.nvars != nv:
-                raise ValueError("images live in different rings")
-        powers = [[img] for img in images]  # powers[i][e - 1] = images[i]^e
-
-        def power(i: int, e: int) -> Polynomial:
-            cache = powers[i]
-            while len(cache) < e:
-                cache.append(cache[-1] * cache[0])
-            return cache[e - 1]
-
-        out: dict = {}
-        for mono, coeff in self.terms.items():
-            prod = Polynomial.constant(nv, coeff)
-            for i, e in enumerate(mono):
-                if e:
-                    prod = prod * power(i, e)
-            _add_into(out, prod.terms.items())
-        return Polynomial._raw(nv, out)
+        return _substitute([self], self._dim, images)[0]
 
     def split_by_var(self, index: int):
         """Write self = q * y_index + r with r free of y_index; returns (q, r)."""
@@ -354,6 +376,68 @@ class Polynomial(SparseTerms):
             else:
                 r[mono] = coeff
         return Polynomial._raw(self._dim, q), Polynomial._raw(self._dim, r)
+
+
+def _substitute(
+    polys: Sequence[Polynomial], nvars: int, images: Sequence[Polynomial]
+) -> list:
+    """Each polynomial of `polys`, all in y1..y_nvars, with y_i sent to
+    images[i-1]: the ring homomorphism, applied to every entry with one power
+    table of the images shared by all of them.
+
+    Image i is taken as integer numerators over the lcm e_i of its
+    denominators, and a polynomial p as integer numerators over its own lcm
+    d. A monomial y^m of p then maps to prod_i N_i^m_i / prod_i e_i^m_i, so
+    scaling p's image by d * prod_i e_i^top_i, where top_i is the highest
+    power of y_i in p, makes the whole sum integral; each output coefficient
+    is divided by that scale once.
+    """
+    if len(images) != nvars:
+        raise ValueError(f"need {nvars} images, got {len(images)}")
+    if not images:
+        return list(polys)
+    nv = images[0].nvars
+    for img in images:
+        if img.nvars != nv:
+            raise ValueError("images live in different rings")
+    dens = [_den((img.terms,)) for img in images]
+    # powers[i][e - 1] = (e_i * images[i])^e, as an int term map
+    powers = [[_numerators(img.terms, d)] for img, d in zip(images, dens)]
+    scaled = [i for i, d in enumerate(dens) if d != 1]
+    one = (0,) * nv
+
+    def power(i: int, e: int) -> Mapping:
+        table = powers[i]
+        while len(table) < e:
+            nxt: dict = {}
+            _mul_into(nxt, table[-1], table[0], _mono_mul)
+            table.append(nxt)
+        return table[e - 1]
+
+    out = []
+    for p in polys:
+        d = _den((p.terms,))
+        top = {i: max((m[i] for m in p.terms), default=0) for i in scaled}
+        acc: dict = {}
+        for mono, c in _numerators(p.terms, d).items():
+            # acc += c * prod_i e_i^(top_i - m_i) * prod_i N_i^m_i, with the
+            # last factor multiplied straight into acc
+            part = {one: c * prod(dens[i] ** (top[i] - mono[i]) for i in scaled)}
+            last = None
+            for i, e in enumerate(mono):
+                if e:
+                    if last is not None:
+                        nxt = {}
+                        _mul_into(nxt, part, last, _mono_mul)
+                        part = nxt
+                    last = power(i, e)
+            if last is None:
+                _add_into(acc, part.items())
+            else:
+                _mul_into(acc, part, last, _mono_mul)
+        scale = d * prod(dens[i] ** top[i] for i in scaled)
+        out.append(Polynomial._raw(nv, _divided(acc, scale)))
+    return out
 
 
 def format_term(c: Scalar, body: str, first: bool) -> str:
@@ -539,9 +623,6 @@ class PolyMatrix:
         i, j = key
         return self.rows[i][j]
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.nvars, list(zip(*self.rows)))
-
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
@@ -585,16 +666,20 @@ class PolyMatrix:
                 raise ValueError(
                     f"dimension mismatch: {self.shape} times {other.shape}"
                 )
-            cols = other.transpose().rows
+            # integer numerators over one lcm denominator per operand
+            da = _den(e.terms for r in self.rows for e in r)
+            db = _den(e.terms for r in other.rows for e in r)
+            rows = [[_numerators(e.terms, da) for e in r] for r in self.rows]
+            cols = [[_numerators(e.terms, db) for e in c] for c in zip(*other.rows)]
             out = []
-            for r in self.rows:
+            for r in rows:
                 line = []
                 for c in cols:
                     acc: dict = {}
                     for a, b in zip(r, c):
-                        if a.terms and b.terms:
-                            _mul_into(acc, a.terms, b.terms, _mono_mul)
-                    line.append(Polynomial._raw(self.nvars, acc))
+                        if a and b:
+                            _mul_into(acc, a, b, _mono_mul)
+                    line.append(Polynomial._raw(self.nvars, _divided(acc, da * db)))
                 out.append(line)
             return PolyMatrix(self.nvars, out)
         if isinstance(other, (int, Fraction, Polynomial)):
@@ -606,8 +691,13 @@ class PolyMatrix:
             return PolyMatrix(self.nvars, [[other * a for a in r] for r in self.rows])
         return NotImplemented
 
-    def map_entries(self, fn) -> "PolyMatrix":
-        return PolyMatrix(self.nvars, [[fn(a) for a in r] for r in self.rows])
+    def substitute(self, images: Sequence[Polynomial]) -> "PolyMatrix":
+        """`Polynomial.substitute` applied to every entry, with the powers of
+        the images built once for the whole matrix."""
+        flat = _substitute([e for r in self.rows for e in r], self.nvars, images)
+        nv = images[0].nvars if images else self.nvars
+        w = self.ncols
+        return PolyMatrix(nv, [flat[i : i + w] for i in range(0, len(flat), w)])
 
     # -- determinant and inverse ---------------------------------------------
 
@@ -617,8 +707,8 @@ class PolyMatrix:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         full = (1 << self.ncols) - 1
-        table = _minors(self.rows, self.ncols, self.nvars)
-        return Polynomial._raw(self.nvars, table.get(full, {}))
+        table, den = _minors(self.rows, self.ncols, self.nvars)
+        return Polynomial._raw(self.nvars, _divided(table.get(full, {}), den))
 
     def inverse_over_ring(self) -> Optional["PolyMatrix"]:
         """Inverse over the polynomial ring, or None.
@@ -632,29 +722,35 @@ class PolyMatrix:
             raise ValueError("inverse of a non-square matrix")
         n, nvars = self.nrows, self.nvars
         full = (1 << n) - 1
+        one = (0,) * nvars
 
         def row_deleted_minors(j):
-            # entry c: the minor on the rows other than j and the columns other than c
-            table = _minors(self.rows[:j] + self.rows[j + 1 :], n, nvars)
-            return [
-                Polynomial._raw(nvars, table.get(full ^ (1 << c), {})) for c in range(n)
-            ]
+            # entry c: the numerators of the minor on the rows other than j
+            # and the columns other than c, and their denominator
+            table, den = _minors(self.rows[:j] + self.rows[j + 1 :], n, nvars)
+            return [table.get(full ^ (1 << c), {}) for c in range(n)], den
 
-        minors = [row_deleted_minors(0)]
-        d = Polynomial.zero(nvars)
-        for c, (entry, minor) in enumerate(zip(self.rows[0], minors[0])):
-            d = d - entry * minor if c % 2 else d + entry * minor
-        if d.is_zero() or not d.is_constant():
+        nums0, den0 = row_deleted_minors(0)
+        # det = num / den, expanded along row 0 scaled by the lcm d0 of its
+        # denominators
+        d0 = _den(e.terms for e in self.rows[0])
+        acc: dict = {}
+        for c, (entry, minor) in enumerate(zip(self.rows[0], nums0)):
+            if entry.terms and minor:
+                signed = _numerators(entry.terms, -d0 if c % 2 else d0)
+                _mul_into(acc, signed, minor, _mono_mul)
+        if not acc or any(k != one for k in acc):
             return None
-        scale = as_coeff(1 / as_rat(d.constant_term()))
-        minors.extend(row_deleted_minors(j) for j in range(1, n))
-        adj = [
-            [
-                minors[j][i] * (scale if (i + j) % 2 == 0 else -scale)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+        num, den = acc[one], d0 * den0
+        if num < 0:
+            num, den = -num, -den
+        minors = [(nums0, den0)] + [row_deleted_minors(j) for j in range(1, n)]
+        # adj[i][j] = (-1)^(i + j) * (minor c = i of row j) / det
+        adj = [[None] * n for _ in range(n)]
+        for j, (nums, mden) in enumerate(minors):
+            for i, t in enumerate(nums):
+                sign = den if (i + j) % 2 == 0 else -den
+                adj[i][j] = Polynomial._raw(nvars, _divided(t, mden * num, sign))
         return PolyMatrix(nvars, adj)
 
     def __str__(self):
@@ -682,19 +778,30 @@ def unit_column(nvars: int, n: int, index: int) -> PolyMatrix:
     return col_vector(nvars, [1 if i == index - 1 else 0 for i in range(n)])
 
 
-def _minors(rows, ncols: int, nvars: int) -> dict:
+def _minors(rows, ncols: int, nvars: int) -> tuple:
     """Map each bitmask of len(rows) of the ncols columns to the term map of
     the determinant of `rows` on those columns (a zero minor may be absent).
 
     Laplace expansion along the last row, over column subsets, so every
     sub-minor shared between larger minors is computed once and no division
     is needed: O(2^ncols * ncols) products in place of ncols! terms.
+
+    Returns (table, den): each row is scaled by the lcm of its denominators,
+    so the table holds int term maps, and since a determinant is linear in
+    each row, the minors are those maps divided by den, the product of the
+    row scales.
     """
     table = {0: {(0,) * nvars: 1}}
+    den = 1
     for t, row in enumerate(rows):
+        d = _den(e.terms for e in row)
+        den *= d
         # entry c of the last row t, with pos sub-minor columns left of c,
         # has the sign (-1)^(t + pos)
-        signed = ([e.terms for e in row], [(-e).terms for e in row])
+        signed = (
+            [_numerators(e.terms, d) for e in row],
+            [_numerators(e.terms, -d) for e in row],
+        )
         new_table: dict = {}
         for mask, sub in table.items():
             if not sub:
@@ -710,7 +817,7 @@ def _minors(rows, ncols: int, nvars: int) -> dict:
                     acc = new_table.setdefault(mask | bit, {})
                     _mul_into(acc, entry, sub, _mono_mul)
         table = new_table
-    return table
+    return table, den
 
 
 # ---------------------------------------------------------------------------
@@ -804,9 +911,12 @@ def rational_inverse(a: Sequence[Sequence[Scalar]]) -> Optional[list]:
 
     The inverse is read from the reduced row echelon form [E | A^-1] of
     [A | E] in a RowSpace; A is singular exactly when a pivot lies right of
-    column n - 1. Integral entries are ints.
+    column n - 1. Integral entries are ints. Raises ValueError unless A is
+    square.
     """
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
     space = RowSpace()
     for i, row in enumerate(a):
         aug = {c: v for c, v in enumerate(row) if v}

@@ -320,6 +320,36 @@ class TestUsage:
         code, _, err = run(capsys, "nf", "--bogus", "x1")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("nf", "--rank", "-1", "x1"),
+            ("jac", "--rank", "-2", "linear:[[1,0],[0,1]]"),
+            ("inverse", "--rank", "-3", "inner:[x1,x2]"),
+            ("iaut-level", "--rank", "-1", "x1; x2"),
+            ("compose", "--rank", "-2", "x1; x2", "x1; x2"),
+        ],
+    )
+    def test_negative_rank_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "argument --rank: must be a nonnegative integer" in err
+        assert "Traceback" not in err and "out of range" not in err
+
+    def test_zero_rank_is_inferred(self, capsys):
+        inferred = run(capsys, "nf", "[x1,x2]")
+        assert run(capsys, "nf", "--rank", "0", "[x1,x2]") == inferred
+        code, out, _ = run(capsys, "jac", "--rank", "0", "linear:[[0,1],[1,0]]")
+        assert code == 0
+        assert out.splitlines() == ["[0, 1]", "[1, 0]"]
+
+    def test_non_square_linear_matrix_rejected(self, capsys):
+        code, out, err = run(capsys, "jac", "linear:[[1,2,3],[4,5,6]]")
+        assert code == 1
+        assert out == ""
+        assert "matrix must be square" in err
+
 
 def right_nested(depth):
     """[x2, [x2, ... [x2, x1]]]: every level is a nest that recurses."""

@@ -615,6 +615,166 @@ class TestCoefficientConvention:
         assert_demoted(*(list(r.values()) for r in stored))
 
 
+KINDS = ["integer", "mixed", "shared"]
+
+
+def kind_poly(rng, n, kind, degree=2, terms=3):
+    """A random polynomial whose coefficients are ints ("integer"), ints and
+    Fractions of assorted denominators ("mixed"), or multiples of 1/6
+    ("shared": one denominator for all, some reducing to ints)."""
+    t = {}
+    for _ in range(terms):
+        mono = tuple(rng.randint(0, degree) for _ in range(n))
+        if kind == "integer":
+            c = rng.randint(-4, 4)
+        elif kind == "mixed":
+            c = rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.randint(1, 6))])
+        else:
+            c = Fraction(rng.randint(-9, 9), 6)
+        t[mono] = t.get(mono, 0) + c
+    return Polynomial(n, t)
+
+
+def value(p, point):
+    """p at a point of rationals, term by term."""
+    total = Fraction(0)
+    for mono, c in p.terms.items():
+        term = Fraction(c)
+        for x, e in zip(point, mono):
+            term *= x**e
+        total += term
+    return total
+
+
+def values(m, point):
+    return [[value(e, point) for e in row] for row in m.rows]
+
+
+def num_matmul(a, b):
+    return [[sum((x * y for x, y in zip(r, c)), Fraction(0)) for c in zip(*b)] for r in a]
+
+
+def num_perm_det(a):
+    """Signed permutation expansion of a matrix of numbers."""
+    n = len(a)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term *= a[i][perm[i]]
+        total += term
+    return total
+
+
+def points(rng, n, count=3):
+    return [
+        [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        for _ in range(count)
+    ]
+
+
+class TestFractionFreeKernels:
+    """The matrix product, minors and substitution, which run on integer
+    numerators, against evaluation at random rational points."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_product_at_points(self, kind, seed):
+        rng = random.Random(seed)
+        n, m, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        a = PolyMatrix(2, [[kind_poly(rng, 2, kind) for _ in range(m)] for _ in range(n)])
+        b = PolyMatrix(2, [[kind_poly(rng, 2, kind) for _ in range(k)] for _ in range(m)])
+        ab = a * b
+        for pt in points(rng, 2):
+            assert values(ab, pt) == num_matmul(values(a, pt), values(b, pt))
+        (assert_all_int if kind == "integer" else assert_demoted)(ab)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_product_cancelling_to_zero(self, kind):
+        rng = random.Random(7)
+        p, q = kind_poly(rng, 2, kind), kind_poly(rng, 2, kind)
+        row = row_vector(2, [p * Fraction(2, 3), q])
+        col = col_vector(2, [q, p * Fraction(-2, 3)])
+        assert (row * col)[0, 0].is_zero()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_det_at_points(self, kind, seed):
+        rng = random.Random(100 + seed)
+        n = rng.randint(1, 4)
+        a = PolyMatrix(2, [[kind_poly(rng, 2, kind, 1, 2) for _ in range(n)] for _ in range(n)])
+        d = a.det()
+        for pt in points(rng, 2):
+            assert value(d, pt) == num_perm_det(values(a, pt))
+        (assert_all_int if kind == "integer" else assert_demoted)(d)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_det_of_dependent_rows_is_zero(self, kind):
+        rng = random.Random(8)
+        r = [kind_poly(rng, 2, kind, 1, 2) for _ in range(3)]
+        other = [kind_poly(rng, 2, kind, 1, 2) for _ in range(3)]
+        m = PolyMatrix(2, [r, other, [e * Fraction(-5, 7) for e in r]])
+        assert m.det().is_zero()
+        assert m.inverse_over_ring() is None
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ring_inverse_of_unimodular_times_rational(self, kind, seed):
+        rng = random.Random(200 + seed)
+        n = rng.randint(1, 4)
+        while True:
+            c = [[kind_poly(rng, 2, kind, 0, 1) for _ in range(n)] for _ in range(n)]
+            if num_perm_det([[value(e, (0, 0)) for e in row] for row in c]):
+                break
+        j = unimodular(rng, n, 2, 1) * PolyMatrix(2, c)
+        inv = j.inverse_over_ring()
+        e = [[Fraction(int(i == k)) for k in range(n)] for i in range(n)]
+        for pt in points(rng, 2):
+            assert num_matmul(values(j, pt), values(inv, pt)) == e
+            assert num_matmul(values(inv, pt), values(j, pt)) == e
+        assert j * inv == PolyMatrix.identity(2, n)
+        assert_demoted(inv)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_substitute_at_points(self, kind, seed):
+        rng = random.Random(300 + seed)
+        n, nv = rng.randint(1, 3), rng.randint(1, 3)
+        q = kind_poly(rng, n, kind, 3, 4)
+        images = [kind_poly(rng, nv, kind, 1, 3) for _ in range(n)]
+        moved = q.substitute(images)
+        for pt in points(rng, nv):
+            assert value(moved, pt) == value(q, [value(img, pt) for img in images])
+        (assert_all_int if kind == "integer" else assert_demoted)(moved)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_substitute_cancelling_to_zero(self, kind):
+        lin = kind_poly(random.Random(9), 2, kind, 1, 3)
+        # (y1 - 3/2 y2)^2 with y1 -> -3/4 lin and y2 -> -1/2 lin
+        q = P("y1^2 - 3*y1*y2 + 9/4*y2^2", 2)
+        assert q.substitute([lin * Fraction(-3, 4), lin * Fraction(-1, 2)]).is_zero()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_apply_induced_matrix_is_entrywise(self, kind, seed):
+        rng = random.Random(400 + seed)
+        n = rng.randint(2, 4)
+        while True:
+            a = [[kind_poly(rng, 1, kind, 0, 1).constant_term() for _ in range(n)] for _ in range(n)]
+            if rational_inverse(a) is not None:
+                break
+        phi = endos.linear(a)
+        m = PolyMatrix(n, [[kind_poly(rng, n, kind) for _ in range(n)] for _ in range(2)])
+        images = endos.induced_poly_images(phi)
+        moved = endos.apply_induced(phi, m)
+        assert moved == PolyMatrix(n, [[e.substitute(images) for e in r] for r in m.rows])
+        for pt in points(rng, n):
+            at = [value(img, pt) for img in images]
+            assert values(moved, pt) == values(m, at)
+        (assert_all_int if kind == "integer" else assert_demoted)(moved)
+
+
 class TestRationalInverse:
     """rational_inverse against the definition and against sympy."""
 
@@ -647,6 +807,17 @@ class TestRationalInverse:
         assert rational_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
         assert_all_int(rational_inverse([[2, 1], [1, 1]]))
         assert rational_inverse([[1, 2], [2, 4]]) is None
+
+    @pytest.mark.parametrize(
+        "a", [[[1, 2, 3], [4, 5, 6]], [[1], [2]], [[1, 0], [0]], [[1], [0, 1]], [[]]]
+    )
+    def test_non_square_raises(self, a):
+        # column 2 of [[1, 2, 3], [4, 5, 6]] would collide with the identity
+        # block of [A | E]
+        with pytest.raises(ValueError, match="matrix must be square"):
+            rational_inverse(a)
+        with pytest.raises(ValueError, match="matrix must be square"):
+            endos.linear(a)
 
 
 class TestSolveLinearOracle:
