@@ -7,10 +7,10 @@ Composition convention, fixed once for the whole package:
 compose(phi, psi) is the map x -> phi(psi(x)). Under this convention the
 Jacobian satisfies the chain rule J(compose(phi, psi)) = phibar(J(psi)) *
 J(phi), where phibar is the polynomial-ring endomorphism induced by the
-linear parts of phi, and compose is computed from exactly that formula: the
-Fox row of an image is its module part, so no bracket expression is ever
-built. On the subgroup acting as the identity modulo brackets, J is
-therefore an antimorphism into GL_n of the polynomial ring.
+linear parts of phi, and compose is computed from exactly that formula: an
+image is stored as its Fox row, so no bracket expression is ever built. On
+the subgroup acting as the identity modulo brackets, J is therefore an
+antimorphism into GL_n of the polynomial ring.
 """
 
 from __future__ import annotations
@@ -124,13 +124,7 @@ def linear(matrix: Sequence[Sequence]) -> Endo:
 def _linear(a) -> Endo:
     """`linear` of a square rational matrix already known to be invertible."""
     n = len(a)
-    return Endo(
-        n,
-        tuple(
-            MElement(n, tuple(r), tuple(Polynomial.constant(n, c) for c in r))
-            for r in a
-        ),
-    )
+    return Endo(n, tuple(mb._linear_form(n, r) for r in a))
 
 
 def apply(phi: Endo, e: LieExpr) -> MElement:
@@ -141,18 +135,14 @@ def apply(phi: Endo, e: LieExpr) -> MElement:
 def compose(phi: Endo, psi: Endo) -> Endo:
     """The map x -> phi(psi(x)), by the chain rule.
 
-    Row i of phibar(J(psi)) * J(phi) is the Fox row of the image of x_i. Its
-    constant terms are the image's linear part: the Fox row of an element of
-    M_n differs from its linear part only by a row annihilating Y, and such
-    a row has no constant term.
+    Row i of phibar(J(psi)) * J(phi) is the Fox row of the image of x_i, and
+    an element of M_n is stored as its Fox row, so each row is an image.
     """
     if phi.rank != psi.rank:
         raise ValueError(f"rank mismatch: {phi.rank} vs {psi.rank}")
     n = phi.rank
     rows = (apply_induced(phi, jacobian(psi)) * jacobian(phi)).rows
-    return Endo(
-        n, tuple(MElement(n, tuple(p.constant_term() for p in r), r) for r in rows)
-    )
+    return Endo(n, tuple(MElement(n, r) for r in rows))
 
 
 def jacobian(phi: Endo) -> PolyMatrix:
@@ -199,10 +189,10 @@ def inverse(phi: Endo) -> Optional[Endo]:
 
     The linear part is peeled off first; what remains acts as the identity
     modulo brackets, so its Jacobian must be invertible over the polynomial
-    ring and the inverse Jacobian prescribes candidate images (each row of
-    J^{-1} - E annihilates Y and lifts to a derived element). The candidate
-    is returned only after both compositions are verified to be the
-    identity, so no unproven invertibility criterion is ever relied on.
+    ring, and row j of the inverse Jacobian is the Fox row of candidate
+    image j once row . Y = y_j holds. The candidate is returned only after
+    both compositions are verified to be the identity, so no unproven
+    invertibility criterion is ever relied on.
     """
     n = phi.rank
     abar_inv = rational_inverse(phi.linear_matrix())
@@ -214,15 +204,12 @@ def inverse(phi: Endo) -> Optional[Endo]:
     jac_inv = jacobian(reduced).inverse_over_ring()
     if jac_inv is None:
         return None
-    images = []
-    for j in range(n):
-        row = list(jac_inv.rows[j])
-        row[j] = row[j] - Polynomial.one(n)
-        u = MElement(n, (0,) * n, tuple(row))
-        if not mb.is_derived(u):
+    images = tuple(MElement(n, row) for row in jac_inv.rows)
+    for j, img in enumerate(images):
+        # row j . Y = y_j: the row is the Fox row of an element of M_n
+        if not mb.is_derived(img - mb.generator(n, j + 1)):
             return None
-        images.append(mb.generator(n, j + 1) + u)
-    candidate = compose(lam, Endo(n, tuple(images)))
+    candidate = compose(lam, Endo(n, images))
     if compose(phi, candidate).is_identity() and compose(candidate, phi).is_identity():
         return candidate
     return None

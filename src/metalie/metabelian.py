@@ -1,12 +1,13 @@
 """The free metabelian Lie algebra M_n in wreath-product normal form.
 
-An element is stored as y + t where y lives in the abelian algebra spanned by
-y1..yn and t = d1*t1 + ... + dn*tn lies in a free K[y1..yn]-module on
-t1..tn. The bracket is [a+t, b+s] = a.s - b.t, generators are x_i = y_i + t_i,
-and the subalgebra they generate is the free metabelian Lie algebra. The
-coordinate row (d1, ..., dn) of the module part doubles as the row of Fox
-derivatives, which is what makes Jacobian calculus over this normal form
-exact and mechanical.
+Under the embedding x_i -> y_i + t_i an element is y + t, where y lies in the
+abelian algebra spanned by y1..yn and t = d1*t1 + ... + dn*tn lies in a free
+K[y1..yn]-module on t1..tn. The bracket is [a+t, b+s] = a.s - b.t, and the
+subalgebra the x_i generate is the free metabelian Lie algebra. The
+coordinate row (d1, ..., dn) is the row of Fox derivatives, and on M_n it
+determines y: d1*y1 + ... + dn*yn = y, so the y-coordinates are the row's
+constant terms. An element is therefore stored as its Fox row alone, which
+is what makes Jacobian calculus over this normal form exact and mechanical.
 """
 
 from __future__ import annotations
@@ -33,32 +34,34 @@ from .polyring import (
     _mul_into,
     as_coeff,
     row_vector,
-    y_column,
 )
 
 
 @dataclass(frozen=True)
 class MElement:
-    """Normal form y + t: `linear` holds the y-coordinates, `tpart` the
-    module coordinates d1..dn (polynomials in y1..yn).
+    """Normal form y + t, stored as the Fox row `tpart` = (d1, ..., dn) of
+    polynomials in y1..yn; the y-coordinates `linear` are its constant terms.
 
-    The y-coordinates follow the package's coefficient convention: plain int
-    until a division makes them non-integral, Fraction after (see
-    `polyring.as_coeff`)."""
+    Coefficients follow the package's convention: plain int until a division
+    makes them non-integral, Fraction after (see `polyring.as_coeff`)."""
 
     rank: int
-    linear: Tuple[Scalar, ...]
     tpart: Tuple[Polynomial, ...]
 
     def __post_init__(self):
-        if len(self.linear) != self.rank or len(self.tpart) != self.rank:
+        if len(self.tpart) != self.rank:
             raise ValueError("component length must equal the rank")
         for p in self.tpart:
             if p.nvars != self.rank:
                 raise ValueError("module coordinate in the wrong ring")
 
+    @property
+    def linear(self) -> Tuple[Scalar, ...]:
+        """The y-coordinates: the constant terms of the Fox row."""
+        return tuple(p.constant_term() for p in self.tpart)
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.linear) and all(p.is_zero() for p in self.tpart)
+        return all(p.is_zero() for p in self.tpart)
 
     def _check_rank(self, other: "MElement"):
         if self.rank != other.rank:
@@ -67,40 +70,27 @@ class MElement:
     def __add__(self, other: "MElement") -> "MElement":
         self._check_rank(other)
         return MElement(
-            self.rank,
-            tuple(as_coeff(a + b) for a, b in zip(self.linear, other.linear)),
-            tuple(p + q for p, q in zip(self.tpart, other.tpart)),
+            self.rank, tuple(p + q for p, q in zip(self.tpart, other.tpart))
         )
 
     def __sub__(self, other: "MElement") -> "MElement":
         self._check_rank(other)
         return MElement(
-            self.rank,
-            tuple(as_coeff(a - b) for a, b in zip(self.linear, other.linear)),
-            tuple(p - q for p, q in zip(self.tpart, other.tpart)),
+            self.rank, tuple(p - q for p, q in zip(self.tpart, other.tpart))
         )
 
     def __neg__(self) -> "MElement":
-        return MElement(
-            self.rank,
-            tuple(-a for a in self.linear),
-            tuple(-p for p in self.tpart),
-        )
+        return MElement(self.rank, tuple(-p for p in self.tpart))
 
     def scaled(self, c: Scalar) -> "MElement":
         c = as_coeff(c)
-        return MElement(
-            self.rank,
-            tuple(as_coeff(c * a) for a in self.linear),
-            tuple(p * c for p in self.tpart),
-        )
+        return MElement(self.rank, tuple(p * c for p in self.tpart))
 
     def linear_poly(self) -> Polynomial:
         """The linear part as a degree <= 1 polynomial in y1..yn."""
         units = _units(self.rank)
         return Polynomial._raw(
-            self.rank,
-            {units[i]: as_coeff(c) for i, c in enumerate(self.linear) if c},
+            self.rank, {units[i]: c for i, c in enumerate(self.linear) if c}
         )
 
 
@@ -110,24 +100,24 @@ def _units(n: int) -> tuple:
     return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
 
-def zero(rank: int) -> MElement:
+def _linear_form(rank: int, coeffs) -> MElement:
+    """c1*x1 + ... + cn*xn, whose Fox row is the constant row (c1, ..., cn),
+    for coefficients already under the `as_coeff` convention."""
+    const = (0,) * rank
     return MElement(
-        rank,
-        (0,) * rank,
-        (Polynomial.zero(rank),) * rank,
+        rank, tuple(Polynomial._raw(rank, {const: c} if c else {}) for c in coeffs)
     )
+
+
+def zero(rank: int) -> MElement:
+    return _linear_form(rank, (0,) * rank)
 
 
 def generator(rank: int, i: int) -> MElement:
     """x_i = y_i + t_i."""
     if not 1 <= i <= rank:
         raise ValueError(f"generator index {i} out of range 1..{rank}")
-    lin = tuple(1 if j == i - 1 else 0 for j in range(rank))
-    tp = tuple(
-        Polynomial.constant(rank, 1) if j == i - 1 else Polynomial.zero(rank)
-        for j in range(rank)
-    )
-    return MElement(rank, lin, tp)
+    return _linear_form(rank, (1 if j == i - 1 else 0 for j in range(rank)))
 
 
 def bracket(u: MElement, v: MElement) -> MElement:
@@ -136,7 +126,7 @@ def bracket(u: MElement, v: MElement) -> MElement:
     n = u.rank
     slots: list = [{} for _ in range(n)]
     _add_bracket(slots, u.linear_poly(), u, v.linear_poly(), v)
-    return MElement(n, (0,) * n, tuple(Polynomial._raw(n, acc) for acc in slots))
+    return MElement(n, tuple(Polynomial._raw(n, acc) for acc in slots))
 
 
 def _add_bracket(slots, a: Polynomial, u: MElement, b: Polynomial, v: MElement):
@@ -154,14 +144,13 @@ def eval_with(e: LieExpr, images) -> MElement:
     if not images:
         raise ValueError("cannot evaluate with an empty image list")
     n = images[0].rank
-    lin = [0] * n
     slots: list = [{} for _ in range(n)]
-    _eval_into(e, images, 1, lin, slots)
-    return MElement(n, tuple(lin), tuple(Polynomial._raw(n, acc) for acc in slots))
+    _eval_into(e, images, 1, slots)
+    return MElement(n, tuple(Polynomial._raw(n, acc) for acc in slots))
 
 
 def _image(images, i: int, n: int) -> MElement:
-    if i > len(images):
+    if not 1 <= i <= len(images):
         raise ValueError(f"generator index {i} out of range 1..{len(images)}")
     g = images[i - 1]
     if g.rank != n:
@@ -169,10 +158,10 @@ def _image(images, i: int, n: int) -> MElement:
     return g
 
 
-def _eval_into(e: LieExpr, images, c: Scalar, lin: list, slots: list) -> None:
-    """Add c times the value of e to the linear part `lin` and the module
-    slots (term maps) of a sum: a Sum or Scale builds no element of its own."""
-    n = len(lin)
+def _eval_into(e: LieExpr, images, c: Scalar, slots: list) -> None:
+    """Add c times the value of e to the Fox row slots (term maps) of a sum:
+    a Sum or Scale builds no element of its own."""
+    n = len(slots)
     if isinstance(e, LeftNormed):
         idx = e.indices
         u, v = _image(images, idx[0], n), _image(images, idx[1], n)
@@ -185,11 +174,11 @@ def _eval_into(e: LieExpr, images, c: Scalar, lin: list, slots: list) -> None:
         _add_bracket(slots, f * u.linear_poly(), u, f * v.linear_poly(), v)
         return
     if isinstance(e, Scale):
-        _eval_into(e.arg, images, as_coeff(c * e.coeff), lin, slots)
+        _eval_into(e.arg, images, as_coeff(c * e.coeff), slots)
         return
     if isinstance(e, Sum):
         for p in e.parts:
-            _eval_into(p, images, c, lin, slots)
+            _eval_into(p, images, c, slots)
         return
     if isinstance(e, Bracket):
         u, v = eval_with(e.left, images), eval_with(e.right, images)
@@ -197,11 +186,7 @@ def _eval_into(e: LieExpr, images, c: Scalar, lin: list, slots: list) -> None:
         return
     if not isinstance(e, Gen):
         raise TypeError(f"not a LieExpr: {e!r}")
-    g = _image(images, e.index, n)
-    for k, x in enumerate(g.linear):
-        if x:
-            lin[k] = as_coeff(lin[k] + c * x)
-    for acc, p in zip(slots, g.tpart):
+    for acc, p in zip(slots, _image(images, e.index, n).tpart):
         _add_into(acc, p.terms.items(), c)
 
 
@@ -211,52 +196,49 @@ def evaluate(e: LieExpr, rank: int) -> MElement:
 
 
 def fox(f: MElement) -> PolyMatrix:
-    """The Fox-derivative row (d1, ..., dn): the module part read as a row."""
+    """The Fox-derivative row (d1, ..., dn) as a 1 x n matrix."""
     return row_vector(f.rank, f.tpart)
 
 
-def fox_dot_y(f: MElement) -> Polynomial:
-    """The contraction (d1, ..., dn) . (y1, ..., yn)^t."""
-    return (fox(f) * y_column(f.rank))[0, 0]
+def _dot_y(row) -> dict:
+    """The term map of d1*y1 + ... + dn*yn for a row (d1, ..., dn):
+    multiplying by y_i shifts exponent i."""
+    out: dict = {}
+    for i, p in enumerate(row):
+        shifted = (
+            (mono[:i] + (mono[i] + 1,) + mono[i + 1 :], c)
+            for mono, c in p.terms.items()
+        )
+        _add_into(out, shifted)
+    return out
 
 
 def is_derived(f: MElement) -> bool:
-    """Membership test for the bracket subalgebra [M_n, M_n]: zero linear
-    part and Fox row annihilating the column of variables."""
-    if any(c != 0 for c in f.linear):
-        return False
-    return fox_dot_y(f).is_zero()
+    """Membership test for the bracket subalgebra [M_n, M_n]: the Fox row
+    annihilates the column of variables (which forces zero constant terms,
+    i.e. zero linear part)."""
+    return not _dot_y(f.tpart)
 
 
 def degree_components(f: MElement) -> Dict[int, MElement]:
-    """Split by the standard grading: the linear part has degree 1, a module
-    coordinate of polynomial degree d contributes degree d + 1. Components
-    re-sum to the input; zero components are omitted."""
+    """Split by the standard grading: a Fox-row coordinate of polynomial
+    degree d contributes degree d + 1 (so the constant terms, the linear
+    part, have degree 1). Components re-sum to the input; zero components
+    are omitted."""
     n = f.rank
+    zero_poly = Polynomial._raw(n, {})
     pieces: Dict[int, list] = {}
-    if any(c != 0 for c in f.linear):
-        pieces[1] = [list(f.linear), [dict() for _ in range(n)]]
     for slot, poly in enumerate(f.tpart):
         for d, hom in poly.homogeneous_components().items():
-            entry = pieces.setdefault(
-                d + 1, [[0] * n, [dict() for _ in range(n)]]
-            )
-            entry[1][slot] = hom.terms
-    return {
-        d: MElement(
-            n,
-            tuple(lin),
-            tuple(Polynomial(n, t) for t in tparts),
-        )
-        for d, (lin, tparts) in sorted(pieces.items())
-    }
+            pieces.setdefault(d + 1, [zero_poly] * n)[slot] = hom
+    return {d: MElement(n, tuple(row)) for d, row in sorted(pieces.items())}
 
 
 def lift(f: MElement) -> LieExpr:
     """A bracket expression evaluating back to f.
 
-    The linear part lifts to a combination of generators; the rest must be a
-    derived element, i.e. its Fox row (d1, ..., dn) satisfies
+    The linear part lifts to a combination of generators; the rest of the
+    Fox row (d1, ..., dn) must belong to a derived element, i.e. satisfy
     d1*y1 + ... + dn*yn = 0. Such a row is a syzygy of (y1, ..., yn) and is
     peeled off constructively: dividing each d_i (i < m) by the highest
     variable y_m maps the quotients onto bracket monomials [[x_i, x_m], ...]
@@ -274,15 +256,7 @@ def lift(f: MElement) -> LieExpr:
         if c:
             terms.append(scale_expr(c, Gen(i + 1)))
             row[i] = row[i] - Polynomial.constant(n, c)
-    # the residue d1*y1 + ... + dn*yn: multiplying by y_i shifts exponent i
-    residue: dict = {}
-    for i, p in enumerate(row):
-        shifted = (
-            (mono[:i] + (mono[i] + 1,) + mono[i + 1 :], c)
-            for mono, c in p.terms.items()
-        )
-        _add_into(residue, shifted)
-    if residue:
+    if _dot_y(row):
         raise ValueError("element is not in M_n: Fox row does not annihilate Y")
 
     for m in range(n, 1, -1):

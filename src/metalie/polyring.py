@@ -24,8 +24,10 @@ minors behind the determinant and the ring inverse, and substitution) run
 fraction-free inside: each operand is scaled to integer numerators by the
 lcm of its denominators, the product loop runs on ints, and each output
 coefficient is divided once. What they store follows the same convention,
-so this changes no stored value. A polynomial is a sparse map from exponent tuples to nonzero coefficients over
-a fixed number of variables y1..yn. The text form ("2*y1^2*y2 - y3") is
+so this changes no stored value.
+
+A polynomial is a sparse map from exponent tuples to nonzero coefficients
+over a fixed number of variables y1..yn. The text form ("2*y1^2*y2 - y3") is
 canonical -- terms are ordered by total degree (highest first), ties broken
 by exponent vector -- and parse/print round-trips exactly.
 """

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import metalie.endos as en
 import metalie.metabelian as mb
-from metalie.lieexpr import Bracket, Scale, Sum, parse_expr
+from metalie.lieexpr import Bracket, Scale, Sum, left_normed, parse_expr
 from metalie.polyring import (
     PolyMatrix,
     Polynomial,
@@ -54,6 +54,10 @@ class TestElementary:
     def test_rejects_non_derived(self):
         with pytest.raises(ValueError):
             en.elementary(3, ex("x2"))
+
+    def test_rejects_generator_index_below_one(self):
+        with pytest.raises(ValueError):
+            en.elementary(3, left_normed([0, 2]))
 
     def test_other_position(self):
         phi = en.elementary(3, ex("[x1,x3]"), position=2)
@@ -187,24 +191,36 @@ class TestApplyCompose:
         for i in range(4):
             assert acc.images[i] == en.apply(factor, mb.lift(prev.images[i]))
 
-    def test_jacobian_with_linear_part_determines_endo(self):
-        # injectivity in normal form: the Jacobian rows are exactly the
-        # module parts, so (J, linear parts) reconstructs the images
+    def test_jacobian_alone_determines_endo(self):
+        # injectivity in normal form: an image is stored as its Fox row, so
+        # the Jacobian rows alone rebuild the images
         rng = random.Random(19)
         from metalie.verify import random_endo
 
         for _ in range(20):
             rank = rng.randint(2, 4)
             phi = random_endo(rng, rank, 4)
-            jac = en.jacobian(phi)
             rebuilt = en.Endo(
-                rank,
-                tuple(
-                    mb.MElement(rank, phi.images[i].linear, jac.rows[i])
-                    for i in range(rank)
-                ),
+                rank, tuple(mb.MElement(rank, row) for row in en.jacobian(phi).rows)
             )
             assert rebuilt == phi
+
+    def test_linear_parts_compose_as_matrices(self):
+        # independent oracle: the linear part of x -> phi(psi(x)) is
+        # L(psi) * L(phi), multiplied here in plain Fractions
+        rng = random.Random(23)
+        from metalie.verify import random_endo
+
+        for _ in range(30):
+            rank = rng.randint(2, 4)
+            phi, psi = random_endo(rng, rank, 3), random_endo(rng, rank, 3)
+            a = [[Fraction(c) for c in row] for row in psi.linear_matrix()]
+            b = [[Fraction(c) for c in row] for row in phi.linear_matrix()]
+            expected = [
+                [sum(a[i][k] * b[k][j] for k in range(rank)) for j in range(rank)]
+                for i in range(rank)
+            ]
+            assert en.compose(phi, psi).linear_matrix() == expected
 
 
 class TestInduced:

@@ -117,6 +117,30 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             ev("x4", 3)
 
+    def test_linear_part_is_the_abelianization(self):
+        # independent oracle: the abelianization read off the tree, where a
+        # generator contributes its coefficient and a bracket contributes 0
+        from metalie.verify import random_melement_expr
+
+        def abelian(e, rank, c=Fraction(1)):
+            out = [Fraction(0)] * rank
+            if isinstance(e, Gen):
+                out[e.index - 1] = c
+            elif isinstance(e, Scale):
+                out = abelian(e.arg, rank, c * e.coeff)
+            elif isinstance(e, Sum):
+                for p in e.parts:
+                    out = [a + b for a, b in zip(out, abelian(p, rank, c))]
+            return out
+
+        rng = random.Random(33)
+        for case in range(200):
+            rank = rng.randint(2, 5)
+            e = random_melement_expr(rng, rank, 4)
+            if case % 4 == 0:
+                e = Sum((e, Bracket(e, random_melement_expr(rng, rank, 2))))
+            assert list(mb.evaluate(e, rank).linear) == abelian(e, rank)
+
 
 def nested(word):
     """The left-normed word as a tree of binary Brackets, built by hand."""
@@ -151,9 +175,10 @@ class TestLeftNormedWord:
             )
 
     def test_every_letter_is_range_checked(self):
-        for word in [(3, 1), (1, 3), (1, 2, 3), (1, 2, 2, 3)]:
+        words = [(3, 1), (1, 3), (1, 2, 3), (1, 2, 2, 3), (0, 1), (1, 0)]
+        for e in [LeftNormed(w) for w in words] + [Gen(0), Gen(-1)]:
             with pytest.raises(ValueError):
-                mb.evaluate(LeftNormed(word), 2)
+                mb.evaluate(e, 2)
 
 
 class TestFox:
@@ -228,27 +253,27 @@ class TestLift:
         assert mb.evaluate(mb.lift(f), 3) == f
 
     def test_rejects_elements_outside_m(self):
-        bad = mb.MElement(
-            2,
-            (Fraction(0), Fraction(0)),
-            (Polynomial.one(2), Polynomial.zero(2)),
-        )
+        # the Fox row (y2, 0) gives y1*y2 != 0 against the column of variables
+        bad = mb.MElement(2, (Polynomial.variable(2, 2), Polynomial.zero(2)))
         with pytest.raises(ValueError):
             mb.lift(bad)
 
     def test_rejects_random_elements_outside_m(self):
-        # adding p to Fox coordinate i adds p*y_i to d1*y1 + ... + dn*yn
+        # adding p to Fox coordinate i adds p*y_i to d1*y1 + ... + dn*yn; a
+        # constant p would only add p*x_i, so the monomial is nonconstant
         rng = random.Random(14)
         for _ in range(60):
             rank = rng.randint(2, 5)
             f = rand_element(rng, rank)
             slot = rng.randrange(rank)
-            mono = tuple(rng.randint(0, 2) for _ in range(rank))
+            mono = (0,) * rank
+            while not any(mono):
+                mono = tuple(rng.randint(0, 2) for _ in range(rank))
             p = Polynomial(rank, {mono: rng.choice([-2, -1, 1, Fraction(1, 3)])})
             tpart = list(f.tpart)
             tpart[slot] = tpart[slot] + p
             with pytest.raises(ValueError):
-                mb.lift(mb.MElement(rank, f.linear, tuple(tpart)))
+                mb.lift(mb.MElement(rank, tuple(tpart)))
 
     def test_lifts_are_sums_of_flat_words(self):
         rng = random.Random(15)

@@ -573,9 +573,11 @@ class TestCoefficientConvention:
             polys(ScalarPoly, lambda w: tuple(zip(w, w[1:]))),
         ):
             assert_all_int(p + q, r - p)
+        # elements whose linear parts (constant Fox-row terms) are rational
         lin = [tuple(d.get((i,), 0) for i in (1, 2)) for d in (t, comp, both)]
-        tp = (Polynomial(2, {(1, 0): 1}), Polynomial.zero(2))
-        a, b, c = (MElement(2, v, tp) for v in lin)
+        a, b, c = (
+            MElement(2, tuple(Polynomial.constant(2, x) for x in v)) for v in lin
+        )
         for s in ((a + b).linear, (c - a).linear):
             assert_all_int(s)
 
