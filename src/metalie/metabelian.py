@@ -31,6 +31,7 @@ from .polyring import (
     Polynomial,
     Scalar,
     _add_into,
+    _mono_ops,
     _mul_into,
     as_coeff,
     row_vector,
@@ -132,7 +133,7 @@ def bracket(u: MElement, v: MElement) -> MElement:
 def _add_bracket(slots, a: Polynomial, u: MElement, b: Polynomial, v: MElement):
     """Add a.s - b.t to the module slots (term maps) for u = a'+t and
     v = b'+s, where a and b are given apart from u and v."""
-    mul = Polynomial._key_mul
+    mul = _mono_ops(u.rank)[0]
     nb = (-b).terms
     for acc, t, s in zip(slots, u.tpart, v.tpart):
         _mul_into(acc, a.terms, s.terms, mul)

@@ -7,9 +7,11 @@ Each shared concept has one implementation here, used by the whole package:
 coefficients behind `Polynomial`, `freeassoc.NCPoly` and
 `dyadic.ScalarPoly`; `_add_into` is its add-with-cancellation kernel and
 `_mul_into` its one product loop, which takes the ring's product of two keys
-(exponent vectors, words or lambda monomials); `format_terms` prints every
-signed sum (polynomials, bracket expressions, lambda polynomials, dyad and
-row expressions, free-algebra polynomials); `_minors`, a Laplace expansion
+(exponent vectors, words or lambda monomials; for exponent vectors of length
+n, `_mono_ops(n)` writes the product and the print-order key out once per n,
+so a key product is n additions in one tuple display); `format_terms`
+prints every signed sum (polynomials, bracket expressions, lambda
+polynomials, dyad and row expressions, free-algebra polynomials); `_minors`, a Laplace expansion
 over column subsets, gives both the determinant and the adjugate; and
 `RowSpace` is the one exact rational elimination, behind `solve_sparse`,
 `solve_linear` and `rational_inverse`.
@@ -37,8 +39,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import lcm, prod
-from operator import add, attrgetter
+from operator import attrgetter
 from typing import Optional, Union
 
 Scalar = Union[int, Fraction]
@@ -76,14 +79,17 @@ def as_coeff(c: Scalar):
     raise TypeError(f"expected an exact rational, got {type(c).__name__}")
 
 
-def _mono_key(mono: tuple) -> tuple:
-    # canonical term order: highest total degree first, then higher powers of
-    # the earliest variable first
-    return (-sum(mono), tuple(-e for e in mono))
-
-
-def _mono_mul(m1: tuple, m2: tuple) -> tuple:
-    return tuple(map(add, m1, m2))
+@cache
+def _mono_ops(n: int) -> tuple:
+    """The product and the print-order key of exponent vectors of length n,
+    written out per n: `(a[0] + b[0], ..., a[n-1] + b[n-1],)` and
+    `(-sum(m), -m[0], ..., -m[n-1])`, the canonical term order (highest total
+    degree first, then higher powers of the earliest variable first). The
+    source depends only on the integer n and is a flat tuple display, so it
+    compiles at any n."""
+    mul = "".join(f"a[{i}] + b[{i}], " for i in range(n))
+    key = "".join(f"-m[{i}], " for i in range(n))
+    return eval(f"lambda a, b: ({mul})"), eval(f"lambda m: (-sum(m), {key})")
 
 
 def _mul_into(acc: dict, a: Mapping, b: Mapping, key_mul):
@@ -162,7 +168,9 @@ class SparseTerms:
     `_key(k)` checks and normalizes one key of a constructor's input (None
     drops the term), `_key_mul` is the product of two keys, `_format_key`
     is the text of a key, and `_sort_key` may replace the default print
-    order. Operations with another type return NotImplemented; operands of
+    order. `_key_mul` and `_sort_key` are read per instance and may depend
+    on the ring size (`Polynomial` reads both from `_mono_ops(_dim)`).
+    Operations with another type return NotImplemented; operands of
     different sizes raise ValueError.
     """
 
@@ -289,12 +297,14 @@ class Polynomial(SparseTerms):
 
     def _key(self, mono) -> tuple:
         mono = tuple(mono)
-        if len(mono) != self._dim or any(e < 0 for e in mono):
+        if len(mono) != self._dim or not all(
+            type(e) is int and e >= 0 for e in mono
+        ):
             raise ValueError(f"bad exponent vector {mono} for {self._dim} variables")
         return mono
 
-    _key_mul = staticmethod(_mono_mul)
-    _sort_key = staticmethod(_mono_key)
+    _key_mul = property(lambda self: _mono_ops(self._dim)[0])
+    _sort_key = property(lambda self: _mono_ops(self._dim)[1])
 
     @staticmethod
     def _format_key(mono: tuple) -> str:
@@ -407,12 +417,13 @@ def _substitute(
     powers = [[_numerators(img.terms, d)] for img, d in zip(images, dens)]
     scaled = [i for i, d in enumerate(dens) if d != 1]
     one = (0,) * nv
+    mul = _mono_ops(nv)[0]
 
     def power(i: int, e: int) -> Mapping:
         table = powers[i]
         while len(table) < e:
             nxt: dict = {}
-            _mul_into(nxt, table[-1], table[0], _mono_mul)
+            _mul_into(nxt, table[-1], table[0], mul)
             table.append(nxt)
         return table[e - 1]
 
@@ -430,13 +441,13 @@ def _substitute(
                 if e:
                     if last is not None:
                         nxt = {}
-                        _mul_into(nxt, part, last, _mono_mul)
+                        _mul_into(nxt, part, last, mul)
                         part = nxt
                     last = power(i, e)
             if last is None:
                 _add_into(acc, part.items())
             else:
-                _mul_into(acc, part, last, _mono_mul)
+                _mul_into(acc, part, last, mul)
         scale = d * prod(dens[i] ** top[i] for i in scaled)
         out.append(Polynomial._raw(nv, _divided(acc, scale)))
     return out
@@ -673,6 +684,7 @@ class PolyMatrix:
             db = _den(e.terms for r in other.rows for e in r)
             rows = [[_numerators(e.terms, da) for e in r] for r in self.rows]
             cols = [[_numerators(e.terms, db) for e in c] for c in zip(*other.rows)]
+            mul = _mono_ops(self.nvars)[0]
             out = []
             for r in rows:
                 line = []
@@ -680,7 +692,7 @@ class PolyMatrix:
                     acc: dict = {}
                     for a, b in zip(r, c):
                         if a and b:
-                            _mul_into(acc, a, b, _mono_mul)
+                            _mul_into(acc, a, b, mul)
                     line.append(Polynomial._raw(self.nvars, _divided(acc, da * db)))
                 out.append(line)
             return PolyMatrix(self.nvars, out)
@@ -722,31 +734,39 @@ class PolyMatrix:
         """
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        n, nvars = self.nrows, self.nvars
+        n, nvars, rows = self.nrows, self.nvars, self.rows
         full = (1 << n) - 1
         one = (0,) * nvars
 
-        def row_deleted_minors(j):
+        def row_deleted_minors(j, table, den):
             # entry c: the numerators of the minor on the rows other than j
-            # and the columns other than c, and their denominator
-            table, den = _minors(self.rows[:j] + self.rows[j + 1 :], n, nvars)
+            # and the columns other than c, and their denominator, from the
+            # minors (table, den) of rows 0..j-1; row r > j sits at r - 1
+            for r in range(j + 1, n):
+                table, den = _expand(table, den, rows[r], r - 1, n, nvars)
             return [table.get(full ^ (1 << c), {}) for c in range(n)], den
 
-        nums0, den0 = row_deleted_minors(0)
+        prefix = ({0: {one: 1}}, 1)
+        nums0, den0 = row_deleted_minors(0, *prefix)
         # det = num / den, expanded along row 0 scaled by the lcm d0 of its
         # denominators
-        d0 = _den(e.terms for e in self.rows[0])
+        d0 = _den(e.terms for e in rows[0])
+        mul = _mono_ops(nvars)[0]
         acc: dict = {}
-        for c, (entry, minor) in enumerate(zip(self.rows[0], nums0)):
+        for c, (entry, minor) in enumerate(zip(rows[0], nums0)):
             if entry.terms and minor:
                 signed = _numerators(entry.terms, -d0 if c % 2 else d0)
-                _mul_into(acc, signed, minor, _mono_mul)
+                _mul_into(acc, signed, minor, mul)
         if not acc or any(k != one for k in acc):
             return None
         num, den = acc[one], d0 * den0
         if num < 0:
             num, den = -num, -den
-        minors = [(nums0, den0)] + [row_deleted_minors(j) for j in range(1, n)]
+        minors = [(nums0, den0)]
+        for j in range(1, n):
+            # the minors of rows 0..j-1, built once for every later row
+            prefix = _expand(*prefix, rows[j - 1], j - 1, n, nvars)
+            minors.append(row_deleted_minors(j, *prefix))
         # adj[i][j] = (-1)^(i + j) * (minor c = i of row j) / det
         adj = [[None] * n for _ in range(n)]
         for j, (nums, mden) in enumerate(minors):
@@ -793,33 +813,39 @@ def _minors(rows, ncols: int, nvars: int) -> tuple:
     each row, the minors are those maps divided by den, the product of the
     row scales.
     """
-    table = {0: {(0,) * nvars: 1}}
-    den = 1
+    table, den = {0: {(0,) * nvars: 1}}, 1
     for t, row in enumerate(rows):
-        d = _den(e.terms for e in row)
-        den *= d
-        # entry c of the last row t, with pos sub-minor columns left of c,
-        # has the sign (-1)^(t + pos)
-        signed = (
-            [_numerators(e.terms, d) for e in row],
-            [_numerators(e.terms, -d) for e in row],
-        )
-        new_table: dict = {}
-        for mask, sub in table.items():
-            if not sub:
-                continue
-            pos = 0
-            for c in range(ncols):
-                bit = 1 << c
-                if mask & bit:
-                    pos += 1
-                    continue
-                entry = signed[(t + pos) % 2][c]
-                if entry:
-                    acc = new_table.setdefault(mask | bit, {})
-                    _mul_into(acc, entry, sub, _mono_mul)
-        table = new_table
+        table, den = _expand(table, den, row, t, ncols, nvars)
     return table, den
+
+
+def _expand(table: dict, den: int, row, t: int, ncols: int, nvars: int) -> tuple:
+    """One row of `_minors`: from the (table, den) of the minors of t rows,
+    those of the minors with `row` added as row t, the last. The given table
+    is left as it is, so one table can be extended in several ways."""
+    d = _den(e.terms for e in row)
+    # entry c of the last row t, with pos sub-minor columns left of c, has
+    # the sign (-1)^(t + pos)
+    signed = (
+        [_numerators(e.terms, d) for e in row],
+        [_numerators(e.terms, -d) for e in row],
+    )
+    mul = _mono_ops(nvars)[0]
+    new_table: dict = {}
+    for mask, sub in table.items():
+        if not sub:
+            continue
+        pos = 0
+        for c in range(ncols):
+            bit = 1 << c
+            if mask & bit:
+                pos += 1
+                continue
+            entry = signed[(t + pos) % 2][c]
+            if entry:
+                acc = new_table.setdefault(mask | bit, {})
+                _mul_into(acc, entry, sub, mul)
+    return new_table, den * d
 
 
 # ---------------------------------------------------------------------------

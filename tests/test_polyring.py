@@ -18,6 +18,8 @@ from metalie.polyring import (
     Polynomial,
     LinearSolution,
     RowSpace,
+    _minors,
+    _mono_ops,
     col_vector,
     parse_polynomial,
     rational_inverse,
@@ -184,6 +186,15 @@ class TestSparseTerms:
     def test_malformed_keys_raise_value_error(self, make):
         with pytest.raises(ValueError):
             make()
+
+    @pytest.mark.parametrize(
+        "e", [1.5, 2.0, Fraction(1, 2), Fraction(2, 1), "1", True, False, None]
+    )
+    def test_non_int_exponents_raise_value_error(self, e):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            Polynomial(2, {(e, 0): 1})
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            Polynomial(2, [((0, e), 1)])
 
     @pytest.mark.parametrize("c", [0.5, 0.0, "1", None])
     def test_non_rational_coefficients_raise_type_error(self, c):
@@ -874,3 +885,149 @@ class TestSolveLinearOracle:
             a.append([sum(col) for col in zip(*a)])
             b.append(sum(b) + 1)
             assert solve_linear(a, b) is None
+
+
+class TestMonoOps:
+    """The generated exponent-vector product and print key against
+    elementwise oracles."""
+
+    @staticmethod
+    def oracle_mul(a, b):
+        out = []
+        for x, y in zip(a, b):
+            out.append(x + y)
+        return tuple(out)
+
+    @staticmethod
+    def oracle_key(m):
+        return (-sum(m), tuple(-e for e in m))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 2000])
+    def test_product_and_key_match_oracles(self, n):
+        rng = random.Random(n)
+        mul, key = _mono_ops(n)
+        count = 5 if n == 2000 else 60
+        monos = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(count)]
+        monos += monos[: count // 3]  # repeated keys
+        for a, b in zip(monos, reversed(monos)):
+            prod_ab = mul(a, b)
+            assert prod_ab == self.oracle_mul(a, b)
+            assert type(prod_ab) is tuple
+            assert all(type(e) is int for e in prod_ab)
+        assert sorted(monos, key=key) == sorted(monos, key=self.oracle_key)
+        assert _mono_ops(n) is _mono_ops(n)
+
+    def test_zero_variables(self):
+        mul, key = _mono_ops(0)
+        assert mul((), ()) == ()
+        p = Polynomial(0, {(): 3})
+        assert p * p == Polynomial(0, {(): 9})
+        assert str(p * Polynomial(0, {(): Fraction(1, 2)})) == "3/2"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_random_polynomials_round_trip_and_multiply(self, n):
+        rng = random.Random(100 + n)
+        for _ in range(25):
+            p = kind_poly(rng, n, "mixed", degree=3, terms=5)
+            q = kind_poly(rng, n, "mixed", degree=3, terms=5)
+            assert parse_polynomial(str(p), n) == p
+            expected = {}
+            for m1, c1 in p.terms.items():
+                for m2, c2 in q.terms.items():
+                    m = tuple(x + y for x, y in zip(m1, m2))
+                    expected[m] = expected.get(m, 0) + c1 * c2
+            expected = {m: c for m, c in expected.items() if c}
+            assert (p * q).terms == expected
+            assert parse_polynomial(str(p * q), n) == p * q
+
+
+def cofactor_inverse(a):
+    """Independent oracle: the inverse of a square matrix of Fractions as
+    its cofactors, each a permutation-expansion minor, over the
+    permutation-expansion determinant; None when that determinant is 0."""
+    n = len(a)
+    d = num_perm_det(a)
+    if not d:
+        return None
+    inv = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [a[r][c] for c in range(n) if c != i] for r in range(n) if r != j
+            ]
+            inv[i][j] = (-1) ** (i + j) * num_perm_det(minor) / d
+    return inv
+
+
+class TestRowDeletedMinors:
+    """`inverse_over_ring` builds every row-deleted minor table from shared
+    prefix tables; its adjugate must match the cofactor oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rational_rows_match_cofactor_oracle(self, n, seed):
+        rng = random.Random(10 * n + seed)
+        a = [
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        a[0][0] += 7  # make a singular draw unlikely; checked below anyway
+        expected = cofactor_inverse(a)
+        inv = PolyMatrix(2, a).inverse_over_ring()
+        if expected is None:
+            assert inv is None
+        else:
+            assert values(inv, [0, 0]) == expected
+            assert all(e.is_constant() for row in inv.rows for e in row)
+            assert_demoted(inv)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_polynomial_rows_match_cofactor_oracle_at_points(self, n, kind):
+        rng = random.Random(50 * n + KINDS.index(kind))
+        # a constant determinant: scale**n, with rational rows when the
+        # scale is a Fraction or the rows are mixed
+        scales = {"integer": -1, "mixed": Fraction(3, 2), "shared": Fraction(-2, 3)}
+        scale = scales[kind]
+        m = unimodular(rng, n, 2, 1) * scale
+        if kind == "mixed":
+            m = PolyMatrix(
+                2, [[e * Fraction(1, i + 1) for e in r] for i, r in enumerate(m.rows)]
+            )
+        inv = m.inverse_over_ring()
+        assert inv is not None
+        for point in points(rng, 2):
+            assert values(inv, point) == cofactor_inverse(values(m, point))
+        assert_demoted(inv)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_singular_returns_none(self, n):
+        rng = random.Random(n)
+        a = [
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        a[-1] = [x * 2 for x in a[0]]
+        assert cofactor_inverse(a) is None
+        assert PolyMatrix(2, a).inverse_over_ring() is None
+        # polynomial rows with a nonconstant determinant
+        m = unimodular(rng, n, 2, 1)
+        rows = [list(r) for r in m.rows]
+        rows[0] = [e * P("y1", 2) for e in rows[0]]
+        assert PolyMatrix(2, rows).inverse_over_ring() is None
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_minor_tables_match_permutation_minors(self, n):
+        rng = random.Random(7 * n)
+        m = PolyMatrix(
+            2, [[kind_poly(rng, 2, "mixed", 1, 2) for _ in range(n)] for _ in range(n)]
+        )
+        for k in range(n + 1):
+            table, den = _minors(m.rows[:k], n, 2)
+            for point in points(rng, 2, 2):
+                a = values(m, point)
+                for cols in itertools.combinations(range(n), k):
+                    mask = sum(1 << c for c in cols)
+                    got = value(Polynomial._raw(2, table.get(mask, {})), point) / den
+                    minor = [[a[r][c] for c in cols] for r in range(k)]
+                    assert got == num_perm_det(minor)
