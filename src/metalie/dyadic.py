@@ -9,6 +9,11 @@ exactly the statement that no sequence of these row manipulations can cancel
 it. The special row dz contracts with nothing; hitting dz * (column) raises,
 since the calculus never needs it.
 
+The lambda polynomials (`ScalarPoly`), the dyad sums (`DyadExpr`) and the row
+combinations (`RowExpr`) are all `SparseTerms`: flat maps from keys to
+rational coefficients, keyed by a lambda monomial alone, by (monomial,
+column, row) and by (monomial, row).
+
 instantiate() grounds an expression with concrete polynomial columns/rows
 and is the bridge used to cross-check the calculus against honest matrix
 products.
@@ -27,6 +32,8 @@ from .polyring import (
     Scalar,
     SparseTerms,
     _add_into,
+    _mono_ops,
+    _mul_into,
     as_coeff,
     format_term,
     format_terms,
@@ -110,6 +117,8 @@ RowSym = Tuple
 
 Y_COL: ColSym = ("Y",)
 DZ_ROW: RowSym = ("dz",)
+# the identity E, reserved as both the column and the row of a DyadExpr key
+E_SYM = ("E",)
 
 
 def phi_sym(i: int) -> ColSym:
@@ -128,126 +137,119 @@ def _format_row(r: RowSym) -> str:
     return "∂z" if r == DZ_ROW else f"Ψ{r[1]}"
 
 
-def _contract(row: RowSym, col: ColSym) -> ScalarPoly:
-    """Psi_i Phi_j -> lambda_ij, Psi_i Y -> 0; dz contracts with nothing."""
+def _key_mul(k1: tuple, k2: tuple) -> Optional[tuple]:
+    """The key of the product of a dyad or row term k1 with a dyad term k2:
+    (u x r)(u' x r') = (r.u') * (u x r') and r (u' x r') = (r.u') * r',
+    with E neutral on either side and the contraction Psi_i Phi_j ->
+    lambda_ij. None when the contraction vanishes (Psi_i Phi_i, Psi_i Y); dz
+    contracts with nothing."""
+    col, row = k2[1], k1[-1]
+    if col == E_SYM:
+        return (tuple(sorted(k1[0] + k2[0])), *k1[1:])
+    if row == E_SYM:
+        return (tuple(sorted(k1[0] + k2[0])), *k2[1:])
     if row == DZ_ROW:
         raise ValueError(f"contraction ∂z*{_format_col(col)} is not defined")
-    i = row[1]
-    if col == Y_COL:
-        return ScalarPoly.zero()
-    return lam(i, col[1])
+    if col == Y_COL or col[1] == row[1]:
+        return None
+    mono = tuple(sorted(k1[0] + k2[0] + ((row[1], col[1]),)))
+    # k1 is a row key (mono, row) or a dyad key (mono, column, row)
+    return (mono, k2[2]) if len(k1) == 2 else (mono, k1[1], k2[2])
 
 
-class DyadExpr:
-    """Formal sum scalar * E + sum of coeff * (column x row) dyads."""
+def _product(cls, a: Mapping, b: Mapping):
+    """The `cls` with the terms of the product of the term maps a and b."""
+    out: dict = {}
+    _mul_into(out, a, b, _key_mul)
+    # every vanishing product landed on the key None
+    out.pop(None, None)
+    return cls._raw(None, out)
 
-    __slots__ = ("scalar", "dyads")
+
+class _SymbolTerms(SparseTerms):
+    """The storage shared by DyadExpr and RowExpr: keys (lambda monomial,
+    symbols...), printed by monomial degree, then monomial, then symbols."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(k: tuple) -> Optional[tuple]:
+        # None drops a term with some lambda_ii
+        mono = ScalarPoly._key(k[0])
+        return None if mono is None else (mono, *k[1:])
+
+    @staticmethod
+    def _sort_key(k: tuple) -> tuple:
+        return (len(k[0]), k)
+
+    def __mul__(self, other):
+        # two dyad sums or rows multiply by contraction: dyad_mul, row_mul
+        if type(other) is type(self):
+            return NotImplemented
+        return super().__mul__(other)
+
+
+class DyadExpr(_SymbolTerms):
+    """Formal sum scalar * E + sum of coeff * (column x row) dyads: a map
+    from (lambda monomial, column, row) to rational coefficients, where the
+    terms of scalar * E have E_SYM as both column and row."""
+
+    __slots__ = ()
 
     def __init__(
         self,
         scalar: ScalarPoly = ScalarPoly.zero(),
         dyads: Mapping[Tuple[ColSym, RowSym], ScalarPoly] = (),
     ):
-        clean: dict = {}
-        for key, coeff in dyads.items() if isinstance(dyads, Mapping) else dyads:
-            _accum(clean, key, coeff)
-        object.__setattr__(self, "scalar", scalar)
-        object.__setattr__(self, "dyads", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DyadExpr is immutable")
+        items = dyads.items() if isinstance(dyads, Mapping) else dyads
+        terms = [((m, E_SYM, E_SYM), c) for m, c in scalar.terms.items()]
+        terms += [
+            ((m, u, r), c) for (u, r), coeff in items for m, c in coeff.terms.items()
+        ]
+        super().__init__(None, terms)
 
     @classmethod
     def identity(cls) -> "DyadExpr":
-        return cls(ScalarPoly.one())
+        return cls._raw(None, {((), E_SYM, E_SYM): 1})
 
     @classmethod
     def dyad(cls, col: ColSym, row: RowSym, coeff: ScalarPoly = None) -> "DyadExpr":
         return cls(ScalarPoly.zero(), {(col, row): coeff or ScalarPoly.one()})
 
-    def __add__(self, other: "DyadExpr") -> "DyadExpr":
-        dy = dict(self.dyads)
-        for key, coeff in other.dyads.items():
-            _accum(dy, key, coeff)
-        return _raw_dyad(self.scalar + other.scalar, dy)
-
-    def __sub__(self, other: "DyadExpr") -> "DyadExpr":
-        dy = dict(self.dyads)
-        for key, coeff in other.dyads.items():
-            _accum(dy, key, -coeff)
-        return _raw_dyad(self.scalar - other.scalar, dy)
-
-    def __eq__(self, other):
-        if not isinstance(other, DyadExpr):
-            return NotImplemented
-        return self.scalar == other.scalar and self.dyads == other.dyads
-
-    def __hash__(self):
-        return hash((self.scalar, frozenset(self.dyads.items())))
+    @property
+    def scalar(self) -> ScalarPoly:
+        """The coefficient of E."""
+        return ScalarPoly._raw(
+            None, {m: c for (m, col, _), c in self.terms.items() if col == E_SYM}
+        )
 
     def term_list(self):
-        """Flat list of (lambda_monomial, coefficient, col, row) terms, in
-        canonical order (by monomial degree, then monomial, then dyad)."""
-        out = []
-        for (col, row), coeff in self.dyads.items():
-            for mono, c in coeff.terms.items():
-                out.append((mono, c, col, row))
-        out.sort(key=lambda t: (len(t[0]), t[0], t[2], t[3]))
-        return out
-
-    def _term_pairs(self):
-        """(coefficient, text) of each term of term_list(), without sign."""
+        """Flat list of (lambda_monomial, coefficient, col, row) terms of the
+        dyads, E left out, in canonical order (by monomial degree, then
+        monomial, then dyad)."""
         return [
-            (c, _format_mono(mono, f"{_format_col(col)}{_format_row(row)}"))
-            for mono, c, col, row in self.term_list()
+            (m, c, col, row)
+            for (m, col, row), c in self.sorted_terms()
+            if col != E_SYM
         ]
 
-    def _text(self, pairs) -> str:
-        """The text form, given this expression's _term_pairs()."""
-        if self.scalar.is_zero():
-            return format_terms(pairs)
+    def _term_pairs(self) -> list:
+        """The dyad terms in print order, after one term `E` or `(scalar)*E`
+        when the coefficient of E is nonzero."""
+        pairs = [
+            (c, _format_mono(m, f"{_format_col(col)}{_format_row(row)}"))
+            for m, c, col, row in self.term_list()
+        ]
         s = str(self.scalar)
-        return format_terms([(1, "E" if s == "1" else f"({s})*E")] + pairs)
-
-    def __str__(self):
-        return self._text(self._term_pairs())
-
-    def __repr__(self):
-        return f"DyadExpr({self})"
-
-
-def _raw_dyad(scalar: ScalarPoly, dyads: dict) -> DyadExpr:
-    """Build a DyadExpr from a map of nonzero coefficients (internal)."""
-    x = object.__new__(DyadExpr)
-    object.__setattr__(x, "scalar", scalar)
-    object.__setattr__(x, "dyads", dyads)
-    return x
-
-
-def _accum(acc: dict, key, value: ScalarPoly):
-    """acc[key] += value on a map of nonzero ScalarPoly coefficients,
-    dropping the key when the sum is zero."""
-    cur = acc.get(key)
-    if cur is not None:
-        value = cur + value
-    if value.terms:
-        acc[key] = value
-    else:
-        acc.pop(key, None)
+        if s != "0":
+            pairs.insert(0, (1, "E" if s == "1" else f"({s})*E"))
+        return pairs
 
 
 def dyad_mul(a: DyadExpr, b: DyadExpr) -> DyadExpr:
     """Bilinear product with the contraction rule
     (u x r)(u' x r') = (r.u') * (u x r')."""
-    dy: dict = {}
-    for key, coeff in a.dyads.items():
-        _accum(dy, key, coeff * b.scalar)
-    for key, coeff in b.dyads.items():
-        _accum(dy, key, coeff * a.scalar)
-    for (u, r), c1 in a.dyads.items():
-        for (u2, r2), c2 in b.dyads.items():
-            _accum(dy, (u, r2), c1 * c2 * _contract(r, u2))
-    return _raw_dyad(a.scalar * b.scalar, dy)
+    return _product(DyadExpr, a.terms, b.terms)
 
 
 def expand_product(k: int) -> DyadExpr:
@@ -257,16 +259,13 @@ def expand_product(k: int) -> DyadExpr:
     """
     if k < 1:
         raise ValueError("need at least one factor")
-    terms: dict = {}
+    terms = {((), E_SYM, E_SYM): 1}
     for m in range(1, k + 1):
         for seq in itertools.combinations(range(1, k + 1), m):
-            key = (phi_sym(seq[0]), psi_sym(seq[-1]))
             # the pairs of an increasing sequence are sorted, never (i, i),
-            # and differ between sequences, so no two monomials cancel
-            terms.setdefault(key, {})[tuple(zip(seq, seq[1:]))] = 1
-    return _raw_dyad(
-        ScalarPoly.one(), {key: ScalarPoly._raw(None, t) for key, t in terms.items()}
-    )
+            # and differ between sequences, so no two terms share a key
+            terms[tuple(zip(seq, seq[1:])), phi_sym(seq[0]), psi_sym(seq[-1])] = 1
+    return DyadExpr._raw(None, terms)
 
 
 def factors(k: int) -> List[DyadExpr]:
@@ -279,105 +278,60 @@ def factors(k: int) -> List[DyadExpr]:
 
 def minus_y_dz() -> DyadExpr:
     """The right-hand side -Y dz."""
-    return DyadExpr(ScalarPoly.zero(), {(Y_COL, DZ_ROW): ScalarPoly.constant(-1)})
+    return DyadExpr._raw(None, {((), Y_COL, DZ_ROW): -1})
 
 
-class RowExpr:
-    """Formal combination of row symbols with ScalarPoly coefficients."""
+class RowExpr(_SymbolTerms):
+    """Formal combination of row symbols with lambda-polynomial
+    coefficients: a map from (lambda monomial, row) to rational
+    coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Mapping[RowSym, ScalarPoly] = ()):
-        clean: dict = {}
-        for sym, coeff in coeffs.items() if isinstance(coeffs, Mapping) else coeffs:
-            _accum(clean, sym, coeff)
-        object.__setattr__(self, "coeffs", clean)
+        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        super().__init__(
+            None, [((m, r), c) for r, coeff in items for m, c in coeff.terms.items()]
+        )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RowExpr is immutable")
+    @staticmethod
+    def _format_key(k: tuple) -> str:
+        return _format_mono(k[0], _format_row(k[1]))
 
     def coefficient(self, sym: RowSym) -> ScalarPoly:
-        return self.coeffs.get(sym, ScalarPoly.zero())
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "RowExpr") -> "RowExpr":
-        out = dict(self.coeffs)
-        for sym, coeff in other.coeffs.items():
-            _accum(out, sym, coeff)
-        return _raw_row(out)
-
-    def __sub__(self, other: "RowExpr") -> "RowExpr":
-        out = dict(self.coeffs)
-        for sym, coeff in other.coeffs.items():
-            _accum(out, sym, -coeff)
-        return _raw_row(out)
+        return ScalarPoly._raw(
+            None, {m: c for (m, row), c in self.terms.items() if row == sym}
+        )
 
     def scaled(self, s: ScalarPoly) -> "RowExpr":
-        if s.is_zero():
-            return _raw_row({})
-        # the lambda polynomials have no zero divisors
-        return _raw_row({sym: s * coeff for sym, coeff in self.coeffs.items()})
+        out: dict = {}
+        _mul_into(
+            out, s.terms, self.terms, lambda m, k: (ScalarPoly._key_mul(m, k[0]), k[1])
+        )
+        return RowExpr._raw(None, out)
 
     def substituted(self, pair: Pair, value: Scalar) -> "RowExpr":
+        pair = tuple(pair)
+        value = as_coeff(value)
         out: dict = {}
-        for sym, coeff in self.coeffs.items():
-            _accum(out, sym, coeff.substituted(pair, value))
-        return _raw_row(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, RowExpr):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        _add_into(
+            out,
+            (
+                ((tuple(p for p in m if p != pair), row), c * value ** m.count(pair))
+                for (m, row), c in self.terms.items()
+            ),
+        )
+        return RowExpr._raw(None, out)
 
     def term_list(self):
         """Flat list of (lambda_monomial, coefficient, row) terms in
         canonical order."""
-        out = []
-        for sym, coeff in self.coeffs.items():
-            for mono, c in coeff.terms.items():
-                out.append((mono, c, sym))
-        out.sort(key=lambda t: (len(t[0]), t[0], t[2]))
-        return out
-
-    def _term_pairs(self):
-        """(coefficient, text) of each term of term_list(), without sign."""
-        return [
-            (c, _format_mono(mono, _format_row(sym)))
-            for mono, c, sym in self.term_list()
-        ]
-
-    def _text(self, pairs) -> str:
-        """The text form, given this expression's _term_pairs()."""
-        return format_terms(pairs)
-
-    def __str__(self):
-        return self._text(self._term_pairs())
-
-    def __repr__(self):
-        return f"RowExpr({self})"
-
-
-def _raw_row(coeffs: dict) -> RowExpr:
-    """Build a RowExpr from a map of nonzero coefficients (internal)."""
-    x = object.__new__(RowExpr)
-    object.__setattr__(x, "coeffs", coeffs)
-    return x
+        return [(m, c, row) for (m, row), c in self.sorted_terms()]
 
 
 def row_mul(i: int, x: DyadExpr) -> RowExpr:
     """Left-multiply a dyad expression by the row symbol Psi_i."""
-    sym = psi_sym(i)
-    out: dict = {}
-    if not x.scalar.is_zero():
-        out[sym] = x.scalar
-    for (col, row), coeff in x.dyads.items():
-        _accum(out, row, _contract(sym, col) * coeff)
-    return _raw_row(out)
+    return _product(RowExpr, {((), psi_sym(i)): 1}, x.terms)
 
 
 def derive_reduced_relation(k: int = 3) -> RowExpr:
@@ -401,7 +355,7 @@ def _step(label: str, template: str, x) -> TraceStep:
     each term's text built once for both the equation and the term list."""
     pairs = x._term_pairs()
     terms = tuple(format_term(c, body, True) for c, body in pairs)
-    return TraceStep(label, template.format(x._text(pairs)), terms)
+    return TraceStep(label, template.format(format_terms(pairs)), terms)
 
 
 @dataclass(frozen=True)
@@ -486,76 +440,90 @@ def instantiate(
     dz_row: Optional[PolyMatrix] = None,
 ):
     """Ground a DyadExpr (to an n x n PolyMatrix) or RowExpr (to a 1 x n row)
-    with concrete columns Phi_i, rows Psi_i and optionally the row dz.
+    with concrete columns Phi_i, rows Psi_i and optionally the row dz, where
+    n is the variable count, the length of the column Y.
 
-    Consistency is enforced before evaluation: every provided pair must
-    satisfy Psi_i Phi_i = 0 and every Psi_i Y = 0; lambda_ij is then the
-    1 x 1 product Psi_i Phi_j.
+    The assignment is checked before any product: every Phi_i must be n x 1,
+    every Psi_i and dz 1 x n, and every Psi_i must satisfy Psi_i Phi_i = 0
+    and Psi_i Y = 0; lambda_ij is then the 1 x 1 product Psi_i Phi_j.
+
+    One pass over the terms sums each column symbol's row combination, the
+    sum of c * (grounded monomial) * row over its terms. A RowExpr grounds to
+    its one combination, a DyadExpr to ground(scalar) * E + C * R, with C the
+    n x k matrix of the k columns used and R the k x n matrix of their row
+    combinations.
     """
+    if not isinstance(expr, (DyadExpr, RowExpr)):
+        raise TypeError("expected a DyadExpr or RowExpr")
     some = next(iter(psis.values()), None) or next(iter(phis.values()), None) or dz_row
     if some is None:
         raise ValueError("assignment is empty")
-    nvars = some.nvars
-    n = max(some.shape)
+    n = nvars = some.nvars
     ycol = y_column(nvars)
-
+    cols = {phi_sym(i): phi for i, phi in phis.items()}
+    rows = {psi_sym(i): psi for i, psi in psis.items()}
+    if dz_row is not None:
+        rows[DZ_ROW] = dz_row
+    for given, fmt, shape, kind in (
+        (cols, _format_col, (n, 1), "column"),
+        (rows, _format_row, (1, n), "row"),
+    ):
+        for sym, m in given.items():
+            if m.shape != shape or m.nvars != nvars:
+                raise ValueError(
+                    f"{fmt(sym)} must be a {shape[0]}x{shape[1]} {kind} over "
+                    f"{nvars} variables, got {m.nrows}x{m.ncols} over {m.nvars}"
+                )
     for i, psi in psis.items():
-        if psi.shape != (1, n):
-            raise ValueError(f"Psi{i} must be a 1x{n} row")
         if not (psi * ycol)[0, 0].is_zero():
             raise ValueError(f"inconsistent assignment: Psi{i} * Y != 0")
         phi = phis.get(i)
         if phi is not None and not (psi * phi)[0, 0].is_zero():
             raise ValueError(f"inconsistent assignment: Psi{i} * Phi{i} != 0")
-    for i, phi in phis.items():
-        if phi.shape != (n, 1):
-            raise ValueError(f"Phi{i} must be a {n}x1 column")
+    cols[Y_COL] = ycol
+
+    def lookup(given: dict, fmt, sym) -> PolyMatrix:
+        if sym not in given:
+            raise ValueError(f"assignment missing {fmt(sym)}")
+        return given[sym]
 
     lam_values: Dict[Pair, Polynomial] = {}
 
     def lam_value(pair: Pair) -> Polynomial:
         val = lam_values.get(pair)
         if val is None:
-            i, j = pair
-            if i not in psis or j not in phis:
-                raise ValueError(f"assignment missing Psi{i} or Phi{j}")
-            val = (psis[i] * phis[j])[0, 0]
-            lam_values[pair] = val
+            psi = lookup(rows, _format_row, psi_sym(pair[0]))
+            phi = lookup(cols, _format_col, phi_sym(pair[1]))
+            val = lam_values[pair] = (psi * phi)[0, 0]
         return val
 
-    def ground_scalar(s: ScalarPoly) -> Polynomial:
-        total = Polynomial.zero(nvars)
-        for mono, coeff in s.terms.items():
-            prod = Polynomial.constant(nvars, coeff)
-            for pair in mono:
-                prod = prod * lam_value(pair)
-            total = total + prod
-        return total
+    mul = _mono_ops(nvars)[0]
+    scalar: dict = {}
+    # the column of a key (none for a RowExpr) -> the term maps of the n
+    # entries of its row combination
+    combos: dict = {}
+    for key, c in expr.terms.items():
+        value = Polynomial.constant(nvars, c)
+        for pair in key[0]:
+            value = value * lam_value(pair)
+        if key[-1] == E_SYM:
+            _add_into(scalar, value.terms.items())
+            continue
+        combo = combos.get(key[1:-1])
+        if combo is None:
+            combo = combos[key[1:-1]] = [{} for _ in range(n)]
+        row = lookup(rows, _format_row, key[-1]).rows[0]
+        for acc, entry in zip(combo, row):
+            _mul_into(acc, value.terms, entry.terms, mul)
+    combined = {
+        col: [Polynomial._raw(nvars, t) for t in combo] for col, combo in combos.items()
+    }
 
-    def col_of(sym: ColSym) -> PolyMatrix:
-        if sym == Y_COL:
-            return ycol
-        if sym[1] not in phis:
-            raise ValueError(f"assignment missing Phi{sym[1]}")
-        return phis[sym[1]]
-
-    def row_of(sym: RowSym) -> PolyMatrix:
-        if sym == DZ_ROW:
-            if dz_row is None:
-                raise ValueError("assignment missing the dz row")
-            return dz_row
-        if sym[1] not in psis:
-            raise ValueError(f"assignment missing Psi{sym[1]}")
-        return psis[sym[1]]
-
-    if isinstance(expr, DyadExpr):
-        total = PolyMatrix.identity(nvars, n) * ground_scalar(expr.scalar)
-        for (col, row), coeff in expr.dyads.items():
-            total = total + (col_of(col) * row_of(row)) * ground_scalar(coeff)
-        return total
     if isinstance(expr, RowExpr):
-        total = PolyMatrix.zero(nvars, 1, n)
-        for sym, coeff in expr.coeffs.items():
-            total = total + row_of(sym) * ground_scalar(coeff)
+        return PolyMatrix(nvars, [combined.get((), [0] * n)])
+    total = PolyMatrix.identity(nvars, n) * Polynomial._raw(nvars, scalar)
+    if not combined:
         return total
-    raise TypeError("expected a DyadExpr or RowExpr")
+    used = [lookup(cols, _format_col, col) for (col,) in combined]
+    c = PolyMatrix(nvars, [[col[i, 0] for col in used] for i in range(n)])
+    return total + c * PolyMatrix(nvars, combined.values())

@@ -47,6 +47,10 @@ class Endo:
     exprs: Optional[Tuple[LieExpr, ...]] = field(default=None, compare=False)
 
     def __post_init__(self):
+        if self.rank < 1:
+            raise ValueError(
+                f"an endomorphism needs rank at least 1, got rank {self.rank}"
+            )
         if len(self.images) != self.rank:
             raise ValueError("need exactly one image per generator")
         for img in self.images:

@@ -4,15 +4,17 @@ sparse rows.
 
 Each shared concept has one implementation here, used by the whole package:
 `SparseTerms` is the one sparse term type, the immutable map of keys to
-coefficients behind `Polynomial`, `freeassoc.NCPoly` and
-`dyadic.ScalarPoly`; `_add_into` is its add-with-cancellation kernel and
-`_mul_into` its one product loop, which takes the ring's product of two keys
-(exponent vectors, words or lambda monomials; for exponent vectors of length
-n, `_mono_ops(n)` writes the product and the print-order key out once per n,
-so a key product is n additions in one tuple display); `format_terms`
-prints every signed sum (polynomials, bracket expressions, lambda
-polynomials, dyad and row expressions, free-algebra polynomials); `_minors`, a Laplace expansion
-over column subsets, gives both the determinant and the adjugate; and
+coefficients behind all five sparse types (`Polynomial`, `freeassoc.NCPoly`,
+`dyadic.ScalarPoly`, `dyadic.DyadExpr` and `dyadic.RowExpr`);
+`_add_into` is its add-with-cancellation kernel and `_mul_into` its one
+product loop, which takes the ring's product of two keys (exponent vectors,
+words, lambda monomials, or the (lambda monomial, symbols) keys of dyads and
+rows; for exponent vectors of length n, `_mono_ops(n)` writes the product
+and the print-order key out once per n, so a key product is n additions in
+one tuple display); `format_terms` prints every signed sum (polynomials,
+bracket expressions, lambda polynomials, dyad and row expressions,
+free-algebra polynomials); `_minors`, a Laplace expansion over column
+subsets, gives both the determinant and the adjugate; and
 `RowSpace` is the one exact rational elimination, behind `solve_sparse`,
 `solve_linear` and `rational_inverse`.
 
@@ -160,15 +162,18 @@ def _divided(t: Mapping, q: int, p: int = 1) -> Mapping:
 class SparseTerms:
     """An immutable sparse map `terms` from keys to nonzero exact rationals,
     over a ring of size `_dim` (None when the ring has no size): the one term
-    type behind `Polynomial`, `freeassoc.NCPoly` and `dyadic.ScalarPoly`.
+    type behind `Polynomial`, `freeassoc.NCPoly`, `dyadic.ScalarPoly`,
+    `dyadic.DyadExpr` and `dyadic.RowExpr`.
 
     This base owns the validating constructor, the raw builder, sums, scalar
     and ring products (through `_mul_into`), equality, hashing and the text
     form. A subclass supplies only what differs between the rings:
     `_key(k)` checks and normalizes one key of a constructor's input (None
-    drops the term), `_key_mul` is the product of two keys, `_format_key`
-    is the text of a key, and `_sort_key` may replace the default print
-    order. `_key_mul` and `_sort_key` are read per instance and may depend
+    drops the term), `_key_mul` is the product of two keys (the dyadic sums
+    have none: their products contract, in `dyadic`), `_format_key` is the
+    text of a key, `_sort_key` may replace the default print order, and
+    `_term_pairs` may replace the printed terms (`DyadExpr` prints its E part
+    as one term). `_key_mul` and `_sort_key` are read per instance and may depend
     on the ring size (`Polynomial` reads both from `_mono_ops(_dim)`).
     Operations with another type return NotImplemented; operands of
     different sizes raise ValueError.
@@ -260,9 +265,13 @@ class SparseTerms:
         key = self._sort_key
         return sorted(self.terms.items(), key=lambda kv: key(kv[0]))
 
-    def __str__(self):
+    def _term_pairs(self) -> list:
+        """(coefficient, text of the key) of each term, in print order."""
         fmt = self._format_key
-        return format_terms((c, fmt(k)) for k, c in self.sorted_terms())
+        return [(c, fmt(k)) for k, c in self.sorted_terms()]
+
+    def __str__(self):
+        return format_terms(self._term_pairs())
 
     def __repr__(self):
         dim = "" if self._dim is None else f"{self._dim}, "

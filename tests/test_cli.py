@@ -344,6 +344,16 @@ class TestUsage:
         assert code == 0
         assert out.splitlines() == ["[0, 1]", "[1, 0]"]
 
+    @pytest.mark.parametrize("spec", ["linear:[]", ";"])
+    @pytest.mark.parametrize("command", ["jac", "inverse", "compose", "iaut-level"])
+    def test_rank_zero_endomorphism_rejected(self, capsys, command, spec):
+        argv = (command, spec, spec) if command == "compose" else (command, spec)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "an endomorphism needs rank at least 1, got rank 0" in err
+        assert "Traceback" not in err
+
     def test_non_square_linear_matrix_rejected(self, capsys):
         code, out, err = run(capsys, "jac", "linear:[[1,2,3],[4,5,6]]")
         assert code == 1

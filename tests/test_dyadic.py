@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 
 import metalie.dyadic as dy
 import metalie.endos as en
-from metalie.polyring import PolyMatrix, parse_polynomial, row_vector, unit_column
+from metalie.polyring import (
+    PolyMatrix,
+    Polynomial,
+    SparseTerms,
+    parse_polynomial,
+    row_vector,
+    unit_column,
+    y_column,
+)
 
 
 def lam(i, j):
@@ -176,6 +184,57 @@ class TestResidualCheck:
             dy.residual_check(1)
 
 
+class TestPrintedForms:
+    """The text forms and term order the traces and the CLI print."""
+
+    def test_scalar_parts_of_e(self):
+        S = dy.ScalarPoly
+        assert str(dy.DyadExpr.identity()) == "E"
+        assert str(dy.DyadExpr()) == "0"
+        minus = dy.DyadExpr(S.constant(-1), {(phi(1), psi(2)): lam(1, 2) * 2})
+        assert str(minus) == "(-1)*E + 2*λ12*Φ1Ψ2"
+        shifted = dy.DyadExpr(lam(1, 2) + S.constant(2))
+        assert str(shifted) == "(2 + λ12)*E"
+        assert repr(shifted) == "DyadExpr((2 + λ12)*E)"
+
+    def test_y_column_and_mixed_term_order(self):
+        x = dy.DyadExpr(
+            lam(1, 2) + dy.ScalarPoly.constant(2),
+            {
+                (phi(2), psi(1)): lam(2, 3) - lam(1, 3) * lam(3, 1) * Fraction(1, 2),
+                (dy.Y_COL, dy.DZ_ROW): dy.ScalarPoly.constant(-1),
+                (phi(1), psi(3)): lam(2, 1),
+            },
+        )
+        assert str(dy.minus_y_dz()) == "-Y∂z"
+        assert str(x) == (
+            "(2 + λ12)*E - Y∂z + λ21*Φ1Ψ3 + λ23*Φ2Ψ1 - 1/2*λ13*λ31*Φ2Ψ1"
+        )
+        assert x.term_list() == [
+            ((), -1, dy.Y_COL, dy.DZ_ROW),
+            (((2, 1),), 1, phi(1), psi(3)),
+            (((2, 3),), 1, phi(2), psi(1)),
+            (((1, 3), (3, 1)), Fraction(-1, 2), phi(2), psi(1)),
+        ]
+
+    def test_row_with_dz(self):
+        r = dy.RowExpr(
+            {
+                psi(3): -lam(2, 3) * lam(1, 2),
+                dy.DZ_ROW: dy.ScalarPoly.constant(3),
+                psi(1): lam(2, 1),
+            }
+        )
+        assert str(r) == "3*∂z + λ21*Ψ1 - λ12*λ23*Ψ3"
+        assert repr(r) == "RowExpr(3*∂z + λ21*Ψ1 - λ12*λ23*Ψ3)"
+        assert r.term_list() == [
+            ((), 3, dy.DZ_ROW),
+            (((2, 1),), 1, psi(1)),
+            (((1, 2), (2, 3)), -1, psi(3)),
+        ]
+        assert str(dy.RowExpr()) == "0"
+
+
 def lemma_pair(rng, rank, i):
     alpha = en._random_invertible_matrix(rng, rank)
     f = en.random_derived_expr(rng, rank, 2, list(range(2, rank + 1)))
@@ -249,29 +308,44 @@ class TestInstantiate:
         out = dy.instantiate(dy.minus_y_dz(), {}, {}, dz_row=dz)
         assert out == (y_column(3) * dz) * -1
 
+    def pairs(self, rank=3):
+        rng = random.Random(33)
+        phis, psis = {}, {}
+        for i in (1, 2):
+            phis[i], psis[i] = lemma_pair(rng, rank, i)
+        return phis, psis
+
+    def test_row_given_as_a_column_rejected(self):
+        phis, psis = self.pairs()
+        phis[1] = row_vector(3, [1, 0, 0])
+        with pytest.raises(ValueError, match="Φ1 must be a 3x1 column"):
+            dy.instantiate(dy.expand_product(2), phis, psis)
+
+    def test_row_longer_than_the_variable_count_rejected(self):
+        phis, psis = self.pairs()
+        psis[1] = row_vector(3, [0, 0, 0, 1])
+        with pytest.raises(ValueError, match="Ψ1 must be a 1x3 row"):
+            dy.instantiate(dy.expand_product(2), phis, psis)
+
+    def test_dz_row_shape_checked(self):
+        phis, psis = self.pairs()
+        for dz in (row_vector(3, [1, 0, 0, 0]), unit_column(3, 3, 1)):
+            with pytest.raises(ValueError, match="∂z must be a 1x3 row"):
+                dy.instantiate(dy.minus_y_dz(), phis, psis, dz_row=dz)
+
 
 def assert_normalized(x):
-    """x equals its terms passed back through the validating constructor:
-    the same dict, no zero coefficient, and ScalarPoly monomials sorted with
-    no lambda_ii."""
-    if isinstance(x, dy.ScalarPoly):
-        assert dy.ScalarPoly(x.terms).terms == x.terms
-        for mono, c in x.terms.items():
-            assert c != 0
-            assert list(mono) == sorted(mono)
-            assert all(i != j for i, j in mono)
-    elif isinstance(x, dy.DyadExpr):
-        assert dy.DyadExpr(x.scalar, x.dyads).dyads == x.dyads
-        for c in (x.scalar, *x.dyads.values()):
-            assert_normalized(c)
-        assert all(not c.is_zero() for c in x.dyads.values())
-    elif isinstance(x, dy.RowExpr):
-        assert dy.RowExpr(x.coeffs).coeffs == x.coeffs
-        for c in x.coeffs.values():
-            assert not c.is_zero()
-            assert_normalized(c)
-    else:
-        raise TypeError(type(x))
+    """x is what the validating constructor builds from the same pairs: the
+    same map, no zero coefficient, and every lambda monomial sorted with no
+    lambda_ii."""
+    rebuilt = object.__new__(type(x))
+    SparseTerms.__init__(rebuilt, x._dim, x.terms.items())
+    assert rebuilt.terms == x.terms
+    for key, c in x.terms.items():
+        assert c != 0
+        mono = key if isinstance(x, dy.ScalarPoly) else key[0]
+        assert list(mono) == sorted(mono)
+        assert all(i != j for i, j in mono)
 
 
 _rats = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3))
@@ -289,6 +363,73 @@ dyad_exprs = st.builds(
 row_exprs = st.dictionaries(
     st.sampled_from([psi(1), psi(2), psi(3), dy.DZ_ROW]), scalar_polys, max_size=3
 ).map(dy.RowExpr)
+
+
+@functools.cache
+def assignment(seed):
+    """Lemma pairs Phi_i, Psi_i (i = 1, 2, 3) over 3 or 4 variables, and a
+    dz row."""
+    rng = random.Random(seed)
+    rank = 3 + seed % 2
+    phis, psis = {}, {}
+    for i in (1, 2, 3):
+        phis[i], psis[i] = lemma_pair(rng, rank, i)
+    dz = row_vector(rank, [rng.randint(-2, 2) for _ in range(rank)])
+    return rank, phis, psis, dz
+
+
+def ground_term_by_term(x, rank, phis, psis, dz):
+    """The oracle for `instantiate`: s*E plus, for each term,
+    c * prod(Psi_i Phi_j) * (col * row), from plain matrix products."""
+    ycol = y_column(rank)
+
+    def scalar(mono, c):
+        value = Polynomial.constant(rank, c)
+        for i, j in mono:
+            value = value * (psis[i] * phis[j])[0, 0]
+        return value
+
+    def row(r):
+        return dz if r == dy.DZ_ROW else psis[r[1]]
+
+    if isinstance(x, dy.RowExpr):
+        total = PolyMatrix.zero(rank, 1, rank)
+        for mono, c, r in x.term_list():
+            total = total + row(r) * scalar(mono, c)
+        return total
+    total = PolyMatrix.zero(rank, rank, rank)
+    for mono, c in x.scalar.terms.items():
+        total = total + PolyMatrix.identity(rank, rank) * scalar(mono, c)
+    for mono, c, u, r in x.term_list():
+        col = ycol if u == dy.Y_COL else phis[u[1]]
+        total = total + (col * row(r)) * scalar(mono, c)
+    return total
+
+
+class TestGroundingOracle:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dyad_exprs, row_exprs, st.integers(0, 3))
+    def test_instantiate_matches_term_by_term_products(self, x, r, seed):
+        rank, phis, psis, dz = assignment(seed)
+        for e in (x, r):
+            expected = ground_term_by_term(e, rank, phis, psis, dz)
+            assert dy.instantiate(e, phis, psis, dz_row=dz) == expected
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dyad_exprs, dyad_exprs, row_exprs, scalar_polys, st.integers(0, 3))
+    def test_products_ground_to_matrix_products(self, a, b, r, s, seed):
+        # on an assignment with Psi_i Phi_i = 0 and Psi_i Y = 0, grounding
+        # turns the contraction calculus into matrix products
+        rank, phis, psis, dz = assignment(seed)
+
+        def ground(e):
+            return ground_term_by_term(e, rank, phis, psis, dz)
+
+        assert ground(dy.dyad_mul(a, b)) == ground(a) * ground(b)
+        for i in (1, 2, 3):
+            assert ground(dy.row_mul(i, a)) == psis[i] * ground(a)
+        scalar = ground(dy.DyadExpr(s))[0, 0]
+        assert ground(r.scaled(s)) == ground(r) * scalar
 
 
 class TestNormalizedResults:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metalie import endos
-from metalie.dyadic import DyadExpr, ScalarPoly, dyad_mul, phi_sym, psi_sym
+from metalie.dyadic import DyadExpr, RowExpr, ScalarPoly, dyad_mul, phi_sym, psi_sym
 from metalie.freeassoc import NCPoly
 from metalie.metabelian import MElement
 from metalie.polyring import (
@@ -18,6 +18,7 @@ from metalie.polyring import (
     Polynomial,
     LinearSolution,
     RowSpace,
+    SparseTerms,
     _minors,
     _mono_ops,
     col_vector,
@@ -46,14 +47,13 @@ def rand_poly(rng, n, degree=3, terms=4):
 
 
 def stored_coeffs(*objs):
-    """Every coefficient stored in Polynomials, PolyMatrix entries, NCPolys,
-    ScalarPolys, DyadExprs, LinearSolutions and plain sequences of scalars."""
+    """Every coefficient stored in SparseTerms (Polynomials, NCPolys and the
+    dyadic types), PolyMatrix entries, LinearSolutions and plain sequences of
+    scalars."""
     for obj in objs:
         if isinstance(obj, PolyMatrix):
             yield from stored_coeffs(*(e for row in obj.rows for e in row))
-        elif isinstance(obj, DyadExpr):
-            yield from stored_coeffs(obj.scalar, *obj.dyads.values())
-        elif isinstance(obj, (Polynomial, NCPoly, ScalarPoly)):
+        elif isinstance(obj, SparseTerms):
             yield from obj.terms.values()
         elif isinstance(obj, LinearSolution):
             yield from stored_coeffs(obj.particular, *obj.null_basis)
@@ -171,7 +171,7 @@ class TestPolynomialBasics:
 
 
 class TestSparseTerms:
-    """The checks Polynomial, NCPoly and ScalarPoly share."""
+    """The checks every SparseTerms type shares."""
 
     @pytest.mark.parametrize(
         "make",
@@ -209,7 +209,13 @@ class TestSparseTerms:
         assert ScalarPoly({((1, 1),): 5, ((2, 1),): 1}) == ScalarPoly({((2, 1),): 1})
 
     def test_mixed_types_return_not_implemented(self):
-        values = (Polynomial.one(2), NCPoly.one(2), ScalarPoly.one())
+        values = (
+            Polynomial.one(2),
+            NCPoly.one(2),
+            ScalarPoly.one(),
+            DyadExpr.identity(),
+            RowExpr({psi_sym(1): ScalarPoly.one()}),
+        )
         for a, b in itertools.permutations(values, 2):
             for op in ("__add__", "__sub__", "__mul__", "__rmul__", "__eq__"):
                 assert getattr(a, op)(b) is NotImplemented
@@ -217,12 +223,16 @@ class TestSparseTerms:
                 a + b
         for a in values:
             assert a.__mul__(0.5) is NotImplemented
+        # dyad sums and rows multiply only through dyad_mul and row_mul
+        for a in values[3:]:
+            with pytest.raises(TypeError):
+                a * a
 
     def test_immutable_with_public_views(self):
         p, w, s = Polynomial.one(2), NCPoly.one(3), ScalarPoly.one()
         assert (p.nvars, w.rank) == (2, 3)
         assert type(p.terms) is dict and p.terms == {(0, 0): 1}
-        for x in (p, w, s):
+        for x in (p, w, s, DyadExpr.identity(), RowExpr({psi_sym(2): s})):
             with pytest.raises(AttributeError):
                 x.terms = {}
             assert hash(x) == hash(x * 1)
