@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache
 from typing import Dict, List, Optional, Tuple
 
 from .polyring import (
@@ -44,6 +45,7 @@ from .polyring import (
 Pair = Tuple[int, int]
 
 
+@cache
 def _format_pair(p: Pair) -> str:
     i, j = p
     if i < 10 and j < 10:

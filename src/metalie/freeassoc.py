@@ -206,8 +206,7 @@ class TraceReplay:
             "cyclic-class sums:",
         ]
         for word, coeff in self.signature:
-            wstr = "*".join(f"z{a}" for a in word) or "1"
-            lines.append(f"  class({wstr}): {coeff}")
+            lines.append(f"  class({NCPoly._format_key(word) or '1'}): {coeff}")
         lines.append(
             f"in commutator subspace [U,U]: {'yes' if self.in_commutators else 'no'}"
         )
@@ -234,7 +233,7 @@ class TraceReplay:
             "source": format_expr(self.source_expr, "z"),
             "derivative": str(self.derivative),
             "cyclic_signature": [
-                {"class": "*".join(f"z{a}" for a in word) or "1", "sum": str(coeff)}
+                {"class": NCPoly._format_key(word) or "1", "sum": str(coeff)}
                 for word, coeff in self.signature
             ],
             "in_commutator_subspace": self.in_commutators,

@@ -2,13 +2,16 @@
 sides, plus the text grammar used everywhere an expression crosses the CLI
 boundary.
 
-Grammar (whitespace-insensitive; LETTER is 'x' or 'z' depending on context):
+Grammar (LETTER is 'x' or 'z' depending on context):
 
     element := ('+'|'-')? term (('+'|'-') term)*
     term    := (rational '*')? factor
     factor  := LETTER INT | '[' element ',' element ']' | '(' element ')'
     rational:= INT ('/' INT)?
 
+The text is read as the tokens of `polyring.Tokens`: an INT is a run of
+ASCII digits, and whitespace only separates tokens. Each element is a signed
+sum read by `polyring.read_sum`, with `_parse_term` as its term reader.
 "0" denotes the empty sum. Parsing produces trees in a fixed shape (signs
 folded into scalar coefficients, one Sum node per '+/-' chain, and every
 left-normed word [[x_i1, x_i2], ..., x_im] one flat LeftNormed node), and the
@@ -25,9 +28,10 @@ Longer or deeper input is a ParseError naming the limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Tuple, Union
 
-from .polyring import ParseError, Scalar, _Scanner, as_coeff, format_terms
+from .polyring import ParseError, Scalar, Tokens, as_coeff, format_terms, read_sum
 
 
 @dataclass(frozen=True)
@@ -159,82 +163,59 @@ def format_expr(e: LieExpr, letter: str = "x") -> str:
 
 def parse_expr(text: str, letter: str = "x", rank: int = 0) -> LieExpr:
     """Parse the bracket-expression grammar; rank > 0 bounds generator indices."""
-    sc = _Scanner(text)
-    e = _parse_element(sc, letter, rank, 0)
-    if not sc.at_end():
-        raise ParseError("trailing input", sc.pos)
+    tokens = Tokens(text)
+    e = _parse_element(tokens, letter, rank, 0)
+    if not tokens.at_end():
+        raise tokens.error("trailing input")
     return e
 
 
-def _parse_element(sc: _Scanner, letter: str, rank: int, depth: int) -> LieExpr:
-    if sc.peek() == "0":
-        # lone zero is the empty sum
-        mark = sc.pos
-        sc.pos += 1
-        nxt = sc.peek()
-        if nxt in ("", ",", ")", "]"):
-            return ZERO_EXPR
-        sc.pos = mark
-    sign = -1 if sc.take("-") else 1
-    if sign == 1:
-        sc.take("+")
-    first = _parse_term(sc, letter, rank, depth, sign)
-    return _parse_more_terms(sc, letter, rank, depth, first)
-
-
-def _parse_more_terms(
-    sc: _Scanner, letter: str, rank: int, depth: int, first: LieExpr
+def _parse_element(
+    tokens: Tokens, letter: str, rank: int, depth: int, first=None
 ) -> LieExpr:
-    """The rest of an element whose first term has been parsed."""
-    terms = [first]
-    while True:
-        if sc.take("+"):
-            terms.append(_parse_term(sc, letter, rank, depth, 1))
-        elif sc.take("-"):
-            terms.append(_parse_term(sc, letter, rank, depth, -1))
-        else:
-            break
-    if len(terms) == 1:
-        return first
-    return Sum(tuple(terms))
+    """An element; `first` is its first term when that has been read."""
+    toks, i = tokens.toks, tokens.i
+    if first is None and toks[i] == "0" and toks[i + 1] in ("", ",", ")", "]"):
+        # lone zero is the empty sum; one token of lookahead tells
+        tokens.i += 1
+        return ZERO_EXPR
+    # a partial, unlike a lambda, adds no Python frame to each nesting level
+    terms = read_sum(tokens, partial(_parse_term, tokens, letter, rank, depth), first)
+    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
 def _parse_term(
-    sc: _Scanner, letter: str, rank: int, depth: int, sign: int
+    tokens: Tokens, letter: str, rank: int, depth: int, sign: int
 ) -> LieExpr:
     coeff = sign
-    if sc.peek().isdigit():
-        coeff *= sc.rational()
-        sc.expect("*")
-    factor = _parse_factor(sc, letter, rank, depth)
+    if tokens.peek().isdigit():
+        coeff *= tokens.rational()
+        tokens.expect("*")
+    factor = _parse_factor(tokens, letter, rank, depth)
     if coeff == 1:
         return factor
     return Scale(coeff, factor)
 
 
-def _nesting_error(pos: int) -> ParseError:
-    return ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
-
-
-def _parse_factor(sc: _Scanner, letter: str, rank: int, depth: int) -> LieExpr:
-    ch = sc.peek()
-    if ch == letter:
-        pos = sc.pos
-        sc.pos += 1
-        idx = sc.integer()
+def _parse_factor(tokens: Tokens, letter: str, rank: int, depth: int) -> LieExpr:
+    tok = tokens.peek()
+    if tok == letter:
+        at = tokens.i
+        tokens.i += 1
+        idx = tokens.integer()
         if idx < 1 or (rank and idx > rank):
             bound = rank if rank else "n"
-            raise ParseError(f"generator index {idx} out of range 1..{bound}", pos)
+            raise tokens.error(f"generator index {idx} out of range 1..{bound}", at)
         return Gen(idx)
-    if ch in ("[", "(") and depth >= MAX_NESTING:
-        raise _nesting_error(sc.pos)
-    if ch == "(":
-        sc.pos += 1
-        inner = _parse_element(sc, letter, rank, depth + 1)
-        sc.expect(")")
+    if tok in ("[", "(") and depth >= MAX_NESTING:
+        raise tokens.error(f"nesting deeper than {MAX_NESTING} levels")
+    if tok == "(":
+        tokens.i += 1
+        inner = _parse_element(tokens, letter, rank, depth + 1)
+        tokens.expect(")")
         return inner
-    if ch != "[":
-        raise ParseError(f"expected '{letter}<index>', '[' or '('", sc.pos)
+    if tok != "[":
+        raise tokens.error(f"expected '{letter}<index>', '[' or '('")
     # A run of k '[' opens k brackets, each the first factor of the next
     # one's left operand. They are closed in a loop from the innermost out;
     # a bracket whose left side is a generator or word and whose right side
@@ -243,15 +224,15 @@ def _parse_factor(sc: _Scanner, letter: str, rank: int, depth: int) -> LieExpr:
     # operand at depth + j: their depth unless the level extends a word, and
     # then they are plain generators.
     opens = []
-    while sc.peek() == "[":
+    while tokens.peek() == "[":
         if len(opens) == MAX_WORD_LENGTH - 1:
-            raise ParseError(
-                f"left-normed word longer than {MAX_WORD_LENGTH} letters", sc.pos
+            raise tokens.error(
+                f"left-normed word longer than {MAX_WORD_LENGTH} letters"
             )
-        opens.append(sc.pos)
-        sc.pos += 1
+        opens.append(tokens.i)
+        tokens.i += 1
     k = len(opens)
-    left = _parse_element(sc, letter, rank, depth + k)
+    left = _parse_element(tokens, letter, rank, depth + k)
     if isinstance(left, Gen):
         word = [left.index]
     elif isinstance(left, LeftNormed):
@@ -260,19 +241,21 @@ def _parse_factor(sc: _Scanner, letter: str, rank: int, depth: int) -> LieExpr:
         word = None
     for level in range(k, 0, -1):
         inner = depth + level
-        if sc.peek() in ("+", "-"):
+        if tokens.peek() in ("+", "-"):
             if word is not None:
                 left = _word_node(word)
                 word = None
-            left = _parse_more_terms(sc, letter, rank, inner, left)
-        sc.expect(",")
-        right = _parse_element(sc, letter, rank, inner)
-        sc.expect("]")
+            left = _parse_element(tokens, letter, rank, inner, left)
+        tokens.expect(",")
+        right = _parse_element(tokens, letter, rank, inner)
+        tokens.expect("]")
         if word is not None and isinstance(right, Gen):
             word.append(right.index)
             continue
         if inner > MAX_NESTING:
-            raise _nesting_error(opens[MAX_NESTING - depth])
+            raise tokens.error(
+                f"nesting deeper than {MAX_NESTING} levels", opens[MAX_NESTING - depth]
+            )
         left = Bracket(_word_node(word) if word is not None else left, right)
         word = None
     return _word_node(word) if word is not None else left

@@ -13,7 +13,10 @@ rows; for exponent vectors of length n, `_mono_ops(n)` writes the product
 and the print-order key out once per n, so a key product is n additions in
 one tuple display); `format_terms` prints every signed sum (polynomials,
 bracket expressions, lambda polynomials, dyad and row expressions,
-free-algebra polynomials); `_minors`, a Laplace expansion over column
+free-algebra polynomials), and `read_sum` reads one back for both text
+grammars (polynomials and bracket expressions) from the one tokenizer,
+`Tokens`, which cuts a text once into runs of ASCII digits and single other
+characters; `_minors`, a Laplace expansion over column
 subsets, gives both the determinant and the adjugate; and
 `RowSpace` is the one exact rational elimination, behind `solve_sparse`,
 `solve_linear` and `rational_inverse`.
@@ -38,10 +41,12 @@ by exponent vector -- and parse/print round-trips exactly.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import lcm, prod
 from operator import attrgetter
 from typing import Optional, Union
@@ -484,101 +489,104 @@ def format_terms(pairs: Iterable) -> str:
     return " ".join(chunks) if chunks else "0"
 
 
-class _Scanner:
-    """Tiny whitespace-insensitive tokenizer shared by the text parsers."""
+# a token is a maximal run of ASCII digits or one other non-space character
+_TOKEN = re.compile(r"[0-9]+|\S")
+
+
+class Tokens:
+    """Cursor over the tokens of a text, shared by the text parsers. It keeps
+    token indices only; an error finds the offset of its token again."""
+
+    __slots__ = ("text", "toks", "i")
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.toks = _TOKEN.findall(text) + [""]  # "" is the end of input
+        self.i = 0
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.toks[self.i]
 
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
+    def take(self, tok: str) -> bool:
+        if self.toks[self.i] == tok:
+            self.i += 1
             return True
         return False
 
-    def expect(self, ch: str):
-        if not self.take(ch):
-            raise ParseError(f"expected '{ch}'", self.pos)
+    def expect(self, tok: str):
+        if not self.take(tok):
+            raise self.error(f"expected '{tok}'")
 
     def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        # parsers branch here on str.isdigit(), which also holds for digits
+        # such as '²' or '٣'; only a run of ASCII digits is an integer
+        tok = self.toks[self.i]
+        if not (tok.isdigit() and tok.isascii()):
+            raise self.error("expected an integer")
+        self.i += 1
+        return int(tok)
 
     def rational(self) -> Scalar:
         num = self.integer()
         if self.take("/"):
             den = self.integer()
             if den == 0:
-                raise ParseError("zero denominator", self.pos)
+                raise self.error("zero denominator", self.i - 1, end=True)
             return as_coeff(Fraction(num, den))
         return num
 
     def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+        return self.toks[self.i] == ""
+
+    def error(self, message: str, i: Optional[int] = None, end: bool = False):
+        """A ParseError at the start (or end) of token i, by default the next
+        one; the end of input is at offset len(text)."""
+        i = self.i if i is None else i
+        m = next(islice(_TOKEN.finditer(self.text), i, None), None)
+        if m is None:
+            return ParseError(message, len(self.text))
+        return ParseError(message, m.end() if end else m.start())
 
 
-def parse_polynomial(text: str, nvars: int, letter: str = "y") -> Polynomial:
+def read_sum(tokens: Tokens, term, first=None) -> list:
+    """Read ('+'|'-')? term (('+'|'-') term)*, the inverse of format_terms,
+    and return the terms. `term(sign)` reads one term and applies the sign;
+    a sum whose first term has been read already passes it as `first`."""
+    terms = [] if first is None else [first]
+    while True:
+        tok = tokens.peek()
+        if tok == "+" or tok == "-":
+            tokens.i += 1
+        elif terms:  # the sign is optional before the first term only
+            return terms
+        terms.append(term(-1 if tok == "-" else 1))
+
+
+def parse_polynomial(text: str, nvars: int) -> Polynomial:
     """Parse the canonical polynomial text form; inverse of str()."""
-    sc = _Scanner(text)
-    terms: list = []  # (exponent vector, coefficient); the constructor merges
+    tokens = Tokens(text)
 
-    def parse_factor():
-        sc.skip_ws()
-        if sc.peek() != letter:
-            raise ParseError(f"expected '{letter}<index>'", sc.pos)
-        sc.pos += 1
-        idx = sc.integer()
-        if not 1 <= idx <= nvars:
-            raise ParseError(f"variable index {idx} out of range 1..{nvars}", sc.pos)
-        exp = 1
-        if sc.take("^"):
-            exp = sc.integer()
-        return idx, exp
-
-    def parse_term(sign: int):
+    def term(sign: int):  # (exponent vector, coefficient)
         mono = [0] * nvars
         coeff = sign
-        ch = sc.peek()
-        if ch.isdigit():
-            coeff *= sc.rational()
-            if not sc.take("*"):
-                terms.append((tuple(mono), coeff))
-                return
-        idx, exp = parse_factor()
-        mono[idx - 1] += exp
-        while sc.take("*"):
-            idx, exp = parse_factor()
-            mono[idx - 1] += exp
-        terms.append((tuple(mono), coeff))
+        if tokens.peek().isdigit():
+            coeff *= tokens.rational()
+            if not tokens.take("*"):
+                return tuple(mono), coeff
+        while True:
+            if not tokens.take("y"):
+                raise tokens.error("expected 'y<index>'")
+            idx = tokens.integer()
+            if not 1 <= idx <= nvars:
+                msg = f"variable index {idx} out of range 1..{nvars}"
+                raise tokens.error(msg, tokens.i - 1, end=True)
+            mono[idx - 1] += tokens.integer() if tokens.take("^") else 1
+            if not tokens.take("*"):
+                return tuple(mono), coeff
 
-    sign = -1 if sc.take("-") else 1
-    if sign == 1:
-        sc.take("+")
-    parse_term(sign)
-    while True:
-        if sc.take("+"):
-            parse_term(1)
-        elif sc.take("-"):
-            parse_term(-1)
-        else:
-            break
-    if not sc.at_end():
-        raise ParseError("trailing input", sc.pos)
+    terms = read_sum(tokens, term)  # the constructor merges equal monomials
+    if not tokens.at_end():
+        raise tokens.error("trailing input")
     return Polynomial(nvars, terms)
 
 

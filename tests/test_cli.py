@@ -1,8 +1,12 @@
 """Command-line behavior: outputs, formats, exit codes, file handling."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metalie import endos
 from metalie import verify as verify_mod
@@ -39,6 +43,26 @@ class TestNf:
         code, _, err = run(capsys, "nf", "[x1")
         assert code == 1
         assert "offset 3" in err
+
+    def test_non_ascii_digit_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "nf", "x²")
+        assert (code, out) == (1, "")
+        assert err == "metalie: parse error: expected an integer (at offset 1)\n"
+
+    # "--rank 3" keeps a long index like x1212 from asking for a huge rank
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.sampled_from(list("xz0123[](),+-*/ ") + ["²", "٣", "\u00a0", "\u2003"]),
+            max_size=20,
+        ).map("".join)
+    )
+    def test_any_text_exits_zero_or_one_without_a_traceback(self, text):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["nf", "--rank", "3", "--", text])
+        assert code in (0, 1)
+        assert "Traceback" not in err.getvalue()
 
     def test_rank_violation(self, capsys):
         code, _, err = run(capsys, "nf", "--rank", "2", "x3")

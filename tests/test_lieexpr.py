@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metalie.lieexpr import (
     Bracket,
@@ -74,6 +76,80 @@ def test_rank_bound():
         parse_expr("x4", rank=3)
 
 
+# (text, letter, rank, message, offset): one row per raise site of the
+# grammar. Offsets point at the offending token, or at the end of the text
+# when input runs out; "zero denominator" points where the denominator ends,
+# and an out-of-range generator at its letter.
+PARSE_ERRORS = [
+    ("[x1 x2]", "x", 0, "expected ','", 4),
+    ("[x1, x2", "x", 0, "expected ']'", 7),
+    ("(x1", "x", 0, "expected ')'", 3),
+    ("(x1 + x2 ]", "x", 0, "expected ')'", 9),
+    ("2 x1", "x", 0, "expected '*'", 2),
+    ("3/4 [x1, x2]", "x", 0, "expected '*'", 4),
+    ("0 x1", "x", 0, "expected '*'", 2),
+    ("x", "x", 0, "expected an integer", 1),
+    ("[x1, x ]", "x", 0, "expected an integer", 7),
+    ("1/ x1", "x", 0, "expected an integer", 3),
+    ("1/0*x1", "x", 0, "zero denominator", 3),
+    ("1/ 00 *x1", "x", 0, "zero denominator", 5),
+    ("x0", "x", 0, "generator index 0 out of range 1..n", 0),
+    (" [x1, x4]", "x", 3, "generator index 4 out of range 1..3", 6),
+    ("x12", "x", 3, "generator index 12 out of range 1..3", 0),
+    ("+", "x", 0, "expected 'x<index>', '[' or '('", 1),
+    ("1*+x1", "x", 0, "expected 'x<index>', '[' or '('", 2),
+    ("y1", "x", 0, "expected 'x<index>', '[' or '('", 0),
+    ("x1", "z", 0, "expected 'z<index>', '[' or '('", 0),
+    ("", "x", 0, "expected 'x<index>', '[' or '('", 0),
+    ("x1 x2", "x", 0, "trailing input", 3),
+    ("[x1, x2] ]", "x", 0, "trailing input", 9),
+    ("(" * 201 + "x1" + ")" * 201, "x", 0, "nesting deeper than 200 levels", 200),
+    ("( " * 201 + "x1", "x", 0, "nesting deeper than 200 levels", 400),
+    ("[x1, " * 201 + "x2" + "]" * 201, "x", 0, "nesting deeper than 200 levels", 1000),
+    ("[" * 201 + "x1 + x2" + ", x3]" * 201, "x", 0,
+     "nesting deeper than 200 levels", 200),
+    ("[ " * 201 + "z1 - z2" + ", z3 ]" * 201, "z", 0,
+     "nesting deeper than 200 levels", 400),
+    ("[" * 10000 + "x1", "x", 0, "left-normed word longer than 10000 letters", 9999),
+    ("[ " * 10000, "x", 0, "left-normed word longer than 10000 letters", 19998),
+]
+
+
+@pytest.mark.parametrize("text, letter, rank, message, offset", PARSE_ERRORS)
+def test_parse_error_table(text, letter, rank, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text, letter, rank)
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.position == offset
+
+
+@pytest.mark.parametrize(
+    "text, offset", [("x²", 1), ("٣*x1", 0), ("[x1, x\u0663]", 6), ("x1 + ²*x2", 5)]
+)
+def test_non_ascii_digits_are_not_integers(text, offset):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text)
+    assert str(err.value) == f"expected an integer (at offset {offset})"
+
+
+# grammar tokens of both letters, plus non-ASCII digits and Unicode spaces
+FUZZ_PIECES = list("xzy0123[](),+-*/^ ") + ["12", "²", "٣", "\u00a0", "\u2003"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.lists(st.sampled_from(FUZZ_PIECES), max_size=24).map("".join),
+    st.sampled_from("xz"),
+    st.sampled_from([0, 3]),
+)
+def test_parse_expr_gives_a_tree_or_a_parse_error(text, letter, rank):
+    try:
+        e = parse_expr(text, letter, rank)
+    except ParseError:
+        return
+    assert parse_expr(format_expr(e, letter), letter, rank) == e
+
+
 def test_format_round_trip_examples():
     for text in [
         "x1",
@@ -125,7 +201,8 @@ def test_format_round_trip_randomized():
     shapes = set()
     for _ in range(120):
         e = _random_expr(rng, 4, 3)
-        assert parse_expr(format_expr(e)) == e
+        for letter in "xz":
+            assert parse_expr(format_expr(e, letter), letter) == e
         shapes.add(type(e))
     assert shapes == {Gen, LeftNormed, Bracket, Scale, Sum}
 

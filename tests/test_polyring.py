@@ -466,6 +466,57 @@ class TestTextForm:
             parse_polynomial("y1 & y2", 2)
         assert err.value.position == 3
 
+    # (text, message, offset) over y1, y2: one row per raise site. An
+    # out-of-range variable and a zero denominator point where the integer
+    # ends; the other errors at the offending token, or at the end of text.
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("y1 +", "expected 'y<index>'", 4),
+            ("2*", "expected 'y<index>'", 2),
+            ("z1", "expected 'y<index>'", 0),
+            ("", "expected 'y<index>'", 0),
+            ("y", "expected an integer", 1),
+            ("y1^", "expected an integer", 3),
+            ("y1^ *y2", "expected an integer", 4),
+            ("1/ y1", "expected an integer", 3),
+            ("1/0", "zero denominator", 3),
+            ("3/ 00*y1", "zero denominator", 5),
+            ("y3", "variable index 3 out of range 1..2", 2),
+            ("y 12 ", "variable index 12 out of range 1..2", 4),
+            ("y0", "variable index 0 out of range 1..2", 2),
+            ("y1 & y2", "trailing input", 3),
+            ("2 y1", "trailing input", 2),
+        ],
+    )
+    def test_parse_error_table(self, text, message, offset):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, 2)
+        assert str(err.value) == f"{message} (at offset {offset})"
+        assert err.value.position == offset
+
+    @pytest.mark.parametrize(
+        "text, offset", [("y1^²", 3), ("٣*y1", 0), ("²", 0), ("y\u0663", 1)]
+    )
+    def test_non_ascii_digits_are_not_integers(self, text, offset):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, 2)
+        assert str(err.value) == f"expected an integer (at offset {offset})"
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.sampled_from(list("yx0123^*/+-( ") + ["12", "²", "٣", "\u00a0", "\u2003"]),
+            max_size=24,
+        ).map("".join)
+    )
+    def test_parse_gives_a_polynomial_or_a_parse_error(self, text):
+        try:
+            p = parse_polynomial(text, 2)
+        except ParseError:
+            return
+        assert parse_polynomial(str(p), 2) == p
+
 
 def _random_system(rng, nr, nc, rational):
     def pick():
