@@ -8,11 +8,16 @@ them to keep each run within a few seconds: `replay-bn --factors` at
 MAX_FACTORS (the expansion has 2^k - 1 dyads) and `replay-oe --rank` at
 MAX_OE_RANK (at n = 9 the witness solve has 249 equations in 5670
 unknowns). At the caps the two take about 0.6 s and 0.1 s on a 2-core
-virtual machine. Bracket expressions are read with the limits of `lieexpr`:
-a left-normed word has at most `MAX_WORD_LENGTH` letters and costs no
-recursion, and every other nest ('(' or '[') is at most `MAX_NESTING`
-levels deep. Lifts print as sums of left-normed words, so `endo_doc` output
-parses back at any degree up to the word cap.
+virtual machine. The rank of an element or endomorphism is capped at
+MAX_RANK, however it enters (`--rank`, the rank `nf` infers, a JSON
+document's "rank", the image count of a semicolon list, the size of a
+"linear:" matrix), and is checked before anything is evaluated: at the cap,
+`inverse` of "x1 + [x2,x3]; x2; ...; x100" takes about 1.5 s on the same
+machine, and `nf x10000` stops at once. Bracket expressions are read with
+the limits of `lieexpr`: a left-normed word has at most `MAX_WORD_LENGTH`
+letters and costs no recursion, and every other nest ('(' or '[') is at
+most `MAX_NESTING` levels deep. Lifts print as sums of left-normed words,
+so `endo_doc` output parses back at any degree up to the word cap.
 
 Endomorphisms are given either as a JSON document {"rank": n, "images":
 [...]} (inline or as a file path), as a semicolon-separated list of bracket
@@ -37,6 +42,7 @@ from .polyring import ParseError
 
 MAX_FACTORS = 14
 MAX_OE_RANK = 9
+MAX_RANK = 100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,6 +70,7 @@ def _is_int(v) -> bool:
 
 
 def load_endo(spec: str, rank: int = 0) -> endos.Endo:
+    _check_limit("--rank", rank, MAX_RANK)
     for prefix in ("inner:", "elementary:"):
         if spec.startswith(prefix):
             if not rank:
@@ -76,6 +83,7 @@ def load_endo(spec: str, rank: int = 0) -> endos.Endo:
         matrix = json.loads(spec[len("linear:") :])
         if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
             raise ValueError("linear: matrix must be a JSON list of rows")
+        _check_limit("linear: matrix size", len(matrix), MAX_RANK)
         for i, row in enumerate(matrix):
             for j, c in enumerate(row):
                 if not _is_int(c):
@@ -102,11 +110,13 @@ def load_endo(spec: str, rank: int = 0) -> endos.Endo:
             raise ValueError(
                 f"'rank' must be a positive integer, got {json.dumps(doc_rank)}"
             )
+        _check_limit("'rank'", doc_rank, MAX_RANK)
         if not isinstance(images, list) or not all(isinstance(s, str) for s in images):
             raise ValueError("'images' must be a JSON list of expression strings")
     else:
         images = [part for part in text.split(";") if part.strip()]
         doc_rank = len(images)
+        _check_limit("image count", doc_rank, MAX_RANK)
     if rank and rank != doc_rank:
         raise ValueError(f"--rank {rank} does not match endomorphism rank {doc_rank}")
     exprs = [parse_expr(s, "x", doc_rank) for s in images]
@@ -153,6 +163,7 @@ def cmd_nf(args) -> int:
     expr = parse_expr(args.expr, "x")
     top = max(generators_used(expr), default=0)
     rank = args.rank or max(top, 1)
+    _check_limit("--rank" if args.rank else "inferred rank", rank, MAX_RANK)
     if top > rank:
         raise ValueError(f"expression uses x{top} but rank is {rank}")
     value = mb.evaluate(expr, rank)
@@ -264,6 +275,9 @@ def _rank_option(text: str) -> int:
     return rank
 
 
+_RANK_HELP = f"rank n <= {MAX_RANK} (default: inferred)"
+
+
 def _add_format(p):
     p.add_argument(
         "--format",
@@ -285,9 +299,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("nf", help="normal form of a bracket expression")
     p.add_argument("expr", help="bracket expression, e.g. '[x1,x2]'")
-    p.add_argument(
-        "--rank", type=_rank_option, default=0, help="rank n (default: inferred)"
-    )
+    p.add_argument("--rank", type=_rank_option, default=0, help=_RANK_HELP)
     _add_format(p)
     p.set_defaults(func=cmd_nf)
 
@@ -298,14 +310,14 @@ def build_parser() -> _Parser:
     ]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("endo", help="endomorphism (file, JSON, images, shorthand)")
-        p.add_argument("--rank", type=_rank_option, default=0)
+        p.add_argument("--rank", type=_rank_option, default=0, help=_RANK_HELP)
         _add_format(p)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("compose", help="compose two endomorphisms")
     p.add_argument("endo", help="phi (applied last)")
     p.add_argument("other", help="psi (applied first)")
-    p.add_argument("--rank", type=_rank_option, default=0)
+    p.add_argument("--rank", type=_rank_option, default=0, help=_RANK_HELP)
     _add_format(p)
     p.set_defaults(func=cmd_compose)
 

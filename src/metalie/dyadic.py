@@ -33,6 +33,7 @@ from .polyring import (
     Scalar,
     SparseTerms,
     _add_into,
+    _dot_y,
     _mono_ops,
     _mul_into,
     as_coeff,
@@ -477,7 +478,7 @@ def instantiate(
                     f"{nvars} variables, got {m.nrows}x{m.ncols} over {m.nvars}"
                 )
     for i, psi in psis.items():
-        if not (psi * ycol)[0, 0].is_zero():
+        if _dot_y(psi.rows[0]):
             raise ValueError(f"inconsistent assignment: Psi{i} * Y != 0")
         phi = phis.get(i)
         if phi is not None and not (psi * phi)[0, 0].is_zero():

@@ -75,7 +75,8 @@ def identity(rank: int) -> Endo:
 
 def from_exprs(rank: int, exprs: Sequence[LieExpr]) -> Endo:
     """Endomorphism with image i = evaluation of exprs[i-1]."""
-    return Endo(rank, tuple(mb.evaluate(e, rank) for e in exprs))
+    gens = identity(rank).images
+    return Endo(rank, tuple(mb.eval_with(e, gens) for e in exprs))
 
 
 def elementary(rank: int, f: LieExpr, position: int = 1) -> Endo:
@@ -183,7 +184,7 @@ def conjugate_elementary(alpha: Sequence[Sequence], f: LieExpr, rank: int):
     conj = compose(compose(alpha_endo, phi_f), _linear(a_inv))
 
     phi_col = col_vector(rank, [a_inv[i][0] for i in range(rank)])
-    dfox = mb.fox(mb.evaluate(f, rank))
+    dfox = mb.fox(phi_f.images[0] - mb.generator(rank, 1))
     psi_row = apply_induced(alpha_endo, dfox) * PolyMatrix(rank, a)
     return conj, phi_col, psi_row
 

@@ -13,7 +13,6 @@ is what makes Jacobian calculus over this normal form exact and mechanical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Tuple
 
 from .lieexpr import (
@@ -31,6 +30,7 @@ from .polyring import (
     Polynomial,
     Scalar,
     _add_into,
+    _dot_y,
     _mono_ops,
     _mul_into,
     as_coeff,
@@ -89,25 +89,12 @@ class MElement:
 
     def linear_poly(self) -> Polynomial:
         """The linear part as a degree <= 1 polynomial in y1..yn."""
-        units = _units(self.rank)
-        return Polynomial._raw(
-            self.rank, {units[i]: c for i, c in enumerate(self.linear) if c}
-        )
-
-
-@lru_cache(maxsize=None)
-def _units(n: int) -> tuple:
-    """The exponent vectors of y1..yn."""
-    return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+        return Polynomial._linear(self.rank, self.linear)
 
 
 def _linear_form(rank: int, coeffs) -> MElement:
-    """c1*x1 + ... + cn*xn, whose Fox row is the constant row (c1, ..., cn),
-    for coefficients already under the `as_coeff` convention."""
-    const = (0,) * rank
-    return MElement(
-        rank, tuple(Polynomial._raw(rank, {const: c} if c else {}) for c in coeffs)
-    )
+    """c1*x1 + ... + cn*xn, whose Fox row is the constant row (c1, ..., cn)."""
+    return MElement(rank, tuple(Polynomial.constant(rank, c) for c in coeffs))
 
 
 def zero(rank: int) -> MElement:
@@ -201,19 +188,6 @@ def fox(f: MElement) -> PolyMatrix:
     return row_vector(f.rank, f.tpart)
 
 
-def _dot_y(row) -> dict:
-    """The term map of d1*y1 + ... + dn*yn for a row (d1, ..., dn):
-    multiplying by y_i shifts exponent i."""
-    out: dict = {}
-    for i, p in enumerate(row):
-        shifted = (
-            (mono[:i] + (mono[i] + 1,) + mono[i + 1 :], c)
-            for mono, c in p.terms.items()
-        )
-        _add_into(out, shifted)
-    return out
-
-
 def is_derived(f: MElement) -> bool:
     """Membership test for the bracket subalgebra [M_n, M_n]: the Fox row
     annihilates the column of variables (which forces zero constant terms,
@@ -240,44 +214,39 @@ def lift(f: MElement) -> LieExpr:
 
     The linear part lifts to a combination of generators; the rest of the
     Fox row (d1, ..., dn) must belong to a derived element, i.e. satisfy
-    d1*y1 + ... + dn*yn = 0. Such a row is a syzygy of (y1, ..., yn) and is
-    peeled off constructively: dividing each d_i (i < m) by the highest
-    variable y_m maps the quotients onto bracket monomials [[x_i, x_m], ...]
-    (a polynomial coefficient u acts as right-multiplication words, one
-    left-normed word per monomial of u), after which the remainder is a
-    syzygy in one fewer variable. Output order is canonical, so lifts are
-    deterministic.
+    d1*y1 + ... + dn*yn = 0. Such a row is a syzygy of (y1, ..., yn) and
+    lifts in one pass over its terms. A non-constant monomial u of d_i whose
+    highest variable y_m has m > i becomes the left-normed word
+    [[x_i, x_m], <letters of u / y_m>]: the Fox row of [x_i, x_m] is
+    y_i e_m - y_m e_i, and each further letter x_j multiplies it by -y_j.
+    A monomial with m <= i needs no word of its own: by the syzygy
+    condition it equals what the words of the other slots put there. Words
+    are emitted by descending m, then ascending i, each group in print
+    order, so lifts are deterministic.
 
     Raises ValueError when the element does not lie in M_n.
     """
     n = f.rank
-    terms = []
-    row = list(f.tpart)
-    for i, c in enumerate(f.linear):
-        if c:
-            terms.append(scale_expr(c, Gen(i + 1)))
-            row[i] = row[i] - Polynomial.constant(n, c)
-    if _dot_y(row):
+    if _dot_y(f.tpart) != f.linear_poly().terms:
         raise ValueError("element is not in M_n: Fox row does not annihilate Y")
-
-    for m in range(n, 1, -1):
-        quotients = []
-        for i in range(m - 1):
-            q, r = row[i].split_by_var(m)
-            quotients.append(q)
-            row[i] = r
-        for i, q in enumerate(quotients):
-            for mono, coeff in q.sorted_terms():
-                word = [i + 1, m]
-                for var, e in enumerate(mono, 1):
-                    if e:
-                        word += [var] * e
-                # [[x_i, x_m], x_j, ...] carries the sign (-1)^(len - 1)
-                if len(word) % 2 == 0:
-                    coeff = -coeff
-                terms.append(scale_expr(coeff, LeftNormed(tuple(word))))
-        row[m - 1] = Polynomial.zero(n)
-    # the syzygy condition forces the final single-variable remainder to zero
-    if not row[0].is_zero():
-        raise ValueError("element is not in M_n")
+    letters = _mono_ops(n)[2]
+    terms = [scale_expr(c, Gen(i)) for i, c in enumerate(f.linear, 1) if c]
+    groups: dict = {}
+    for i, p in enumerate(f.tpart, 1):
+        for mono, c in p.sorted_terms():
+            word = letters(mono)
+            if not word:
+                continue  # the constant term, lifted with the linear part
+            m = word[-1]
+            if m <= i:  # covered by the words of the other slots
+                if i == 1:
+                    raise ValueError("element is not in M_n")
+                continue
+            word = (i, m, *word[:-1])
+            # [[x_i, x_m], x_j, ...] carries the sign (-1)^(len - 1)
+            if len(word) % 2 == 0:
+                c = -c
+            groups.setdefault((-m, i), []).append(scale_expr(c, LeftNormed(word)))
+    for key in sorted(groups):
+        terms += groups[key]
     return sum_exprs(terms)

@@ -21,6 +21,11 @@ subsets, gives both the determinant and the adjugate; and
 `RowSpace` is the one exact rational elimination, behind `solve_sparse`,
 `solve_linear` and `rational_inverse`.
 
+Only this module knows that a monomial of `Polynomial` is a tuple of
+exponents. Other modules reach monomials through the `Polynomial`
+constructors, the key product and letter decoder of `_mono_ops`, and
+`_dot_y`, the product of a Fox row with the column of variables.
+
 Coefficients are exact rationals under one convention shared by the whole
 package: a coefficient is a plain `int` until a division makes it
 non-integral, and then a `fractions.Fraction`; integral quotients are demoted
@@ -88,15 +93,28 @@ def as_coeff(c: Scalar):
 
 @cache
 def _mono_ops(n: int) -> tuple:
-    """The product and the print-order key of exponent vectors of length n,
-    written out per n: `(a[0] + b[0], ..., a[n-1] + b[n-1],)` and
+    """The product, the print-order key and the letters of exponent vectors
+    of length n, written out per n: `(a[0] + b[0], ..., a[n-1] + b[n-1],)`,
     `(-sum(m), -m[0], ..., -m[n-1])`, the canonical term order (highest total
-    degree first, then higher powers of the earliest variable first). The
+    degree first, then higher powers of the earliest variable first), and
+    `(*(1,) * m[0], ..., *(n,) * m[n-1],)`, the variable indices of the
+    monomial in ascending order with repeats (y1^2*y3 -> (1, 1, 3)). The
     source depends only on the integer n and is a flat tuple display, so it
     compiles at any n."""
     mul = "".join(f"a[{i}] + b[{i}], " for i in range(n))
     key = "".join(f"-m[{i}], " for i in range(n))
-    return eval(f"lambda a, b: ({mul})"), eval(f"lambda m: (-sum(m), {key})")
+    letters = "".join(f"*({i + 1},) * m[{i}], " for i in range(n))
+    return (
+        eval(f"lambda a, b: ({mul})"),
+        eval(f"lambda m: (-sum(m), {key})"),
+        eval(f"lambda m: ({letters})"),
+    )
+
+
+@cache
+def _units(n: int) -> tuple:
+    """The exponent vectors of y1..yn."""
+    return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
 
 def _mul_into(acc: dict, a: Mapping, b: Mapping, key_mul):
@@ -334,7 +352,10 @@ class Polynomial(SparseTerms):
 
     @classmethod
     def constant(cls, nvars: int, c: Scalar) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: c})
+        if nvars < 0:
+            raise ValueError("nvars must be nonnegative")
+        c = as_coeff(c)
+        return cls._raw(nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
@@ -345,8 +366,13 @@ class Polynomial(SparseTerms):
         """The variable y_index, 1-based."""
         if not 1 <= index <= nvars:
             raise ValueError(f"variable index {index} out of range 1..{nvars}")
-        mono = tuple(1 if i == index - 1 else 0 for i in range(nvars))
-        return cls(nvars, {mono: 1})
+        return cls._raw(nvars, {_units(nvars)[index - 1]: 1})
+
+    @classmethod
+    def _linear(cls, nvars: int, coeffs: Sequence[Scalar]) -> "Polynomial":
+        """c1*y1 + ... + cn*yn, for coefficients already under the `as_coeff`
+        convention (internal)."""
+        return cls._raw(nvars, {u: c for u, c in zip(_units(nvars), coeffs) if c})
 
     # -- predicates and views ----------------------------------------------
 
@@ -390,18 +416,16 @@ class Polynomial(SparseTerms):
         """Ring homomorphism sending y_i to images[i-1]."""
         return _substitute([self], self._dim, images)[0]
 
-    def split_by_var(self, index: int):
-        """Write self = q * y_index + r with r free of y_index; returns (q, r)."""
-        if not 1 <= index <= self._dim:
-            raise ValueError(f"variable index {index} out of range 1..{self._dim}")
-        i = index - 1
-        q, r = {}, {}
-        for mono, coeff in self.terms.items():
-            if mono[i] > 0:
-                q[mono[:i] + (mono[i] - 1,) + mono[i + 1 :]] = coeff
-            else:
-                r[mono] = coeff
-        return Polynomial._raw(self._dim, q), Polynomial._raw(self._dim, r)
+
+def _dot_y(row: Sequence[Polynomial]) -> dict:
+    """The term map of d1*y1 + ... + dn*yn for a row (d1, ..., dn) of
+    polynomials in y1..yn: each term of d_i times the unit vector of y_i."""
+    n = len(row)
+    mul = _mono_ops(n)[0]
+    out: dict = {}
+    for p, unit in zip(row, _units(n)):
+        _add_into(out, ((mul(k, unit), c) for k, c in p.terms.items()))
+    return out
 
 
 def _substitute(

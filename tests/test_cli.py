@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metalie import endos
+from metalie import metabelian as mb
 from metalie import verify as verify_mod
 from metalie.cli import (
     MAX_FACTORS,
     MAX_OE_RANK,
+    MAX_RANK,
     build_parser,
     endo_doc,
     load_endo,
@@ -50,7 +52,7 @@ class TestNf:
         assert err == "metalie: parse error: expected an integer (at offset 1)\n"
 
     # "--rank 3" keeps a long index like x1212 from asking for a huge rank
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(
         st.lists(
             st.sampled_from(list("xz0123[](),+-*/ ") + ["²", "٣", "\u00a0", "\u2003"]),
@@ -401,6 +403,10 @@ def word(letters):
     return "[" * (letters - 1) + "x1" + ",x2]" * (letters - 1)
 
 
+def identity_matrix(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 class TestSizeLimits:
     def test_deep_nesting_is_a_parse_error(self, capsys):
         for text in (
@@ -456,8 +462,59 @@ class TestSizeLimits:
         assert f"rank n = {MAX_OE_RANK}" in out
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("nf", "--rank", str(MAX_RANK + 1), "x1"), f"--rank {MAX_RANK + 1}"),
+            (("nf", f"x{MAX_RANK + 1}"), f"inferred rank {MAX_RANK + 1}"),
+            (("nf", "x10000"), "inferred rank 10000"),
+            (
+                ("jac", "--rank", str(MAX_RANK + 1), "elementary:[x2,x3]"),
+                f"--rank {MAX_RANK + 1}",
+            ),
+            (
+                ("inverse", "--rank", str(MAX_RANK + 1), "inner:[x1,x2]"),
+                f"--rank {MAX_RANK + 1}",
+            ),
+            (
+                ("jac", json.dumps({"rank": MAX_RANK + 1, "images": ["x1"]})),
+                f"'rank' {MAX_RANK + 1}",
+            ),
+            (
+                ("iaut-level", ";".join(f"x{i}" for i in range(1, MAX_RANK + 2))),
+                f"image count {MAX_RANK + 1}",
+            ),
+            (
+                ("compose", f"linear:{identity_matrix(MAX_RANK + 1)}", "x1"),
+                f"linear: matrix size {MAX_RANK + 1}",
+            ),
+        ],
+    )
+    def test_rank_limit(self, capsys, monkeypatch, argv, message):
+        evaluated = []
+        monkeypatch.setattr(mb, "eval_with", lambda e, images: evaluated.append(e))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert f"{message} exceeds the limit of {MAX_RANK}" in err
+        assert evaluated == []
+
+    def test_rank_at_the_limit_is_accepted(self, capsys):
+        ident = ";".join(f"x{i}" for i in range(1, MAX_RANK + 1))
+        code, out, _ = run(capsys, "jac", ident)
+        assert code == 0
+        assert len(out.splitlines()) == MAX_RANK
+        code, out, _ = run(capsys, "nf", f"[x1,x{MAX_RANK}]")
+        assert code == 0
+        assert out.count(",") == MAX_RANK - 1 + MAX_RANK - 1
+
+    @pytest.mark.parametrize(
         "command, text",
-        [("replay-bn", f"k <= {MAX_FACTORS}"), ("replay-oe", f"n <= {MAX_OE_RANK}")],
+        [
+            ("replay-bn", f"k <= {MAX_FACTORS}"),
+            ("replay-oe", f"n <= {MAX_OE_RANK}"),
+            ("nf", f"n <= {MAX_RANK}"),
+            ("compose", f"n <= {MAX_RANK}"),
+        ],
     )
     def test_limits_are_stated_in_help(self, capsys, command, text):
         with pytest.raises(SystemExit):

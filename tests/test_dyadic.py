@@ -407,7 +407,7 @@ def ground_term_by_term(x, rank, phis, psis, dz):
 
 
 class TestGroundingOracle:
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(dyad_exprs, row_exprs, st.integers(0, 3))
     def test_instantiate_matches_term_by_term_products(self, x, r, seed):
         rank, phis, psis, dz = assignment(seed)
@@ -415,7 +415,7 @@ class TestGroundingOracle:
             expected = ground_term_by_term(e, rank, phis, psis, dz)
             assert dy.instantiate(e, phis, psis, dz_row=dz) == expected
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(dyad_exprs, dyad_exprs, row_exprs, scalar_polys, st.integers(0, 3))
     def test_products_ground_to_matrix_products(self, a, b, r, s, seed):
         # on an assignment with Psi_i Phi_i = 0 and Psi_i Y = 0, grounding
@@ -436,7 +436,7 @@ class TestNormalizedResults:
     """Internal arithmetic builds its results without re-validating them;
     each must still be what the validating constructor would build."""
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(scalar_polys, scalar_polys, _rats, _pairs)
     def test_scalar_poly_operations(self, s, u, c, pair):
         for x in (s + u, s - u, s - s, -s, s * u, s * c, c * s, s.substituted(pair, c)):
@@ -447,7 +447,7 @@ class TestNormalizedResults:
         for j in range(1, 4):
             assert_normalized(lam(i, j))
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(dyad_exprs, dyad_exprs)
     def test_dyad_expr_operations(self, a, b):
         for x in (a + b, a - b, a - a, dy.dyad_mul(a, b), dy.dyad_mul(b, a)):
@@ -455,7 +455,7 @@ class TestNormalizedResults:
         for i in range(1, 4):
             assert_normalized(dy.row_mul(i, a))
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(row_exprs, row_exprs, scalar_polys, _pairs, _rats)
     def test_row_expr_operations(self, r, q, s, pair, c):
         for x in (r + q, r - q, r - r, r.scaled(s), r.substituted(pair, c)):

@@ -67,7 +67,7 @@ def assert_normalized(p):
 class TestNormalizedResults:
     """NCPoly arithmetic builds its results without re-validating them."""
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(nc_polys, nc_polys, _rats)
     def test_operations(self, p, q, c):
         for x in (p + q, p - q, p - p, -p, p * q, q * p, p * c, c * p):

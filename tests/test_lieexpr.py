@@ -132,11 +132,19 @@ def test_non_ascii_digits_are_not_integers(text, offset):
     assert str(err.value) == f"expected an integer (at offset {offset})"
 
 
+def test_hypothesis_profile_is_loaded():
+    # conftest.py loads one profile, and a per-test @settings inherits it
+    for s in (settings.default, settings(max_examples=7)):
+        assert s.derandomize is True
+        assert s.deadline is None
+    assert settings(max_examples=7).max_examples == 7
+
+
 # grammar tokens of both letters, plus non-ASCII digits and Unicode spaces
 FUZZ_PIECES = list("xzy0123[](),+-*/^ ") + ["12", "²", "٣", "\u00a0", "\u2003"]
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400)
 @given(
     st.lists(st.sampled_from(FUZZ_PIECES), max_size=24).map("".join),
     st.sampled_from("xz"),

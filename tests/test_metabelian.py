@@ -1,5 +1,6 @@
 """Normal forms, bracket rule, Fox derivatives, lift, grading."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -13,7 +14,11 @@ from metalie.lieexpr import (
     Scale,
     Sum,
     ZERO_EXPR,
+    format_expr,
+    left_normed,
     parse_expr,
+    scale_expr,
+    sum_exprs,
 )
 from metalie.polyring import Polynomial, y_column
 
@@ -303,6 +308,11 @@ class TestLift:
             f = rand_element(rng, rank)
             assert mb.evaluate(mb.lift(f), rank) == f
 
+    def test_printed_lifts_are_pinned(self):
+        texts = [format_expr(mb.lift(f)) for f in pinned_lift_elements()]
+        digests = [hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts]
+        assert digests == PINNED_LIFT_DIGESTS
+
 
 class TestDegreeComponents:
     def test_mixed(self):
@@ -333,3 +343,72 @@ class TestDegreeComponents:
                 # homogeneity: the only degree present is d
                 assert list(mb.degree_components(part)) in ([d], [])
             assert total == f
+
+
+def pinned_lift_elements():
+    """40 seeded elements of M_n: ranks 2-6, bracket words of degree <= 6
+    with rational coefficients, every third element with a rational linear
+    part."""
+    rng = random.Random(1312)
+    out = []
+    for k in range(40):
+        rank = 2 + k % 5
+        terms = []
+        if k % 3 == 0:
+            for i in range(1, rank + 1):
+                c = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 7]))
+                if c:
+                    terms.append(scale_expr(c, Gen(i)))
+        for _ in range(rng.randint(1, 6)):
+            word = [rng.randint(1, rank) for _ in range(rng.randint(2, 6))]
+            if word[0] == word[1]:
+                word[1] = word[0] % rank + 1
+            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3, 5]))
+            terms.append(scale_expr(c, left_normed(word)))
+        out.append(mb.evaluate(sum_exprs(terms), rank))
+    return out
+
+
+# the first 16 hex digits of the SHA-256 of each printed lift, in order
+PINNED_LIFT_DIGESTS = [
+    "e4cb600750085b09",
+    "3443b486f9dc4ac2",
+    "4f11e941ee17b6f6",
+    "b71ead6b2d9e60d4",
+    "c4b4000b4245d178",
+    "384c1ad2838447ee",
+    "eed792a5b2b09228",
+    "9ddcdd11acd620e2",
+    "dadd1a461caa5d02",
+    "0a11b8ef16e0a405",
+    "ed0cb1df763c71a4",
+    "3c457133b9153a5e",
+    "16a59e8f8e7192ef",
+    "7e7b280e782469d4",
+    "01fb6e205cb5ba8a",
+    "91f29ae2dd33ecd2",
+    "534f809880cbc658",
+    "1f13233f7d5866e2",
+    "a0635fc54263b145",
+    "00c59e0805d18128",
+    "7870150bd7b31d63",
+    "fb0a747b978ba040",
+    "8ad85d2684160a63",
+    "456b7de1dbe86f2c",
+    "429667fdaa2b3124",
+    "21f98fe50470b425",
+    "8c34045f0a4d401a",
+    "0979166b2ee31778",
+    "756a6f0ab8279e0d",
+    "bc8ab2659ed20044",
+    "3ce5fc57a714f6b8",
+    "7ca07318545ed75b",
+    "a1a5b19efb1a59b7",
+    "251f7fd9bba9aac2",
+    "f768af204453202b",
+    "c5606575c59a8cbd",
+    "078818db425096c0",
+    "2b0556b5ae234e81",
+    "4e6e4119eced23e0",
+    "53ce9687d35ae3f2",
+]

@@ -19,6 +19,7 @@ from metalie.polyring import (
     LinearSolution,
     RowSpace,
     SparseTerms,
+    _dot_y,
     _minors,
     _mono_ops,
     col_vector,
@@ -158,6 +159,34 @@ class TestPolynomialBasics:
         assert Polynomial.zero(3).degree() == -1
         assert P("5", 3).constant_term() == 5
         assert P("5", 3).is_constant()
+
+    def test_constant_and_variable(self):
+        assert Polynomial.constant(2, Fraction(4, 2)).terms == {(0, 0): 2}
+        assert type(Polynomial.constant(2, Fraction(4, 2)).terms[(0, 0)]) is int
+        assert Polynomial.constant(2, 0).is_zero()
+        assert Polynomial.constant(0, 3) == Polynomial(0, {(): 3})
+        assert Polynomial.variable(3, 2) == P("y2", 3)
+        with pytest.raises(ValueError):
+            Polynomial.constant(-1, 1)
+        with pytest.raises(TypeError):
+            Polynomial.constant(2, 0.5)
+        with pytest.raises(ValueError):
+            Polynomial.variable(3, 4)
+
+    def test_linear_form(self):
+        assert Polynomial._linear(3, (2, 0, Fraction(1, 3))) == P("2*y1 + 1/3*y3", 3)
+        assert Polynomial._linear(2, (0, 0)).is_zero()
+
+    def test_dot_y(self):
+        # the row of [x1, x2] annihilates Y; a generator's row gives its y
+        assert _dot_y([P("-y2", 2), P("y1", 2)]) == {}
+        assert _dot_y([P("1", 2), P("0", 2)]) == P("y1", 2).terms
+        rng = random.Random(13)
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            row = [rand_poly(rng, n) for _ in range(n)]
+            expected = (row_vector(n, row) * y_column(n))[0, 0]
+            assert _dot_y(row) == expected.terms
 
     def test_ring_axioms_randomized(self):
         rng = random.Random(11)
@@ -315,7 +344,7 @@ class TestDeterminant:
             b = PolyMatrix(2, [[rand_poly(rng, 2, 2, 2) for _ in range(n)] for _ in range(n)])
             assert (a * b).det() == a.det() * b.det()
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(
         st.integers(1, 6),
         st.sampled_from(["polynomial", "constant", "unimodular"]),
@@ -503,7 +532,7 @@ class TestTextForm:
             parse_polynomial(text, 2)
         assert str(err.value) == f"expected an integer (at offset {offset})"
 
-    @settings(max_examples=400, deadline=None, derandomize=True)
+    @settings(max_examples=400)
     @given(
         st.lists(
             st.sampled_from(list("yx0123^*/+-( ") + ["12", "²", "٣", "\u00a0", "\u2003"]),
@@ -539,14 +568,14 @@ def _random_system(rng, nr, nc, rational):
 class TestCoefficientConvention:
     """Coefficients stay int until a division makes them non-integral."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(polys2(int_coeffs), polys2(int_coeffs), polys2(int_coeffs))
     def test_integer_ring_operations_store_int(self, p, q, r):
         assert_all_int(p, q, p + q, p - q, -p, p * q, p**3, p * 3, 2 * q)
         assert_all_int(p.substitute([q, r]), p.constant_term(), p.coefficient((1, 1)))
         assert_all_int(parse_polynomial(str(p), 2))
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(polys2(rat_coeffs), polys2(rat_coeffs), polys2(rat_coeffs))
     def test_rational_ring_operations_stay_exact(self, p, q, r):
         assert_demoted(p, q, p + q, p - q, p * Fraction(2, 3), parse_polynomial(str(p), 2))
@@ -573,7 +602,7 @@ class TestCoefficientConvention:
         assert inv * m == PolyMatrix.identity(n, n)
         assert_demoted(m, m * m, m.det(), inv)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(
         st.dictionaries(st.lists(st.integers(1, 3), max_size=3).map(tuple), int_coeffs, max_size=5),
         st.dictionaries(st.lists(st.integers(1, 3), max_size=3).map(tuple), int_coeffs, max_size=5),
@@ -590,7 +619,7 @@ class TestCoefficientConvention:
         assert_all_int(s + u, s - u, s * u, s * -2, s.substituted((1, 2), 3))
         assert_demoted((s * Fraction(1, 2)) * 2, s.substituted((1, 2), Fraction(1, 2)))
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(
         st.dictionaries(words3, int_coeffs, max_size=5),
         st.dictionaries(words3, int_coeffs, max_size=5),
@@ -624,7 +653,7 @@ class TestCoefficientConvention:
         assert (p + p).terms == {(1, 0): 1}
         assert_all_int(p + p, p - (-p))
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(
         st.dictionaries(st.lists(st.integers(1, 2), max_size=3).map(tuple), rat_coeffs, max_size=5),
         st.dictionaries(st.lists(st.integers(1, 2), max_size=3).map(tuple), int_coeffs, max_size=5),
@@ -653,7 +682,7 @@ class TestCoefficientConvention:
         for s in ((a + b).linear, (c - a).linear):
             assert_all_int(s)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32), st.booleans())
     def test_solve_linear_results_are_demoted(self, nr, nc, seed, rational):
         a, b = _random_system(random.Random(seed), nr, nc, rational)
@@ -676,7 +705,7 @@ class TestCoefficientConvention:
         assert rem == {1: -2}
         assert_all_int(list(rem.values()))
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(
         st.lists(st.dictionaries(st.integers(0, 5), rat_coeffs, max_size=4), max_size=6),
         st.dictionaries(st.integers(0, 5), rat_coeffs, max_size=4),
@@ -919,7 +948,7 @@ class TestSolveLinearOracle:
             if sol.null_basis:
                 assert sympy.Matrix([list(v) for v in sol.null_basis]).rank() == nc - rank
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32), st.booleans())
     def test_nullity_counts_the_null_basis(self, nr, nc, seed, rational):
         a, b = _random_system(random.Random(seed), nr, nc, rational)
@@ -949,8 +978,8 @@ class TestSolveLinearOracle:
 
 
 class TestMonoOps:
-    """The generated exponent-vector product and print key against
-    elementwise oracles."""
+    """The generated exponent-vector product, print key and letter decoder
+    against elementwise oracles."""
 
     @staticmethod
     def oracle_mul(a, b):
@@ -963,10 +992,17 @@ class TestMonoOps:
     def oracle_key(m):
         return (-sum(m), tuple(-e for e in m))
 
+    @staticmethod
+    def oracle_letters(m):
+        out = []
+        for var, e in enumerate(m, 1):
+            out += [var] * e
+        return tuple(out)
+
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 2000])
-    def test_product_and_key_match_oracles(self, n):
+    def test_product_key_and_letters_match_oracles(self, n):
         rng = random.Random(n)
-        mul, key = _mono_ops(n)
+        mul, key, letters = _mono_ops(n)
         count = 5 if n == 2000 else 60
         monos = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(count)]
         monos += monos[: count // 3]  # repeated keys
@@ -976,11 +1012,16 @@ class TestMonoOps:
             assert type(prod_ab) is tuple
             assert all(type(e) is int for e in prod_ab)
         assert sorted(monos, key=key) == sorted(monos, key=self.oracle_key)
+        for m in monos:
+            word = letters(m)
+            assert word == self.oracle_letters(m)
+            assert type(word) is tuple
         assert _mono_ops(n) is _mono_ops(n)
 
     def test_zero_variables(self):
-        mul, key = _mono_ops(0)
+        mul, key, letters = _mono_ops(0)
         assert mul((), ()) == ()
+        assert letters(()) == ()
         p = Polynomial(0, {(): 3})
         assert p * p == Polynomial(0, {(): 9})
         assert str(p * Polynomial(0, {(): Fraction(1, 2)})) == "3/2"
