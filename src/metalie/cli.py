@@ -7,12 +7,12 @@ The replays grow exponentially with their size argument, so the CLI caps
 them to keep each run within a few seconds: `replay-bn --factors` at
 MAX_FACTORS (the expansion has 2^k - 1 dyads) and `replay-oe --rank` at
 MAX_OE_RANK (at n = 9 the witness solve has 249 equations in 5670
-unknowns). At the caps the two take about 0.6 s and 0.1 s on a 2-core
+unknowns). At the caps the two take about 0.6 s and 0.03 s on a 2-core
 virtual machine. The rank of an element or endomorphism is capped at
 MAX_RANK, however it enters (`--rank`, the rank `nf` infers, a JSON
 document's "rank", the image count of a semicolon list, the size of a
 "linear:" matrix), and is checked before anything is evaluated: at the cap,
-`inverse` of "x1 + [x2,x3]; x2; ...; x100" takes about 1.5 s on the same
+`inverse` of "x1 + [x2,x3]; x2; ...; x100" takes about 0.9 s on the same
 machine, and `nf x10000` stops at once. Bracket expressions are read with
 the limits of `lieexpr`: a left-normed word has at most `MAX_WORD_LENGTH`
 letters and costs no recursion, and every other nest ('(' or '[') is at

@@ -44,7 +44,7 @@ class NCPoly(SparseTerms):
 
     def _key(self, word) -> Word:
         word = tuple(word)
-        if any(not 1 <= a <= self._dim for a in word):
+        if not all(type(a) is int and 1 <= a <= self._dim for a in word):
             raise ValueError(f"letter out of range 1..{self._dim} in {word}")
         return word
 
@@ -65,8 +65,8 @@ class NCPoly(SparseTerms):
 
     @classmethod
     def gen(cls, rank: int, i: int) -> "NCPoly":
-        if not 1 <= i <= rank:
-            raise ValueError(f"letter {i} out of range 1..{rank}")
+        if type(i) is not int or not 1 <= i <= rank:
+            raise ValueError(f"letter {i!r} out of range 1..{rank}")
         return cls._raw(rank, {(i,): 1})
 
     def constant_term(self) -> Scalar:
@@ -154,9 +154,10 @@ def derived_degree4_basis(n: int) -> List[LieExpr]:
     return [expr for expr, _ in _derived_degree4(n)]
 
 
-def _derived_degree4(n: int) -> List[Tuple[LieExpr, NCPoly]]:
-    """The elements of derived_degree4_basis(n), each with its associative
-    expansion."""
+def _derived_degree4(n: int) -> List[Tuple[LieExpr, dict]]:
+    """The elements [u, v] of derived_degree4_basis(n), each with its
+    expansion uv - vu written out as a term map. Its eight words are
+    distinct, since {i, j} != {k, l}, so no candidate's expansion vanishes."""
     if n < 2:
         raise ValueError("need rank >= 2")
     pairs = [(i, j) for i in range(2, n + 1) for j in range(1, i)]
@@ -164,10 +165,11 @@ def _derived_degree4(n: int) -> List[Tuple[LieExpr, NCPoly]]:
     for a in range(len(pairs)):
         for b in range(a):
             (i, j), (k, l) = pairs[a], pairs[b]
-            expr = Bracket(LeftNormed((i, j)), LeftNormed((k, l)))
-            expansion = lie_to_assoc(expr, n)
-            if not expansion.is_zero():
-                out.append((expr, expansion))
+            expansion = {  # u = z_i z_j - z_j z_i, v = z_k z_l - z_l z_k
+                (i, j, k, l): 1, (i, j, l, k): -1, (j, i, k, l): -1, (j, i, l, k): 1,
+                (k, l, i, j): -1, (k, l, j, i): 1, (l, k, i, j): 1, (l, k, j, i): -1,
+            }
+            out.append((Bracket(LeftNormed((i, j)), LeftNormed((k, l))), expansion))
     return out
 
 
@@ -270,37 +272,40 @@ def replay(rank: int, include_witness: bool = True) -> TraceReplay:
     return TraceReplay(rank, expr, s, sig, member, witness)
 
 
-def _witness_search(rank: int, s: NCPoly) -> WitnessSearch:
+def _witness_system(rank: int, s: NCPoly) -> tuple:
+    """(basis, class_list, rows of A, b) of the witness system A x = b, in
+    one pass over the basis expansions: a word w*z_i with coefficient c in
+    expansion k adds c at the row of the cyclic class of w (one row per class
+    of degree-3 words, sorted) and column (i - 1) * len(basis) + k, the
+    coefficient of basis element k in v_i; b is minus the class sums of s."""
     basis, expansions = zip(*_derived_degree4(rank))
-    unknowns = [(i, k) for i in range(1, rank + 1) for k in range(len(basis))]
-
-    # one equation per cyclic class of degree-3 words
-    columns = [
-        cyclic_signature(fox_assoc(expansions[k], i)) for i, k in unknowns
-    ]
-    rhs_sig = cyclic_signature(s)
-    class_list = sorted(
-        {
-            cyclic_representative(w)
-            for w in itertools.product(range(1, rank + 1), repeat=3)
-        }
-    )
-    # the sparse rows of the system are the transpose of its columns
+    words = itertools.product(range(1, rank + 1), repeat=3)
+    class_of = {w: cyclic_representative(w) for w in words}
+    class_list = sorted(set(class_of.values()))
     row_of = {cls: r for r, cls in enumerate(class_list)}
+    row_of = {w: row_of[cls] for w, cls in class_of.items()}
     a_rows: List[dict] = [{} for _ in class_list]
-    for u, col in enumerate(columns):
-        for cls, c in col.items():
-            a_rows[row_of[cls]][u] = c
-    b = [-rhs_sig.get(cls, 0) for cls in class_list]
+    for k, expansion in enumerate(expansions):
+        for w, c in expansion.items():
+            _add_into(a_rows[row_of[w[:3]]], (((w[3] - 1) * len(basis) + k, c),))
+    b = [0] * len(class_list)
+    for w, c in s.terms.items():
+        b[row_of[w]] -= c
+    return basis, class_list, a_rows, b
 
-    solution = solve_sparse(a_rows, b, len(unknowns))
+
+def _witness_search(rank: int, s: NCPoly) -> WitnessSearch:
+    basis, class_list, a_rows, b = _witness_system(rank, s)
+    unknowns = rank * len(basis)
+    solution = solve_sparse(a_rows, b, unknowns)
     if solution is None:
-        return WitnessSearch(False, len(unknowns), len(class_list), 0, (), False)
+        return WitnessSearch(False, unknowns, len(class_list), 0, (), False)
 
     per_gen: Dict[int, list] = {}
-    for (i, k), coeff in zip(unknowns, solution.particular):
+    for u, coeff in enumerate(solution.particular):
         if coeff:
-            per_gen.setdefault(i, []).append(scale_expr(coeff, basis[k]))
+            i, k = divmod(u, len(basis))
+            per_gen.setdefault(i + 1, []).append(scale_expr(coeff, basis[k]))
     witness_exprs = tuple(
         (i, sum_exprs(terms)) for i, terms in sorted(per_gen.items())
     )
@@ -310,10 +315,5 @@ def _witness_search(rank: int, s: NCPoly) -> WitnessSearch:
         corrected = corrected + fox_assoc(lie_to_assoc(expr, rank), i)
     verified = in_commutator_subspace(corrected)
     return WitnessSearch(
-        True,
-        len(unknowns),
-        len(class_list),
-        solution.nullity,
-        witness_exprs,
-        verified,
+        True, unknowns, len(class_list), solution.nullity, witness_exprs, verified
     )

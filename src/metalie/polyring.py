@@ -762,7 +762,7 @@ class PolyMatrix:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         full = (1 << self.ncols) - 1
-        table, den = _minors(self.rows, self.ncols, self.nvars)
+        table, den = _minors(self.rows, self.nvars)
         return Polynomial._raw(self.nvars, _divided(table.get(full, {}), den))
 
     def inverse_over_ring(self) -> Optional["PolyMatrix"]:
@@ -784,7 +784,7 @@ class PolyMatrix:
             # and the columns other than c, and their denominator, from the
             # minors (table, den) of rows 0..j-1; row r > j sits at r - 1
             for r in range(j + 1, n):
-                table, den = _expand(table, den, rows[r], r - 1, n, nvars)
+                table, den = _expand(table, den, rows[r], r - 1, nvars)
             return [table.get(full ^ (1 << c), {}) for c in range(n)], den
 
         prefix = ({0: {one: 1}}, 1)
@@ -806,7 +806,7 @@ class PolyMatrix:
         minors = [(nums0, den0)]
         for j in range(1, n):
             # the minors of rows 0..j-1, built once for every later row
-            prefix = _expand(*prefix, rows[j - 1], j - 1, n, nvars)
+            prefix = _expand(*prefix, rows[j - 1], j - 1, nvars)
             minors.append(row_deleted_minors(j, *prefix))
         # adj[i][j] = (-1)^(i + j) * (minor c = i of row j) / det
         adj = [[None] * n for _ in range(n)]
@@ -841,9 +841,10 @@ def unit_column(nvars: int, n: int, index: int) -> PolyMatrix:
     return col_vector(nvars, [1 if i == index - 1 else 0 for i in range(n)])
 
 
-def _minors(rows, ncols: int, nvars: int) -> tuple:
-    """Map each bitmask of len(rows) of the ncols columns to the term map of
-    the determinant of `rows` on those columns (a zero minor may be absent).
+def _minors(rows, nvars: int) -> tuple:
+    """Map each bitmask of len(rows) of the ncols columns (the row length) to
+    the term map of the determinant of `rows` on those columns (a zero minor
+    may be absent).
 
     Laplace expansion along the last row, over column subsets, so every
     sub-minor shared between larger minors is computed once and no division
@@ -856,36 +857,29 @@ def _minors(rows, ncols: int, nvars: int) -> tuple:
     """
     table, den = {0: {(0,) * nvars: 1}}, 1
     for t, row in enumerate(rows):
-        table, den = _expand(table, den, row, t, ncols, nvars)
+        table, den = _expand(table, den, row, t, nvars)
     return table, den
 
 
-def _expand(table: dict, den: int, row, t: int, ncols: int, nvars: int) -> tuple:
+def _expand(table: dict, den: int, row, t: int, nvars: int) -> tuple:
     """One row of `_minors`: from the (table, den) of the minors of t rows,
     those of the minors with `row` added as row t, the last. The given table
     is left as it is, so one table can be extended in several ways."""
-    d = _den(e.terms for e in row)
-    # entry c of the last row t, with pos sub-minor columns left of c, has
-    # the sign (-1)^(t + pos)
-    signed = (
-        [_numerators(e.terms, d) for e in row],
-        [_numerators(e.terms, -d) for e in row],
-    )
+    # only the nonzero entries are scaled: entry c of the last row t, with
+    # pos sub-minor columns left of c, has the sign (-1)^(t + pos)
+    nonzero = [(1 << c, e.terms) for c, e in enumerate(row) if e.terms]
+    d = _den(t for _, t in nonzero)
+    signed = [(bit, (_numerators(t, d), _numerators(t, -d))) for bit, t in nonzero]
     mul = _mono_ops(nvars)[0]
     new_table: dict = {}
     for mask, sub in table.items():
         if not sub:
             continue
-        pos = 0
-        for c in range(ncols):
-            bit = 1 << c
-            if mask & bit:
-                pos += 1
-                continue
-            entry = signed[(t + pos) % 2][c]
-            if entry:
+        for bit, entry in signed:
+            if not mask & bit:
+                pos = (mask & (bit - 1)).bit_count()
                 acc = new_table.setdefault(mask | bit, {})
-                _mul_into(acc, entry, sub, mul)
+                _mul_into(acc, entry[(t + pos) % 2], sub, mul)
     return new_table, den * d
 
 

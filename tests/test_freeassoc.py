@@ -4,6 +4,7 @@ cyclic-word commutator test, degree-4 trace replay."""
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,14 @@ class TestNCPoly:
     def test_str(self):
         p = NC(4, ((4, 2, 3), 1), ((4, 3, 2), -1))
         assert str(p) == "z4*z2*z3 - z4*z3*z2"
+
+    @pytest.mark.parametrize("letter", [1.5, 2.0, Fraction(2, 1), True, "1"])
+    def test_rejects_non_integer_letters(self, letter):
+        # each would print as a text that does not parse back (z1.5, zTrue)
+        with pytest.raises(ValueError, match="out of range"):
+            fa.NCPoly(3, {(1, letter): 1})
+        with pytest.raises(ValueError, match="out of range"):
+            fa.NCPoly.gen(3, letter)
 
 
 _rats = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3))
@@ -226,6 +235,65 @@ class TestDegree4Basis:
             assert not p.is_zero()
             assert p.degree() == 4
             assert fa.in_commutator_subspace(p)
+
+
+def old_witness_system(rank, s):
+    """The witness system built per unknown (i, k), as the replay built it
+    before: the cyclic signature of fox_assoc(expansion k, i) is column
+    (i - 1) * len(basis) + k, transposed into rows."""
+    basis = fa.derived_degree4_basis(rank)
+    expansions = [fa.lie_to_assoc(e, rank) for e in basis]
+    unknowns = [(i, k) for i in range(1, rank + 1) for k in range(len(basis))]
+    columns = [fa.cyclic_signature(fa.fox_assoc(expansions[k], i)) for i, k in unknowns]
+    words = itertools.product(range(1, rank + 1), repeat=3)
+    class_list = sorted({fa.cyclic_representative(w) for w in words})
+    row_of = {cls: r for r, cls in enumerate(class_list)}
+    rows = [{} for _ in class_list]
+    for u, col in enumerate(columns):
+        for cls, c in col.items():
+            rows[row_of[cls]][u] = c
+    rhs = fa.cyclic_signature(s)
+    return tuple(basis), class_list, rows, [-rhs.get(cls, 0) for cls in class_list]
+
+
+class TestWitnessSystem:
+    """The one-pass build of the witness system against the generic route:
+    `lie_to_assoc` for the written-out expansions, and per-unknown
+    `fox_assoc` and `cyclic_signature` for the rows."""
+
+    @pytest.mark.parametrize("rank", range(2, 8))
+    def test_expansions_match_lie_to_assoc(self, rank):
+        pairs = [(i, j) for i in range(2, rank + 1) for j in range(1, i)]
+        want = []
+        for a in range(len(pairs)):
+            for b in range(a):
+                expr = Bracket(LeftNormed(pairs[a]), LeftNormed(pairs[b]))
+                expansion = fa.lie_to_assoc(expr, rank)
+                if not expansion.is_zero():
+                    want.append((expr, expansion.terms))
+        assert fa._derived_degree4(rank) == want
+
+    @pytest.mark.parametrize("rank", [4, 5, 6, 7])
+    def test_rows_match_per_unknown_build(self, rank):
+        rng = random.Random(rank)
+        source = fa.fox_assoc(fa.lie_to_assoc(fa.source_monomial(), rank), 1)
+        other = random_nc_poly(rng, rank, 3, 12).homogeneous_component(3)
+        for s in (source, other * Fraction(1, 3)):
+            assert fa._witness_system(rank, s) == old_witness_system(rank, s)
+
+    def test_fox_assoc_not_called_per_unknown(self, monkeypatch):
+        calls = []
+        fox_assoc = fa.fox_assoc
+
+        def counted(f, i):
+            calls.append(i)
+            return fox_assoc(f, i)
+
+        monkeypatch.setattr(fa, "fox_assoc", counted)
+        rep = fa.replay(6)
+        assert rep.witness.verified
+        # once for the derivative, then once per witness generator
+        assert len(calls) <= 6 + 1 < rep.witness.unknowns
 
 
 class TestReplay:

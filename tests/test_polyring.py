@@ -1125,7 +1125,7 @@ class TestRowDeletedMinors:
             2, [[kind_poly(rng, 2, "mixed", 1, 2) for _ in range(n)] for _ in range(n)]
         )
         for k in range(n + 1):
-            table, den = _minors(m.rows[:k], n, 2)
+            table, den = _minors(m.rows[:k], 2)
             for point in points(rng, 2, 2):
                 a = values(m, point)
                 for cols in itertools.combinations(range(n), k):
