@@ -26,6 +26,7 @@ from .polyring import (
     PolyMatrix,
     Polynomial,
     Scalar,
+    _matmul,
     as_coeff,
     col_vector,
     rational_inverse,
@@ -59,18 +60,26 @@ class Endo:
         if self.exprs is not None and len(self.exprs) != self.rank:
             raise ValueError("need exactly one cached expression per generator")
 
+    @classmethod
+    def _raw(cls, rank: int, images: tuple) -> "Endo":
+        """Build from `rank` >= 1 images of rank `rank` (internal), with no
+        `exprs`: the results of the package's own kernels."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "rank", rank)
+        object.__setattr__(e, "images", images)
+        object.__setattr__(e, "exprs", None)
+        return e
+
     def linear_matrix(self) -> List[List[Scalar]]:
         """Row i = linear part of the image of x_{i+1}."""
         return [list(img.linear) for img in self.images]
 
     def is_identity(self) -> bool:
-        return all(
-            img == mb.generator(self.rank, i + 1) for i, img in enumerate(self.images)
-        )
+        return self.images == mb.generators(self.rank)
 
 
 def identity(rank: int) -> Endo:
-    return Endo(rank, tuple(mb.generator(rank, i) for i in range(1, rank + 1)))
+    return Endo(rank, mb.generators(rank))
 
 
 def from_exprs(rank: int, exprs: Sequence[LieExpr]) -> Endo:
@@ -94,9 +103,9 @@ def elementary(rank: int, f: LieExpr, position: int = 1) -> Endo:
     value = mb.evaluate(f, rank)
     if not mb.is_derived(value):
         raise ValueError("perturbation is not in the bracket subalgebra")
-    images = [mb.generator(rank, i) for i in range(1, rank + 1)]
+    images = list(mb.generators(rank))
     images[position - 1] = images[position - 1] + value
-    return Endo(rank, tuple(images))
+    return Endo._raw(rank, tuple(images))
 
 
 def inner(rank: int, z: MElement) -> Endo:
@@ -107,8 +116,8 @@ def inner(rank: int, z: MElement) -> Endo:
         raise ValueError("z must be nonzero")
     if not mb.is_derived(z):
         raise ValueError("z must lie in the bracket subalgebra")
-    gens = [mb.generator(rank, i) for i in range(1, rank + 1)]
-    return Endo(rank, tuple(xi + mb.bracket(z, xi) for xi in gens))
+    gens = mb.generators(rank)
+    return Endo._raw(rank, tuple(xi + mb.bracket(z, xi) for xi in gens))
 
 
 def _invertible(matrix: Sequence[Sequence]):
@@ -146,13 +155,14 @@ def compose(phi: Endo, psi: Endo) -> Endo:
     if phi.rank != psi.rank:
         raise ValueError(f"rank mismatch: {phi.rank} vs {psi.rank}")
     n = phi.rank
-    rows = (apply_induced(phi, jacobian(psi)) * jacobian(phi)).rows
-    return Endo(n, tuple(MElement(n, r) for r in rows))
+    moved = apply_induced(phi, jacobian(psi)).rows
+    rows = _matmul(moved, [img.tpart for img in phi.images], n)
+    return Endo._raw(n, tuple(MElement._raw(n, r) for r in rows))
 
 
 def jacobian(phi: Endo) -> PolyMatrix:
     """Row i = Fox-derivative row of the image of x_{i+1}."""
-    return PolyMatrix(phi.rank, [img.tpart for img in phi.images])
+    return PolyMatrix._raw(phi.rank, tuple(img.tpart for img in phi.images))
 
 
 def induced_poly_images(phi: Endo) -> List[Polynomial]:
@@ -209,12 +219,12 @@ def inverse(phi: Endo) -> Optional[Endo]:
     jac_inv = jacobian(reduced).inverse_over_ring()
     if jac_inv is None:
         return None
-    images = tuple(MElement(n, row) for row in jac_inv.rows)
-    for j, img in enumerate(images):
+    images = tuple(MElement._raw(n, row) for row in jac_inv.rows)
+    for img, gen in zip(images, mb.generators(n)):
         # row j . Y = y_j: the row is the Fox row of an element of M_n
-        if not mb.is_derived(img - mb.generator(n, j + 1)):
+        if not mb.is_derived(img - gen):
             return None
-    candidate = compose(lam, Endo(n, images))
+    candidate = compose(lam, Endo._raw(n, images))
     if compose(phi, candidate).is_identity() and compose(candidate, phi).is_identity():
         return candidate
     return None
@@ -224,8 +234,8 @@ def iaut_level(phi: Endo):
     """Largest i such that phi fixes everything modulo components of degree
     greater than i; the identity map gets float('inf')."""
     level = float("inf")
-    for i, img in enumerate(phi.images):
-        delta = img - mb.generator(phi.rank, i + 1)
+    for img, gen in zip(phi.images, mb.generators(phi.rank)):
+        delta = img - gen
         comps = mb.degree_components(delta)
         if comps:
             level = min(level, min(comps) - 1)

@@ -13,6 +13,7 @@ is what makes Jacobian calculus over this normal form exact and mechanical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Dict, Tuple
 
 from .lieexpr import (
@@ -56,6 +57,15 @@ class MElement:
             if p.nvars != self.rank:
                 raise ValueError("module coordinate in the wrong ring")
 
+    @classmethod
+    def _raw(cls, rank: int, tpart: tuple) -> "MElement":
+        """Build from a Fox row known to hold `rank` polynomials in `rank`
+        variables (internal): the results of the package's own kernels."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "rank", rank)
+        object.__setattr__(e, "tpart", tpart)
+        return e
+
     @property
     def linear(self) -> Tuple[Scalar, ...]:
         """The y-coordinates: the constant terms of the Fox row."""
@@ -70,22 +80,22 @@ class MElement:
 
     def __add__(self, other: "MElement") -> "MElement":
         self._check_rank(other)
-        return MElement(
+        return MElement._raw(
             self.rank, tuple(p + q for p, q in zip(self.tpart, other.tpart))
         )
 
     def __sub__(self, other: "MElement") -> "MElement":
         self._check_rank(other)
-        return MElement(
+        return MElement._raw(
             self.rank, tuple(p - q for p, q in zip(self.tpart, other.tpart))
         )
 
     def __neg__(self) -> "MElement":
-        return MElement(self.rank, tuple(-p for p in self.tpart))
+        return MElement._raw(self.rank, tuple(-p for p in self.tpart))
 
     def scaled(self, c: Scalar) -> "MElement":
         c = as_coeff(c)
-        return MElement(self.rank, tuple(p * c for p in self.tpart))
+        return MElement._raw(self.rank, tuple(p * c for p in self.tpart))
 
     def linear_poly(self) -> Polynomial:
         """The linear part as a degree <= 1 polynomial in y1..yn."""
@@ -94,18 +104,30 @@ class MElement:
 
 def _linear_form(rank: int, coeffs) -> MElement:
     """c1*x1 + ... + cn*xn, whose Fox row is the constant row (c1, ..., cn)."""
-    return MElement(rank, tuple(Polynomial.constant(rank, c) for c in coeffs))
+    return MElement._raw(rank, tuple(Polynomial.constant(rank, c) for c in coeffs))
 
 
 def zero(rank: int) -> MElement:
     return _linear_form(rank, (0,) * rank)
 
 
+@cache
+def generators(rank: int) -> Tuple[MElement, ...]:
+    """x1..x_rank, built once per rank: x_i = y_i + t_i has the Fox row e_i,
+    and every row shares one zero and one unit polynomial."""
+    zero_poly = Polynomial._raw(rank, {})
+    one_poly = Polynomial._raw(rank, {(0,) * rank: 1})
+    row = (zero_poly,) * rank
+    return tuple(
+        MElement._raw(rank, row[:i] + (one_poly,) + row[i + 1 :]) for i in range(rank)
+    )
+
+
 def generator(rank: int, i: int) -> MElement:
     """x_i = y_i + t_i."""
     if not 1 <= i <= rank:
         raise ValueError(f"generator index {i} out of range 1..{rank}")
-    return _linear_form(rank, (1 if j == i - 1 else 0 for j in range(rank)))
+    return generators(rank)[i - 1]
 
 
 def bracket(u: MElement, v: MElement) -> MElement:
@@ -114,7 +136,7 @@ def bracket(u: MElement, v: MElement) -> MElement:
     n = u.rank
     slots: list = [{} for _ in range(n)]
     _add_bracket(slots, u.linear_poly(), u, v.linear_poly(), v)
-    return MElement(n, tuple(Polynomial._raw(n, acc) for acc in slots))
+    return MElement._raw(n, tuple(Polynomial._raw(n, acc) for acc in slots))
 
 
 def _add_bracket(slots, a: Polynomial, u: MElement, b: Polynomial, v: MElement):
@@ -134,7 +156,7 @@ def eval_with(e: LieExpr, images) -> MElement:
     n = images[0].rank
     slots: list = [{} for _ in range(n)]
     _eval_into(e, images, 1, slots)
-    return MElement(n, tuple(Polynomial._raw(n, acc) for acc in slots))
+    return MElement._raw(n, tuple(Polynomial._raw(n, acc) for acc in slots))
 
 
 def _image(images, i: int, n: int) -> MElement:
@@ -180,7 +202,7 @@ def _eval_into(e: LieExpr, images, c: Scalar, slots: list) -> None:
 
 def evaluate(e: LieExpr, rank: int) -> MElement:
     """Evaluate a bracket expression on the generators x1..xn."""
-    return eval_with(e, [generator(rank, i) for i in range(1, rank + 1)])
+    return eval_with(e, generators(rank))
 
 
 def fox(f: MElement) -> PolyMatrix:
@@ -206,7 +228,7 @@ def degree_components(f: MElement) -> Dict[int, MElement]:
     for slot, poly in enumerate(f.tpart):
         for d, hom in poly.homogeneous_components().items():
             pieces.setdefault(d + 1, [zero_poly] * n)[slot] = hom
-    return {d: MElement(n, tuple(row)) for d, row in sorted(pieces.items())}
+    return {d: MElement._raw(n, tuple(row)) for d, row in sorted(pieces.items())}
 
 
 def lift(f: MElement) -> LieExpr:

@@ -38,6 +38,18 @@ lcm of its denominators, the product loop runs on ints, and each output
 coefficient is divided once. What they store follows the same convention,
 so this changes no stored value.
 
+These kernels cost only the work that is not trivial. Substitution returns
+every polynomial whose monomials use only variables the images fix (an
+image that is exactly y_i) as it is, so constants and every map whose
+linear part is the identity pass through untouched. The matrix product is
+one row kernel, `_matmul`, shared by `PolyMatrix.__mul__` and
+`endos.compose`: it visits only the nonzero entries of each row, and a
+constant entry scales the other operand through `_add_into` instead of
+running key products. Results the kernels build themselves are not checked
+again: `SparseTerms._raw` and `PolyMatrix._raw` (like `MElement._raw` and
+`Endo._raw` elsewhere) take data already known to be normalized, while the
+public constructors keep every check on their input.
+
 A polynomial is a sparse map from exponent tuples to nonzero coefficients
 over a fixed number of variables y1..yn. The text form ("2*y1^2*y2 - y3") is
 canonical -- terms are ordered by total degree (highest first), ties broken
@@ -143,10 +155,10 @@ def _add_into(acc: dict, pairs: Iterable, f: Scalar = 1):
             acc.pop(k, None)
 
 
-# The polynomial-matrix kernels (`PolyMatrix.__mul__`, `_minors`,
-# `_substitute`) run on integer numerators: each operand is scaled by the lcm
-# of its coefficients' denominators (`_den`, `_numerators`), the product loop
-# runs on ints, and each output coefficient is divided once (`_divided`).
+# The polynomial-matrix kernels (`_matmul`, `_minors`, `_substitute`) run on
+# integer numerators: each operand is scaled by the lcm of its coefficients'
+# denominators (`_den`, `_numerators`), the product loop runs on ints, and
+# each output coefficient is divided once (`_divided`).
 
 
 def _den(maps: Iterable[Mapping]) -> int:
@@ -435,6 +447,11 @@ def _substitute(
     images[i-1]: the ring homomorphism, applied to every entry with one power
     table of the images shared by all of them.
 
+    An image that is exactly y_i fixes y_i (when the images live in the ring
+    of the polynomials), and a polynomial whose monomials use only fixed
+    variables is returned as it is: constants, and every polynomial under a
+    map whose linear part is the identity.
+
     Image i is taken as integer numerators over the lcm e_i of its
     denominators, and a polynomial p as integer numerators over its own lcm
     d. A monomial y^m of p then maps to prod_i N_i^m_i / prod_i e_i^m_i, so
@@ -450,6 +467,12 @@ def _substitute(
     for img in images:
         if img.nvars != nv:
             raise ValueError("images live in different rings")
+    units = _units(nv)
+    moved = [
+        i for i, img in enumerate(images) if nv != nvars or img.terms != {units[i]: 1}
+    ]
+    if not moved:
+        return list(polys)
     dens = [_den((img.terms,)) for img in images]
     # powers[i][e - 1] = (e_i * images[i])^e, as an int term map
     powers = [[_numerators(img.terms, d)] for img, d in zip(images, dens)]
@@ -467,6 +490,9 @@ def _substitute(
 
     out = []
     for p in polys:
+        if nv == nvars and not any(m[i] for m in p.terms for i in moved):
+            out.append(p)
+            continue
         d = _den((p.terms,))
         top = {i: max((m[i] for m in p.terms), default=0) for i in scaled}
         acc: dict = {}
@@ -489,6 +515,47 @@ def _substitute(
         scale = d * prod(dens[i] ** top[i] for i in scaled)
         out.append(Polynomial._raw(nv, _divided(acc, scale)))
     return out
+
+
+def _matmul(a_rows: Sequence, b_rows: Sequence, nvars: int) -> tuple:
+    """The rows, a tuple of tuples, of A * B for A and B given by their rows
+    of polynomials in nvars variables (B with at least one row): the one row
+    kernel behind `PolyMatrix.__mul__` and `endos.compose`. It visits only
+    nonzero entries, and a product with a constant entry scales the other
+    entry's terms (`_add_into`) instead of running key products."""
+    one = (0,) * nvars
+    mul = _mono_ops(nvars)[0]
+
+    def nonzero(rows, d):
+        # per row: (column, numerators, the constant or None) of each
+        # nonzero entry
+        out = []
+        for row in rows:
+            entries = []
+            for j, e in enumerate(row):
+                if e.terms:
+                    t = _numerators(e.terms, d)
+                    entries.append((j, t, t.get(one) if len(t) == 1 else None))
+            out.append(entries)
+        return out
+
+    da = _den(e.terms for r in a_rows for e in r)
+    db = _den(e.terms for r in b_rows for e in r)
+    b_nz = nonzero(b_rows, db)
+    width, scale = len(b_rows[0]), da * db
+    out = []
+    for a_nz in nonzero(a_rows, da):
+        acc = [{} for _ in range(width)]
+        for k, a, ca in a_nz:
+            for j, b, cb in b_nz[k]:
+                if ca is not None:
+                    _add_into(acc[j], b.items(), ca)
+                elif cb is not None:
+                    _add_into(acc[j], a.items(), cb)
+                else:
+                    _mul_into(acc[j], a, b, mul)
+        out.append(tuple(Polynomial._raw(nvars, _divided(t, scale)) for t in acc))
+    return tuple(out)
 
 
 def format_term(c: Scalar, body: str, first: bool) -> str:
@@ -650,6 +717,15 @@ class PolyMatrix:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "rows", tuple(grid))
 
+    @classmethod
+    def _raw(cls, nvars: int, rows: tuple) -> "PolyMatrix":
+        """Build from a nonempty tuple of equal-length, nonempty tuples of
+        Polynomials in nvars variables (internal)."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "nvars", nvars)
+        object.__setattr__(m, "rows", rows)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
 
@@ -720,23 +796,8 @@ class PolyMatrix:
                 raise ValueError(
                     f"dimension mismatch: {self.shape} times {other.shape}"
                 )
-            # integer numerators over one lcm denominator per operand
-            da = _den(e.terms for r in self.rows for e in r)
-            db = _den(e.terms for r in other.rows for e in r)
-            rows = [[_numerators(e.terms, da) for e in r] for r in self.rows]
-            cols = [[_numerators(e.terms, db) for e in c] for c in zip(*other.rows)]
-            mul = _mono_ops(self.nvars)[0]
-            out = []
-            for r in rows:
-                line = []
-                for c in cols:
-                    acc: dict = {}
-                    for a, b in zip(r, c):
-                        if a and b:
-                            _mul_into(acc, a, b, mul)
-                    line.append(Polynomial._raw(self.nvars, _divided(acc, da * db)))
-                out.append(line)
-            return PolyMatrix(self.nvars, out)
+            rows = _matmul(self.rows, other.rows, self.nvars)
+            return PolyMatrix._raw(self.nvars, rows)
         if isinstance(other, (int, Fraction, Polynomial)):
             return PolyMatrix(self.nvars, [[a * other for a in r] for r in self.rows])
         return NotImplemented
@@ -752,7 +813,9 @@ class PolyMatrix:
         flat = _substitute([e for r in self.rows for e in r], self.nvars, images)
         nv = images[0].nvars if images else self.nvars
         w = self.ncols
-        return PolyMatrix(nv, [flat[i : i + w] for i in range(0, len(flat), w)])
+        return PolyMatrix._raw(
+            nv, tuple(tuple(flat[i : i + w]) for i in range(0, len(flat), w))
+        )
 
     # -- determinant and inverse ---------------------------------------------
 
@@ -814,7 +877,7 @@ class PolyMatrix:
             for i, t in enumerate(nums):
                 sign = den if (i + j) % 2 == 0 else -den
                 adj[i][j] = Polynomial._raw(nvars, _divided(t, mden * num, sign))
-        return PolyMatrix(nvars, adj)
+        return PolyMatrix._raw(nvars, tuple(map(tuple, adj)))
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(a) for a in r) + "]" for r in self.rows)
@@ -1024,8 +1087,13 @@ class RowSpace:
         if not rem:
             return False
         k = min(rem)
-        inv = 1 / as_rat(rem[k])
-        self._pivots[k] = {kk: as_coeff(cc * inv) for kk, cc in rem.items()}
+        pivot = rem[k]
+        if pivot == -1:
+            rem = {kk: -cc for kk, cc in rem.items()}
+        elif pivot != 1:
+            inv = 1 / as_rat(pivot)
+            rem = {kk: as_coeff(cc * inv) for kk, cc in rem.items()}
+        self._pivots[k] = rem
         return True
 
     def contains(self, row: Mapping) -> bool:

@@ -223,6 +223,77 @@ class TestApplyCompose:
             assert en.compose(phi, psi).linear_matrix() == expected
 
 
+def tame_factor(kind, rank, rng):
+    """A linear (integer or rational), elementary or IA factor (a linear
+    conjugate of an elementary map) of rank `rank`."""
+    if kind == "linear":
+        return en.linear(en._random_invertible_matrix(rng, rank))
+    if kind == "rational":
+        while True:
+            a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rank)]
+                 for _ in range(rank)]
+            if en.rational_inverse(a) is not None:
+                return en.linear(a)
+    if kind == "elementary":
+        position = rng.randint(1, rank)
+        letters = [i for i in range(1, rank + 1) if i != position]
+        return en.elementary(rank, en.random_derived_expr(rng, rank, 3, letters), position)
+    alpha = en._random_unimodular_matrix(rng, rank)
+    f = en.random_derived_expr(rng, rank, 3, list(range(2, rank + 1)))
+    return en.conjugate_elementary(alpha, f, rank)[0]
+
+
+factor_kinds = st.sampled_from(["linear", "rational", "elementary", "ia"])
+
+
+class TestComposeFactorsOracle:
+    """compose of tame factors against direct evaluation of phi on the lift
+    of each image of psi."""
+
+    @settings(max_examples=40)
+    @given(factor_kinds, factor_kinds, st.integers(3, 5), st.integers(0, 2**32))
+    def test_matches_direct_evaluation(self, kind_phi, kind_psi, rank, seed):
+        rng = random.Random(seed)
+        phi, psi = tame_factor(kind_phi, rank, rng), tame_factor(kind_psi, rank, rng)
+        comp = en.compose(phi, psi)
+        assert comp.images == tuple(en.apply(phi, mb.lift(g)) for g in psi.images)
+        assert comp == en.Endo(rank, tuple(mb.MElement(rank, g.tpart) for g in comp.images))
+        assert comp.exprs is None
+
+
+class TestRawBuilders:
+    """Objects built by the raw builders equal the validating constructors'
+    results."""
+
+    @pytest.mark.parametrize("rank", [1, 3, 5])
+    def test_generators(self, rank):
+        gens = mb.generators(rank)
+        assert gens is mb.generators(rank)
+        for i, g in enumerate(gens, 1):
+            row = tuple(Polynomial.constant(rank, int(j == i)) for j in range(1, rank + 1))
+            assert g == mb.MElement(rank, row) == mb.generator(rank, i)
+            assert g == mb.evaluate(ex(f"x{i}"), rank)
+        assert en.identity(rank) == en.Endo(rank, gens)
+
+    def test_kernel_results(self):
+        rng = random.Random(8)
+        from metalie.verify import random_endo
+
+        for _ in range(10):
+            rank = rng.randint(2, 4)
+            phi, psi = random_endo(rng, rank, 3), random_endo(rng, rank, 3)
+            u, v = phi.images[0], psi.images[-1]
+            for f in (u + v, u - v, -u, u.scaled(Fraction(2, 3)), mb.bracket(u, v),
+                      en.apply(phi, ex("[x1,x2] + x2")),
+                      *mb.degree_components(u).values()):
+                assert f == mb.MElement(rank, f.tpart)
+            for endo in (en.compose(phi, psi), en.inverse(en.random_tame(rank, 3, 2, 2))):
+                if endo is not None:
+                    assert endo == en.Endo(rank, endo.images)
+            j = en.jacobian(phi)
+            assert j == PolyMatrix(rank, j.rows)
+
+
 class TestInduced:
     def test_identity(self):
         imgs = en.induced_poly_images(en.identity(3))
@@ -308,12 +379,26 @@ class TestConjugateElementary:
 class TestFromExprs:
     @pytest.mark.parametrize("rank", [1, 4, 30])
     def test_builds_each_generator_once(self, rank, monkeypatch):
-        calls = []
-        real = mb.generator
-        monkeypatch.setattr(mb, "generator", lambda n, i: calls.append(i) or real(n, i))
-        exprs = [ex(f"x{i} + [x1,x{i}]") for i in range(1, rank + 1)]
+        # every MElement built, by the raw builder or the validating
+        # constructor; no image below equals a generator
+        built = []
+        raw, post_init = mb.MElement._raw.__func__, mb.MElement.__post_init__
+
+        def counting_raw(cls, n, tpart):
+            built.append(raw(cls, n, tpart))
+            return built[-1]
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(mb.MElement, "_raw", classmethod(counting_raw))
+        monkeypatch.setattr(mb.MElement, "__post_init__", counting_post_init)
+        mb.generators.cache_clear()
+        exprs = [ex(f"2*x{i} + [x1,x{i}]") for i in range(1, rank + 1)]
         phi = en.from_exprs(rank, exprs)
-        assert len(calls) == rank
+        gens = mb.generators(rank)
+        assert sum(e in gens for e in built) == rank
         assert phi.images == tuple(mb.evaluate(e, rank) for e in exprs)
 
 

@@ -20,8 +20,10 @@ from metalie.polyring import (
     RowSpace,
     SparseTerms,
     _dot_y,
+    _matmul,
     _minors,
     _mono_ops,
+    _substitute,
     col_vector,
     parse_polynomial,
     rational_inverse,
@@ -291,6 +293,166 @@ class TestSubstitute:
             assert (p * q).substitute(images) == p.substitute(images) * q.substitute(images)
 
 
+def at(p, point):
+    """Independent evaluation oracle: p at a point, term by term."""
+    total = Fraction(0)
+    for mono, c in p.terms.items():
+        value = Fraction(c)
+        for v, e in zip(point, mono):
+            value *= Fraction(v) ** e
+        total += value
+    return total
+
+
+def polys(n, coeffs, top=3):
+    monos = st.tuples(*[st.integers(0, top)] * n)
+    return st.dictionaries(monos, coeffs, max_size=4).map(lambda t: Polynomial(n, t))
+
+
+@st.composite
+def images_for(draw, n):
+    """One image per variable of y1..yn: the variable itself (fixed), a
+    constant, or an integer or rational polynomial."""
+    images = []
+    for i in range(n):
+        kind = draw(st.sampled_from(["fixed", "constant", "integer", "rational"]))
+        if kind == "fixed":
+            images.append(Polynomial.variable(n, i + 1))
+        elif kind == "constant":
+            images.append(Polynomial.constant(n, draw(rat_coeffs)))
+        else:
+            coeffs = int_coeffs if kind == "integer" else rat_coeffs
+            images.append(draw(polys(n, coeffs, 2)))
+    return images
+
+
+points3 = st.lists(st.fractions(-3, 3, max_denominator=4), min_size=3, max_size=3)
+# (polynomials in y1..yn, one image per variable), n = 1..3
+substitutions = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.lists(polys(n, rat_coeffs), min_size=1, max_size=3), images_for(n))
+)
+
+
+class TestSubstituteOracle:
+    """`_substitute` against evaluation at rational points: the image of p
+    at v is p at the images at v."""
+
+    @settings(max_examples=150)
+    @given(substitutions, points3)
+    def test_matches_evaluation(self, case, point):
+        ps, images = case
+        n = len(images)
+        out = _substitute(ps, n, images)
+        moved_at = [at(img, point) for img in images]
+        for p, q in zip(ps, out):
+            assert at(q, point) == at(p, moved_at)
+            assert q.nvars == n
+        assert_demoted(out)
+
+    @settings(max_examples=100)
+    @given(substitutions)
+    def test_polynomial_in_fixed_variables_is_returned_as_it_is(self, case):
+        ps, images = case
+        n = len(images)
+        fixed = [img == Polynomial.variable(n, i + 1) for i, img in enumerate(images)]
+        for p, q in zip(ps, _substitute(ps, n, images)):
+            if all(fixed[i] for m in p.terms for i in range(n) if m[i]):
+                assert q is p
+
+    def test_all_fixed_constant_and_rational(self):
+        n = 3
+        fixed = [Polynomial.variable(n, i) for i in (1, 2, 3)]
+        ps = [P("2*y1^2*y3 - 1/3*y2", n), P("5", n), Polynomial.zero(n)]
+        assert all(q is p for p, q in zip(ps, _substitute(ps, n, fixed)))
+        # y2 moves to the constant 1/2: y1 and y3 stay in every key
+        half = [fixed[0], Polynomial.constant(n, Fraction(1, 2)), fixed[2]]
+        assert _substitute(ps, n, half) == [
+            P("2*y1^2*y3 - 1/6", n), P("5", n), Polynomial.zero(n),
+        ]
+
+    def test_into_a_larger_ring(self):
+        # y_i -> y_i of a ring with more variables fixes nothing: every
+        # result, constants included, lives in the new ring
+        images = [Polynomial.variable(3, 1), Polynomial.variable(3, 2)]
+        out = _substitute([P("y1*y2 + 2", 2), P("7", 2)], 2, images)
+        assert out == [P("y1*y2 + 2", 3), P("7", 3)]
+
+
+def naive_product(a_rows, b_rows):
+    """Independent matrix-product oracle on dicts of exponent tuples, in
+    Fractions, every (i, k, j) triple and term pair visited."""
+    out = []
+    for row in a_rows:
+        line = []
+        for j in range(len(b_rows[0])):
+            acc = {}
+            for k, x in enumerate(row):
+                for m1, c1 in x.terms.items():
+                    for m2, c2 in b_rows[k][j].terms.items():
+                        m = tuple(u + v for u, v in zip(m1, m2))
+                        acc[m] = acc.get(m, 0) + Fraction(c1) * c2
+            line.append({m: c for m, c in acc.items() if c})
+        out.append(line)
+    return out
+
+
+@st.composite
+def entries2(draw):
+    """A matrix entry in y1, y2: zero, an integer or rational constant, a
+    polynomial with a denominator shared by all such entries, or any
+    rational polynomial."""
+    kind = draw(st.sampled_from(["zero", "constant", "shared", "rational"]))
+    if kind == "zero":
+        return Polynomial.zero(2)
+    if kind == "constant":
+        return Polynomial.constant(2, draw(rat_coeffs))
+    if kind == "shared":
+        return draw(polys2(int_coeffs)) * Fraction(1, 3)
+    return draw(polys2(rat_coeffs))
+
+
+def matrices2(nrows, ncols):
+    return st.lists(
+        st.lists(entries2(), min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows
+    )
+
+
+class TestMatmulOracle:
+    @settings(max_examples=150)
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda s: st.tuples(matrices2(s[0], s[1]), matrices2(s[1], s[2]))
+    ))
+    def test_matches_naive_product(self, ab):
+        a, b = ab
+        got = _matmul(a, b, 2)
+        assert [[e.terms for e in row] for row in got] == naive_product(a, b)
+        assert type(got) is tuple and all(type(row) is tuple for row in got)
+        assert_demoted(got)
+        assert PolyMatrix(2, a) * PolyMatrix(2, b) == PolyMatrix(2, got)
+
+    def test_constant_entries_scale(self):
+        a = [[Polynomial.constant(2, Fraction(2, 3)), Polynomial.zero(2)]]
+        b = [[P("3*y1 + 1/2", 2)], [P("y2", 2)]]
+        assert _matmul(a, b, 2) == ((P("2*y1 + 1/3", 2),),)
+        assert _matmul(b, [[Polynomial.constant(2, -3)]], 2) == (
+            (P("-9*y1 - 3/2", 2),), (P("-3*y2", 2),),
+        )
+
+
+class TestRawBuilders:
+    """Results built by `PolyMatrix._raw` equal the validating constructor's."""
+
+    @settings(max_examples=60)
+    @given(matrices2(2, 2), matrices2(2, 2))
+    def test_matrix_results(self, a, b):
+        a, b = PolyMatrix(2, a), PolyMatrix(2, b)
+        images = [P("y1 + 1/2*y2", 2), P("y2", 2)]
+        inv = unimodular(random.Random(len(str(a))), 2).inverse_over_ring()
+        for m in (a * b, a.substitute(images), inv):
+            assert m == PolyMatrix(m.nvars, m.rows)
+            assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows)
+
+
 class TestMatrix:
     def test_identity_is_neutral(self):
         rng = random.Random(4)
@@ -464,6 +626,22 @@ class TestRowSpace:
         assert space.rank == 2
         assert space.contains({"a": Fraction(1), "c": Fraction(-1)})
         assert not space.contains({"a": Fraction(1), "c": Fraction(1)})
+
+    @settings(max_examples=100)
+    @given(st.lists(
+        st.dictionaries(st.integers(0, 4), st.sampled_from([1, -1, 2, -3, Fraction(1, 2)])),
+        max_size=5,
+    ))
+    def test_pivot_rows_are_normalized(self, rows):
+        # pivots of 1 are stored as they are, -1 negated, others divided
+        space = RowSpace()
+        for row in rows:
+            space.add(row)
+        for k, row in space._pivots.items():
+            assert k == min(row) and row[k] == 1
+            assert_demoted(list(row.values()))
+        for row in rows:
+            assert space.contains(row)
 
 
 class TestTextForm:

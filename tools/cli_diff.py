@@ -8,11 +8,14 @@ each command runs once from that tree and once from this checkout's `src/`,
 each in a fresh interpreter. A COMMAND is one argument string, split into
 shell words, such as "replay-oe --rank 5 --witness"; every command runs in
 both output formats. Without commands it checks `replay-oe --rank N
---witness` for N = 4..9. Prints one line per run and exits 1 if any stdout
-or exit code differs.
+--witness` for N = 4..9, and `compose`, `inverse`, `jac` and `iaut-level` on
+IA, rational, "linear:" and singular endomorphisms of ranks 3..5 (see
+`_endo_commands`). Prints one line per run and exits 1 if any stdout or exit
+code differs.
 """
 
 import io
+import json
 import os
 import pathlib
 import shlex
@@ -22,7 +25,32 @@ import tarfile
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEFAULT = [f"replay-oe --rank {n} --witness" for n in range(4, 10)]
+
+
+def _endo_commands(n: int) -> list:
+    """compose, inverse, jac and iaut-level of rank-n endomorphisms: an inner
+    automorphism (an IA map: linear part the identity), a triangular
+    automorphism with rational coefficients and linear part, a "linear:"
+    matrix and a map with a singular linear part."""
+    rest = [f"x{i}" for i in range(4, n + 1)]
+    ia = "inner:[x1,x2] - 2*[[x1,x3],x2]"
+    rat = "; ".join(
+        ["1/2*x1 + 2/3*[x2,x3] + [[x2,x3],x3]", "-x2 + 1/3*x3", "3/2*x3", *rest]
+    )
+    matrix = [[int(i == j) for j in range(n)] for i in range(n)]
+    matrix[0][1], matrix[n - 1][0] = 2, -1
+    lin = "linear:" + json.dumps(matrix).replace(" ", "")
+    sing = "; ".join(["x1", "x1 + [x1,x2]", "x3", *rest])
+    quoted = [shlex.quote(e) for e in (ia, rat, lin, sing)]
+    out = [f"compose {a} {b}" for a, b in zip(quoted, quoted[1:] + quoted[:1])]
+    for cmd in ("inverse", "jac", "iaut-level"):
+        out += [f"{cmd} {e}" for e in quoted]
+    return [f"{c} --rank {n}" for c in out]
+
+
+DEFAULT = [f"replay-oe --rank {n} --witness" for n in range(4, 10)] + [
+    c for n in range(3, 6) for c in _endo_commands(n)
+]
 
 
 def run(src: pathlib.Path, argv: list) -> tuple:
