@@ -11,7 +11,6 @@ from .polyring import (
     Polynomial,
     RowSpace,
     parse_polynomial,
-    solve_linear,
     solve_sparse,
     y_column,
 )

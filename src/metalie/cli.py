@@ -12,7 +12,7 @@ virtual machine. The rank of an element or endomorphism is capped at
 MAX_RANK, however it enters (`--rank`, the rank `nf` infers, a JSON
 document's "rank", the image count of a semicolon list, the size of a
 "linear:" matrix), and is checked before anything is evaluated: at the cap,
-`inverse` of "x1 + [x2,x3]; x2; ...; x100" takes about 0.6 s on the same
+`inverse` of "x1 + [x2,x3]; x2; ...; x100" takes about 0.4 s on the same
 machine, and `nf x10000` stops at once. Bracket expressions are read with
 the limits of `lieexpr`: a left-normed word has at most `MAX_WORD_LENGTH`
 letters and costs no recursion, and every other nest ('(' or '[') is at

@@ -202,29 +202,27 @@ def conjugate_elementary(alpha: Sequence[Sequence], f: LieExpr, rank: int):
 def inverse(phi: Endo) -> Optional[Endo]:
     """Exact two-sided inverse, or None when phi is not an automorphism.
 
-    The linear part is peeled off first; what remains acts as the identity
-    modulo brackets, so its Jacobian must be invertible over the polynomial
-    ring, and row j of the inverse Jacobian is the Fox row of candidate
-    image j once row . Y = y_j holds. The candidate is returned only after
-    both compositions are verified to be the identity, so no unproven
-    invertibility criterion is ever relied on.
+    By the chain rule J(phi o psi) = phibar(J(psi)) * J(phi), an inverse psi
+    has the Jacobian J(psi) = phibar^-1(J(phi)^-1), where phibar^-1 is the
+    substitution y -> A^-1 y for the linear part A of phi. So A must be
+    invertible, J(phi) must be invertible over the polynomial ring (its
+    determinant a nonzero constant), and each row of phibar^-1(J(phi)^-1)
+    must be the Fox row of an element of M_n (`metabelian.in_m`): that
+    element is the candidate image. The candidate is returned only after
+    both compositions, phi o psi and psi o phi, are verified to be the
+    identity, so no unproven invertibility criterion is ever relied on.
     """
     n = phi.rank
-    abar_inv = rational_inverse(phi.linear_matrix())
-    if abar_inv is None:
+    a_inv = rational_inverse(phi.linear_matrix())
+    if a_inv is None:
         return None
-    lam = _linear(abar_inv)
-    reduced = compose(phi, lam)
-
-    jac_inv = jacobian(reduced).inverse_over_ring()
+    jac_inv = jacobian(phi).inverse_over_ring()
     if jac_inv is None:
         return None
-    images = tuple(MElement._raw(n, row) for row in jac_inv.rows)
-    for img, gen in zip(images, mb.generators(n)):
-        # row j . Y = y_j: the row is the Fox row of an element of M_n
-        if not mb.is_derived(img - gen):
-            return None
-    candidate = compose(lam, Endo._raw(n, images))
+    rows = jac_inv.substitute([Polynomial._linear(n, r) for r in a_inv]).rows
+    if not all(map(mb.in_m, rows)):
+        return None
+    candidate = Endo._raw(n, tuple(MElement._raw(n, r) for r in rows))
     if compose(phi, candidate).is_identity() and compose(candidate, phi).is_identity():
         return candidate
     return None

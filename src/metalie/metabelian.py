@@ -45,7 +45,12 @@ class MElement:
     polynomials in y1..yn; the y-coordinates `linear` are its constant terms.
 
     Coefficients follow the package's convention: plain int until a division
-    makes them non-integral, Fraction after (see `polyring.as_coeff`)."""
+    makes them non-integral, Fraction after (see `polyring.as_coeff`).
+
+    This constructor is the only way a Fox row from outside the kernels gets
+    in, so it is where membership in M_n is checked (`in_m`): a row that is
+    not the Fox row of an element raises ValueError. The kernels build
+    members only, with `_raw`, unchecked."""
 
     rank: int
     tpart: Tuple[Polynomial, ...]
@@ -56,11 +61,14 @@ class MElement:
         for p in self.tpart:
             if p.nvars != self.rank:
                 raise ValueError("module coordinate in the wrong ring")
+        if not in_m(self.tpart):
+            raise ValueError("element is not in M_n: Fox row . Y != linear part")
 
     @classmethod
     def _raw(cls, rank: int, tpart: tuple) -> "MElement":
-        """Build from a Fox row known to hold `rank` polynomials in `rank`
-        variables (internal): the results of the package's own kernels."""
+        """Build from the Fox row of an element of M_n, known to hold `rank`
+        polynomials in `rank` variables (internal): the results of the
+        package's own kernels, which are members by construction."""
         e = object.__new__(cls)
         object.__setattr__(e, "rank", rank)
         object.__setattr__(e, "tpart", tpart)
@@ -100,6 +108,14 @@ class MElement:
     def linear_poly(self) -> Polynomial:
         """The linear part as a degree <= 1 polynomial in y1..yn."""
         return Polynomial._linear(self.rank, self.linear)
+
+
+def in_m(row) -> bool:
+    """Membership in M_n: a row (d1, ..., dn) of polynomials in y1..yn is
+    the Fox row of an element exactly when d1*y1 + ... + dn*yn is the linear
+    part, the row's constant terms times y1..yn."""
+    linear = Polynomial._linear(len(row), [p.constant_term() for p in row])
+    return _dot_y(row) == linear.terms
 
 
 def _linear_form(rank: int, coeffs) -> MElement:
@@ -246,11 +262,11 @@ def lift(f: MElement) -> LieExpr:
     are emitted by descending m, then ascending i, each group in print
     order, so lifts are deterministic.
 
-    Raises ValueError when the element does not lie in M_n.
+    Membership is not checked again: the `MElement` constructor checks it,
+    and the kernels build members only. (So d1 has no term y1^k, k >= 1: it
+    would leave a y1^(k+1) in d1*y1 + ... + dn*yn that nothing cancels.)
     """
     n = f.rank
-    if _dot_y(f.tpart) != f.linear_poly().terms:
-        raise ValueError("element is not in M_n: Fox row does not annihilate Y")
     letters = _mono_ops(n)[2]
     terms = [scale_expr(c, Gen(i)) for i, c in enumerate(f.linear, 1) if c]
     groups: dict = {}
@@ -261,8 +277,6 @@ def lift(f: MElement) -> LieExpr:
                 continue  # the constant term, lifted with the linear part
             m = word[-1]
             if m <= i:  # covered by the words of the other slots
-                if i == 1:
-                    raise ValueError("element is not in M_n")
                 continue
             word = (i, m, *word[:-1])
             # [[x_i, x_m], x_j, ...] carries the sign (-1)^(len - 1)

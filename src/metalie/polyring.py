@@ -18,8 +18,8 @@ grammars (polynomials and bracket expressions) from the one tokenizer,
 `Tokens`, which cuts a text once into runs of ASCII digits and single other
 characters; `_minors`, a Laplace expansion over column
 subsets, gives both the determinant and the adjugate; and
-`RowSpace` is the one exact rational elimination, behind `solve_sparse`,
-`solve_linear` and `rational_inverse`.
+`RowSpace` is the one exact rational elimination, behind `solve_sparse`
+and `rational_inverse`.
 
 Only this module knows that a monomial of `Polynomial` is a tuple of
 exponents. Other modules reach monomials through the `Polynomial`
@@ -899,11 +899,6 @@ def y_column(nvars: int) -> PolyMatrix:
     return col_vector(nvars, [Polynomial.variable(nvars, i + 1) for i in range(nvars)])
 
 
-def unit_column(nvars: int, n: int, index: int) -> PolyMatrix:
-    """The standard basis column e_index (1-based) of length n."""
-    return col_vector(nvars, [1 if i == index - 1 else 0 for i in range(n)])
-
-
 def _minors(rows, nvars: int) -> tuple:
     """Map each bitmask of len(rows) of the ncols columns (the row length) to
     the term map of the determinant of `rows` on those columns (a zero minor
@@ -1013,23 +1008,6 @@ def solve_sparse(
     for c, row in echelon.items():
         particular[c] = row.pop(ncols, 0)
     return LinearSolution(tuple(particular), ncols - len(echelon), echelon)
-
-
-def solve_linear(a_rows: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
-    """Exact solution of A x = b for a dense matrix A: an adapter onto
-    `solve_sparse`. Returns a LinearSolution, or None when the system is
-    inconsistent."""
-    if len(a_rows) != len(b):
-        raise ValueError("row count of A must match length of b")
-    if not a_rows:
-        return LinearSolution((), 0)
-    ncols = len(a_rows[0])
-    rows = []
-    for row in a_rows:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        rows.append({c: v for c, v in enumerate(map(as_coeff, row)) if v})
-    return solve_sparse(rows, [as_coeff(c) for c in b], ncols)
 
 
 def rational_inverse(a: Sequence[Sequence[Scalar]]) -> Optional[list]:

@@ -15,9 +15,9 @@ from metalie.polyring import (
     PolyMatrix,
     Polynomial,
     SparseTerms,
+    col_vector,
     parse_polynomial,
     row_vector,
-    unit_column,
     y_column,
 )
 
@@ -244,7 +244,7 @@ def lemma_pair(rng, rank, i):
 
 class TestInstantiate:
     def test_identity(self):
-        phi_col = unit_column(3, 3, 1)
+        phi_col = col_vector(3, [1, 0, 0])
         psi_row = row_vector(3, [parse_polynomial(s, 3) for s in ("0", "-y3", "y2")])
         out = dy.instantiate(dy.DyadExpr.identity(), {1: phi_col}, {1: psi_row})
         assert out == PolyMatrix.identity(3, 3)
@@ -293,7 +293,7 @@ class TestInstantiate:
         assert dy.instantiate(reduced, phis, psis) == direct
 
     def test_inconsistent_assignment_rejected(self):
-        phi_col = unit_column(3, 3, 1)
+        phi_col = col_vector(3, [1, 0, 0])
         bad_psi = row_vector(3, [parse_polynomial(s, 3) for s in ("y1", "0", "0")])
         with pytest.raises(ValueError):
             dy.instantiate(dy.expand_product(1), {1: phi_col}, {1: bad_psi})
@@ -329,7 +329,7 @@ class TestInstantiate:
 
     def test_dz_row_shape_checked(self):
         phis, psis = self.pairs()
-        for dz in (row_vector(3, [1, 0, 0, 0]), unit_column(3, 3, 1)):
+        for dz in (row_vector(3, [1, 0, 0, 0]), col_vector(3, [1, 0, 0])):
             with pytest.raises(ValueError, match="∂z must be a 1x3 row"):
                 dy.instantiate(dy.minus_y_dz(), phis, psis, dz_row=dz)
 

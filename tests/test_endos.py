@@ -13,9 +13,9 @@ from metalie.lieexpr import Bracket, Scale, Sum, left_normed, parse_expr
 from metalie.polyring import (
     PolyMatrix,
     Polynomial,
+    col_vector,
     parse_polynomial,
     row_vector,
-    unit_column,
     y_column,
 )
 
@@ -41,7 +41,7 @@ class TestElementary:
 
     def test_jacobian_is_unit_row_update(self):
         phi = en.elementary(3, ex("[x2,x3]"))
-        expected = PolyMatrix.identity(3, 3) + unit_column(3, 3, 1) * mb.fox(
+        expected = PolyMatrix.identity(3, 3) + col_vector(3, [1, 0, 0]) * mb.fox(
             ev("[x2,x3]", 3)
         )
         assert en.jacobian(phi) == expected
@@ -294,6 +294,34 @@ class TestRawBuilders:
             assert j == PolyMatrix(rank, j.rows)
 
 
+class TestKernelResultsAreMembers:
+    """The kernels build their results with `MElement._raw`, unchecked. Each
+    result passes the membership predicate `in_m`, which is why `lift` does
+    not check membership again."""
+
+    @settings(max_examples=30)
+    @given(
+        st.integers(2, 5), st.integers(0, 2**32), st.fractions(-3, 3, max_denominator=4)
+    )
+    def test_results_pass_the_predicate(self, rank, seed, c):
+        from metalie.verify import random_endo, random_melement_expr
+
+        rng = random.Random(seed)
+        phi, psi = random_endo(rng, rank, 3), random_endo(rng, rank, 3)
+        u, v = phi.images[0], psi.images[-1]
+        inv = en.inverse(en.random_tame(rank, seed % 1000, 2, 2))
+        assert inv is not None
+        results = [
+            mb.evaluate(random_melement_expr(rng, rank, 4), rank),
+            mb.bracket(u, v), u + v, u - v, u.scaled(c),
+            *mb.degree_components(u).values(),
+            *en.compose(phi, psi).images,
+            *inv.images,
+        ]
+        for f in results:
+            assert mb.in_m(f.tpart)
+
+
 class TestInduced:
     def test_identity(self):
         imgs = en.induced_poly_images(en.identity(3))
@@ -320,7 +348,7 @@ class TestConjugateElementary:
             [[1, 0, 0], [0, 1, 0], [0, 0, 1]], ex("[x2,x3]"), 3
         )
         assert conj == en.elementary(3, ex("[x2,x3]"))
-        assert phi_col == unit_column(3, 3, 1)
+        assert phi_col == col_vector(3, [1, 0, 0])
         assert psi_row == mb.fox(ev("[x2,x3]", 3))
 
     def test_swap_conjugator(self):
@@ -329,7 +357,7 @@ class TestConjugateElementary:
         conj, phi_col, psi_row = en.conjugate_elementary(
             [[0, 1, 0], [1, 0, 0], [0, 0, 1]], ex("[x2,x3]"), 3
         )
-        assert phi_col == unit_column(3, 3, 2)
+        assert phi_col == col_vector(3, [0, 1, 0])
         assert psi_row == row_vector(
             3, [parse_polynomial(s, 3) for s in ("-y3", "0", "y1")]
         )
@@ -433,6 +461,63 @@ class TestInverse:
             phi = en.random_tame(rank, case + 100, 2, 3)
             d = en.jacobian(phi).det()
             assert d.is_constant() and d.constant_term() != 0
+
+
+def assert_inverse_by_evaluation(phi, inv):
+    """Each map sends the lifted images of the other back to the generators,
+    by direct evaluation: no chain rule, so independent of `compose`."""
+    gens = mb.generators(phi.rank)
+    assert tuple(en.apply(phi, mb.lift(g)) for g in inv.images) == gens
+    assert tuple(en.apply(inv, mb.lift(g)) for g in phi.images) == gens
+
+
+class TestInverseOracle:
+    """inverse reads its candidate off the chain rule and verifies it with
+    compose, which is the chain rule too; here both products are checked by
+    direct evaluation instead."""
+
+    def test_rational_tame_products(self):
+        rational = 0
+        for rank in (3, 4, 5):
+            for length in (2, 3, 4):
+                for seed in range(3):
+                    phi = en.random_tame(rank, seed, length, 2)
+                    inv = en.inverse(phi)
+                    assert inv is not None
+                    assert_inverse_by_evaluation(phi, inv)
+                    a_inv = en.rational_inverse(phi.linear_matrix())
+                    rational += any(type(c) is Fraction for r in a_inv for c in r)
+        # most linear parts have a non-integral inverse
+        assert rational >= 20
+
+    @pytest.mark.parametrize("rank, length", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
+    def test_iaut_products(self, rank, length):
+        for seed in range(2):
+            phi = en.random_tame_iaut(rank, seed, length, 3)
+            inv = en.inverse(phi)
+            assert inv is not None
+            assert_inverse_by_evaluation(phi, inv)
+
+    def test_one_ring_inverse_and_two_compositions(self, monkeypatch):
+        phi = en.random_tame(4, 2, 3, 2)
+        ring_inverses, compositions = [], []
+        ring_inverse = PolyMatrix.inverse_over_ring
+        compose = en.compose
+
+        def counted_ring_inverse(m):
+            ring_inverses.append(m)
+            return ring_inverse(m)
+
+        def counted_compose(a, b):
+            compositions.append((a, b))
+            return compose(a, b)
+
+        monkeypatch.setattr(PolyMatrix, "inverse_over_ring", counted_ring_inverse)
+        monkeypatch.setattr(en, "compose", counted_compose)
+        inv = en.inverse(phi)
+        assert inv is not None
+        assert ring_inverses == [en.jacobian(phi)]
+        assert compositions == [(phi, inv), (inv, phi)]
 
 
 class TestIautLevel:

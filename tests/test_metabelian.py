@@ -258,10 +258,10 @@ class TestLift:
         assert mb.evaluate(mb.lift(f), 3) == f
 
     def test_rejects_elements_outside_m(self):
-        # the Fox row (y2, 0) gives y1*y2 != 0 against the column of variables
-        bad = mb.MElement(2, (Polynomial.variable(2, 2), Polynomial.zero(2)))
-        with pytest.raises(ValueError):
-            mb.lift(bad)
+        # the Fox row (y2, 0) gives y1*y2 != 0 against the column of variables;
+        # the constructor is where membership is checked, so lift never sees it
+        with pytest.raises(ValueError, match="not in M_n"):
+            mb.MElement(2, (Polynomial.variable(2, 2), Polynomial.zero(2)))
 
     def test_rejects_random_elements_outside_m(self):
         # adding p to Fox coordinate i adds p*y_i to d1*y1 + ... + dn*yn; a
@@ -277,8 +277,8 @@ class TestLift:
             p = Polynomial(rank, {mono: rng.choice([-2, -1, 1, Fraction(1, 3)])})
             tpart = list(f.tpart)
             tpart[slot] = tpart[slot] + p
-            with pytest.raises(ValueError):
-                mb.lift(mb.MElement(rank, tuple(tpart)))
+            with pytest.raises(ValueError, match="not in M_n"):
+                mb.MElement(rank, tuple(tpart))
 
     def test_lifts_are_sums_of_flat_words(self):
         rng = random.Random(15)

@@ -28,9 +28,7 @@ from metalie.polyring import (
     parse_polynomial,
     rational_inverse,
     row_vector,
-    solve_linear,
     solve_sparse,
-    unit_column,
     y_column,
 )
 
@@ -465,7 +463,7 @@ class TestMatrix:
     def test_nilpotent_rank_one_square(self):
         # row (0, -y3, y2) annihilates e1, so (e1 * row)^2 = 0
         row = row_vector(3, [P("0", 3), P("-y3", 3), P("y2", 3)])
-        e1 = unit_column(3, 3, 1)
+        e1 = col_vector(3, [1, 0, 0])
         m = e1 * row
         assert m * m == PolyMatrix.zero(3, 3, 3)
 
@@ -491,7 +489,7 @@ class TestDeterminant:
     def test_rank_one_update_with_orthogonal_pair(self):
         # Psi * Phi = 0 forces det(E + Phi*Psi) = 1; checked against the
         # independent permutation-expansion oracle.
-        phi = unit_column(3, 3, 2)
+        phi = col_vector(3, [0, 1, 0])
         psi = row_vector(3, [P("-y3", 3), P("0", 3), P("y1", 3)])
         assert (psi * phi)[0, 0].is_zero()
         m = PolyMatrix.identity(3, 3) + phi * psi
@@ -587,15 +585,15 @@ class TestInverseOverRing:
 
 class TestSolveLinear:
     def test_identity_system(self):
-        sol = solve_linear([[1, 0], [0, 1]], [1, 0])
+        sol = solve_sparse([{0: 1}, {1: 1}], [1, 0], 2)
         assert sol.particular == (Fraction(1), Fraction(0))
         assert sol.null_basis == ()
 
     def test_inconsistent(self):
-        assert solve_linear([[0, 0]], [1]) is None
+        assert solve_sparse([{}], [1], 2) is None
 
     def test_underdetermined(self):
-        sol = solve_linear([[1, 1]], [2])
+        sol = solve_sparse([{0: 1, 1: 1}], [2], 2)
         assert sol.particular == (Fraction(2), Fraction(0))
         assert len(sol.null_basis) == 1
         v = sol.null_basis[0]
@@ -608,7 +606,7 @@ class TestSolveLinear:
             a = [[Fraction(rng.randint(-3, 3)) for _ in range(nc)] for _ in range(nr)]
             x = [Fraction(rng.randint(-3, 3)) for _ in range(nc)]
             b = [sum(a[i][j] * x[j] for j in range(nc)) for i in range(nr)]
-            sol = solve_linear(a, b)
+            sol = solve_sparse(sparse_rows(a), b, nc)
             assert sol is not None  # consistent by construction
             for i in range(nr):
                 assert sum(a[i][j] * sol.particular[j] for j in range(nc)) == b[i]
@@ -723,6 +721,11 @@ class TestTextForm:
         except ParseError:
             return
         assert parse_polynomial(str(p), 2) == p
+
+
+def sparse_rows(a):
+    """Dense rows as the {column: value} rows of `solve_sparse`."""
+    return [{c: v for c, v in enumerate(row) if v} for row in a]
 
 
 def _random_system(rng, nr, nc, rational):
@@ -862,13 +865,13 @@ class TestCoefficientConvention:
 
     @settings(max_examples=40)
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32), st.booleans())
-    def test_solve_linear_results_are_demoted(self, nr, nc, seed, rational):
+    def test_solve_sparse_results_are_demoted(self, nr, nc, seed, rational):
         a, b = _random_system(random.Random(seed), nr, nc, rational)
-        assert_demoted(solve_linear(a, b))
+        assert_demoted(solve_sparse(sparse_rows(a), b, nc))
 
     def test_integral_eliminations_store_int(self):
-        assert_all_int(solve_linear([[2, 0], [0, 3]], [4, 9]))
-        assert_all_int(solve_linear([[2, 4], [1, 2]], [6, 3]))
+        assert_all_int(solve_sparse([{0: 2}, {1: 3}], [4, 9], 2))
+        assert_all_int(solve_sparse([{0: 2, 1: 4}, {0: 1, 1: 2}], [6, 3], 2))
         space = RowSpace()
         space.add({"a": 2, "b": 4, "c": 3})
         space.add({"a": Fraction(1, 3), "b": 1, "d": 1})
@@ -1102,7 +1105,7 @@ class TestRationalInverse:
 
 
 class TestSolveLinearOracle:
-    """solve_linear against an independent check: substitution back into the
+    """solve_sparse against an independent check: substitution back into the
     system, and the rank computed by sympy."""
 
     @pytest.mark.parametrize("rational", [False, True])
@@ -1112,7 +1115,7 @@ class TestSolveLinearOracle:
         for _ in range(60):
             nr, nc = rng.randint(1, 6), rng.randint(1, 6)
             a, b = _random_system(rng, nr, nc, rational)
-            sol = solve_linear(a, b)
+            sol = solve_sparse(sparse_rows(a), b, nc)
             assert sol is not None
             for i in range(nr):
                 assert sum(a[i][j] * sol.particular[j] for j in range(nc)) == b[i]
@@ -1130,7 +1133,7 @@ class TestSolveLinearOracle:
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32), st.booleans())
     def test_nullity_counts_the_null_basis(self, nr, nc, seed, rational):
         a, b = _random_system(random.Random(seed), nr, nc, rational)
-        sol = solve_linear(a, b)
+        sol = solve_sparse(sparse_rows(a), b, nc)
         assert sol.nullity == len(sol.null_basis)
 
     def test_sparse_rows_are_checked(self):
@@ -1152,7 +1155,7 @@ class TestSolveLinearOracle:
             # the sum of all rows with a shifted right-hand side has no solution
             a.append([sum(col) for col in zip(*a)])
             b.append(sum(b) + 1)
-            assert solve_linear(a, b) is None
+            assert solve_sparse(sparse_rows(a), b, nc) is None
 
 
 class TestMonoOps:

@@ -8,9 +8,10 @@ each command runs once from that tree and once from this checkout's `src/`,
 each in a fresh interpreter. A COMMAND is one argument string, split into
 shell words, such as "replay-oe --rank 5 --witness"; every command runs in
 both output formats. Without commands it checks `replay-oe --rank N
---witness` for N = 4..9, and `compose`, `inverse`, `jac` and `iaut-level` on
+--witness` for N = 4..9, `compose`, `inverse`, `jac` and `iaut-level` on
 IA, rational, "linear:" and singular endomorphisms of ranks 3..5 (see
-`_endo_commands`). Prints one line per run and exits 1 if any stdout or exit
+`_endo_commands`), and `inverse` on the JSON documents of five dense tame
+products (`PRODUCTS`). Prints one line per run and exits 1 if any stdout or exit
 code differs.
 """
 
@@ -48,9 +49,92 @@ def _endo_commands(n: int) -> list:
     return [f"{c} --rank {n}" for c in out]
 
 
-DEFAULT = [f"replay-oe --rank {n} --witness" for n in range(4, 10)] + [
-    c for n in range(3, 6) for c in _endo_commands(n)
+# Dense products of linear and elementary maps, as printed by
+# `endo_doc(random_tame(...))`: integer linear parts whose inverses are not
+# integral, so `inverse` has rational work to do
+PRODUCTS = [
+    # random_tame(4, 1, 3, 2)
+    {"rank": 4, "images": [
+        "9*x2 - 7*x3 - 14*x4",
+        (
+            "-3*x1 + 3*x2 + x3 - 12*x4 + 28*[x1, x4] - 24*[x2, x4] + 14*[x3, x4]"
+            " + 14*[x1, x3] - 3*[x2, x3] - 18*[x1, x2]"
+        ),
+        "-2*x1 + 3*x2 - 2*x3 - 2*x4",
+        "x1 + 3*x2 + 6*x3 - 6*x4",
+    ]},
+    # random_tame(4, 2, 3, 2)
+    {"rank": 4, "images": [
+        "-3*x1 + 11*x2 + 10*x3 - 16*x4",
+        (
+            "-3*x1 + 12*x2 + x3 - 14*x4 + 30*[x1, x4] - 87*[x2, x4] + 21*[x3, x4]"
+            " - 6*[x1, x3] + 30*[x2, x3] - 18*[x1, x2]"
+        ),
+        "-3*x2 - x3 + 5*x4",
+        "-2*x1 + 10*x2 - 7*x4",
+    ]},
+    # random_tame(4, 4, 3, 2)
+    {"rank": 4, "images": [
+        "-3*x1 + 3*x3 - 3*x4",
+        (
+            "3*x1 + 2*x2 + x3 + 2*x4 - 24*[x1, x4] + 12*[x2, x4] + 24*[x3, x4]"
+            " - 12*[x2, x3] - 12*[x1, x2]"
+        ),
+        "x1 - 2*x2 - x3 - 3*x4",
+        (
+            "-3*x1 + 2*x2 - x4 + 48*[[x1, x4], x1] - 168*[[x1, x4], x2]"
+            " - 48*[[x1, x4], x3] - 144*[[x1, x4], x4] + 22*[x1, x4]"
+            " + 48*[[x2, x4], x1] + 48*[[x2, x4], x2] - 48*[[x2, x4], x3]"
+            " + 72*[[x2, x4], x4] + 4*[x2, x4] - 48*[[x3, x4], x1]"
+            " + 168*[[x3, x4], x2] + 48*[[x3, x4], x3] + 144*[[x3, x4], x4]"
+            " + 2*[x3, x4] - 24*[[x1, x3], x2] + 8*[x1, x3] + 48*[[x2, x3], x1]"
+            " - 48*[[x2, x3], x2] - 24*[[x2, x3], x3] + 24*[[x1, x2], x1]"
+            " - 48*[[x1, x2], x2] + 16*[x1, x2]"
+        ),
+    ]},
+    # random_tame(5, 1, 3, 2)
+    {"rank": 5, "images": [
+        "-x1 + 2*x2 - 3*x3 - x4",
+        "2*x1 - x2 - 3*x3 + 2*x4 + 3*x5 - 3*[x3, x4] - 6*[x1, x3]",
+        "-3*x1 - 2*x2 + 2*x3 + 2*x4",
+        "-2*x2 + x3 - x5 + [x3, x4] + 2*[x1, x3]",
+        (
+            "-2*x1 + x2 + x4 + 9*[x1, x5] - 2*[x2, x5] + 5*[x3, x5] - [x4, x5]"
+            " - 2*[[x1, x4], x3] + 5*[x2, x4] + 11*[[x3, x4], x1]"
+            " - 2*[[x3, x4], x2] + 5*[[x3, x4], x3] - [[x3, x4], x4] + 5*[x3, x4]"
+            " + 18*[[x1, x3], x1] - 4*[[x1, x3], x2] + 10*[[x1, x3], x3]"
+            " - 15*[x1, x3] + 13*[x2, x3] + 15*[x1, x2]"
+        ),
+    ]},
+    # random_tame(3, 2, 4, 3)
+    {"rank": 3, "images": [
+        (
+            "-10*x1 - 8*x2 - 6*x3 - 120*[[x1, x3], x1] + 16*[[x1, x3], x2]"
+            " - 280*[[x1, x3], x3] + 40*[x1, x3] - 152*[[x2, x3], x1]"
+            " - 32*[[x2, x3], x2] - 224*[[x2, x3], x3] + 32*[x2, x3]"
+            " + 24*[[x1, x2], x1] + 8*[[x1, x2], x2] - 8*[x1, x2]"
+        ),
+        (
+            "9*x1 + 6*x2 + 12*x3 + 120*[[x1, x3], x1] - 16*[[x1, x3], x2]"
+            " + 280*[[x1, x3], x3] - 40*[x1, x3] + 152*[[x2, x3], x1]"
+            " + 32*[[x2, x3], x2] + 224*[[x2, x3], x3] - 32*[x2, x3]"
+            " - 24*[[x1, x2], x1] - 8*[[x1, x2], x2] + 8*[x1, x2]"
+        ),
+        (
+            "-10*x1 - 9*x2 + 2*x3 - 60*[[x1, x3], x1] + 8*[[x1, x3], x2]"
+            " - 140*[[x1, x3], x3] + 20*[x1, x3] - 76*[[x2, x3], x1]"
+            " - 16*[[x2, x3], x2] - 112*[[x2, x3], x3] + 16*[x2, x3]"
+            " + 12*[[x1, x2], x1] + 4*[[x1, x2], x2] - 4*[x1, x2]"
+        ),
+    ]},
 ]
+
+
+DEFAULT = (
+    [f"replay-oe --rank {n} --witness" for n in range(4, 10)]
+    + [c for n in range(3, 6) for c in _endo_commands(n)]
+    + [f"inverse {shlex.quote(json.dumps(doc))}" for doc in PRODUCTS]
+)
 
 
 def run(src: pathlib.Path, argv: list) -> tuple:
