@@ -13,11 +13,14 @@ MAX_RANK, however it enters (`--rank`, the rank `nf` infers, a JSON
 document's "rank", the image count of a semicolon list, the size of a
 "linear:" matrix), and is checked before anything is evaluated: at the cap,
 `inverse` of "x1 + [x2,x3]; x2; ...; x100" takes about 0.4 s on the same
-machine, and `nf x10000` stops at once. Bracket expressions are read with
-the limits of `lieexpr`: a left-normed word has at most `MAX_WORD_LENGTH`
-letters and costs no recursion, and every other nest ('(' or '[') is at
-most `MAX_NESTING` levels deep. Lifts print as sums of left-normed words,
-so `endo_doc` output parses back at any degree up to the word cap.
+machine, and `nf x10000` stops at once. Determinants and ring inverses hold
+at most `polyring.MAX_MINORS` nonzero minors of one size: `inverse` of a
+dense "linear:" map takes about 3 s at rank 14 and exits 1 at rank 15.
+Bracket expressions are read with the limits of `lieexpr`: a left-normed
+word has at most `MAX_WORD_LENGTH` letters and costs no recursion, and
+every other nest ('(' or '[') is at most `MAX_NESTING` levels deep. Lifts
+print as sums of left-normed words, so `endo_doc` output parses back at any
+degree up to the word cap.
 
 Endomorphisms are given either as a JSON document {"rank": n, "images":
 [...]} (inline or as a file path), as a semicolon-separated list of bracket

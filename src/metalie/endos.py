@@ -191,7 +191,10 @@ def conjugate_elementary(alpha: Sequence[Sequence], f: LieExpr, rank: int):
     if alpha_endo.rank != rank:
         raise ValueError("alpha has the wrong rank")
     phi_f = elementary(rank, f)
-    conj = compose(compose(alpha_endo, phi_f), _linear(a_inv))
+    # alpha(phi_f(alpha^-1(x_i))) = x_i + a_inv[i][0] * alpha(f)
+    alpha_f = apply(alpha_endo, f)
+    images = (x + alpha_f.scaled(r[0]) for x, r in zip(mb.generators(rank), a_inv))
+    conj = Endo._raw(rank, tuple(images))
 
     phi_col = col_vector(rank, [a_inv[i][0] for i in range(rank)])
     dfox = mb.fox(phi_f.images[0] - mb.generator(rank, 1))

@@ -34,21 +34,24 @@ back to `int` with `as_coeff`. Every division divides an actual Fraction
 produces a float. The polynomial-matrix kernels (the matrix product, the
 minors behind the determinant and the ring inverse, and substitution) run
 fraction-free inside: each operand is scaled to integer numerators by the
-lcm of its denominators, the product loop runs on ints, and each output
-coefficient is divided once. What they store follows the same convention,
-so this changes no stored value.
+lcm of its denominators (substitution scales all its images by one lcm),
+the product loop runs on ints, and each output coefficient is divided once.
+What they store follows the same convention, so this changes no stored
+value.
 
 These kernels cost only the work that is not trivial. Substitution returns
 every polynomial whose monomials use only variables the images fix (an
 image that is exactly y_i) as it is, so constants and every map whose
-linear part is the identity pass through untouched. The matrix product is
-one row kernel, `_matmul`, shared by `PolyMatrix.__mul__` and
-`endos.compose`: it visits only the nonzero entries of each row, and a
-constant entry scales the other operand through `_add_into` instead of
-running key products. Results the kernels build themselves are not checked
-again: `SparseTerms._raw` and `PolyMatrix._raw` (like `MElement._raw` and
-`Endo._raw` elsewhere) take data already known to be normalized, while the
-public constructors keep every check on their input.
+linear part is the identity pass through untouched, and it builds each
+monomial's image once per call, in one table shared by every polynomial,
+one product per step. The matrix product is one row kernel, `_matmul`,
+shared by `PolyMatrix.__mul__` and `endos.compose`: it visits only the
+nonzero entries of each row, and a constant entry scales the other operand
+through `_add_into` instead of running key products. Results the kernels
+build themselves are not checked again: `SparseTerms._raw` and
+`PolyMatrix._raw` (like `MElement._raw` and `Endo._raw` elsewhere) take
+data already known to be normalized, while the public constructors keep
+every check on their input.
 
 A polynomial is a sparse map from exponent tuples to nonzero coefficients
 over a fixed number of variables y1..yn. The text form ("2*y1^2*y2 - y3") is
@@ -64,7 +67,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import islice
-from math import lcm, prod
+from math import lcm
 from operator import attrgetter
 from typing import Optional, Union
 
@@ -444,20 +447,20 @@ def _substitute(
     polys: Sequence[Polynomial], nvars: int, images: Sequence[Polynomial]
 ) -> list:
     """Each polynomial of `polys`, all in y1..y_nvars, with y_i sent to
-    images[i-1]: the ring homomorphism, applied to every entry with one power
-    table of the images shared by all of them.
+    images[i-1]: the ring homomorphism, applied to every entry through one
+    table of monomial images shared by all of them.
 
     An image that is exactly y_i fixes y_i (when the images live in the ring
     of the polynomials), and a polynomial whose monomials use only fixed
     variables is returned as it is: constants, and every polynomial under a
     map whose linear part is the identity.
 
-    Image i is taken as integer numerators over the lcm e_i of its
-    denominators, and a polynomial p as integer numerators over its own lcm
-    d. A monomial y^m of p then maps to prod_i N_i^m_i / prod_i e_i^m_i, so
-    scaling p's image by d * prod_i e_i^top_i, where top_i is the highest
-    power of y_i in p, makes the whole sum integral; each output coefficient
-    is divided by that scale once.
+    With e the lcm of all the images' denominators, the table maps y^m to
+    the int term map of prod_i N_i^m_i, N_i = e * images[i-1]. It starts with
+    1 and each N_i and builds a missing monomial in a loop, from the nearest
+    known one below it, one N_i per step. A polynomial of degree deg, as
+    numerators c over its own lcm d, maps to the sum of c * e^(deg - |m|) *
+    N^m over its terms c*y^m, divided once by d * e^deg.
     """
     if len(images) != nvars:
         raise ValueError(f"need {nvars} images, got {len(images)}")
@@ -473,47 +476,36 @@ def _substitute(
     ]
     if not moved:
         return list(polys)
-    dens = [_den((img.terms,)) for img in images]
-    # powers[i][e - 1] = (e_i * images[i])^e, as an int term map
-    powers = [[_numerators(img.terms, d)] for img, d in zip(images, dens)]
-    scaled = [i for i, d in enumerate(dens) if d != 1]
-    one = (0,) * nv
+    e = _den(img.terms for img in images)
+    nums = [_numerators(img.terms, e) for img in images]
+    table = dict(zip(_units(nvars), nums))
+    table[(0,) * nvars] = {(0,) * nv: 1}
     mul = _mono_ops(nv)[0]
-
-    def power(i: int, e: int) -> Mapping:
-        table = powers[i]
-        while len(table) < e:
-            nxt: dict = {}
-            _mul_into(nxt, table[-1], table[0], mul)
-            table.append(nxt)
-        return table[e - 1]
-
+    # a walk down takes a factor of the widest image first, so single-term
+    # images (fixed variables among them) are multiplied in while still small
+    order = sorted(range(nvars), key=lambda i: -len(nums[i]))
     out = []
     for p in polys:
         if nv == nvars and not any(m[i] for m in p.terms for i in moved):
             out.append(p)
             continue
         d = _den((p.terms,))
-        top = {i: max((m[i] for m in p.terms), default=0) for i in scaled}
+        deg = max(map(sum, p.terms), default=0)
         acc: dict = {}
         for mono, c in _numerators(p.terms, d).items():
-            # acc += c * prod_i e_i^(top_i - m_i) * prod_i N_i^m_i, with the
-            # last factor multiplied straight into acc
-            part = {one: c * prod(dens[i] ** (top[i] - mono[i]) for i in scaled)}
-            last = None
-            for i, e in enumerate(mono):
-                if e:
-                    if last is not None:
-                        nxt = {}
-                        _mul_into(nxt, part, last, mul)
-                        part = nxt
-                    last = power(i, e)
-            if last is None:
-                _add_into(acc, part.items())
-            else:
-                _mul_into(acc, part, last, mul)
-        scale = d * prod(dens[i] ** top[i] for i in scaled)
-        out.append(Polynomial._raw(nv, _divided(acc, scale)))
+            # down to the nearest known monomial, then up one N_i per step
+            m, path = mono, []
+            while m not in table:
+                i = next(i for i in order if m[i])
+                path.append((m, i))
+                m = m[:i] + (m[i] - 1,) + m[i + 1 :]
+            for up, i in reversed(path):
+                _mul_into(table.setdefault(up, {}), table[m], nums[i], mul)
+                m = up
+            if e != 1:
+                c *= e ** (deg - sum(mono))
+            _add_into(acc, table[mono].items(), c)
+        out.append(Polynomial._raw(nv, _divided(acc, d * e**deg)))
     return out
 
 
@@ -808,8 +800,8 @@ class PolyMatrix:
         return NotImplemented
 
     def substitute(self, images: Sequence[Polynomial]) -> "PolyMatrix":
-        """`Polynomial.substitute` applied to every entry, with the powers of
-        the images built once for the whole matrix."""
+        """`Polynomial.substitute` applied to every entry, through one table
+        of monomial images shared by the whole matrix (`_substitute`)."""
         flat = _substitute([e for r in self.rows for e in r], self.nvars, images)
         nv = images[0].nvars if images else self.nvars
         w = self.ncols
@@ -833,8 +825,8 @@ class PolyMatrix:
 
         A square matrix over K[y1..yn] is invertible over the ring iff its
         determinant is a nonzero constant; then the inverse is the adjugate
-        divided by the determinant. The determinant is the expansion along
-        row 0 of the minors the adjugate needs anyway.
+        divided by the determinant. The determinant appends row 0 last to the
+        minors of rows 1..n-1, which the adjugate needs anyway.
         """
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
@@ -843,38 +835,30 @@ class PolyMatrix:
         one = (0,) * nvars
 
         def row_deleted_minors(j, table, den):
-            # entry c: the numerators of the minor on the rows other than j
-            # and the columns other than c, and their denominator, from the
-            # minors (table, den) of rows 0..j-1; row r > j sits at r - 1
+            # the minors (table, den) of the rows other than j, from those of
+            # rows 0..j-1; row r > j sits at r - 1
             for r in range(j + 1, n):
                 table, den = _expand(table, den, rows[r], r - 1, nvars)
-            return [table.get(full ^ (1 << c), {}) for c in range(n)], den
+            return table, den
 
         prefix = ({0: {one: 1}}, 1)
-        nums0, den0 = row_deleted_minors(0, *prefix)
-        # det = num / den, expanded along row 0 scaled by the lcm d0 of its
-        # denominators
-        d0 = _den(e.terms for e in rows[0])
-        mul = _mono_ops(nvars)[0]
-        acc: dict = {}
-        for c, (entry, minor) in enumerate(zip(rows[0], nums0)):
-            if entry.terms and minor:
-                signed = _numerators(entry.terms, -d0 if c % 2 else d0)
-                _mul_into(acc, signed, minor, mul)
-        if not acc or any(k != one for k in acc):
+        minors = [row_deleted_minors(0, *prefix)]
+        # row 0 appended last to rows 1..n-1: the minor is (-1)^(n-1) * det
+        table, den = _expand(*minors[0], rows[0], n - 1, nvars)
+        acc = table.get(full, {})
+        if len(acc) != 1 or one not in acc:
             return None
-        num, den = acc[one], d0 * den0
-        if num < 0:
-            num, den = -num, -den
-        minors = [(nums0, den0)]
+        num = acc[one] if n % 2 else -acc[one]
+        num, den = abs(num), den if num > 0 else -den
         for j in range(1, n):
             # the minors of rows 0..j-1, built once for every later row
             prefix = _expand(*prefix, rows[j - 1], j - 1, nvars)
             minors.append(row_deleted_minors(j, *prefix))
-        # adj[i][j] = (-1)^(i + j) * (minor c = i of row j) / det
+        # adj[i][j] = (-1)^(i + j) * (minor of row j and column i) / det
         adj = [[None] * n for _ in range(n)]
-        for j, (nums, mden) in enumerate(minors):
-            for i, t in enumerate(nums):
+        for j, (table, mden) in enumerate(minors):
+            for i in range(n):
+                t = table.get(full ^ (1 << i), {})
                 sign = den if (i + j) % 2 == 0 else -den
                 adj[i][j] = Polynomial._raw(nvars, _divided(t, mden * num, sign))
         return PolyMatrix._raw(nvars, tuple(map(tuple, adj)))
@@ -897,6 +881,11 @@ def col_vector(nvars: int, entries: Iterable) -> PolyMatrix:
 def y_column(nvars: int) -> PolyMatrix:
     """The column (y1, ..., yn)^t."""
     return col_vector(nvars, [Polynomial.variable(nvars, i + 1) for i in range(nvars)])
+
+
+# The most nonzero minors of one size an `_expand` table may hold: a dense
+# n x n matrix needs C(n, n // 2), 3,432 at rank 14 and 6,435 at rank 15.
+MAX_MINORS = 4096
 
 
 def _minors(rows, nvars: int) -> tuple:
@@ -938,6 +927,10 @@ def _expand(table: dict, den: int, row, t: int, nvars: int) -> tuple:
                 pos = (mask & (bit - 1)).bit_count()
                 acc = new_table.setdefault(mask | bit, {})
                 _mul_into(acc, entry[(t + pos) % 2], sub, mul)
+    if sum(map(bool, new_table.values())) > MAX_MINORS:
+        raise ValueError(
+            f"determinant expansion exceeds the limit of {MAX_MINORS} nonzero minors"
+        )
     return new_table, den * d
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from metalie.cli import (
     main,
 )
 from metalie.lieexpr import MAX_NESTING, MAX_WORD_LENGTH
+from metalie.polyring import MAX_MINORS
 
 
 def run(capsys, *argv):
@@ -497,6 +499,15 @@ class TestSizeLimits:
         assert "Traceback" not in err
         assert f"{message} exceeds the limit of {MAX_RANK}" in err
         assert evaluated == []
+
+    def test_ring_inverse_minor_limit(self, capsys):
+        # the symmetric Pascal matrix is unimodular and no minor of it is
+        # zero: the ring inverse of rank 15 needs 6,435 minors of one size
+        pascal = [[comb(i + j, i) for j in range(15)] for i in range(15)]
+        code, out, err = run(capsys, "inverse", f"linear:{pascal}")
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert f"exceeds the limit of {MAX_MINORS} nonzero minors" in err
 
     def test_rank_at_the_limit_is_accepted(self, capsys):
         ident = ";".join(f"x{i}" for i in range(1, MAX_RANK + 1))

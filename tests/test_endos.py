@@ -191,6 +191,18 @@ class TestApplyCompose:
         for i in range(4):
             assert acc.images[i] == en.apply(factor, mb.lift(prev.images[i]))
 
+    def test_compose_with_a_long_word_matches_direct_evaluation(self):
+        # x1 -> x1 + x2 moves y1 in the Fox row of a 1,501-letter word, whose
+        # monomials have degree 1,500: each one is built from its nearest
+        # known divisor one factor at a time, in a loop (a recursive build
+        # would exceed the interpreter's recursion limit)
+        phi = en.linear([[1, 1], [0, 1]])
+        word = mb.evaluate(left_normed([2] + [1] * 200 + [2] * 1300), 2)
+        psi = en.Endo(2, (mb.generator(2, 1) + word, mb.generator(2, 2)))
+        comp = en.compose(phi, psi)
+        for i in range(2):
+            assert comp.images[i] == en.apply(phi, mb.lift(psi.images[i]))
+
     def test_jacobian_alone_determines_endo(self):
         # injectivity in normal form: an image is stored as its Fox row, so
         # the Jacobian rows alone rebuild the images

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from metalie.dyadic import DyadExpr, RowExpr, ScalarPoly, dyad_mul, phi_sym, psi
 from metalie.freeassoc import NCPoly
 from metalie.metabelian import MElement
 from metalie.polyring import (
+    MAX_MINORS,
     ParseError,
     PolyMatrix,
     Polynomial,
@@ -281,6 +283,11 @@ class TestSubstitute:
         images = [P("y1 + y2", 2), Polynomial.variable(2, 2)]
         assert P("y1^2", 2).substitute(images) == P("y1^2 + 2*y1*y2 + y2^2", 2)
 
+    def test_zero_into_a_larger_ring(self):
+        images = [P("y1 + y3", 3), P("1/2*y2", 3)]
+        out = _substitute([Polynomial.zero(2), P("2*y2", 2)], 2, images)
+        assert out == [Polynomial.zero(3), P("y2", 3)]
+
     def test_is_ring_homomorphism(self):
         rng = random.Random(3)
         for _ in range(30):
@@ -543,6 +550,17 @@ class TestDeterminant:
     def test_non_square(self):
         with pytest.raises(ValueError):
             PolyMatrix.zero(2, 2, 3).det()
+
+    def test_minor_limit(self):
+        # the symmetric Pascal matrix has determinant 1 and no zero minor, so
+        # rank n needs C(n, n // 2) minors of one size: 3,432 at rank 14 and
+        # 6,435 at rank 15
+        def pascal(n):
+            return PolyMatrix(1, [[comb(i + j, i) for j in range(n)] for i in range(n)])
+
+        assert pascal(14).det() == Polynomial.one(1)
+        with pytest.raises(ValueError, match=f"limit of {MAX_MINORS} nonzero minors"):
+            pascal(15).det()
 
 
 class TestInverseOverRing:

@@ -11,12 +11,15 @@ both output formats. Without commands it checks `replay-oe --rank N
 --witness` for N = 4..9, `compose`, `inverse`, `jac` and `iaut-level` on
 IA, rational, "linear:" and singular endomorphisms of ranks 3..5 (see
 `_endo_commands`), and `inverse` on the JSON documents of five dense tame
-products (`PRODUCTS`). Prints one line per run and exits 1 if any stdout or exit
-code differs.
+products (`PRODUCTS`), `compose` of a "linear:" map with a 400-letter word,
+`compose` of a dense rational product with a degree-6 map, and `inverse` of
+the rank-12 Pascal matrix. Prints one line per run and exits 1 if any stdout
+or exit code differs.
 """
 
 import io
 import json
+import math
 import os
 import pathlib
 import shlex
@@ -130,10 +133,30 @@ PRODUCTS = [
 ]
 
 
+# a dense rational product, linear(A) o elementary(4, [x2,x3]) for a dense
+# rational A, and a map with images of degree 6
+RATIONAL_PRODUCT = (
+    "1/2*x1 + x2 - x3 + 2*x4 + [x1, x4] - 2/3*[x2, x4] - 5/2*[x3, x4]"
+    " + 9/2*[x1, x3] - 13/6*[x2, x3] + 1/3*[x1, x2]; x1 - 1/3*x2 + 2*x3 + x4;"
+    " -2*x1 + x2 + 1/2*x3 - x4; x1 + 2*x2 - x3 + 3/4*x4"
+)
+DEGREE_SIX = (
+    "x1 + [[[[[x1,x2],x3],x4],x1],x2]; x2 - 2*[[[[[x3,x1],x4],x2],x3],x1]; x3; x4"
+)
+# the left-normed word [[... [x2, x1], ... x1], x2] ..., x2] of 400 letters
+LONG_WORD = "[" * 399 + "x2" + ",x1]" * 40 + ",x2]" * 359
+# the symmetric Pascal matrix of rank 12: unimodular, and no minor is zero
+PASCAL = [[math.comb(i + j, i) for j in range(12)] for i in range(12)]
+
 DEFAULT = (
     [f"replay-oe --rank {n} --witness" for n in range(4, 10)]
     + [c for n in range(3, 6) for c in _endo_commands(n)]
     + [f"inverse {shlex.quote(json.dumps(doc))}" for doc in PRODUCTS]
+    + [
+        f"compose linear:[[1,1],[0,1]] {shlex.quote(f'x1 + {LONG_WORD}; x2')}",
+        f"compose {shlex.quote(RATIONAL_PRODUCT)} {shlex.quote(DEGREE_SIX)}",
+        "inverse linear:" + json.dumps(PASCAL).replace(" ", ""),
+    ]
 )
 
 
