@@ -12,10 +12,10 @@ virtual machine. The rank of an element or endomorphism is capped at
 MAX_RANK, however it enters (`--rank`, the rank `nf` infers, a JSON
 document's "rank", the image count of a semicolon list, the size of a
 "linear:" matrix), and is checked before anything is evaluated: at the cap,
-`inverse` of "x1 + [x2,x3]; x2; ...; x100" takes about 0.4 s on the same
-machine, and `nf x10000` stops at once. Determinants and ring inverses hold
-at most `polyring.MAX_MINORS` nonzero minors of one size: `inverse` of a
-dense "linear:" map takes about 3 s at rank 14 and exits 1 at rank 15.
+`inverse` of "x1 + [x2,x3]; x2; ...; x100" takes about 0.4 s (0.13 s of it
+inverting), and `nf x10000` stops at once. Determinants and ring inverses
+hold at most `polyring.MAX_MINORS` nonzero minors of one size: `inverse` of
+a dense "linear:" map takes about 3 s at rank 14 and exits 1 at rank 15.
 Bracket expressions are read with the limits of `lieexpr`: a left-normed
 word has at most `MAX_WORD_LENGTH` letters and costs no recursion, and
 every other nest ('(' or '[') is at most `MAX_NESTING` levels deep. Lifts
@@ -72,6 +72,14 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _json(text: str):
+    """json.loads that reports input nested too deeply as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
 def load_endo(spec: str, rank: int = 0) -> endos.Endo:
     _check_limit("--rank", rank, MAX_RANK)
     for prefix in ("inner:", "elementary:"):
@@ -83,7 +91,7 @@ def load_endo(spec: str, rank: int = 0) -> endos.Endo:
                 return endos.inner(rank, mb.evaluate(expr, rank))
             return endos.elementary(rank, expr)
     if spec.startswith("linear:"):
-        matrix = json.loads(spec[len("linear:") :])
+        matrix = _json(spec[len("linear:") :])
         if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
             raise ValueError("linear: matrix must be a JSON list of rows")
         _check_limit("linear: matrix size", len(matrix), MAX_RANK)
@@ -104,7 +112,7 @@ def load_endo(spec: str, rank: int = 0) -> endos.Endo:
         raise ValueError(f"no such file: {spec}")
     text = text.strip()
     if text.startswith("{"):
-        doc = json.loads(text)
+        doc = _json(text)
         for key in ("rank", "images"):
             if key not in doc:
                 raise ValueError(f"endomorphism document has no '{key}' field")
@@ -193,13 +201,10 @@ def cmd_inverse(args) -> int:
     phi = load_endo(args.endo, args.rank)
     inv = endos.inverse(phi)
     if inv is None:
-        _emit(
-            args,
-            lambda: "NotAutomorphism",
-            lambda: {"rank": phi.rank, "verdict": "NotAutomorphism"},
-        )
-        return 0
-    _emit(args, lambda: endo_text(inv), lambda: endo_doc(inv))
+        verdict = {"rank": phi.rank, "verdict": "NotAutomorphism"}
+        _emit(args, lambda: "NotAutomorphism", lambda: verdict)
+    else:
+        _emit(args, lambda: endo_text(inv), lambda: endo_doc(inv))
     return 0
 
 

@@ -205,30 +205,24 @@ def conjugate_elementary(alpha: Sequence[Sequence], f: LieExpr, rank: int):
 def inverse(phi: Endo) -> Optional[Endo]:
     """Exact two-sided inverse, or None when phi is not an automorphism.
 
-    By the chain rule J(phi o psi) = phibar(J(psi)) * J(phi), an inverse psi
-    has the Jacobian J(psi) = phibar^-1(J(phi)^-1), where phibar^-1 is the
-    substitution y -> A^-1 y for the linear part A of phi. So A must be
-    invertible, J(phi) must be invertible over the polynomial ring (its
-    determinant a nonzero constant), and each row of phibar^-1(J(phi)^-1)
-    must be the Fox row of an element of M_n (`metabelian.in_m`): that
-    element is the candidate image. The candidate is returned only after
-    both compositions, phi o psi and psi o phi, are verified to be the
-    identity, so no unproven invertibility criterion is ever relied on.
+    By the chain rule, phi is an automorphism only if its linear part A is
+    invertible and J = J(phi) is invertible over the polynomial ring. Then
+    psi, with the Fox rows X = phibar^-1(J^-1) where phibar^-1 is
+    y -> A^-1 y, is its inverse; with Y the column (y1, ..., yn):
+      1. The images of phi lie in M_n, so J*Y = A*Y. Applying phibar^-1 to
+         J^-1*(A*Y) = Y gives X*Y = A^-1*Y = X(0)*Y, as J^-1(0) = A^-1: each
+         row of X is the Fox row of a member of M_n (`metabelian.in_m`).
+      2. J(phi o psi) = phibar(X)*J = J^-1*J = E.
+      3. psi's linear part is X(0) = A^-1, so J(psi o phi) = phibar^-1(J)*X = E.
+    An element of M_n is its Fox row, so both composites are the identity.
     """
-    n = phi.rank
     a_inv = rational_inverse(phi.linear_matrix())
-    if a_inv is None:
-        return None
-    jac_inv = jacobian(phi).inverse_over_ring()
+    jac_inv = None if a_inv is None else jacobian(phi).inverse_over_ring()
     if jac_inv is None:
         return None
+    n = phi.rank
     rows = jac_inv.substitute([Polynomial._linear(n, r) for r in a_inv]).rows
-    if not all(map(mb.in_m, rows)):
-        return None
-    candidate = Endo._raw(n, tuple(MElement._raw(n, r) for r in rows))
-    if compose(phi, candidate).is_identity() and compose(candidate, phi).is_identity():
-        return candidate
-    return None
+    return Endo._raw(n, tuple(MElement._raw(n, r) for r in rows))
 
 
 def iaut_level(phi: Endo):

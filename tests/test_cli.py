@@ -134,6 +134,10 @@ class TestMalformedEndoInput:
             ('{"rank":2.5,"images":["x1","x2"]}', "'rank'"),
             ('{"rank":2,"images":[1,2]}', "'images'"),
             ("no-such-endo.json", "no such file: no-such-endo.json"),
+            pytest.param("linear:" + "[" * 3000, "too deeply", id="deep-linear"),
+            pytest.param(
+                '{"rank":2,"images":' + "[" * 3000, "too deeply", id="deep-document"
+            ),
         ],
     )
     def test_exits_one_naming_the_field(self, capsys, spec, field):

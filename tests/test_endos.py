@@ -309,7 +309,8 @@ class TestRawBuilders:
 class TestKernelResultsAreMembers:
     """The kernels build their results with `MElement._raw`, unchecked. Each
     result passes the membership predicate `in_m`, which is why `lift` does
-    not check membership again."""
+    not check membership again. `inverse` does not call `in_m` either: its
+    docstring proves its rows are members (step 1), and this test checks it."""
 
     @settings(max_examples=30)
     @given(
@@ -483,10 +484,15 @@ def assert_inverse_by_evaluation(phi, inv):
     assert tuple(en.apply(inv, mb.lift(g)) for g in phi.images) == gens
 
 
+def det_is_unit(phi):
+    d = en.jacobian(phi).det()
+    return d.is_constant() and d.constant_term() != 0
+
+
 class TestInverseOracle:
-    """inverse reads its candidate off the chain rule and verifies it with
-    compose, which is the chain rule too; here both products are checked by
-    direct evaluation instead."""
+    """inverse reads its result off the Jacobian criterion, which is the
+    chain rule; here both products are checked by direct evaluation
+    instead."""
 
     def test_rational_tame_products(self):
         rational = 0
@@ -510,7 +516,47 @@ class TestInverseOracle:
             assert inv is not None
             assert_inverse_by_evaluation(phi, inv)
 
-    def test_one_ring_inverse_and_two_compositions(self, monkeypatch):
+    def test_invertible_linear_part_but_not_automorphism(self):
+        phi = en.from_exprs(2, [ex("x1 + [x1,x2]"), ex("x2")])
+        assert en.jacobian(phi).det() == parse_polynomial("1 - y2", 2)
+        assert en.inverse(phi) is None
+        # image 1 plus c*[tame(x1), tame(x2)]: tame o (x1 -> x1 + c*[x1,x2])
+        for case in range(6):
+            rank = 3 + case % 3
+            tame = en.random_tame(rank, case, 2, 2)
+            w = mb.bracket(tame.images[0], tame.images[1]).scaled(case - 3 or 2)
+            images = (tame.images[0] + w,) + tame.images[1:]
+            phi = en.Endo(rank, images)
+            assert en.rational_inverse(phi.linear_matrix()) is not None
+            assert not det_is_unit(phi)
+            assert en.inverse(phi) is None
+
+    def test_inner_times_tame(self):
+        rng = random.Random(20)
+        for case in range(6):
+            rank = 3 + case % 3
+            z = mb.evaluate(en.random_derived_expr(rng, rank, 3), rank)
+            phi = en.compose(en.inner(rank, z), en.random_tame(rank, case, 2, 2))
+            inv = en.inverse(phi)
+            assert inv is not None
+            assert_inverse_by_evaluation(phi, inv)
+
+    def test_none_exactly_when_det_is_not_a_unit(self):
+        from metalie.verify import random_endo
+
+        rng = random.Random(21)
+        automorphisms = 0
+        for case in range(150):
+            phi = random_endo(rng, 2 + case % 3, 3)
+            inv = en.inverse(phi)
+            assert (inv is None) == (not det_is_unit(phi))
+            if inv is not None:
+                assert_inverse_by_evaluation(phi, inv)
+                automorphisms += 1
+        # about one random endomorphism in twenty is an automorphism
+        assert automorphisms >= 3
+
+    def test_one_ring_inverse_and_no_composition(self, monkeypatch):
         phi = en.random_tame(4, 2, 3, 2)
         ring_inverses, compositions = [], []
         ring_inverse = PolyMatrix.inverse_over_ring
@@ -529,7 +575,7 @@ class TestInverseOracle:
         inv = en.inverse(phi)
         assert inv is not None
         assert ring_inverses == [en.jacobian(phi)]
-        assert compositions == [(phi, inv), (inv, phi)]
+        assert compositions == []
 
 
 class TestIautLevel:

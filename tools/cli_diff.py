@@ -9,7 +9,8 @@ each in a fresh interpreter. A COMMAND is one argument string, split into
 shell words, such as "replay-oe --rank 5 --witness"; every command runs in
 both output formats. Without commands it checks `replay-oe --rank N
 --witness` for N = 4..9, `compose`, `inverse`, `jac` and `iaut-level` on
-IA, rational, "linear:" and singular endomorphisms of ranks 3..5 (see
+IA, rational, "linear:" and singular endomorphisms and on a
+non-automorphism whose linear part is the identity, of ranks 3..5 (see
 `_endo_commands`), and `inverse` on the JSON documents of five dense tame
 products (`PRODUCTS`), `compose` of a "linear:" map with a 400-letter word,
 `compose` of a dense rational product with a degree-6 map, and `inverse` of
@@ -35,7 +36,8 @@ def _endo_commands(n: int) -> list:
     """compose, inverse, jac and iaut-level of rank-n endomorphisms: an inner
     automorphism (an IA map: linear part the identity), a triangular
     automorphism with rational coefficients and linear part, a "linear:"
-    matrix and a map with a singular linear part."""
+    matrix, a map with a singular linear part and a map whose linear part is
+    the identity but whose Jacobian determinant 1 - y2 is not constant."""
     rest = [f"x{i}" for i in range(4, n + 1)]
     ia = "inner:[x1,x2] - 2*[[x1,x3],x2]"
     rat = "; ".join(
@@ -45,8 +47,11 @@ def _endo_commands(n: int) -> list:
     matrix[0][1], matrix[n - 1][0] = 2, -1
     lin = "linear:" + json.dumps(matrix).replace(" ", "")
     sing = "; ".join(["x1", "x1 + [x1,x2]", "x3", *rest])
+    nonaut = "; ".join(["x1 + [x1,x2]", "x2", "x3", *rest])
     quoted = [shlex.quote(e) for e in (ia, rat, lin, sing)]
     out = [f"compose {a} {b}" for a, b in zip(quoted, quoted[1:] + quoted[:1])]
+    quoted.append(shlex.quote(nonaut))
+    out.append(f"compose {quoted[-1]} {quoted[0]}")
     for cmd in ("inverse", "jac", "iaut-level"):
         out += [f"{cmd} {e}" for e in quoted]
     return [f"{c} --rank {n}" for c in out]
