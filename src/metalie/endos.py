@@ -93,6 +93,17 @@ def elementary(rank: int, f: LieExpr, position: int = 1) -> Endo:
 
     f must avoid x_position and evaluate into the bracket subalgebra.
     """
+    images = list(mb.generators(rank))
+    value = _perturbation(rank, f, images, position)
+    images[position - 1] += value
+    return Endo._raw(rank, tuple(images))
+
+
+def _perturbation(rank: int, f: LieExpr, images, position: int = 1) -> MElement:
+    """f evaluated with x_i -> images[i-1], after the checks of `elementary`
+    in their order: 1 <= position <= rank, f avoids x_position and x_i for
+    i > rank, and the value is derived (for the images of an automorphism,
+    exactly when f's value on the generators is)."""
     if not 1 <= position <= rank:
         raise ValueError(f"position {position} out of range 1..{rank}")
     used = generators_used(f)
@@ -100,12 +111,10 @@ def elementary(rank: int, f: LieExpr, position: int = 1) -> Endo:
         raise ValueError(f"perturbation mentions x{position}")
     if used and max(used) > rank:
         raise ValueError(f"generator index {max(used)} out of range 1..{rank}")
-    value = mb.evaluate(f, rank)
+    value = mb.eval_with(f, images)
     if not mb.is_derived(value):
         raise ValueError("perturbation is not in the bracket subalgebra")
-    images = list(mb.generators(rank))
-    images[position - 1] = images[position - 1] + value
-    return Endo._raw(rank, tuple(images))
+    return value
 
 
 def inner(rank: int, z: MElement) -> Endo:
@@ -184,22 +193,21 @@ def conjugate_elementary(alpha: Sequence[Sequence], f: LieExpr, rank: int):
 
     Returns (endo, Phi, Psi) where endo = alpha o phi_f o alpha^{-1} and
     Phi (column), Psi (row) satisfy J(endo) = E + Phi*Psi with Psi*Phi = 0
-    and Psi*Y = 0: Phi = A^{-1} e1 and Psi = alphabar(dfox(f)) * A.
+    and Psi*Y = 0: Phi = A^{-1} e1 and Psi = alphabar(dfox(f)) * A. By the
+    chain rule dfox(alpha(f)) = alphabar(dfox(f)) * J(alpha), and J(alpha)
+    is A, so Psi is the Fox row of alpha(f), which the conjugate needs
+    anyway. f is checked as `elementary` checks it, on alpha(f).
     """
     a, a_inv = _invertible(alpha)
     alpha_endo = _linear(a)
     if alpha_endo.rank != rank:
         raise ValueError("alpha has the wrong rank")
-    phi_f = elementary(rank, f)
+    alpha_f = _perturbation(rank, f, alpha_endo.images)
     # alpha(phi_f(alpha^-1(x_i))) = x_i + a_inv[i][0] * alpha(f)
-    alpha_f = apply(alpha_endo, f)
     images = (x + alpha_f.scaled(r[0]) for x, r in zip(mb.generators(rank), a_inv))
     conj = Endo._raw(rank, tuple(images))
-
     phi_col = col_vector(rank, [a_inv[i][0] for i in range(rank)])
-    dfox = mb.fox(phi_f.images[0] - mb.generator(rank, 1))
-    psi_row = apply_induced(alpha_endo, dfox) * PolyMatrix(rank, a)
-    return conj, phi_col, psi_row
+    return conj, phi_col, mb.fox(alpha_f)
 
 
 def inverse(phi: Endo) -> Optional[Endo]:

@@ -19,7 +19,7 @@ grammars (polynomials and bracket expressions) from the one tokenizer,
 characters; `_minors`, a Laplace expansion over column
 subsets, gives both the determinant and the adjugate; and
 `RowSpace` is the one exact rational elimination, behind `solve_sparse`
-and `rational_inverse`.
+and `rational_inverse`, run fraction-free on integer rows.
 
 Only this module knows that a monomial of `Polynomial` is a tuple of
 exponents. Other modules reach monomials through the `Polynomial`
@@ -29,8 +29,8 @@ constructors, the key product and letter decoder of `_mono_ops`, and
 Coefficients are exact rationals under one convention shared by the whole
 package: a coefficient is a plain `int` until a division makes it
 non-integral, and then a `fractions.Fraction`; integral quotients are demoted
-back to `int` with `as_coeff`. Every division divides an actual Fraction
-(`1 / as_rat(x)`, `Fraction(num, den)`), so nothing here ever rounds or
+back to `int` with `as_coeff`. Every division builds a Fraction from two
+ints (`Fraction(num, den)`, `_divided`), so nothing here ever rounds or
 produces a float. The polynomial-matrix kernels (the matrix product, the
 minors behind the determinant and the ring inverse, and substitution) run
 fraction-free inside: each operand is scaled to integer numerators by the
@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Optional, Union
 
@@ -82,22 +82,14 @@ class ParseError(ValueError):
         self.position = position
 
 
-def as_rat(c: Scalar) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"expected an exact rational, got {type(c).__name__}")
-
-
 def as_coeff(c: Scalar):
     """Normalize an exact rational, demoting integral values to int.
 
     This is the package's coefficient convention: int until a division makes
     a value non-integral, Fraction after. int and Fraction mix exactly under
     Python arithmetic and agree on equality and hashing, so integer inputs
-    stay on the all-integer fast path and rational ones stay exact. Divide
-    only by `as_rat(x)`: `1 / x` on an int gives a float.
+    stay on the all-integer fast path and rational ones stay exact. Never
+    divide with `/` on ints, which gives a float.
     """
     if isinstance(c, int):
         return c
@@ -1025,14 +1017,35 @@ def rational_inverse(a: Sequence[Sequence[Scalar]]) -> Optional[list]:
     return [[echelon[i].get(n + j, 0) for j in range(n)] for i in range(n)]
 
 
-class RowSpace:
-    """Incremental exact row-echelon accumulator over sparse rational rows.
+def _eliminate(rem: dict, row: Mapping, k) -> int:
+    """Clear key k of the int term map rem with the int row `row`, positive
+    at k, fraction-free: with p = row[k], c = rem[k] and g = gcd(p, c),
+    rem <- (p/g)*rem - (c/g)*row. Returns p/g, the factor that scaled rem (a
+    pivot of 1 scales nothing)."""
+    p, c = row[k], rem[k]
+    if p != 1:
+        g = gcd(p, c)
+        if g != 1:
+            p //= g
+            c //= g
+        for kk in rem:
+            rem[kk] *= p
+    _add_into(rem, row.items(), -c)
+    return p
 
-    Rows are dicts mapping totally ordered, hashable column keys to nonzero
-    exact rationals. Each stored pivot row is normalized to coefficient 1 at
-    its minimal key, so reduction strictly increases the minimal key of the
-    remainder and terminates. Stored pivots and returned remainders follow
-    the coefficient convention: integral values are ints.
+
+class RowSpace:
+    """Incremental exact row-echelon accumulator over sparse rational rows,
+    eliminating on integer rows.
+
+    Rows are dicts mapping totally ordered, hashable column keys to exact
+    rationals (zero entries are ignored). Each stored pivot row is a
+    primitive integer row (ints with gcd 1) under its minimal key, where its
+    coefficient, the pivot, is positive. A row is reduced as int numerators
+    over one positive denominator (`_eliminate`): each step leaves the
+    rational remainder rem - (c/p)*pivot row, only scaled, so reduction
+    strictly increases the minimal key of the remainder and terminates.
+    Results are divided once on return, under the coefficient convention.
     """
 
     def __init__(self):
@@ -1042,45 +1055,54 @@ class RowSpace:
     def rank(self) -> int:
         return len(self._pivots)
 
-    def reduce(self, row: Mapping) -> dict:
-        rem = {k: as_coeff(c) for k, c in row.items() if c}
+    def _reduce(self, row: Mapping) -> tuple:
+        """(numerators, den): the remainder of row is numerators / den, with
+        numerators an int term map and den a positive int."""
+        rem = {k: c if type(c) is int else as_coeff(c) for k, c in row.items() if c}
+        den = _den((rem,))
+        rem = _numerators(rem, den)
+        pivots = self._pivots
         while rem:
             k = min(rem)
-            pivot = self._pivots.get(k)
+            pivot = pivots.get(k)
             if pivot is None:
-                return rem
-            _add_into(rem, pivot.items(), -rem[k])
-        return rem
+                break
+            den *= _eliminate(rem, pivot, k)
+        return rem, den
+
+    def reduce(self, row: Mapping) -> dict:
+        return _divided(*self._reduce(row))
 
     def add(self, row: Mapping) -> bool:
         """Insert a row; returns True if it enlarged the span."""
-        rem = self.reduce(row)
+        rem = self._reduce(row)[0]
         if not rem:
             return False
         k = min(rem)
-        pivot = rem[k]
-        if pivot == -1:
-            rem = {kk: -cc for kk, cc in rem.items()}
-        elif pivot != 1:
-            inv = 1 / as_rat(pivot)
-            rem = {kk: as_coeff(cc * inv) for kk, cc in rem.items()}
+        p = rem[k]
+        g = 1 if p == 1 or p == -1 else gcd(*rem.values())
+        if p < 0:
+            g = -g
+        if g != 1:
+            rem = {kk: c // g for kk, c in rem.items()}
         self._pivots[k] = rem
         return True
 
     def contains(self, row: Mapping) -> bool:
-        return not self.reduce(row)
+        return not self._reduce(row)[0]
 
     def reduced(self) -> dict:
         """The reduced row echelon form of the span, as pivot key -> row in
         increasing key order: each row is 1 at its own key and 0 at every
-        other pivot key. The stored rows are left as they are."""
+        other pivot key. The rows are fresh dicts; the stored rows are left
+        as they are."""
         done = {}
         for k in sorted(self._pivots, reverse=True):
             row = dict(self._pivots[k])
             # every pivot key in the row other than k is larger, so its row
-            # is already in `done`, and that row is 0 at every other pivot key
+            # is already in `done`, and that row is 0 at every other pivot
+            # key; back-substitution cross-multiplies as `_reduce` does
             for kk in [kk for kk in row if kk != k and kk in done]:
-                _add_into(row, done[kk].items(), -row[kk])
+                _eliminate(row, done[kk], kk)
             done[k] = row
-        return {k: done[k] for k in sorted(done)}
-
+        return {k: _divided(done[k], done[k][k]) for k in sorted(done)}

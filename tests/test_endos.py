@@ -405,12 +405,42 @@ class TestConjugateElementary:
             assert len(calls) == 1
 
     def test_evaluates_f_once(self, monkeypatch):
-        calls = []
-        real = mb.evaluate
-        monkeypatch.setattr(mb, "evaluate", lambda e, n: calls.append(e) or real(e, n))
+        # f is walked once, for alpha(f); Psi is read off its Fox row
+        walks = []
+        real_eval_with, real_evaluate = mb.eval_with, mb.evaluate
+        monkeypatch.setattr(
+            mb, "eval_with", lambda e, im: walks.append("eval_with") or real_eval_with(e, im)
+        )
+        monkeypatch.setattr(
+            mb, "evaluate", lambda e, n: walks.append("evaluate") or real_evaluate(e, n)
+        )
         alpha = [[1, 2, 0], [0, 1, 0], [1, 0, 1]]
         en.conjugate_elementary(alpha, ex("[x2,x3] - [[x2,x3],x3]"), 3)
-        assert len(calls) == 1
+        assert walks == ["eval_with"]
+
+    @pytest.mark.parametrize(
+        "alpha, f, message",
+        [
+            ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], "[x1,x2]", "perturbation mentions x1"),
+            (
+                [[1, 2, 0], [0, 1, 0], [1, 0, 1]],
+                "[x2,x4]",
+                r"generator index 4 out of range 1\.\.3",
+            ),
+            (
+                [[1, 2, 0], [0, 1, 0], [1, 0, 1]],
+                "x2 + [x2,x3]",
+                "perturbation is not in the bracket subalgebra",
+            ),
+            # the checks run in this order: alpha, then x1, then the indices
+            ([[1, 1, 0], [1, 1, 0], [0, 0, 1]], "[x1,x4]", "matrix is singular"),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "x1 + [x2,x4]", "mentions x1"),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "x2 + [x2,x4]", "index 4 out"),
+        ],
+    )
+    def test_rejects_what_elementary_rejects(self, alpha, f, message):
+        with pytest.raises(ValueError, match=message):
+            en.conjugate_elementary(alpha, ex(f), 3)
 
     def test_singular_alpha_rejected(self):
         with pytest.raises(ValueError, match="matrix is singular"):

@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -633,6 +633,33 @@ class TestSolveLinear:
                     assert sum(a[i][j] * v[j] for j in range(nc)) == 0
 
 
+def gauss_jordan(rows, ncols):
+    """The reduced row echelon form of dense rational rows by textbook
+    Gauss-Jordan elimination on Fractions, as {pivot column: row}."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return {c: m[r] for r, c in enumerate(pivots)}
+
+
+# sparse rational rows whose pivots are +-1, +-2 and 1/2
+oracle_rows = st.dictionaries(
+    st.integers(0, 5), st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2)]),
+    max_size=4,
+)
+
+
 class TestRowSpace:
     def test_rank_and_membership(self):
         space = RowSpace()
@@ -649,15 +676,44 @@ class TestRowSpace:
         max_size=5,
     ))
     def test_pivot_rows_are_normalized(self, rows):
-        # pivots of 1 are stored as they are, -1 negated, others divided
+        # stored pivot rows are primitive integer rows, positive at their
+        # minimal key; reduced() divides each row by its own pivot
         space = RowSpace()
         for row in rows:
             space.add(row)
         for k, row in space._pivots.items():
-            assert k == min(row) and row[k] == 1
+            assert k == min(row) and row[k] > 0
+            assert all(type(c) is int for c in row.values())
+            assert gcd(*row.values()) == 1
+        echelon = space.reduced()
+        assert list(echelon) == sorted(space._pivots)
+        for k, row in echelon.items():
+            assert row[k] == 1
             assert_demoted(list(row.values()))
         for row in rows:
             assert space.contains(row)
+
+    @settings(max_examples=150)
+    @given(st.lists(oracle_rows, max_size=6), oracle_rows)
+    def test_against_dense_gauss_jordan(self, rows, probe):
+        def dense(row):
+            return [row.get(c, 0) for c in range(6)]
+
+        space = RowSpace()
+        for row in rows:
+            space.add(row)
+        oracle = gauss_jordan([dense(row) for row in rows], 6)
+        echelon = space.reduced()
+        assert list(echelon) == list(oracle)
+        assert all(dense(echelon[k]) == oracle[k] for k in oracle)
+        assert space.rank == len(oracle)
+        in_span = len(gauss_jordan([*map(dense, rows), dense(probe)], 6)) == len(oracle)
+        assert space.contains(probe) == in_span
+        rem = space.reduce(probe)
+        if rem:
+            assert min(rem) not in oracle
+        moved = [a - b for a, b in zip(dense(probe), dense(rem))]
+        assert len(gauss_jordan([*map(dense, rows), moved], 6)) == len(oracle)
 
 
 class TestTextForm:

@@ -13,8 +13,10 @@ IA, rational, "linear:" and singular endomorphisms and on a
 non-automorphism whose linear part is the identity, of ranks 3..5 (see
 `_endo_commands`), and `inverse` on the JSON documents of five dense tame
 products (`PRODUCTS`), `compose` of a "linear:" map with a 400-letter word,
-`compose` of a dense rational product with a degree-6 map, and `inverse` of
-the rank-12 Pascal matrix. Prints one line per run and exits 1 if any stdout
+`compose` of a dense rational product with a degree-6 map, `inverse` of
+the rank-12 Pascal matrix, and `inverse` and `jac` of a dense rank-6 integer
+matrix and `inverse` of the rational map of `_rational` at rank 6, whose
+eliminations meet pivots other than +-1. Prints one line per run and exits 1 if any stdout
 or exit code differs.
 """
 
@@ -32,17 +34,24 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def _rational(n: int) -> str:
+    """A rank-n triangular automorphism with rational coefficients and a
+    rational linear part."""
+    rest = [f"x{i}" for i in range(4, n + 1)]
+    return "; ".join(
+        ["1/2*x1 + 2/3*[x2,x3] + [[x2,x3],x3]", "-x2 + 1/3*x3", "3/2*x3", *rest]
+    )
+
+
 def _endo_commands(n: int) -> list:
     """compose, inverse, jac and iaut-level of rank-n endomorphisms: an inner
-    automorphism (an IA map: linear part the identity), a triangular
-    automorphism with rational coefficients and linear part, a "linear:"
+    automorphism (an IA map: linear part the identity), the rational
+    automorphism of `_rational`, a "linear:"
     matrix, a map with a singular linear part and a map whose linear part is
     the identity but whose Jacobian determinant 1 - y2 is not constant."""
     rest = [f"x{i}" for i in range(4, n + 1)]
     ia = "inner:[x1,x2] - 2*[[x1,x3],x2]"
-    rat = "; ".join(
-        ["1/2*x1 + 2/3*[x2,x3] + [[x2,x3],x3]", "-x2 + 1/3*x3", "3/2*x3", *rest]
-    )
+    rat = _rational(n)
     matrix = [[int(i == j) for j in range(n)] for i in range(n)]
     matrix[0][1], matrix[n - 1][0] = 2, -1
     lin = "linear:" + json.dumps(matrix).replace(" ", "")
@@ -152,6 +161,15 @@ DEGREE_SIX = (
 LONG_WORD = "[" * 399 + "x2" + ",x1]" * 40 + ",x2]" * 359
 # the symmetric Pascal matrix of rank 12: unimodular, and no minor is zero
 PASCAL = [[math.comb(i + j, i) for j in range(12)] for i in range(12)]
+# a dense integer matrix of rank 6 and determinant -10
+DENSE6 = [
+    [-3, 3, -2, -1, -1, -3],
+    [-3, 3, -2, 3, 1, -1],
+    [-3, -2, 3, 3, -3, 1],
+    [2, -2, 1, 3, 1, 3],
+    [-3, -2, -3, -1, 2, -3],
+    [-2, 2, 3, -2, -2, -1],
+]
 
 DEFAULT = (
     [f"replay-oe --rank {n} --witness" for n in range(4, 10)]
@@ -161,6 +179,9 @@ DEFAULT = (
         f"compose linear:[[1,1],[0,1]] {shlex.quote(f'x1 + {LONG_WORD}; x2')}",
         f"compose {shlex.quote(RATIONAL_PRODUCT)} {shlex.quote(DEGREE_SIX)}",
         "inverse linear:" + json.dumps(PASCAL).replace(" ", ""),
+        "inverse linear:" + json.dumps(DENSE6).replace(" ", ""),
+        "jac linear:" + json.dumps(DENSE6).replace(" ", ""),
+        f"inverse {shlex.quote(_rational(6))} --rank 6",
     ]
 )
 
