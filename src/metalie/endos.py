@@ -287,14 +287,19 @@ def _random_bracket_word(rng: random.Random, letters: Sequence[int], degree: int
 def random_derived_expr(
     rng: random.Random, rank: int, degree: int, letters: Optional[Sequence[int]] = None
 ) -> LieExpr:
-    """Random nonzero combination of bracket monomials of degree <= degree."""
+    """Random nonzero combination of bracket monomials of degree <= degree.
+    A combination that evaluates to zero in M_n, such as
+    -2*[x2, x1] - 2*[x1, x2], is drawn again as a whole."""
     if letters is None:
         letters = list(range(1, rank + 1))
-    terms = []
-    for _ in range(rng.randint(1, 2)):
-        coeff = rng.choice([c for c in range(-3, 4) if c])
-        terms.append(scale_expr(coeff, _random_bracket_word(rng, letters, degree)))
-    return sum_exprs(terms)
+    while True:
+        terms = []
+        for _ in range(rng.randint(1, 2)):
+            coeff = rng.choice([c for c in range(-3, 4) if c])
+            terms.append(scale_expr(coeff, _random_bracket_word(rng, letters, degree)))
+        expr = sum_exprs(terms)
+        if not mb.evaluate(expr, rank).is_zero():
+            return expr
 
 
 def random_tame(rank: int, seed: int, length: int, degree_bound: int = 4) -> Endo:

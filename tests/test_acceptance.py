@@ -8,6 +8,7 @@ criterion.
 import json
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -58,17 +59,13 @@ def test_criterion_03_inner_jacobian():
     """100 randomized derived z: J(exp ad z) = E - Y*dz exactly, and
     (E - Y*dz)(E + Y*dz) = E."""
     rng = random.Random(SEED + 1)
-    done = 0
-    while done < 100:
-        rank = 2 + done % 4
+    for case in range(100):
+        rank = 2 + case % 4
         z = mb.evaluate(en.random_derived_expr(rng, rank, 4), rank)
-        if z.is_zero():
-            continue
         ident = PolyMatrix.identity(rank, rank)
         ydz = y_column(rank) * mb.fox(z)
         assert en.jacobian(en.inner(rank, z)) == ident - ydz
         assert (ident - ydz) * (ident + ydz) == ident
-        done += 1
     report("3 inner Jacobian: PASS (100 elements)")
 
 
@@ -121,14 +118,14 @@ def test_criterion_06_free_associative_replay():
     rng = random.Random(SEED + 2)
     for rank in (1, 2, 3, 4):
         for degree in (1, 2, 3, 4):
-            words = list(verify._all_words(rank, degree))
+            words = list(product(range(1, rank + 1), repeat=degree))
             classes = {fa.cyclic_representative(w) for w in words}
             space = verify.commutator_row_space(rank, degree)
             # every generator of the span passes the cyclic test ...
             for lu in range(1, degree):
-                for u in verify._all_words(rank, lu):
+                for u in product(range(1, rank + 1), repeat=lu):
                     pu = fa.NCPoly(rank, {u: 1})
-                    for v in verify._all_words(rank, degree - lu):
+                    for v in product(range(1, rank + 1), repeat=degree - lu):
                         pv = fa.NCPoly(rank, {v: 1})
                         assert fa.in_commutator_subspace(pu * pv - pv * pu)
             # ... and the span fills the whole cyclic-sum kernel, so the two

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from math import comb
 
 import pytest
@@ -31,6 +35,50 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_clean_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+
+
+def endo_json(rank, images):
+    return json.dumps({"rank": rank, "images": images})
+
+
+BRACKET_TEXT = st.lists(
+    st.sampled_from(list("xz0123[](),+-*/ ") + ["²", "٣", "\u00a0", "\u2003"]),
+    max_size=20,
+).map("".join)
+# well-formed expressions in x1..x3, so that some specs reach the algebra
+LIE_TEXT = st.recursive(
+    st.sampled_from(["x1", "x2", "x3"]),
+    lambda e: st.builds("[{},{}]".format, e, e)
+    | st.builds("{} + {}".format, e, e)
+    | st.builds("{}*{}".format, st.integers(-3, 3), e),
+    max_leaves=6,
+)
+IMAGE_TEXT = BRACKET_TEXT | LIE_TEXT
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+SMALL_MATRIX = st.lists(st.lists(st.integers(-3, 3), max_size=5), max_size=5)
+# JSON documents, "linear:", "inner:" and "elementary:" shorthands, and
+# semicolon lists of images
+ENDO_SPEC = st.one_of(
+    st.builds(endo_json, ANY_JSON, ANY_JSON),
+    st.builds(endo_json, st.integers(-2, 5), st.lists(IMAGE_TEXT, max_size=5)),
+    (ANY_JSON | SMALL_MATRIX).map(lambda m: "linear:" + json.dumps(m)),
+    st.tuples(st.sampled_from(["inner:", "elementary:"]), IMAGE_TEXT).map("".join),
+    st.lists(IMAGE_TEXT, max_size=5).map("; ".join),
+    st.lists(LIE_TEXT, min_size=3, max_size=3).map("; ".join),
+)
+
+
 class TestNf:
     def test_bracket(self, capsys):
         code, out, _ = run(capsys, "nf", "--rank", "3", "[x1,x2]")
@@ -55,18 +103,9 @@ class TestNf:
 
     # "--rank 3" keeps a long index like x1212 from asking for a huge rank
     @settings(max_examples=200)
-    @given(
-        st.lists(
-            st.sampled_from(list("xz0123[](),+-*/ ") + ["²", "٣", "\u00a0", "\u2003"]),
-            max_size=20,
-        ).map("".join)
-    )
+    @given(BRACKET_TEXT)
     def test_any_text_exits_zero_or_one_without_a_traceback(self, text):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["nf", "--rank", "3", "--", text])
-        assert code in (0, 1)
-        assert "Traceback" not in err.getvalue()
+        assert_clean_exit(["nf", "--rank", "3", "--", text])
 
     def test_rank_violation(self, capsys):
         code, _, err = run(capsys, "nf", "--rank", "2", "x3")
@@ -146,6 +185,19 @@ class TestMalformedEndoInput:
         assert out == ""
         assert "Traceback" not in err
         assert field in err
+
+    # every command that reads an endomorphism, on each kind of input spec;
+    # the ranks stay at most 5, so that inverse and compose stay fast
+    @settings(max_examples=200)
+    @given(ENDO_SPEC, ENDO_SPEC, st.sampled_from(["0", "2", "3"]))
+    def test_any_spec_exits_zero_or_one_without_a_traceback(self, spec, other, rank):
+        for cmd, *specs in (
+            ["jac", spec],
+            ["inverse", spec],
+            ["iaut-level", spec],
+            ["compose", spec, other],
+        ):
+            assert_clean_exit([cmd, "--rank", rank, "--", *specs])
 
 
 class TestComposeInverse:
@@ -317,9 +369,9 @@ class TestRoundTrips:
                 phi = load_endo(args.endo, args.rank)
                 if argv[0] == "compose":
                     results.append(endos.compose(phi, load_endo(args.other, args.rank)))
-                elif endos.inverse(phi) is not None:
-                    results.append(endos.inverse(phi))
-        assert len(results) == 15
+                elif (inverse := endos.inverse(phi)) is not None:
+                    results.append(inverse)
+        assert len(results) == 49
         for phi in results:
             assert load_endo(json.dumps(endo_doc(phi))) == phi
 
@@ -344,6 +396,21 @@ class TestRoundTrips:
 
 
 class TestUsage:
+    def test_module_entry_points_print_what_main_prints(self, capsys):
+        argv = ["nf", "--rank", "2", "[x1,x2]"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        env = dict(os.environ, PYTHONPATH="src")
+        for module in ("metalie", "metalie.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                cwd=pathlib.Path(__file__).resolve().parent.parent,
+            )
+            assert (proc.returncode, proc.stdout) == (0, expected)
+
     def test_missing_subcommand(self, capsys):
         code, _, err = run(capsys)
         assert code == 1

@@ -91,10 +91,24 @@ class TestInner:
         for _ in range(10):
             rank = rng.randint(2, 4)
             z = mb.evaluate(en.random_derived_expr(rng, rank, 4), rank)
-            if z.is_zero():
-                continue
             d = en.jacobian(en.inner(rank, z)).det()
             assert d == Polynomial.one(rank)
+
+    def test_accepts_every_random_derived_expr(self):
+        # without the redraw, 10 of the degree-3 draws and 181 of the
+        # degree-2 draws (the regime of random_tame_iaut's factors) are zero
+        rng = random.Random(1818)
+        draws = []
+        for i in range(1200):
+            draws.append((2 + i % 4, en.random_derived_expr(rng, 2 + i % 4, 3)))
+        for i in range(4000):
+            rank = 3 + i % 3
+            letters = list(range(2, rank + 1))
+            draws.append((rank, en.random_derived_expr(rng, rank, 2, letters)))
+        zs = [(rank, mb.evaluate(f, rank)) for rank, f in draws]
+        assert sum(z.is_zero() for _, z in zs) == 0
+        for rank, z in zs:
+            en.inner(rank, z)
 
 
 class TestLinear:
