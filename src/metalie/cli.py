@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 = success (including "NotAutomorphism" verdicts), 1 = usage or
-input error, 2 = verification failure.
+input error, 2 = verification failure, 141 = standard output closed before
+the output was written (a broken pipe, as in `metalie ... | head -1`; the
+status a shell reports for a process ended by SIGPIPE), with nothing
+written to stderr.
 
 The replays grow exponentially with their size argument, so the CLI caps
 them to keep each run within a few seconds: `replay-bn --factors` at
 MAX_FACTORS (the expansion has 2^k - 1 dyads) and `replay-oe --rank` at
 MAX_OE_RANK (at n = 9 the witness solve has 249 equations in 5670
-unknowns). At the caps the two take about 0.6 s and 0.03 s on a 2-core
+unknowns). At the caps the two take about 0.6 s and 0.01 s on a 2-core
 virtual machine. The rank of an element or endomorphism is capped at
 MAX_RANK, however it enters (`--rank`, the rank `nf` infers, a JSON
 document's "rank", the image count of a semicolon list, the size of a
@@ -46,6 +49,7 @@ from .polyring import ParseError
 MAX_FACTORS = 14
 MAX_OE_RANK = 9
 MAX_RANK = 100
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -371,8 +375,19 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        finally:
+            # a reader that has gone away shows up here, not at interpreter
+            # exit, also after --help and --version
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; pointing it at
+        # os.devnull keeps that flush from failing with a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except _UsageError as e:
         print(e, file=sys.stderr)
         return 1

@@ -13,7 +13,6 @@ whose diagonal Fox derivatives push the sum into [U, U].
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import add, attrgetter
 from typing import Dict, List, Optional, Tuple
@@ -32,6 +31,7 @@ from .lieexpr import (
 from .polyring import Scalar, SparseTerms, _add_into, solve_sparse
 
 Word = Tuple[int, ...]
+Quad = Tuple[int, int, int, int]
 
 
 class NCPoly(SparseTerms):
@@ -151,26 +151,22 @@ def derived_degree4_basis(n: int) -> List[LieExpr]:
     """Spanning set of the degree-4 part of the second derived subalgebra:
     all [[z_i, z_j], [z_k, z_l]] with i > j, k > l and (i, j) > (k, l);
     candidates whose associative expansion vanishes are dropped."""
-    return [expr for expr, _ in _derived_degree4(n)]
+    return [_bracket(quad) for quad in _degree4_quads(n)]
 
 
-def _derived_degree4(n: int) -> List[Tuple[LieExpr, dict]]:
-    """The elements [u, v] of derived_degree4_basis(n), each with its
-    expansion uv - vu written out as a term map. Its eight words are
-    distinct, since {i, j} != {k, l}, so no candidate's expansion vanishes."""
+def _degree4_quads(n: int) -> List[Quad]:
+    """The index quads (i, j, k, l) of derived_degree4_basis(n), in its order.
+    The expansion of [[z_i, z_j], [z_k, z_l]] has eight distinct words, since
+    {i, j} != {k, l}, so no candidate's expansion vanishes."""
     if n < 2:
         raise ValueError("need rank >= 2")
     pairs = [(i, j) for i in range(2, n + 1) for j in range(1, i)]
-    out = []
-    for a in range(len(pairs)):
-        for b in range(a):
-            (i, j), (k, l) = pairs[a], pairs[b]
-            expansion = {  # u = z_i z_j - z_j z_i, v = z_k z_l - z_l z_k
-                (i, j, k, l): 1, (i, j, l, k): -1, (j, i, k, l): -1, (j, i, l, k): 1,
-                (k, l, i, j): -1, (k, l, j, i): 1, (l, k, i, j): 1, (l, k, j, i): -1,
-            }
-            out.append((Bracket(LeftNormed((i, j)), LeftNormed((k, l))), expansion))
-    return out
+    return [p + q for a, p in enumerate(pairs) for q in pairs[:a]]
+
+
+def _bracket(quad: Quad) -> LieExpr:
+    i, j, k, l = quad
+    return Bracket(LeftNormed((i, j)), LeftNormed((k, l)))
 
 
 # ---------------------------------------------------------------------------
@@ -273,30 +269,58 @@ def replay(rank: int, include_witness: bool = True) -> TraceReplay:
 
 
 def _witness_system(rank: int, s: NCPoly) -> tuple:
-    """(basis, class_list, rows of A, b) of the witness system A x = b, in
-    one pass over the basis expansions: a word w*z_i with coefficient c in
-    expansion k adds c at the row of the cyclic class of w (one row per class
-    of degree-3 words, sorted) and column (i - 1) * len(basis) + k, the
-    coefficient of basis element k in v_i; b is minus the class sums of s."""
-    basis, expansions = zip(*_derived_degree4(rank))
-    words = itertools.product(range(1, rank + 1), repeat=3)
-    class_of = {w: cyclic_representative(w) for w in words}
-    class_list = sorted(set(class_of.values()))
-    row_of = {cls: r for r, cls in enumerate(class_list)}
-    row_of = {w: row_of[cls] for w, cls in class_of.items()}
+    """(quads, class_list, rows of A, b) of the witness system A x = b, built
+    by index arithmetic in one pass over the classes and one over the quads.
+
+    Unknown (x - 1) * len(quads) + q is the coefficient in v_x of the basis
+    element of quads[q]. There is one row per cyclic class of degree-3 words,
+    in the order of the classes' least rotations (class_list), which are
+    enumerated directly: (a, b, c) with a its least letter, and c > a unless
+    b = a. Each class's row is assigned to its three rotations, a word
+    (a, b, c) of 0-based letters sitting at the flat index (a*n + b)*n + c.
+    The quad (i, j, k, l) then adds the eight signed words w*z_x of
+    [u, v] = uv - vu, u = z_i z_j - z_j z_i and v = z_k z_l - z_l z_k,
+    straight into the row of w at column (x - 1) * len(quads) + q. Two words
+    of one quad can share a row and a column (when i = k, say), so they are
+    summed and a zero sum is dropped. b is minus the class sums of s."""
+    n = rank
+    quads = _degree4_quads(n)
+    class_list = []
+    row_of = [0] * n**3
+    for a in range(n):
+        for b in range(a, n):
+            for c in range(a + (b > a), n):
+                r = len(class_list)
+                row_of[(a * n + b) * n + c] = row_of[(b * n + c) * n + a] = r
+                row_of[(c * n + a) * n + b] = r
+                class_list.append((a + 1, b + 1, c + 1))
     a_rows: List[dict] = [{} for _ in class_list]
-    for k, expansion in enumerate(expansions):
-        for w, c in expansion.items():
-            _add_into(a_rows[row_of[w[:3]]], (((w[3] - 1) * len(basis) + k, c),))
+    row_at = [a_rows[r] for r in row_of]
+    size = len(quads)
+    for q, (i, j, k, l) in enumerate(quads):
+        i, j, k, l = i - 1, j - 1, k - 1, l - 1
+        ij, ji = (i * n + j) * n, (j * n + i) * n
+        kl, lk = (k * n + l) * n, (l * n + k) * n
+        xi, xj, xk, xl = i * size + q, j * size + q, k * size + q, l * size + q
+        for w, x, c in (
+            (ij + k, xl, 1), (ij + l, xk, -1), (ji + k, xl, -1), (ji + l, xk, 1),
+            (kl + i, xj, -1), (kl + j, xi, 1), (lk + i, xj, 1), (lk + j, xi, -1),
+        ):
+            row = row_at[w]
+            c += row.get(x, 0)
+            if c:
+                row[x] = c
+            else:
+                del row[x]
     b = [0] * len(class_list)
-    for w, c in s.terms.items():
-        b[row_of[w]] -= c
-    return basis, class_list, a_rows, b
+    for (x, y, z), c in s.terms.items():
+        b[row_of[((x - 1) * n + y - 1) * n + z - 1]] -= c
+    return quads, class_list, a_rows, b
 
 
 def _witness_search(rank: int, s: NCPoly) -> WitnessSearch:
-    basis, class_list, a_rows, b = _witness_system(rank, s)
-    unknowns = rank * len(basis)
+    quads, class_list, a_rows, b = _witness_system(rank, s)
+    unknowns = rank * len(quads)
     solution = solve_sparse(a_rows, b, unknowns)
     if solution is None:
         return WitnessSearch(False, unknowns, len(class_list), 0, (), False)
@@ -304,8 +328,8 @@ def _witness_search(rank: int, s: NCPoly) -> WitnessSearch:
     per_gen: Dict[int, list] = {}
     for u, coeff in enumerate(solution.particular):
         if coeff:
-            i, k = divmod(u, len(basis))
-            per_gen.setdefault(i + 1, []).append(scale_expr(coeff, basis[k]))
+            i, q = divmod(u, len(quads))
+            per_gen.setdefault(i + 1, []).append(scale_expr(coeff, _bracket(quads[q])))
     witness_exprs = tuple(
         (i, sum_exprs(terms)) for i, terms in sorted(per_gen.items())
     )

@@ -17,6 +17,7 @@ from metalie import endos
 from metalie import metabelian as mb
 from metalie import verify as verify_mod
 from metalie.cli import (
+    EXIT_BROKEN_PIPE,
     MAX_FACTORS,
     MAX_OE_RANK,
     MAX_RANK,
@@ -27,6 +28,9 @@ from metalie.cli import (
 )
 from metalie.lieexpr import MAX_NESTING, MAX_WORD_LENGTH
 from metalie.polyring import MAX_MINORS
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -407,9 +411,38 @@ class TestUsage:
                 capture_output=True,
                 text=True,
                 env=env,
-                cwd=pathlib.Path(__file__).resolve().parent.parent,
+                cwd=REPO,
             )
             assert (proc.returncode, proc.stdout) == (0, expected)
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            # about 2 MB, far more than a pipe holds: one write meets the
+            # closed pipe
+            (("replay-bn", "--factors", "14"), 1),
+            # a few bytes, still buffered when main flushes stdout
+            (("nf", "--rank", "2", "[x1,x2]"), 0),
+            (("--help",), 0),
+        ],
+    )
+    def test_reader_closing_early_is_quiet(self, argv, lines):
+        # stdout block-buffered, as it is for a pipe unless PYTHONUNBUFFERED
+        env = dict(os.environ, PYTHONPATH="src")
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "metalie", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            cwd=REPO,
+        )
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (EXIT_BROKEN_PIPE, b"")
 
     def test_missing_subcommand(self, capsys):
         code, _, err = run(capsys)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metalie.freeassoc as fa
-from metalie.lieexpr import Bracket, Gen, LeftNormed, parse_expr
+from metalie.cli import MAX_OE_RANK
+from metalie.lieexpr import Bracket, Gen, LeftNormed, Scale, Sum, parse_expr
 from metalie.verify import commutator_row_space, random_nc_poly
 
 
@@ -261,8 +262,11 @@ class TestWitnessSystem:
     `lie_to_assoc` for the written-out expansions, and per-unknown
     `fox_assoc` and `cyclic_signature` for the rows."""
 
-    @pytest.mark.parametrize("rank", range(2, 8))
+    @pytest.mark.parametrize("rank", range(2, MAX_OE_RANK + 1))
     def test_expansions_match_lie_to_assoc(self, rank):
+        # the quads are the candidates whose expansion does not vanish, and
+        # each expansion is eight words with coefficients +-1, as the
+        # one-pass build writes them out
         pairs = [(i, j) for i in range(2, rank + 1) for j in range(1, i)]
         want = []
         for a in range(len(pairs)):
@@ -270,16 +274,21 @@ class TestWitnessSystem:
                 expr = Bracket(LeftNormed(pairs[a]), LeftNormed(pairs[b]))
                 expansion = fa.lie_to_assoc(expr, rank)
                 if not expansion.is_zero():
-                    want.append((expr, expansion.terms))
-        assert fa._derived_degree4(rank) == want
+                    assert sorted(expansion.terms.values()) == [-1] * 4 + [1] * 4
+                    want.append(pairs[a] + pairs[b])
+        assert fa._degree4_quads(rank) == want
 
-    @pytest.mark.parametrize("rank", [4, 5, 6, 7])
+    @pytest.mark.parametrize("rank", range(4, MAX_OE_RANK + 1))
     def test_rows_match_per_unknown_build(self, rank):
         rng = random.Random(rank)
         source = fa.fox_assoc(fa.lie_to_assoc(fa.source_monomial(), rank), 1)
         other = random_nc_poly(rng, rank, 3, 12).homogeneous_component(3)
         for s in (source, other * Fraction(1, 3)):
-            assert fa._witness_system(rank, s) == old_witness_system(rank, s)
+            quads, *system = fa._witness_system(rank, s)
+            basis, *want = old_witness_system(rank, s)
+            exprs = [Bracket(LeftNormed(q[:2]), LeftNormed(q[2:])) for q in quads]
+            assert tuple(exprs) == basis
+            assert system == want
 
     def test_fox_assoc_not_called_per_unknown(self, monkeypatch):
         calls = []
@@ -334,6 +343,15 @@ class TestReplay:
     def test_higher_rank_runs(self):
         rep = fa.replay(5)
         assert rep.witness.solvable
+
+    @pytest.mark.parametrize("rank", range(4, MAX_OE_RANK + 1))
+    def test_witness_terms_are_basis_elements(self, rank):
+        basis = fa.derived_degree4_basis(rank)
+        for _, expr in fa.replay(rank).witness.witness_exprs:
+            parts = expr.parts if isinstance(expr, Sum) else (expr,)
+            terms = [p.arg if isinstance(p, Scale) else p for p in parts]
+            assert len(set(terms)) == len(terms)
+            assert all(t in basis for t in terms)
 
 
 class TestWitnessOracle:

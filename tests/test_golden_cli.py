@@ -270,6 +270,14 @@ def run_cli(argv):
     return {"argv": list(argv), "exit": code, "stdout": stdout}
 
 
+def case_id(argv) -> str:
+    """The pytest id of a case: its command line, cut in the middle when it
+    is longer than 70 characters, so that the rank and the format at its end
+    still show."""
+    line = " ".join(argv)
+    return line if len(line) <= 70 else f"{line[:35]}...{line[-32:]}"
+
+
 def _load():
     return {tuple(g["argv"]): g for g in json.loads(GOLDEN.read_text("utf-8"))}
 
@@ -278,7 +286,11 @@ def test_golden_file_covers_every_case():
     assert sorted(_load()) == sorted(tuple(a) for a in CASES)
 
 
-@pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a)[:70])
+def test_case_ids_are_unique():
+    assert len({case_id(argv) for argv in CASES}) == len(CASES)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=case_id)
 def test_cli_output_matches_golden(argv):
     expected = _load()[tuple(argv)]
     assert run_cli(argv) == expected
