@@ -7,23 +7,23 @@ status a shell reports for a process ended by SIGPIPE), with nothing
 written to stderr.
 
 The replays grow exponentially with their size argument, so the CLI caps
-them to keep each run within a few seconds: `replay-bn --factors` at
-MAX_FACTORS (the expansion has 2^k - 1 dyads) and `replay-oe --rank` at
-MAX_OE_RANK (at n = 9 the witness solve has 249 equations in 5670
-unknowns). At the caps the two take about 0.6 s and 0.01 s on a 2-core
-virtual machine. The rank of an element or endomorphism is capped at
-MAX_RANK, however it enters (`--rank`, the rank `nf` infers, a JSON
-document's "rank", the image count of a semicolon list, the size of a
+them: `replay-bn --factors` at MAX_FACTORS (the expansion has 2^k - 1 dyads)
+and `replay-oe --rank` at MAX_OE_RANK (at n = 9 the witness solve has 249
+equations in 5670 unknowns). At the caps the two take about 0.6 s and 0.01 s
+on a 2-core virtual machine. The rank of an element or endomorphism is
+capped at MAX_RANK, however it enters (`--rank`, the rank `nf` infers, a
+JSON document's "rank", the image count of a semicolon list, the size of a
 "linear:" matrix), and is checked before anything is evaluated: at the cap,
-`inverse` of "x1 + [x2,x3]; x2; ...; x100" takes about 0.4 s (0.13 s of it
-inverting), and `nf x10000` stops at once. Determinants and ring inverses
-hold at most `polyring.MAX_MINORS` nonzero minors of one size: `inverse` of
-a dense "linear:" map takes about 3 s at rank 14 and exits 1 at rank 15.
-Bracket expressions are read with the limits of `lieexpr`: a left-normed
-word has at most `MAX_WORD_LENGTH` letters and costs no recursion, and
-every other nest ('(' or '[') is at most `MAX_NESTING` levels deep. Lifts
-print as sums of left-normed words, so `endo_doc` output parses back at any
-degree up to the word cap.
+`inverse` of "x1 + [x2,x3]; x2; ...; x100" takes about 0.4 s, and
+`nf x10000` stops at once. Determinants and ring inverses hold at most
+`polyring.MAX_MINORS` nonzero minors of one size: `inverse` of a dense
+"linear:" map takes about 3 s at rank 14 and exits 1 at rank 15. Bracket
+expressions keep the limits of `lieexpr`: a left-normed word (no recursion)
+has at most `MAX_WORD_LENGTH` letters, any other nest ('(' or '[') at most
+`MAX_NESTING` levels. Lifts print as sums of left-normed words, so
+`endo_doc` output parses back at any degree up to the word cap. No cap
+bounds the output: `compose` of 'linear:[[1,1],[0,1]]' and "x1 + W; x2", W
+a left-normed word of n letters, prints about 6.2 n^2 bytes.
 
 Endomorphisms are given either as a JSON document {"rank": n, "images":
 [...]} (inline or as a file path), as a semicolon-separated list of bracket

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import islice
@@ -405,18 +405,6 @@ class Polynomial(SparseTerms):
             parts.setdefault(sum(mono), {})[mono] = coeff
         return {d: Polynomial._raw(self._dim, t) for d, t in sorted(parts.items())}
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.one(self._dim)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     # -- substitution --------------------------------------------------------
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
@@ -717,10 +705,6 @@ class PolyMatrix:
     def identity(cls, nvars: int, n: int) -> "PolyMatrix":
         return cls(nvars, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, nvars: int, nrows: int, ncols: int) -> "PolyMatrix":
-        return cls(nvars, [[0] * ncols for _ in range(nrows)])
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -828,15 +812,15 @@ class PolyMatrix:
 
         def row_deleted_minors(j, table, den):
             # the minors (table, den) of the rows other than j, from those of
-            # rows 0..j-1; row r > j sits at r - 1
+            # rows 0..j-1
             for r in range(j + 1, n):
-                table, den = _expand(table, den, rows[r], r - 1, nvars)
+                table, den = _expand(table, den, rows[r], nvars)
             return table, den
 
         prefix = ({0: {one: 1}}, 1)
         minors = [row_deleted_minors(0, *prefix)]
         # row 0 appended last to rows 1..n-1: the minor is (-1)^(n-1) * det
-        table, den = _expand(*minors[0], rows[0], n - 1, nvars)
+        table, den = _expand(*minors[0], rows[0], nvars)
         acc = table.get(full, {})
         if len(acc) != 1 or one not in acc:
             return None
@@ -844,7 +828,7 @@ class PolyMatrix:
         num, den = abs(num), den if num > 0 else -den
         for j in range(1, n):
             # the minors of rows 0..j-1, built once for every later row
-            prefix = _expand(*prefix, rows[j - 1], j - 1, nvars)
+            prefix = _expand(*prefix, rows[j - 1], nvars)
             minors.append(row_deleted_minors(j, *prefix))
         # adj[i][j] = (-1)^(i + j) * (minor of row j and column i) / det
         adj = [[None] * n for _ in range(n)]
@@ -895,17 +879,18 @@ def _minors(rows, nvars: int) -> tuple:
     row scales.
     """
     table, den = {0: {(0,) * nvars: 1}}, 1
-    for t, row in enumerate(rows):
-        table, den = _expand(table, den, row, t, nvars)
+    for row in rows:
+        table, den = _expand(table, den, row, nvars)
     return table, den
 
 
-def _expand(table: dict, den: int, row, t: int, nvars: int) -> tuple:
-    """One row of `_minors`: from the (table, den) of the minors of t rows,
-    those of the minors with `row` added as row t, the last. The given table
-    is left as it is, so one table can be extended in several ways."""
-    # only the nonzero entries are scaled: entry c of the last row t, with
-    # pos sub-minor columns left of c, has the sign (-1)^(t + pos)
+def _expand(table: dict, den: int, row, nvars: int) -> tuple:
+    """One row of `_minors`: from the (table, den) of the minors of some
+    rows, those of the minors with `row` added as the last row. The given
+    table is left as it is, so one table can be extended in several ways."""
+    # only the nonzero entries are scaled: entry c of the last row, with k
+    # columns of the sub-minor's column mask right of c, has the sign (-1)^k;
+    # c is not in mask, so those are the bits of mask & -(1 << c)
     nonzero = [(1 << c, e.terms) for c, e in enumerate(row) if e.terms]
     d = _den(t for _, t in nonzero)
     signed = [(bit, (_numerators(t, d), _numerators(t, -d))) for bit, t in nonzero]
@@ -916,9 +901,8 @@ def _expand(table: dict, den: int, row, t: int, nvars: int) -> tuple:
             continue
         for bit, entry in signed:
             if not mask & bit:
-                pos = (mask & (bit - 1)).bit_count()
                 acc = new_table.setdefault(mask | bit, {})
-                _mul_into(acc, entry[(t + pos) % 2], sub, mul)
+                _mul_into(acc, entry[(mask & -bit).bit_count() % 2], sub, mul)
     if sum(map(bool, new_table.values())) > MAX_MINORS:
         raise ValueError(
             f"determinant expansion exceeds the limit of {MAX_MINORS} nonzero minors"
@@ -933,34 +917,14 @@ def _expand(table: dict, den: int, row, t: int, nvars: int) -> tuple:
 
 @dataclass(frozen=True)
 class LinearSolution:
-    """One exact solution of A x = b and the null space of A.
+    """One exact solution of A x = b and the size of the null space of A.
 
     `particular` sets every free unknown to zero. `nullity` is the dimension
-    of the null space (unknowns minus rank); `null_basis` builds its basis
-    from the reduced row echelon form only when read: one vector per free
-    column, in column order, 1 at that column and 0 at the other free ones.
+    of the null space of A: the unknowns minus the rank.
     """
 
     particular: tuple
     nullity: int
-    # pivot column -> its row of the reduced row echelon form of A
-    echelon: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def null_basis(self) -> tuple:
-        ncols = len(self.particular)
-        basis = []
-        for fc in range(ncols):
-            if fc in self.echelon:
-                continue
-            vec = [0] * ncols
-            vec[fc] = 1
-            for c, row in self.echelon.items():
-                v = row.get(fc)
-                if v:
-                    vec[c] = -v
-            basis.append(tuple(vec))
-        return tuple(basis)
 
 
 def solve_sparse(
@@ -980,19 +944,17 @@ def solve_sparse(
     for row, rhs in zip(rows, b):
         if row and not (0 <= min(row) and max(row) < ncols):
             raise ValueError(f"column index out of range 0..{ncols - 1}")
-        aug = dict(row)
-        if rhs:
-            # the right-hand side is the last column, after every unknown
-            aug[ncols] = rhs
-        space.add(aug)
+        # the right-hand side is the last column, after every unknown; the
+        # space reduces a fresh copy of each row, so `row` is left as it is
+        space.add({**row, ncols: rhs} if rhs else row)
     echelon = space.reduced()
     if ncols in echelon:
         # a row of A reduced to zero against a nonzero right-hand side
         return None
     particular = [0] * ncols
     for c, row in echelon.items():
-        particular[c] = row.pop(ncols, 0)
-    return LinearSolution(tuple(particular), ncols - len(echelon), echelon)
+        particular[c] = row.get(ncols, 0)
+    return LinearSolution(tuple(particular), ncols - len(echelon))
 
 
 def rational_inverse(a: Sequence[Sequence[Scalar]]) -> Optional[list]:

@@ -393,11 +393,11 @@ def ground_term_by_term(x, rank, phis, psis, dz):
         return dz if r == dy.DZ_ROW else psis[r[1]]
 
     if isinstance(x, dy.RowExpr):
-        total = PolyMatrix.zero(rank, 1, rank)
+        total = PolyMatrix(rank, [[0] * rank])
         for mono, c, r in x.term_list():
             total = total + row(r) * scalar(mono, c)
         return total
-    total = PolyMatrix.zero(rank, rank, rank)
+    total = PolyMatrix(rank, [[0] * rank] * rank)
     for mono, c in x.scalar.terms.items():
         total = total + PolyMatrix.identity(rank, rank) * scalar(mono, c)
     for mono, c, u, r in x.term_list():

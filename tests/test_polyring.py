@@ -59,7 +59,7 @@ def stored_coeffs(*objs):
         elif isinstance(obj, SparseTerms):
             yield from obj.terms.values()
         elif isinstance(obj, LinearSolution):
-            yield from stored_coeffs(obj.particular, *obj.null_basis)
+            yield from stored_coeffs(obj.particular)
         elif isinstance(obj, (list, tuple)):
             yield from stored_coeffs(*obj)
         else:
@@ -298,17 +298,6 @@ class TestSubstitute:
             assert (p * q).substitute(images) == p.substitute(images) * q.substitute(images)
 
 
-def at(p, point):
-    """Independent evaluation oracle: p at a point, term by term."""
-    total = Fraction(0)
-    for mono, c in p.terms.items():
-        value = Fraction(c)
-        for v, e in zip(point, mono):
-            value *= Fraction(v) ** e
-        total += value
-    return total
-
-
 def polys(n, coeffs, top=3):
     monos = st.tuples(*[st.integers(0, top)] * n)
     return st.dictionaries(monos, coeffs, max_size=4).map(lambda t: Polynomial(n, t))
@@ -348,9 +337,9 @@ class TestSubstituteOracle:
         ps, images = case
         n = len(images)
         out = _substitute(ps, n, images)
-        moved_at = [at(img, point) for img in images]
+        moved_at = [value(img, point) for img in images]
         for p, q in zip(ps, out):
-            assert at(q, point) == at(p, moved_at)
+            assert value(q, point) == value(p, moved_at)
             assert q.nvars == n
         assert_demoted(out)
 
@@ -472,7 +461,7 @@ class TestMatrix:
         row = row_vector(3, [P("0", 3), P("-y3", 3), P("y2", 3)])
         e1 = col_vector(3, [1, 0, 0])
         m = e1 * row
-        assert m * m == PolyMatrix.zero(3, 3, 3)
+        assert m * m == PolyMatrix(3, [[0] * 3] * 3)
 
     def test_one_by_one(self):
         p, q = P("y1 + 1", 1), P("y1 - 1", 1)
@@ -549,7 +538,7 @@ class TestDeterminant:
 
     def test_non_square(self):
         with pytest.raises(ValueError):
-            PolyMatrix.zero(2, 2, 3).det()
+            PolyMatrix(2, [[0] * 3] * 2).det()
 
     def test_minor_limit(self):
         # the symmetric Pascal matrix has determinant 1 and no zero minor, so
@@ -605,7 +594,7 @@ class TestSolveLinear:
     def test_identity_system(self):
         sol = solve_sparse([{0: 1}, {1: 1}], [1, 0], 2)
         assert sol.particular == (Fraction(1), Fraction(0))
-        assert sol.null_basis == ()
+        assert sol.nullity == 0
 
     def test_inconsistent(self):
         assert solve_sparse([{}], [1], 2) is None
@@ -613,9 +602,7 @@ class TestSolveLinear:
     def test_underdetermined(self):
         sol = solve_sparse([{0: 1, 1: 1}], [2], 2)
         assert sol.particular == (Fraction(2), Fraction(0))
-        assert len(sol.null_basis) == 1
-        v = sol.null_basis[0]
-        assert v in ((Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(1)))
+        assert sol.nullity == 1
 
     def test_solution_and_null_space_randomized(self):
         rng = random.Random(8)
@@ -628,9 +615,18 @@ class TestSolveLinear:
             assert sol is not None  # consistent by construction
             for i in range(nr):
                 assert sum(a[i][j] * sol.particular[j] for j in range(nc)) == b[i]
-            for v in sol.null_basis:
-                for i in range(nr):
-                    assert sum(a[i][j] * v[j] for j in range(nc)) == 0
+            assert sol.nullity == nc - len(gauss_jordan(a, nc))
+
+    def test_rows_and_b_are_left_as_they_are(self):
+        # rows with a zero right-hand side reach the RowSpace uncopied
+        rows = [{0: 2, 1: Fraction(1, 2)}, {1: 3}, {0: 4, 2: -6}]
+        b = [0, Fraction(5, 2), 0]
+        saved = [dict(r) for r in rows], list(b)
+        solve_sparse(rows, b, 3)
+        space = RowSpace()
+        for row in rows:
+            space.add(row)
+        assert ([dict(r) for r in rows], b) == saved
 
 
 def gauss_jordan(rows, ncols):
@@ -826,7 +822,7 @@ class TestCoefficientConvention:
     @settings(max_examples=60)
     @given(polys2(int_coeffs), polys2(int_coeffs), polys2(int_coeffs))
     def test_integer_ring_operations_store_int(self, p, q, r):
-        assert_all_int(p, q, p + q, p - q, -p, p * q, p**3, p * 3, 2 * q)
+        assert_all_int(p, q, p + q, p - q, -p, p * q, p * p * p, p * 3, 2 * q)
         assert_all_int(p.substitute([q, r]), p.constant_term(), p.coefficient((1, 1)))
         assert_all_int(parse_polynomial(str(p), 2))
 
@@ -835,7 +831,7 @@ class TestCoefficientConvention:
     def test_rational_ring_operations_stay_exact(self, p, q, r):
         assert_demoted(p, q, p + q, p - q, p * Fraction(2, 3), parse_polynomial(str(p), 2))
         assert_demoted(p.substitute([q, r]))
-        assert_demoted(p * q, p**2)
+        assert_demoted(p * q, p * p)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_integer_matrices_store_int(self, seed):
@@ -1193,22 +1189,7 @@ class TestSolveLinearOracle:
             assert sol is not None
             for i in range(nr):
                 assert sum(a[i][j] * sol.particular[j] for j in range(nc)) == b[i]
-            for v in sol.null_basis:
-                assert len(v) == nc
-                for i in range(nr):
-                    assert sum(a[i][j] * v[j] for j in range(nc)) == 0
-            rank = sympy.Matrix(a).rank()
-            assert len(sol.null_basis) == nc - rank
-            assert sol.nullity == nc - rank
-            if sol.null_basis:
-                assert sympy.Matrix([list(v) for v in sol.null_basis]).rank() == nc - rank
-
-    @settings(max_examples=60)
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32), st.booleans())
-    def test_nullity_counts_the_null_basis(self, nr, nc, seed, rational):
-        a, b = _random_system(random.Random(seed), nr, nc, rational)
-        sol = solve_sparse(sparse_rows(a), b, nc)
-        assert sol.nullity == len(sol.null_basis)
+            assert sol.nullity == nc - sympy.Matrix(a).rank()
 
     def test_sparse_rows_are_checked(self):
         with pytest.raises(ValueError):
@@ -1218,7 +1199,6 @@ class TestSolveLinearOracle:
         sol = solve_sparse([{1: 2}, {}], [4, 0], 3)
         assert sol.particular == (0, 2, 0)
         assert sol.nullity == 2
-        assert sol.null_basis == ((1, 0, 0), (0, 0, 1))
 
     @pytest.mark.parametrize("rational", [False, True])
     def test_inconsistent_system_returns_none(self, rational):
