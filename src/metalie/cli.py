@@ -9,8 +9,9 @@ written to stderr.
 The replays grow exponentially with their size argument, so the CLI caps
 them: `replay-bn --factors` at MAX_FACTORS (the expansion has 2^k - 1 dyads)
 and `replay-oe --rank` at MAX_OE_RANK (at n = 9 the witness solve has 249
-equations in 5670 unknowns). At the caps the two take about 0.6 s and 0.01 s
-on a 2-core virtual machine. The rank of an element or endomorphism is
+equations in 5670 unknowns). At the caps the two take about 0.2 s and 0.01 s
+of process time in `main`, output discarded, on a 2-core virtual machine
+(interpreter start adds about 0.2 s). The rank of an element or endomorphism is
 capped at MAX_RANK, however it enters (`--rank`, the rank `nf` infers, a
 JSON document's "rank", the image count of a semicolon list, the size of a
 "linear:" matrix), and is checked before anything is evaluated: at the cap,
@@ -58,8 +59,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(ValueError):
+    """A command line the parser rejects, or an option value out of range."""
 
 
 def _emit(args, text_fn, doc_fn):
@@ -89,7 +90,7 @@ def load_endo(spec: str, rank: int = 0) -> endos.Endo:
     for prefix in ("inner:", "elementary:"):
         if spec.startswith(prefix):
             if not rank:
-                raise ValueError(f"{prefix[:-1]} shorthand needs --rank")
+                raise _UsageError(f"{prefix[:-1]} shorthand needs --rank")
             expr = parse_expr(spec[len(prefix) :], "x", rank)
             if prefix == "inner:":
                 return endos.inner(rank, mb.evaluate(expr, rank))
@@ -226,7 +227,9 @@ def cmd_iaut_level(args) -> int:
 
 def _check_limit(option: str, value: int, limit: int):
     if value > limit:
-        raise ValueError(f"{option} {value} exceeds the limit of {limit}")
+        # an option (--rank, --factors) over its limit is a usage error
+        error = _UsageError if option.startswith("--") else ValueError
+        raise error(f"{option} {value} exceeds the limit of {limit}")
 
 
 def cmd_replay_bn(args) -> int:
@@ -374,6 +377,7 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = None
     try:
         try:
             args = parser.parse_args(argv)
@@ -388,14 +392,17 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except _UsageError as e:
-        print(e, file=sys.stderr)
-        return 1
-    except ParseError as e:
-        print(f"metalie: parse error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
-        print(f"metalie: error: {e}", file=sys.stderr)
+    except (ValueError, OSError, KeyError) as e:
+        # ParseError and json.JSONDecodeError are ValueErrors
+        parse = isinstance(e, ParseError)
+        message = f"metalie: {'parse error' if parse else 'error'}: {e}"
+        if args is None:  # the parser's own error, after its usage line
+            message = str(e)
+        elif args.format == "structured":
+            kind = "usage" if isinstance(e, _UsageError) else "input"
+            kind, offset = ("parse", e.position) if parse else (kind, None)
+            message = json.dumps({"error": str(e), "kind": kind, "offset": offset})
+        print(message, file=sys.stderr)
         return 1
 
 

@@ -12,7 +12,8 @@ since the calculus never needs it.
 The lambda polynomials (`ScalarPoly`), the dyad sums (`DyadExpr`) and the row
 combinations (`RowExpr`) are all `SparseTerms`: flat maps from keys to
 rational coefficients, keyed by a lambda monomial alone, by (monomial,
-column, row) and by (monomial, row).
+column, row) and by (monomial, row). A monomial is a sorted tuple of (i, j)
+pairs, and a product that adds one pair inserts it by bisection.
 
 instantiate() grounds an expression with concrete polynomial columns/rows
 and is the bridge used to cross-check the calculus against honest matrix
@@ -21,9 +22,9 @@ products.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Dict, List, Optional, Tuple
 
@@ -54,12 +55,25 @@ def _format_pair(p: Pair) -> str:
     return f"λ({i},{j})"
 
 
-def _format_mono(mono: Tuple[Pair, ...], symbol: str = "") -> str:
-    """A lambda monomial times an optional symbol, e.g. "λ12*λ23*Φ1Ψ3"."""
-    parts = [_format_pair(p) for p in mono]
-    if symbol:
-        parts.append(symbol)
-    return "*".join(parts)
+def _format_mono(mono: Tuple[Pair, ...]) -> str:
+    """A lambda monomial, e.g. "λ12*λ23"."""
+    return "*".join(map(_format_pair, mono))
+
+
+def _insert(mono: Tuple[Pair, ...], p: Pair) -> Tuple[Pair, ...]:
+    """The sorted monomial mono * p."""
+    i = bisect(mono, p)
+    return mono[:i] + (p,) + mono[i:]
+
+
+def _mono_mul(m1: Tuple[Pair, ...], m2: Tuple[Pair, ...]) -> Tuple[Pair, ...]:
+    """The sorted monomial m1 * m2: a side of one pair is inserted, and only
+    two sides of several pairs each are sorted."""
+    if len(m1) > len(m2):
+        m1, m2 = m2, m1
+    if len(m1) > 1:
+        return tuple(sorted(m1 + m2))
+    return _insert(m2, m1[0]) if m1 else m2
 
 
 class ScalarPoly(SparseTerms):
@@ -76,9 +90,7 @@ class ScalarPoly(SparseTerms):
         mono = tuple(sorted(tuple(p) for p in mono))
         return None if any(i == j for i, j in mono) else mono
 
-    @staticmethod
-    def _key_mul(m1: Tuple[Pair, ...], m2: Tuple[Pair, ...]) -> Tuple[Pair, ...]:
-        return tuple(sorted(m1 + m2))
+    _key_mul = staticmethod(_mono_mul)
 
     _format_key = staticmethod(_format_mono)
 
@@ -132,12 +144,11 @@ def psi_sym(i: int) -> RowSym:
     return ("psi", i)
 
 
-def _format_col(c: ColSym) -> str:
-    return "Y" if c == Y_COL else f"Φ{c[1]}"
-
-
-def _format_row(r: RowSym) -> str:
-    return "∂z" if r == DZ_ROW else f"Ψ{r[1]}"
+def _format_sym(s: tuple) -> str:
+    """The text of a column or row symbol: Φi, Ψi, Y or ∂z."""
+    if len(s) == 1:
+        return "∂z" if s == DZ_ROW else s[0]
+    return f"{'Φ' if s[0] == 'phi' else 'Ψ'}{s[1]}"
 
 
 def _key_mul(k1: tuple, k2: tuple) -> Optional[tuple]:
@@ -148,14 +159,14 @@ def _key_mul(k1: tuple, k2: tuple) -> Optional[tuple]:
     contracts with nothing."""
     col, row = k2[1], k1[-1]
     if col == E_SYM:
-        return (tuple(sorted(k1[0] + k2[0])), *k1[1:])
+        return (_mono_mul(k1[0], k2[0]), *k1[1:])
     if row == E_SYM:
-        return (tuple(sorted(k1[0] + k2[0])), *k2[1:])
+        return (_mono_mul(k1[0], k2[0]), *k2[1:])
     if row == DZ_ROW:
-        raise ValueError(f"contraction ∂z*{_format_col(col)} is not defined")
+        raise ValueError(f"contraction ∂z*{_format_sym(col)} is not defined")
     if col == Y_COL or col[1] == row[1]:
         return None
-    mono = tuple(sorted(k1[0] + k2[0] + ((row[1], col[1]),)))
+    mono = _insert(_mono_mul(k1[0], k2[0]) if k1[0] else k2[0], (row[1], col[1]))
     # k1 is a row key (mono, row) or a dyad key (mono, column, row)
     return (mono, k2[2]) if len(k1) == 2 else (mono, k1[1], k2[2])
 
@@ -181,9 +192,25 @@ class _SymbolTerms(SparseTerms):
         mono = ScalarPoly._key(k[0])
         return None if mono is None else (mono, *k[1:])
 
-    @staticmethod
-    def _sort_key(k: tuple) -> tuple:
-        return (len(k[0]), k)
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: (len(kv[0][0]), kv[0]))
+
+    def _term_pairs(self) -> list:
+        """The terms in print order, each distinct symbol tuple printed once;
+        the E terms of a DyadExpr go first, as one term `E` or `(scalar)*E`."""
+        pairs, scalar, syms = [], [], {}
+        for k, c in self.sorted_terms():
+            if k[1] == E_SYM:
+                scalar.append((c, _format_mono(k[0])))
+                continue
+            sym = syms.get(k[1:])
+            if sym is None:
+                sym = syms[k[1:]] = "".join(map(_format_sym, k[1:]))
+            pairs.append((c, "*".join((*map(_format_pair, k[0]), sym))))
+        if scalar:
+            s = format_terms(scalar)
+            pairs.insert(0, (1, "E" if s == "1" else f"({s})*E"))
+        return pairs
 
     def __mul__(self, other):
         # two dyad sums or rows multiply by contraction: dyad_mul, row_mul
@@ -236,18 +263,6 @@ class DyadExpr(_SymbolTerms):
             if col != E_SYM
         ]
 
-    def _term_pairs(self) -> list:
-        """The dyad terms in print order, after one term `E` or `(scalar)*E`
-        when the coefficient of E is nonzero."""
-        pairs = [
-            (c, _format_mono(m, f"{_format_col(col)}{_format_row(row)}"))
-            for m, c, col, row in self.term_list()
-        ]
-        s = str(self.scalar)
-        if s != "0":
-            pairs.insert(0, (1, "E" if s == "1" else f"({s})*E"))
-        return pairs
-
 
 def dyad_mul(a: DyadExpr, b: DyadExpr) -> DyadExpr:
     """Bilinear product with the contraction rule
@@ -262,13 +277,26 @@ def expand_product(k: int) -> DyadExpr:
     """
     if k < 1:
         raise ValueError("need at least one factor")
-    terms = {((), E_SYM, E_SYM): 1}
-    for m in range(1, k + 1):
-        for seq in itertools.combinations(range(1, k + 1), m):
-            # the pairs of an increasing sequence are sorted, never (i, i),
-            # and differ between sequences, so no two terms share a key
-            terms[tuple(zip(seq, seq[1:])), phi_sym(seq[0]), psi_sym(seq[-1])] = 1
-    return DyadExpr._raw(None, terms)
+    return DyadExpr._raw(None, _chains(k, {((), E_SYM, E_SYM): 1}))
+
+
+def _chains(k: int, terms: dict) -> dict:
+    """terms with the dyads of expand_product(k) added. The sequences of one
+    length, as (monomial, first, last), grow by each j > last, which appends
+    (last, j): every monomial stays sorted, holds no (i, i) and has one
+    sequence."""
+    phis = [phi_sym(i) for i in range(k + 1)]
+    psis = [psi_sym(i) for i in range(k + 1)]
+    level = [((), i, i) for i in range(1, k + 1)]
+    while level:
+        for mono, first, last in level:
+            terms[mono, phis[first], psis[last]] = 1
+        level = [
+            (mono + ((last, j),), first, j)
+            for mono, first, last in level
+            for j in range(last + 1, k + 1)
+        ]
+    return terms
 
 
 def factors(k: int) -> List[DyadExpr]:
@@ -296,10 +324,6 @@ class RowExpr(_SymbolTerms):
         super().__init__(
             None, [((m, r), c) for r, coeff in items for m, c in coeff.terms.items()]
         )
-
-    @staticmethod
-    def _format_key(k: tuple) -> str:
-        return _format_mono(k[0], _format_row(k[1]))
 
     def coefficient(self, sym: RowSym) -> ScalarPoly:
         return ScalarPoly._raw(
@@ -337,13 +361,20 @@ def row_mul(i: int, x: DyadExpr) -> RowExpr:
     return _product(RowExpr, {((), psi_sym(i)): 1}, x.terms)
 
 
+def _relations(k: int) -> tuple:
+    """X = P - E (built without E), R1 = Psi_1 * X, R2 = Psi_2 * X and
+    R2 - lambda_21 * R1."""
+    if k < 2:
+        raise ValueError("need at least two factors")
+    lhs = DyadExpr._raw(None, _chains(k, {}))
+    eq1, eq2 = row_mul(1, lhs), row_mul(2, lhs)
+    return lhs, eq1, eq2, eq2 - eq1.scaled(lam(2, 1))
+
+
 def derive_reduced_relation(k: int = 3) -> RowExpr:
     """Row relation obtained from the expanded product by eliminating with
     Psi_2 and Psi_1: Psi_2 * (P - E) - lambda_21 * (Psi_1 * (P - E))."""
-    if k < 2:
-        raise ValueError("need at least two factors")
-    lhs = expand_product(k) - DyadExpr.identity()
-    return row_mul(2, lhs) - row_mul(1, lhs).scaled(lam(2, 1))
+    return _relations(k)[-1]
 
 
 @dataclass(frozen=True)
@@ -351,14 +382,6 @@ class TraceStep:
     label: str
     text: str
     terms: Tuple[str, ...] = ()
-
-
-def _step(label: str, template: str, x) -> TraceStep:
-    """The trace step showing a DyadExpr or RowExpr x in `template`, with
-    each term's text built once for both the equation and the term list."""
-    pairs = x._term_pairs()
-    terms = tuple(format_term(c, body, True) for c, body in pairs)
-    return TraceStep(label, template.format(format_terms(pairs)), terms)
 
 
 @dataclass(frozen=True)
@@ -371,6 +394,7 @@ class ResidualReport:
     reduced: RowExpr
     psi1_coefficient: ScalarPoly
     residual_survives: bool
+    reduced_text: str = field(compare=False, repr=False)
 
     def to_text(self) -> str:
         lines = []
@@ -385,7 +409,7 @@ class ResidualReport:
                 {"label": s.label, "equation": s.text, "terms": list(s.terms)}
                 for s in self.steps
             ],
-            "reduced_relation": str(self.reduced),
+            "reduced_relation": self.reduced_text,
             "psi1_coefficient": str(self.psi1_coefficient),
             "residual_survives": self.residual_survives,
         }
@@ -395,26 +419,21 @@ def residual_check(k: int = 3) -> ResidualReport:
     """Replay the row-elimination and verify that the reduced relation keeps
     the extra summand lambda_21 * Psi_1 (so no triangular cancellation of the
     Psi terms is possible in this calculus)."""
-    if k < 2:
-        raise ValueError("need at least two factors")
-    product = expand_product(k)
-    lhs = product - DyadExpr.identity()
-    eq1 = row_mul(1, lhs)
-    eq2 = row_mul(2, lhs)
-    reduced = eq2 - eq1.scaled(lam(2, 1))
-
-    prod_str = "".join(f"(E + Φ{i}Ψ{i})" for i in range(1, k + 1))
-    steps = [
-        TraceStep(
-            "P",
-            f"{prod_str} = E - Y∂z",
-            tuple(f"E + Φ{i}Ψ{i}" for i in range(1, k + 1)),
-        ),
-        _step("X", "{} = -Y∂z", lhs),
-        _step("R1", "Ψ1 * X:  {} = 0", eq1),
-        _step("R2", "Ψ2 * X:  {} = 0", eq2),
-        _step("R", "R2 - λ21*R1:  {} = 0", reduced),
-    ]
+    lhs, eq1, eq2, reduced = _relations(k)
+    factor_texts = tuple(f"E + Φ{i}Ψ{i}" for i in range(1, k + 1))
+    prod_str = "".join(f"({f})" for f in factor_texts)
+    steps = [TraceStep("P", f"{prod_str} = E - Y∂z", factor_texts)]
+    for label, template, x in (
+        ("X", "{} = -Y∂z", lhs),
+        ("R1", "Ψ1 * X:  {} = 0", eq1),
+        ("R2", "Ψ2 * X:  {} = 0", eq2),
+        ("R", "R2 - λ21*R1:  {} = 0", reduced),
+    ):
+        # each term's text is built once, for the equation and the term list
+        pairs = x._term_pairs()
+        text = format_terms(pairs)
+        terms = tuple(format_term(c, body, True) for c, body in pairs)
+        steps.append(TraceStep(label, template.format(text), terms))
     psi1 = reduced.coefficient(psi_sym(1))
     survives = psi1 == lam(2, 1)
     if not survives:
@@ -428,7 +447,8 @@ def residual_check(k: int = 3) -> ResidualReport:
             "the reduced relation is not triangular in Ψ2, Ψ3, ...",
         )
     )
-    return ResidualReport(k, tuple(steps), reduced, psi1, survives)
+    # text is str(reduced), printed for the step R
+    return ResidualReport(k, tuple(steps), reduced, psi1, survives, text)
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +487,11 @@ def instantiate(
     rows = {psi_sym(i): psi for i, psi in psis.items()}
     if dz_row is not None:
         rows[DZ_ROW] = dz_row
-    for given, fmt, shape, kind in (
-        (cols, _format_col, (n, 1), "column"),
-        (rows, _format_row, (1, n), "row"),
-    ):
+    for given, shape, kind in ((cols, (n, 1), "column"), (rows, (1, n), "row")):
         for sym, m in given.items():
             if m.shape != shape or m.nvars != nvars:
                 raise ValueError(
-                    f"{fmt(sym)} must be a {shape[0]}x{shape[1]} {kind} over "
+                    f"{_format_sym(sym)} must be a {shape[0]}x{shape[1]} {kind} over "
                     f"{nvars} variables, got {m.nrows}x{m.ncols} over {m.nvars}"
                 )
     for i, psi in psis.items():
@@ -485,9 +502,9 @@ def instantiate(
             raise ValueError(f"inconsistent assignment: Psi{i} * Phi{i} != 0")
     cols[Y_COL] = ycol
 
-    def lookup(given: dict, fmt, sym) -> PolyMatrix:
+    def lookup(given: dict, sym) -> PolyMatrix:
         if sym not in given:
-            raise ValueError(f"assignment missing {fmt(sym)}")
+            raise ValueError(f"assignment missing {_format_sym(sym)}")
         return given[sym]
 
     lam_values: Dict[Pair, Polynomial] = {}
@@ -495,8 +512,8 @@ def instantiate(
     def lam_value(pair: Pair) -> Polynomial:
         val = lam_values.get(pair)
         if val is None:
-            psi = lookup(rows, _format_row, psi_sym(pair[0]))
-            phi = lookup(cols, _format_col, phi_sym(pair[1]))
+            psi = lookup(rows, psi_sym(pair[0]))
+            phi = lookup(cols, phi_sym(pair[1]))
             val = lam_values[pair] = (psi * phi)[0, 0]
         return val
 
@@ -515,7 +532,7 @@ def instantiate(
         combo = combos.get(key[1:-1])
         if combo is None:
             combo = combos[key[1:-1]] = [{} for _ in range(n)]
-        row = lookup(rows, _format_row, key[-1]).rows[0]
+        row = lookup(rows, key[-1]).rows[0]
         for acc, entry in zip(combo, row):
             _mul_into(acc, value.terms, entry.terms, mul)
     combined = {
@@ -527,6 +544,6 @@ def instantiate(
     total = PolyMatrix.identity(nvars, n) * Polynomial._raw(nvars, scalar)
     if not combined:
         return total
-    used = [lookup(cols, _format_col, col) for (col,) in combined]
+    used = [lookup(cols, col) for (col,) in combined]
     c = PolyMatrix(nvars, [[col[i, 0] for col in used] for i in range(n)])
     return total + c * PolyMatrix(nvars, combined.values())

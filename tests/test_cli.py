@@ -399,6 +399,52 @@ class TestRoundTrips:
                 assert f"y2^{depth}" in out
 
 
+class TestStructuredErrors:
+    """With --format structured, an error after parsing is one JSON object
+    on stderr; text mode keeps its one line."""
+
+    @pytest.mark.parametrize(
+        "argv, doc, text",
+        [
+            (
+                ["nf", "--rank", "2", "[x1"],
+                {"error": "expected ',' (at offset 3)", "kind": "parse", "offset": 3},
+                "metalie: parse error: expected ',' (at offset 3)\n",
+            ),
+            (
+                ["replay-bn", "--factors", "99"],
+                {
+                    "error": "--factors 99 exceeds the limit of 14",
+                    "kind": "usage",
+                    "offset": None,
+                },
+                "metalie: error: --factors 99 exceeds the limit of 14\n",
+            ),
+            (
+                ["jac", "x1; x2", "--rank", "3"],
+                {
+                    "error": "--rank 3 does not match endomorphism rank 2",
+                    "kind": "input",
+                    "offset": None,
+                },
+                "metalie: error: --rank 3 does not match endomorphism rank 2\n",
+            ),
+        ],
+    )
+    def test_error_object(self, capsys, argv, doc, text):
+        code, out, err = run(capsys, *argv, "--format", "structured")
+        assert (code, out) == (1, "")
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert json.loads(err) == doc
+        assert run(capsys, *argv) == (1, "", text)
+
+    def test_parser_errors_stay_text(self, capsys):
+        code, out, err = run(capsys, "nf", "--format", "structured", "--bogus", "x1")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: metalie")
+        assert "metalie: error: unrecognized arguments: --bogus" in err
+
+
 class TestUsage:
     def test_module_entry_points_print_what_main_prints(self, capsys):
         argv = ["nf", "--rank", "2", "[x1,x2]"]

@@ -2,6 +2,7 @@
 residual verdict, grounding."""
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -112,6 +113,76 @@ class TestExpandProduct:
         with pytest.raises(ValueError):
             dy.expand_product(0)
 
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_matches_combinations(self, k):
+        # the dyad of each increasing sequence, built from the sequence alone
+        terms = {((), dy.E_SYM, dy.E_SYM): 1}
+        for m in range(1, k + 1):
+            for seq in itertools.combinations(range(1, k + 1), m):
+                terms[tuple(zip(seq, seq[1:])), phi(seq[0]), psi(seq[-1])] = 1
+        assert dy.expand_product(k).terms == terms
+        assert dy.expand_product(k) == dy.DyadExpr._raw(None, terms)
+
+
+def key_mul_by_sorting(k1, k2):
+    """The key product of `dyadic._key_mul` with every monomial sorted
+    whole."""
+    col, row = k2[1], k1[-1]
+    if col == dy.E_SYM:
+        return (tuple(sorted(k1[0] + k2[0])), *k1[1:])
+    if row == dy.E_SYM:
+        return (tuple(sorted(k1[0] + k2[0])), *k2[1:])
+    if row == dy.DZ_ROW:
+        raise ValueError("∂z contracts with nothing")
+    if col == dy.Y_COL or col[1] == row[1]:
+        return None
+    mono = tuple(sorted(k1[0] + k2[0] + ((row[1], col[1]),)))
+    return (mono, k2[2]) if len(k1) == 2 else (mono, k1[1], k2[2])
+
+
+# sorted monomials of 0-4 pairs, repeats allowed
+_monos = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=4
+).map(lambda ps: tuple(sorted(ps)))
+_key_cols = st.sampled_from([dy.E_SYM, dy.Y_COL, phi(1), phi(2), phi(3)])
+_key_rows = st.sampled_from([dy.E_SYM, dy.DZ_ROW, psi(1), psi(2), psi(3)])
+_dyad_keys = st.tuples(_monos, _key_cols, _key_rows)
+_row_keys = st.tuples(_monos, _key_rows)
+
+
+class TestKeyProducts:
+    """The merged key products against sorting the whole monomial."""
+
+    @settings(max_examples=400)
+    @given(st.one_of(_dyad_keys, _row_keys), _dyad_keys)
+    def test_key_mul(self, k1, k2):
+        try:
+            want = key_mul_by_sorting(k1, k2)
+        except ValueError:
+            with pytest.raises(ValueError, match="∂z"):
+                dy._key_mul(k1, k2)
+            return
+        assert dy._key_mul(k1, k2) == want
+
+    @settings(max_examples=300)
+    @given(_monos, _monos)
+    def test_scalar_key_mul(self, m1, m2):
+        assert dy.ScalarPoly._key_mul(m1, m2) == tuple(sorted(m1 + m2))
+
+    def test_each_case(self):
+        a, b = ((1, 2),), ((1, 3), (2, 1))
+        row = dy._key_mul(((), psi(2)), (a, phi(1), psi(3)))
+        assert row == (((1, 2), (2, 1)), psi(3))
+        assert dy._key_mul((b, phi(1), psi(2)), (a, phi(3), psi(1))) == (
+            ((1, 2), (1, 3), (2, 1), (2, 3)),
+            phi(1),
+            psi(1),
+        )
+        assert dy._key_mul(((), psi(2)), ((), phi(2), psi(1))) is None
+        assert dy._key_mul(((), psi(2)), ((), dy.Y_COL, dy.DZ_ROW)) is None
+        with pytest.raises(ValueError):
+            dy._key_mul(((), dy.DZ_ROW), ((), phi(1), psi(1)))
+
 
 class TestRowMul:
     def lhs(self, k=3):
@@ -182,6 +253,12 @@ class TestResidualCheck:
     def test_needs_two_factors(self):
         with pytest.raises(ValueError):
             dy.residual_check(1)
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_reduced_relation_text(self, k):
+        report = dy.residual_check(k)
+        assert report.to_doc()["reduced_relation"] == str(report.reduced)
+        assert report.reduced == dy.derive_reduced_relation(k)
 
 
 class TestPrintedForms:
