@@ -23,7 +23,7 @@ products.
 from __future__ import annotations
 
 from bisect import bisect
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Dict, List, Optional, Tuple
@@ -186,6 +186,12 @@ class _SymbolTerms(SparseTerms):
 
     __slots__ = ()
 
+    def __init__(self, coeffs: Iterable):
+        # coeffs: (symbol tuple, ScalarPoly) pairs
+        super().__init__(
+            None, [((m, *syms), c) for syms, s in coeffs for m, c in s.terms.items()]
+        )
+
     @staticmethod
     def _key(k: tuple) -> Optional[tuple]:
         # None drops a term with some lambda_ii
@@ -212,6 +218,14 @@ class _SymbolTerms(SparseTerms):
             pairs.insert(0, (1, "E" if s == "1" else f"({s})*E"))
         return pairs
 
+    def term_list(self):
+        """Flat list of (lambda monomial, coefficient, *symbols) terms in
+        canonical order (by monomial degree, then monomial, then symbols),
+        the E terms of a DyadExpr left out."""
+        return [
+            (k[0], c, *k[1:]) for k, c in self.sorted_terms() if k[1:] != (E_SYM, E_SYM)
+        ]
+
     def __mul__(self, other):
         # two dyad sums or rows multiply by contraction: dyad_mul, row_mul
         if type(other) is type(self):
@@ -232,11 +246,7 @@ class DyadExpr(_SymbolTerms):
         dyads: Mapping[Tuple[ColSym, RowSym], ScalarPoly] = (),
     ):
         items = dyads.items() if isinstance(dyads, Mapping) else dyads
-        terms = [((m, E_SYM, E_SYM), c) for m, c in scalar.terms.items()]
-        terms += [
-            ((m, u, r), c) for (u, r), coeff in items for m, c in coeff.terms.items()
-        ]
-        super().__init__(None, terms)
+        super().__init__([((E_SYM, E_SYM), scalar), *items])
 
     @classmethod
     def identity(cls) -> "DyadExpr":
@@ -252,16 +262,6 @@ class DyadExpr(_SymbolTerms):
         return ScalarPoly._raw(
             None, {m: c for (m, col, _), c in self.terms.items() if col == E_SYM}
         )
-
-    def term_list(self):
-        """Flat list of (lambda_monomial, coefficient, col, row) terms of the
-        dyads, E left out, in canonical order (by monomial degree, then
-        monomial, then dyad)."""
-        return [
-            (m, c, col, row)
-            for (m, col, row), c in self.sorted_terms()
-            if col != E_SYM
-        ]
 
 
 def dyad_mul(a: DyadExpr, b: DyadExpr) -> DyadExpr:
@@ -321,9 +321,7 @@ class RowExpr(_SymbolTerms):
 
     def __init__(self, coeffs: Mapping[RowSym, ScalarPoly] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        super().__init__(
-            None, [((m, r), c) for r, coeff in items for m, c in coeff.terms.items()]
-        )
+        super().__init__(((r,), s) for r, s in items)
 
     def coefficient(self, sym: RowSym) -> ScalarPoly:
         return ScalarPoly._raw(
@@ -349,11 +347,6 @@ class RowExpr(_SymbolTerms):
             ),
         )
         return RowExpr._raw(None, out)
-
-    def term_list(self):
-        """Flat list of (lambda_monomial, coefficient, row) terms in
-        canonical order."""
-        return [(m, c, row) for (m, row), c in self.sorted_terms()]
 
 
 def row_mul(i: int, x: DyadExpr) -> RowExpr:

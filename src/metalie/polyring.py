@@ -16,8 +16,8 @@ bracket expressions, lambda polynomials, dyad and row expressions,
 free-algebra polynomials), and `read_sum` reads one back for both text
 grammars (polynomials and bracket expressions) from the one tokenizer,
 `Tokens`, which cuts a text once into runs of ASCII digits and single other
-characters; `_minors`, a Laplace expansion over column
-subsets, gives both the determinant and the adjugate; and
+characters; `_minors`, a Laplace expansion over column subsets along the
+rows in order, gives the determinant, and its prefix tables the adjugate; and
 `RowSpace` is the one exact rational elimination, behind `solve_sparse`
 and `rational_inverse`, run fraction-free on integer rows.
 
@@ -788,12 +788,12 @@ class PolyMatrix:
     # -- determinant and inverse ---------------------------------------------
 
     def det(self) -> Polynomial:
-        """Exact determinant, by Laplace expansion over column subsets
-        (`_minors`)."""
+        """Exact determinant, by Laplace expansion over column subsets: the
+        last prefix table of `_minors`."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
+        table, den = _minors(self.rows, self.nvars)[-1]
         full = (1 << self.ncols) - 1
-        table, den = _minors(self.rows, self.nvars)
         return Polynomial._raw(self.nvars, _divided(table.get(full, {}), den))
 
     def inverse_over_ring(self) -> Optional["PolyMatrix"]:
@@ -801,38 +801,26 @@ class PolyMatrix:
 
         A square matrix over K[y1..yn] is invertible over the ring iff its
         determinant is a nonzero constant; then the inverse is the adjugate
-        divided by the determinant. The determinant appends row 0 last to the
-        minors of rows 1..n-1, which the adjugate needs anyway.
+        divided by the determinant. Both come from the expansion of the rows
+        in order (`_minors`): the minors of the rows other than j extend its
+        prefix table of rows 0..j-1 by rows j+1..n-1.
         """
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n, nvars, rows = self.nrows, self.nvars, self.rows
         full = (1 << n) - 1
         one = (0,) * nvars
-
-        def row_deleted_minors(j, table, den):
-            # the minors (table, den) of the rows other than j, from those of
-            # rows 0..j-1
-            for r in range(j + 1, n):
-                table, den = _expand(table, den, rows[r], nvars)
-            return table, den
-
-        prefix = ({0: {one: 1}}, 1)
-        minors = [row_deleted_minors(0, *prefix)]
-        # row 0 appended last to rows 1..n-1: the minor is (-1)^(n-1) * det
-        table, den = _expand(*minors[0], rows[0], nvars)
+        prefixes = _minors(rows, nvars)
+        table, den = prefixes[n]
         acc = table.get(full, {})
         if len(acc) != 1 or one not in acc:
             return None
-        num = acc[one] if n % 2 else -acc[one]
-        num, den = abs(num), den if num > 0 else -den
-        for j in range(1, n):
-            # the minors of rows 0..j-1, built once for every later row
-            prefix = _expand(*prefix, rows[j - 1], nvars)
-            minors.append(row_deleted_minors(j, *prefix))
+        num, den = abs(acc[one]), den if acc[one] > 0 else -den
         # adj[i][j] = (-1)^(i + j) * (minor of row j and column i) / det
         adj = [[None] * n for _ in range(n)]
-        for j, (table, mden) in enumerate(minors):
+        for j, (table, mden) in enumerate(prefixes[:n]):
+            for row in rows[j + 1 :]:
+                table, mden = _expand(table, mden, row, nvars)
             for i in range(n):
                 t = table.get(full ^ (1 << i), {})
                 sign = den if (i + j) % 2 == 0 else -den
@@ -864,24 +852,26 @@ def y_column(nvars: int) -> PolyMatrix:
 MAX_MINORS = 4096
 
 
-def _minors(rows, nvars: int) -> tuple:
-    """Map each bitmask of len(rows) of the ncols columns (the row length) to
-    the term map of the determinant of `rows` on those columns (a zero minor
-    may be absent).
+def _minors(rows, nvars: int) -> list:
+    """The prefix tables of `rows`: entry k maps each bitmask of k of the
+    ncols columns (the row length) to the term map of the determinant of
+    rows 0..k-1 on those columns (a zero minor may be absent). The last
+    entry holds the determinant of a square matrix, and every entry can be
+    extended by later rows (`_expand`) to the minors with one row left out.
 
     Laplace expansion along the last row, over column subsets, so every
     sub-minor shared between larger minors is computed once and no division
     is needed: O(2^ncols * ncols) products in place of ncols! terms.
 
-    Returns (table, den): each row is scaled by the lcm of its denominators,
-    so the table holds int term maps, and since a determinant is linear in
-    each row, the minors are those maps divided by den, the product of the
-    row scales.
+    Each entry is (table, den): each row is scaled by the lcm of its
+    denominators, so the table holds int term maps, and since a determinant
+    is linear in each row, the minors are those maps divided by den, the
+    product of the row scales.
     """
-    table, den = {0: {(0,) * nvars: 1}}, 1
+    prefixes = [({0: {(0,) * nvars: 1}}, 1)]
     for row in rows:
-        table, den = _expand(table, den, row, nvars)
-    return table, den
+        prefixes.append(_expand(*prefixes[-1], row, nvars))
+    return prefixes
 
 
 def _expand(table: dict, den: int, row, nvars: int) -> tuple:

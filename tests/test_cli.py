@@ -506,6 +506,7 @@ class TestUsage:
             ("inverse", "--rank", "-3", "inner:[x1,x2]"),
             ("iaut-level", "--rank", "-1", "x1; x2"),
             ("compose", "--rank", "-2", "x1; x2", "x1; x2"),
+            ("nf", "--rank", "abc", "x1"),
         ],
     )
     def test_negative_rank_rejected(self, capsys, argv):

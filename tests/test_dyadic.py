@@ -542,3 +542,33 @@ class TestNormalizedResults:
     def test_expand_product(self, k):
         assert_normalized(dy.expand_product(k))
         assert_normalized(dy.derive_reduced_relation(max(k, 2)))
+
+
+# Psi1 * Y = 0 but Psi1 * Phi1 = y2
+PHI1 = col_vector(2, [1, 0])
+PSI1 = row_vector(2, [parse_polynomial("y2", 2), parse_polynomial("-y1", 2)])
+# calls of instantiate no other test makes: each case is the value the call
+# returns, or the (type, message) of the exception it raises
+EDGE_CASES = {
+    "not an expression": (
+        lambda: dy.instantiate("Φ1Ψ1", {1: PHI1}, {1: PSI1}),
+        (TypeError, "expected a DyadExpr or RowExpr"),
+    ),
+    "empty assignment": (
+        lambda: dy.instantiate(dy.DyadExpr.identity(), {}, {}),
+        (ValueError, "assignment is empty"),
+    ),
+    "Psi1 * Phi1 is not zero": (
+        lambda: dy.instantiate(dy.DyadExpr.identity(), {1: PHI1}, {1: PSI1}),
+        (ValueError, "inconsistent assignment: Psi1 * Phi1 != 0"),
+    ),
+    "a column missing": (
+        lambda: dy.instantiate(dy.DyadExpr.dyad(phi(2), psi(1)), {}, {1: PSI1}),
+        (ValueError, "assignment missing Φ2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("call, expected", EDGE_CASES.values(), ids=EDGE_CASES)
+def test_instantiate_edge_cases(call, expected, outcome):
+    assert outcome(call) == expected

@@ -730,3 +730,42 @@ class TestCoefficientConvention:
         for img in inv.images:
             assert_exact(scale_coeffs(mb.lift(img)))
         assert_int(mb.evaluate(ex("2*(1/2*x1)"), 1).linear)
+
+
+# calls no other test makes: each case is the value the call returns, or the
+# (type, message) of the exception it raises
+EDGE_CASES = {
+    "image of another rank": (
+        lambda: en.Endo(2, (mb.generator(2, 1), mb.generator(3, 2))),
+        (ValueError, "image rank mismatch"),
+    ),
+    "too few cached expressions": (
+        lambda: en.Endo(2, mb.generators(2), (parse_expr("x1"),)),
+        (ValueError, "need exactly one cached expression per generator"),
+    ),
+    "elementary position out of range": (
+        lambda: en.elementary(3, parse_expr("[x1, x2]"), 4),
+        (ValueError, "position 4 out of range 1..3"),
+    ),
+    "inner of another rank": (
+        lambda: en.inner(3, mb.evaluate(parse_expr("[x1, x2]"), 2)),
+        (ValueError, "rank mismatch"),
+    ),
+    "induced map on a non-polynomial": (
+        lambda: en.apply_induced(en.identity(2), "y1"),
+        (TypeError, "expected a Polynomial or PolyMatrix"),
+    ),
+    "conjugate by alpha of another rank": (
+        lambda: en.conjugate_elementary([[1, 0], [0, 1]], parse_expr("[x2, x3]"), 3),
+        (ValueError, "alpha has the wrong rank"),
+    ),
+    "tame IA product at rank 2": (
+        lambda: en.random_tame_iaut(2, 0, 1),
+        (ValueError, "nontrivial conjugated-elementary factors need rank >= 3"),
+    ),
+}
+
+
+@pytest.mark.parametrize("call, expected", EDGE_CASES.values(), ids=EDGE_CASES)
+def test_edge_cases(call, expected, outcome):
+    assert outcome(call) == expected

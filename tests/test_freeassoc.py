@@ -407,3 +407,43 @@ class TestWitnessOracle:
         w = fa.replay(rank).witness
         assert w.unknowns == len(corrections)
         assert w.null_space_dimension == w.unknowns - system_rank
+
+
+# s is already in [U, U], so its witness is the zero correction
+ZERO_WITNESS = fa._witness_search(4, fa.NCPoly(4, {(1, 2, 3): 1, (2, 3, 1): -1}))
+# calls no other test makes: each case is the value the call returns, or the
+# (type, message) of the exception it raises
+EDGE_CASES = {
+    "degree of zero": (lambda: fa.NCPoly.zero(3).degree(), -1),
+    "expansion of a sum": (
+        lambda: fa.lie_to_assoc(parse_expr("[z1,z2] + 2*[z2,z3]", "z"), 3),
+        fa.NCPoly(3, {(1, 2): 1, (2, 1): -1, (2, 3): 2, (3, 2): -2}),
+    ),
+    "expansion of a non-expression": (
+        lambda: fa.lie_to_assoc("z1", 3),
+        (TypeError, "not a LieExpr: 'z1'"),
+    ),
+    "Fox derivative by a letter out of range": (
+        lambda: fa.fox_assoc(fa.NCPoly.gen(3, 1), 4),
+        (ValueError, "letter 4 out of range 1..3"),
+    ),
+    "degree-4 quads at rank 1": (
+        lambda: fa._degree4_quads(1),
+        (ValueError, "need rank >= 2"),
+    ),
+    "unsolvable witness": (
+        lambda: fa._witness_search(4, fa.NCPoly(4, {(1, 1, 1): 1})).solvable,
+        False,
+    ),
+    "all-zero witness": (
+        lambda: fa.TraceReplay(
+            4, Gen(1), fa.NCPoly.zero(4), (), True, ZERO_WITNESS
+        ).to_text().splitlines()[-3:-1],
+        ["  all v_i = 0", "  corrected sum in [U,U]: verified"],
+    ),
+}
+
+
+@pytest.mark.parametrize("call, expected", EDGE_CASES.values(), ids=EDGE_CASES)
+def test_edge_cases(call, expected, outcome):
+    assert outcome(call) == expected

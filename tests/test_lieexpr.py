@@ -244,3 +244,23 @@ def test_helpers():
     assert left_normed([1, 2, 3]) == parse_expr("[[x1, x2], x3]")
     with pytest.raises(ValueError):
         left_normed([1])
+
+
+# calls no other test makes: each case is the value the call returns, or the
+# (type, message) of the exception it raises
+EDGE_CASES = {
+    "zero multiple": (lambda: scale_expr(0, parse_expr("[x1, x2]")), ZERO_EXPR),
+    "generators of a non-expression": (
+        lambda: generators_used("x1"),
+        (TypeError, "not a LieExpr: 'x1'"),
+    ),
+    "parenthesized word extended": (
+        lambda: parse_expr("[([x1, x2]), x3]"),
+        LeftNormed((1, 2, 3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("call, expected", EDGE_CASES.values(), ids=EDGE_CASES)
+def test_edge_cases(call, expected, outcome):
+    assert outcome(call) == expected

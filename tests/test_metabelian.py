@@ -412,3 +412,38 @@ PINNED_LIFT_DIGESTS = [
     "4e6e4119eced23e0",
     "53ce9687d35ae3f2",
 ]
+
+
+# calls no other test makes: each case is the value the call returns, or the
+# (type, message) of the exception it raises
+EDGE_CASES = {
+    "Fox row of the wrong length": (
+        lambda: mb.MElement(2, (Polynomial.zero(2),)),
+        (ValueError, "component length must equal the rank"),
+    ),
+    "Fox row in the wrong ring": (
+        lambda: mb.MElement(2, (Polynomial.zero(3), Polynomial.zero(3))),
+        (ValueError, "module coordinate in the wrong ring"),
+    ),
+    "sum of two ranks": (
+        lambda: mb.generator(2, 1) + mb.generator(3, 1),
+        (ValueError, "rank mismatch: 2 vs 3"),
+    ),
+    "no images": (
+        lambda: mb.eval_with(Gen(1), []),
+        (ValueError, "cannot evaluate with an empty image list"),
+    ),
+    "images of two ranks": (
+        lambda: mb.eval_with(Gen(2), [mb.generator(2, 1), mb.generator(3, 1)]),
+        (ValueError, "rank mismatch: 3 vs 2"),
+    ),
+    "not an expression": (
+        lambda: mb.eval_with("x1", mb.generators(2)),
+        (TypeError, "not a LieExpr: 'x1'"),
+    ),
+}
+
+
+@pytest.mark.parametrize("call, expected", EDGE_CASES.values(), ids=EDGE_CASES)
+def test_edge_cases(call, expected, outcome):
+    assert outcome(call) == expected

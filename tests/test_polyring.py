@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metalie import endos
+from metalie import endos, polyring
 from metalie.dyadic import DyadExpr, RowExpr, ScalarPoly, dyad_mul, phi_sym, psi_sym
 from metalie.freeassoc import NCPoly
 from metalie.metabelian import MElement
@@ -1353,14 +1353,33 @@ class TestRowDeletedMinors:
         rows[0] = [e * P("y1", 2) for e in rows[0]]
         assert PolyMatrix(2, rows).inverse_over_ring() is None
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_expand_calls(self, n, monkeypatch):
+        # the shared prefix tables and the early exit: n(n+1)/2 row
+        # expansions for an invertible matrix, n for a nonconstant determinant
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return expand(*args)
+
+        expand = polyring._expand
+        monkeypatch.setattr(polyring, "_expand", counted)
+        m = unimodular(random.Random(n), n, 2, 1)
+        assert m.inverse_over_ring() is not None
+        assert len(calls) == n * (n + 1) // 2
+        calls.clear()
+        rows = [[e * P("y1", 2) for e in m.rows[0]], *m.rows[1:]]
+        assert PolyMatrix(2, rows).inverse_over_ring() is None
+        assert len(calls) == n
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_minor_tables_match_permutation_minors(self, n):
         rng = random.Random(7 * n)
         m = PolyMatrix(
             2, [[kind_poly(rng, 2, "mixed", 1, 2) for _ in range(n)] for _ in range(n)]
         )
-        for k in range(n + 1):
-            table, den = _minors(m.rows[:k], 2)
+        for k, (table, den) in enumerate(_minors(m.rows, 2)):
             for point in points(rng, 2, 2):
                 a = values(m, point)
                 for cols in itertools.combinations(range(n), k):
@@ -1368,3 +1387,80 @@ class TestRowDeletedMinors:
                     got = value(Polynomial._raw(2, table.get(mask, {})), point) / den
                     minor = [[a[r][c] for c in cols] for r in range(k)]
                     assert got == num_perm_det(minor)
+
+
+M23 = PolyMatrix(2, [[P("y1 + 1", 2), 0, Fraction(1, 2)], [3, P("-y2^2", 2), 1]])
+# calls no other test makes: each case is the value the call returns, or the
+# (type, message) of the exception it raises
+EDGE_CASES = {
+    "sub of different sizes": (
+        lambda: P("y1", 2) - P("y1", 3),
+        (ValueError, "rank mismatch: 2 vs 3"),
+    ),
+    "substitute too few images": (
+        lambda: P("y1", 2).substitute([P("y1", 2)]),
+        (ValueError, "need 2 images, got 1"),
+    ),
+    "substitute no images": (
+        lambda: Polynomial.constant(0, 3).substitute([]),
+        Polynomial.constant(0, 3),
+    ),
+    "substitute images in two rings": (
+        lambda: P("y1", 2).substitute([P("y1", 2), P("y1", 3)]),
+        (ValueError, "images live in different rings"),
+    ),
+    "matrix entry in another ring": (
+        lambda: PolyMatrix(2, [[P("y1", 3)]]),
+        (ValueError, "entry has wrong variable count"),
+    ),
+    "ragged matrix": (
+        lambda: PolyMatrix(2, [[1, 2], [3]]),
+        (ValueError, "ragged rows"),
+    ),
+    "matrix of no rows": (
+        lambda: PolyMatrix(2, []),
+        (ValueError, "matrix must be nonempty"),
+    ),
+    "matrix of empty rows": (
+        lambda: PolyMatrix(2, [[]]),
+        (ValueError, "matrix must be nonempty"),
+    ),
+    "matrix is immutable": (
+        lambda: setattr(M23, "rows", ()),
+        (AttributeError, "PolyMatrix is immutable"),
+    ),
+    "matrix sum over two rings": (
+        lambda: M23 + PolyMatrix(3, [[0, 0, 0], [0, 0, 0]]),
+        (ValueError, "variable-count mismatch"),
+    ),
+    "matrix sum of two shapes": (
+        lambda: M23 - PolyMatrix(2, [[0, 0, 0]]),
+        (ValueError, "shape mismatch: (2, 3) vs (1, 3)"),
+    ),
+    "matrix product over two rings": (
+        lambda: M23 * PolyMatrix(3, [[0], [0], [0]]),
+        (ValueError, "variable-count mismatch"),
+    ),
+    "ring inverse of a non-square matrix": (
+        M23.inverse_over_ring,
+        (ValueError, "inverse of a non-square matrix"),
+    ),
+    "negated matrix": (
+        lambda: -M23,
+        PolyMatrix(2, [[-e for e in row] for row in M23.rows]),
+    ),
+    "scalar times matrix": (
+        lambda: Fraction(-2, 3) * M23,
+        PolyMatrix(2, [[e * Fraction(-2, 3) for e in row] for row in M23.rows]),
+    ),
+    "matrix hash": (
+        lambda: hash(M23) == hash(PolyMatrix(2, [list(row) for row in M23.rows])),
+        True,
+    ),
+    "matrix repr": (lambda: repr(M23), "PolyMatrix(2, shape=(2, 3))"),
+}
+
+
+@pytest.mark.parametrize("call, expected", EDGE_CASES.values(), ids=EDGE_CASES)
+def test_edge_cases(call, expected, outcome):
+    assert outcome(call) == expected
