@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Tuple, Union
 
-from .polyring import ParseError, Scalar, Tokens, as_coeff, format_terms, read_sum
+from .polyring import ParseError, Scalar, Tokens, as_coeff, format_term, read_sum
 
 
 @dataclass(frozen=True)
@@ -132,30 +132,26 @@ def generators_used(e: LieExpr) -> frozenset:
 # -- printing ---------------------------------------------------------------
 
 
-def _format_factor(e: LieExpr, letter: str) -> str:
-    if isinstance(e, LeftNormed):
-        # one '[' per bracket, the first letter, then ", x<i>]" per letter
-        idx = e.indices
-        rest = f"], {letter}".join(map(str, idx[1:]))
-        return f"{'[' * (len(idx) - 1)}{letter}{idx[0]}, {letter}{rest}]"
-    if isinstance(e, Gen):
-        return f"{letter}{e.index}"
-    if isinstance(e, Bracket):
-        return f"[{format_expr(e.left, letter)}, {format_expr(e.right, letter)}]"
-    return f"({format_expr(e, letter)})"
-
-
 def format_expr(e: LieExpr, letter: str = "x") -> str:
-    """Canonical text form; inverse of parse_expr on parser-shaped trees."""
-    if isinstance(e, (LeftNormed, Gen, Bracket)):
-        return _format_factor(e, letter)
-    terms = e.parts if isinstance(e, Sum) else (e,)
-    return format_terms(
-        (t.coeff, _format_factor(t.arg, letter))
-        if isinstance(t, Scale)
-        else (1, _format_factor(t, letter))
-        for t in terms
-    )
+    """Canonical text form; inverse of parse_expr on parser-shaped trees.
+    Printed as a sum of terms in one loop, one `format_term` per term."""
+    sep = f"], {letter}"
+    chunks: list = []
+    for t in e.parts if isinstance(e, Sum) else (e,):
+        c, t = (t.coeff, t.arg) if isinstance(t, Scale) else (1, t)
+        if isinstance(t, LeftNormed):
+            # one '[' per bracket, the first letter, then ", x<i>]" per letter
+            idx = t.indices
+            rest = sep.join(map(str, idx[1:]))
+            body = f"{'[' * (len(idx) - 1)}{letter}{idx[0]}, {letter}{rest}]"
+        elif isinstance(t, Gen):
+            body = f"{letter}{t.index}"
+        elif isinstance(t, Bracket):
+            body = f"[{format_expr(t.left, letter)}, {format_expr(t.right, letter)}]"
+        else:
+            body = f"({format_expr(t, letter)})"
+        chunks.append(format_term(c, body, not chunks))
+    return " ".join(chunks) if chunks else "0"
 
 
 # -- parsing ----------------------------------------------------------------
@@ -247,7 +243,12 @@ def _parse_factor(tokens: Tokens, letter: str, rank: int, depth: int) -> LieExpr
                 word = None
             left = _parse_element(tokens, letter, rank, inner, left)
         tokens.expect(",")
-        right = _parse_element(tokens, letter, rank, inner)
+        toks, i = tokens.toks, tokens.i
+        if toks[i] == letter and toks[i + 1].isdigit() and toks[i + 2] == "]":
+            # a lone generator, the usual right operand: no sum to read
+            right = _parse_factor(tokens, letter, rank, inner)
+        else:
+            right = _parse_element(tokens, letter, rank, inner)
         tokens.expect("]")
         if word is not None and isinstance(right, Gen):
             word.append(right.index)

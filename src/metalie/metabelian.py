@@ -13,7 +13,7 @@ is what makes Jacobian calculus over this normal form exact and mechanical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Dict, Tuple
 
 from .lieexpr import (
@@ -23,8 +23,6 @@ from .lieexpr import (
     LieExpr,
     Scale,
     Sum,
-    scale_expr,
-    sum_exprs,
 )
 from .polyring import (
     PolyMatrix,
@@ -42,7 +40,8 @@ from .polyring import (
 @dataclass(frozen=True)
 class MElement:
     """Normal form y + t, stored as the Fox row `tpart` = (d1, ..., dn) of
-    polynomials in y1..yn; the y-coordinates `linear` are its constant terms.
+    polynomials in y1..yn; the y-coordinates `linear` are its constant terms,
+    read once per element and kept outside the fields `rank` and `tpart`.
 
     Coefficients follow the package's convention: plain int until a division
     makes them non-integral, Fraction after (see `polyring.as_coeff`).
@@ -74,10 +73,14 @@ class MElement:
         object.__setattr__(e, "tpart", tpart)
         return e
 
-    @property
+    @cached_property
     def linear(self) -> Tuple[Scalar, ...]:
         """The y-coordinates: the constant terms of the Fox row."""
         return tuple(p.constant_term() for p in self.tpart)
+
+    @cached_property
+    def _linear_poly(self) -> Polynomial:
+        return Polynomial._linear(self.rank, self.linear)
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.tpart)
@@ -107,7 +110,7 @@ class MElement:
 
     def linear_poly(self) -> Polynomial:
         """The linear part as a degree <= 1 polynomial in y1..yn."""
-        return Polynomial._linear(self.rank, self.linear)
+        return self._linear_poly
 
 
 def in_m(row) -> bool:
@@ -151,17 +154,19 @@ def bracket(u: MElement, v: MElement) -> MElement:
     u._check_rank(v)
     n = u.rank
     slots: list = [{} for _ in range(n)]
-    _add_bracket(slots, u.linear_poly(), u, v.linear_poly(), v)
+    _add_bracket(slots, {(0,) * n: 1}, u, v)
     return MElement._raw(n, tuple(Polynomial._raw(n, acc) for acc in slots))
 
 
-def _add_bracket(slots, a: Polynomial, u: MElement, b: Polynomial, v: MElement):
-    """Add a.s - b.t to the module slots (term maps) for u = a'+t and
-    v = b'+s, where a and b are given apart from u and v."""
+def _add_bracket(slots, f: dict, u: MElement, v: MElement):
+    """Add f.[u, v] = (f.a).s - (f.b).t to the module slots (term maps) for
+    u = a+t, v = b+s and a polynomial f given as a term map."""
     mul = _mono_ops(u.rank)[0]
-    nb = (-b).terms
+    a, nb = {}, {}
+    _mul_into(a, f, u.linear_poly().terms, mul)
+    _mul_into(nb, {k: -c for k, c in f.items()}, v.linear_poly().terms, mul)
     for acc, t, s in zip(slots, u.tpart, v.tpart):
-        _mul_into(acc, a.terms, s.terms, mul)
+        _mul_into(acc, a, s.terms, mul)
         _mul_into(acc, nb, t.terms, mul)
 
 
@@ -192,12 +197,14 @@ def _eval_into(e: LieExpr, images, c: Scalar, slots: list) -> None:
         idx = e.indices
         u, v = _image(images, idx[0], n), _image(images, idx[1], n)
         # [u, v] is derived (zero linear part), so each further letter b + s
-        # acts as [t, b + s] = -b.t: the word is [u, v] times the product f
-        # of the -b, and f.[a+t, b'+s] = (f.a).s - (f.b').t
-        f = Polynomial.constant(n, -c if len(idx) % 2 else c)
+        # acts as [t, b + s] = -b.t: the word is f.[u, v] for the product f
+        # (a term map) of the -b
+        mul = _mono_ops(n)[0]
+        f = {(0,) * n: -c if len(idx) % 2 else c}
         for i in idx[2:]:
-            f = f * _image(images, i, n).linear_poly()
-        _add_bracket(slots, f * u.linear_poly(), u, f * v.linear_poly(), v)
+            f, g = {}, f
+            _mul_into(f, g, _image(images, i, n).linear_poly().terms, mul)
+        _add_bracket(slots, f, u, v)
         return
     if isinstance(e, Scale):
         _eval_into(e.arg, images, as_coeff(c * e.coeff), slots)
@@ -208,7 +215,7 @@ def _eval_into(e: LieExpr, images, c: Scalar, slots: list) -> None:
         return
     if isinstance(e, Bracket):
         u, v = eval_with(e.left, images), eval_with(e.right, images)
-        _add_bracket(slots, u.linear_poly() * c, u, v.linear_poly() * c, v)
+        _add_bracket(slots, {(0,) * n: c}, u, v)
         return
     if not isinstance(e, Gen):
         raise TypeError(f"not a LieExpr: {e!r}")
@@ -258,31 +265,40 @@ def lift(f: MElement) -> LieExpr:
     [[x_i, x_m], <letters of u / y_m>]: the Fox row of [x_i, x_m] is
     y_i e_m - y_m e_i, and each further letter x_j multiplies it by -y_j.
     A monomial with m <= i needs no word of its own: by the syzygy
-    condition it equals what the words of the other slots put there. Words
-    are emitted by descending m, then ascending i, each group in print
-    order, so lifts are deterministic.
+    condition it equals what the words of the other slots put there, and it
+    is dropped before any sort. Words are emitted by descending m, then
+    ascending i, then descending degree, each group in print order, so
+    lifts are deterministic. A group sorts with no key: on ascending letter
+    tuples of one length (y1^2*y3 -> (1, 1, 3)), tuple order is the print
+    order (-sum(m), -m[0], ..., -m[n-1]) of their monomials, because at the
+    first place where two differ, a_k < b_k, the smaller has one more a_k
+    and the same count of every smaller letter. Coefficients are the stored,
+    normalized ones.
 
     Membership is not checked again: the `MElement` constructor checks it,
     and the kernels build members only. (So d1 has no term y1^k, k >= 1: it
     would leave a y1^(k+1) in d1*y1 + ... + dn*yn that nothing cancels.)
     """
-    n = f.rank
-    letters = _mono_ops(n)[2]
-    terms = [scale_expr(c, Gen(i)) for i, c in enumerate(f.linear, 1) if c]
+    letters = _mono_ops(f.rank)[2]
+    linear = enumerate(f.linear, 1)
+    terms = [Gen(i) if c == 1 else Scale(c, Gen(i)) for i, c in linear if c]
     groups: dict = {}
     for i, p in enumerate(f.tpart, 1):
-        for mono, c in p.sorted_terms():
+        for mono, c in p.terms.items():
             word = letters(mono)
-            if not word:
-                continue  # the constant term, lifted with the linear part
-            m = word[-1]
-            if m <= i:  # covered by the words of the other slots
-                continue
-            word = (i, m, *word[:-1])
-            # [[x_i, x_m], x_j, ...] carries the sign (-1)^(len - 1)
-            if len(word) % 2 == 0:
-                c = -c
-            groups.setdefault((-m, i), []).append(scale_expr(c, LeftNormed(word)))
+            # the constant term lifts with the linear part, and a top letter
+            # m <= i is covered by the words of the other slots
+            if word and word[-1] > i:
+                groups.setdefault((-word[-1], i, -len(word)), []).append((word, c))
     for key in sorted(groups):
-        terms += groups[key]
-    return sum_exprs(terms)
+        m, i, d = key
+        head = (i, -m)
+        # [[x_i, x_m], x_j, ...] has 1 - d letters and carries the sign
+        # (-1)^(letters - 1) = (-1)^d
+        odd = d % 2
+        for word, c in sorted(groups[key]):
+            w = LeftNormed(head + word[:-1])
+            if odd:
+                c = -c
+            terms.append(w if c == 1 else Scale(c, w))
+    return terms[0] if len(terms) == 1 else Sum(tuple(terms))

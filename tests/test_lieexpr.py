@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metalie import lieexpr
 from metalie.lieexpr import (
     Bracket,
     Gen,
@@ -21,7 +22,7 @@ from metalie.lieexpr import (
     scale_expr,
     sum_exprs,
 )
-from metalie.polyring import ParseError
+from metalie.polyring import ParseError, as_coeff, format_terms
 
 
 def test_parse_generator():
@@ -121,6 +122,47 @@ def test_parse_error_table(text, letter, rank, message, offset):
         parse_expr(text, letter, rank)
     assert str(err.value) == f"{message} (at offset {offset})"
     assert err.value.position == offset
+
+
+# (text, rank, message, offset) for malformed right operands of a word
+# level, where a lone generator is read as one factor: the errors are the
+# ones the full element reader gives
+WORD_OPERAND_ERRORS = [
+    ("[[x1,x2],x]", 0, "expected an integer", 10),
+    ("[[x1,x2],x9]", 2, "generator index 9 out of range 1..2", 9),
+    ("[[x1,x2],x1", 0, "expected ']'", 11),
+    ("[[x1,x2],x1 x2]", 0, "expected ']'", 12),
+    ("[[x1,x2],x ]]", 0, "expected an integer", 11),
+    ("[[x1,x2],x\u0663]]", 0, "expected an integer", 10),
+    ("[[x1,x2],x1]]", 0, "trailing input", 12),
+    ("[[x1,x2], x0]", 0, "generator index 0 out of range 1..n", 10),
+    ("[[x1,x2],x", 0, "expected an integer", 10),
+]
+
+
+@pytest.mark.parametrize("text, rank, message, offset", WORD_OPERAND_ERRORS)
+def test_word_operand_errors(text, rank, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text, "x", rank)
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.position == offset
+
+
+@pytest.mark.parametrize("length", [2, 3, 5, 9])
+def test_word_letters_are_read_as_factors(length, monkeypatch):
+    # the top-level element and the word's first operand are the only
+    # elements read; each further letter is one factor
+    calls = []
+    real = lieexpr._parse_element
+    monkeypatch.setattr(
+        lieexpr, "_parse_element", lambda *a: calls.append(a) or real(*a)
+    )
+    word = tuple(range(1, length + 1))
+    assert parse_expr(format_expr(LeftNormed(word))) == LeftNormed(word)
+    assert len(calls) == 2
+    calls.clear()
+    parse_expr("[[x1, x2], x3 + x4]")
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize(
@@ -232,6 +274,80 @@ def test_flat_word_printer_matches_recursive_printer():
         assert parse_expr(text, letter) == LeftNormed(word)
         scaled = format_expr(Scale(Fraction(-3, 2), LeftNormed(word)), letter)
         assert scaled == f"-3/2*{_format_nested(word, letter)}"
+
+
+def _seed_format(e, letter="x"):
+    """The printer as it was before sums printed in one loop (the oracle of
+    `format_expr`): a generator of (coefficient, factor text) pairs through
+    `format_terms`."""
+    if isinstance(e, (LeftNormed, Gen, Bracket)):
+        return _seed_factor(e, letter)
+    terms = e.parts if isinstance(e, Sum) else (e,)
+    return format_terms(
+        (t.coeff, _seed_factor(t.arg, letter))
+        if isinstance(t, Scale)
+        else (1, _seed_factor(t, letter))
+        for t in terms
+    )
+
+
+def _seed_factor(e, letter):
+    if isinstance(e, LeftNormed):
+        return _format_nested(e.indices, letter)
+    if isinstance(e, Gen):
+        return f"{letter}{e.index}"
+    if isinstance(e, Bracket):
+        return f"[{_seed_format(e.left, letter)}, {_seed_format(e.right, letter)}]"
+    return f"({_seed_format(e, letter)})"
+
+
+COEFFS = st.builds(
+    Fraction, st.integers(-7, 7).filter(bool), st.integers(1, 6)
+).map(as_coeff).filter(lambda c: c != 1)
+LEAVES = st.one_of(
+    st.builds(Gen, st.integers(1, 12)),
+    st.lists(st.integers(1, 12), min_size=2, max_size=7).map(
+        lambda w: LeftNormed(tuple(w))
+    ),
+)
+# parser-shaped trees: brackets in the parser's word shape, scaled factors
+# (a scaled Sum prints parenthesised) and sums of two or more terms (a sum
+# inside a sum prints parenthesised too)
+PARSER_TREES = st.recursive(
+    LEAVES,
+    lambda kids: st.one_of(
+        st.tuples(kids, kids).map(lambda lr: _bracket(*lr)),
+        st.tuples(COEFFS, kids).map(lambda ce: Scale(*ce)),
+        st.lists(kids, min_size=2, max_size=4).map(lambda ps: Sum(tuple(ps))),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=400)
+@given(PARSER_TREES, st.sampled_from("xz"))
+def test_printer_round_trip_and_seed_printer(e, letter):
+    text = format_expr(e, letter)
+    assert parse_expr(text, letter) == e
+    assert text == _seed_format(e, letter)
+
+
+def test_parser_trees_cover_the_shapes():
+    seen = set()
+
+    @settings(max_examples=300)
+    @given(PARSER_TREES)
+    def collect(e):
+        seen.add(type(e))
+        if isinstance(e, Sum):
+            seen.update(("sum of " + type(p).__name__) for p in e.parts)
+        if isinstance(e, Scale):
+            seen.add("scaled " + type(e.arg).__name__)
+            if type(e.coeff) is Fraction:
+                seen.add("fraction")
+
+    collect()
+    assert {Bracket, Sum, Scale, "sum of Sum", "scaled Sum", "fraction"} <= seen
 
 
 def test_helpers():

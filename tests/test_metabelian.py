@@ -1,12 +1,17 @@
 """Normal forms, bracket rule, Fox derivatives, lift, grading."""
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metalie.metabelian as mb
+from metalie import polyring
 from metalie.lieexpr import (
     Bracket,
     Gen,
@@ -20,7 +25,7 @@ from metalie.lieexpr import (
     scale_expr,
     sum_exprs,
 )
-from metalie.polyring import Polynomial, y_column
+from metalie.polyring import Polynomial, _mono_ops, y_column
 
 
 def tp(f):
@@ -312,6 +317,198 @@ class TestLift:
         texts = [format_expr(mb.lift(f)) for f in pinned_lift_elements()]
         digests = [hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts]
         assert digests == PINNED_LIFT_DIGESTS
+
+    def test_matches_sorting_lift(self):
+        for f in oracle_lift_elements():
+            assert mb.lift(f) == sorting_lift(f)
+
+    def test_sorts_no_term_map(self, monkeypatch):
+        # every term is read once from the Fox row, in stored order; the
+        # oracle shows the counter sees a sort when there is one
+        calls = []
+        real = polyring.SparseTerms.sorted_terms
+        monkeypatch.setattr(
+            polyring.SparseTerms,
+            "sorted_terms",
+            lambda self: calls.append(self) or real(self),
+        )
+        elements = oracle_lift_elements()
+        for f in elements:
+            mb.lift(f)
+        assert calls == []
+        sorting_lift(elements[1])
+        assert calls
+
+
+def sorting_lift(f):
+    """The lift as it was before groups were sorted without a key (the
+    oracle of `mb.lift`): every Fox-row term in print order through
+    `sorted_terms`, letters spelled out here, grouped by (-m, i), each
+    coefficient through `scale_expr` and the whole through `sum_exprs`."""
+    terms = [scale_expr(c, Gen(i)) for i, c in enumerate(f.linear, 1) if c]
+    groups = {}
+    for i, p in enumerate(f.tpart, 1):
+        for mono, c in p.sorted_terms():
+            word = tuple(j for j, e in enumerate(mono, 1) for _ in range(e))
+            if not word or word[-1] <= i:
+                continue
+            word = (i, word[-1], *word[:-1])
+            if len(word) % 2 == 0:
+                c = -c
+            groups.setdefault((-word[1], i), []).append(scale_expr(c, LeftNormed(word)))
+    for key in sorted(groups):
+        terms += groups[key]
+    return sum_exprs(terms)
+
+
+def oracle_lift_elements():
+    """Seeded elements of M_n at ranks 2-6: sums of left-normed words and
+    brackets of words of degree up to 8 with Fraction coefficients, some
+    with a rational linear part, plus zero and purely linear elements."""
+    rng = random.Random(2525)
+    out = []
+    for k in range(60):
+        rank = 2 + k % 5
+        if k % 10 == 0:
+            out.append(mb.zero(rank))
+            continue
+        terms = []
+        if k % 3 == 0 or k % 10 == 5:
+            for i in range(1, rank + 1):
+                c = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5]))
+                terms.append(scale_expr(c, Gen(i)))
+        if k % 10 != 5:  # k % 10 == 5: purely linear
+            for _ in range(rng.randint(1, 5)):
+                word = left_normed(
+                    rng.randint(1, rank) for _ in range(rng.randint(2, 8))
+                )
+                if rng.random() < 0.25:
+                    word = Bracket(word, left_normed((rng.randint(1, rank), 1)))
+                c = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 1, 3, 4]))
+                terms.append(scale_expr(c, word))
+        out.append(mb.evaluate(sum_exprs(terms), rank))
+    assert any(mb.is_derived(f) and not f.is_zero() for f in out)
+    return out
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(1, 8).flatmap(
+                lambda d: st.lists(
+                    st.lists(st.integers(1, n), min_size=d, max_size=d).map(
+                        lambda w: tuple(sorted(w))
+                    ),
+                    min_size=2,
+                    max_size=12,
+                    unique=True,
+                )
+            ),
+        )
+    )
+)
+def test_letter_order_is_print_order(case):
+    # for ascending letter tuples of one length, plain tuple order is the
+    # print order of their monomials, which is what lets `lift` sort its
+    # groups with no key
+    n, words = case
+    key = _mono_ops(n)[1]
+
+    def mono(word):
+        return tuple(word.count(j) for j in range(1, n + 1))
+
+    assert [mono(w) for w in sorted(words)] == sorted(map(mono, words), key=key)
+
+
+def rational_images(rng, rank):
+    """Images that are not generators: each a linear form with rational
+    coefficients (some zero) plus a combination of short words."""
+    out = []
+    for _ in range(rank):
+        terms = [
+            scale_expr(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])), Gen(i))
+            for i in range(1, rank + 1)
+        ]
+        for _ in range(rng.randint(0, 2)):
+            word = left_normed(rng.randint(1, rank) for _ in range(rng.randint(2, 3)))
+            terms.append(scale_expr(rng.choice([-2, 1, Fraction(1, 2)]), word))
+        out.append(mb.evaluate(sum_exprs(terms), rank))
+    return out
+
+
+def product_bracket(u, v):
+    """[a+t, b+s] = a.s - b.t with Polynomial arithmetic, built through the
+    checking constructor (test-local oracle of the kernels' bracket)."""
+    n = u.rank
+
+    def lin(f):
+        a = Polynomial.zero(n)
+        for j, c in enumerate(f.linear, 1):
+            a = a + Polynomial.variable(n, j) * c
+        return a
+
+    a, b = lin(u), lin(v)
+    return mb.MElement(n, tuple(a * s - b * t for t, s in zip(u.tpart, v.tpart)))
+
+
+class TestEvalWithWords:
+    def test_word_is_a_fold_of_brackets(self):
+        rng = random.Random(2626)
+        for case in range(80):
+            rank = 2 + case % 4
+            images = rational_images(rng, rank)
+            word = tuple(rng.randint(1, rank) for _ in range(rng.randint(2, 8)))
+            want = reduce(product_bracket, [images[i - 1] for i in word])
+            assert mb.eval_with(LeftNormed(word), images) == want
+            c = Fraction(rng.choice([-3, 2, 5]), rng.choice([1, 2, 7]))
+            assert mb.eval_with(Scale(c, LeftNormed(word)), images) == want.scaled(c)
+
+    def test_images_have_rational_linear_parts(self):
+        rng = random.Random(2626)
+        images = rational_images(rng, 3)
+        assert any(type(c) is Fraction for f in images for c in f.linear)
+        assert all(f not in mb.generators(3) for f in images)
+
+
+class TestMElementContract:
+    """The linear part is computed once per element and kept outside the
+    dataclass fields."""
+
+    def test_read_element_equals_fresh_one(self):
+        rng = random.Random(2727)
+        for _ in range(20):
+            read = rand_element(rng, rng.randint(2, 5))
+            read.linear, read.linear_poly(), mb.lift(read)
+            fresh = mb.MElement(read.rank, read.tpart)
+            assert read == fresh and fresh == read
+            assert hash(read) == hash(fresh)
+            assert repr(read) == repr(fresh)
+            assert {read: 1}[fresh] == 1
+
+    def test_linear_part_is_kept(self):
+        f = ev("2*x1 - x3 + [x1,x2]", 3)
+        assert f.linear is f.linear
+        assert f.linear_poly() is f.linear_poly()
+        assert f.linear == (2, 0, -1)
+        assert str(f.linear_poly()) == "2*y1 - y3"
+
+    def test_fields_are_rank_and_tpart(self):
+        f = ev("x1 + [x1,x2]", 2)
+        f.linear
+        assert [fl.name for fl in dataclasses.fields(mb.MElement)] == ["rank", "tpart"]
+        assert [fl.name for fl in dataclasses.fields(f)] == ["rank", "tpart"]
+
+    def test_attributes_are_read_only(self):
+        f = ev("x1 + [x1,x2]", 2)
+        f.linear
+        for name, value in [("rank", 3), ("tpart", ()), ("linear", (0, 0))]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(f, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del f.linear
+        assert f.linear == (1, 0)
 
 
 class TestDegreeComponents:
