@@ -243,12 +243,7 @@ def _parse_factor(tokens: Tokens, letter: str, rank: int, depth: int) -> LieExpr
                 word = None
             left = _parse_element(tokens, letter, rank, inner, left)
         tokens.expect(",")
-        toks, i = tokens.toks, tokens.i
-        if toks[i] == letter and toks[i + 1].isdigit() and toks[i + 2] == "]":
-            # a lone generator, the usual right operand: no sum to read
-            right = _parse_factor(tokens, letter, rank, inner)
-        else:
-            right = _parse_element(tokens, letter, rank, inner)
+        right = _parse_element(tokens, letter, rank, inner)
         tokens.expect("]")
         if word is not None and isinstance(right, Gen):
             word.append(right.index)

@@ -207,7 +207,10 @@ def _eval_into(e: LieExpr, images, c: Scalar, slots: list) -> None:
         _add_bracket(slots, f, u, v)
         return
     if isinstance(e, Scale):
-        _eval_into(e.arg, images, as_coeff(c * e.coeff), slots)
+        # the product loop takes nonzero terms only: a zero multiplier stops here
+        c = as_coeff(c * e.coeff)
+        if c:
+            _eval_into(e.arg, images, c, slots)
         return
     if isinstance(e, Sum):
         for p in e.parts:

@@ -11,15 +11,16 @@ product loop, which takes the ring's product of two keys (exponent vectors,
 words, lambda monomials, or the (lambda monomial, symbols) keys of dyads and
 rows; for exponent vectors of length n, `_mono_ops(n)` writes the product
 and the print-order key out once per n, so a key product is n additions in
-one tuple display); `format_terms` prints every signed sum (polynomials,
-bracket expressions, lambda polynomials, dyad and row expressions,
-free-algebra polynomials), and `read_sum` reads one back for both text
-grammars (polynomials and bracket expressions) from the one tokenizer,
-`Tokens`, which cuts a text once into runs of ASCII digits and single other
-characters; `_minors`, a Laplace expansion over column subsets along the
-rows in order, gives the determinant, and its prefix tables the adjugate; and
-`RowSpace` is the one exact rational elimination, behind `solve_sparse`
-and `rational_inverse`, run fraction-free on integer rows.
+one tuple display); `format_term` prints every term of a signed sum and
+`format_terms` every sum but a bracket expression's (polynomials, lambda
+polynomials, dyad and row expressions, free-algebra polynomials), and
+`read_sum` reads one back for both text grammars (polynomials and bracket
+expressions) from the one tokenizer, `Tokens`, which cuts a text once into
+runs of ASCII digits and single other characters; `_minors`, a Laplace
+expansion over column subsets along the rows in order, gives the
+determinant, and its prefix tables the adjugate; and `RowSpace` is the one
+exact rational elimination, behind `solve_sparse` and `rational_inverse`,
+run fraction-free on integer rows.
 
 Only this module knows that a monomial of `Polynomial` is a tuple of
 exponents. Other modules reach monomials through the `Polynomial`
@@ -547,7 +548,8 @@ def format_term(c: Scalar, body: str, first: bool) -> str:
 
 def format_terms(pairs: Iterable) -> str:
     """The signed sum of (coefficient, body) pairs; "0" when there are none.
-    This is the package's one printer of signed sums."""
+    `lieexpr.format_expr` joins its terms the same way in its own loop: fed
+    through here, each nested bracket costs a generator."""
     chunks = [format_term(c, body, not i) for i, (c, body) in enumerate(pairs)]
     return " ".join(chunks) if chunks else "0"
 

@@ -90,6 +90,9 @@ class TestNf:
         assert "linear: (0, 0, 0)" in out
         assert "tpart:  (-y2, y1, 0)" in out
 
+    def test_zero_coefficient(self, capsys):
+        assert run(capsys, "nf", "0*[x1,x2]") == (0, "linear: (0, 0)\ntpart:  (0, 0)\n", "")
+
     def test_generator_inferred_rank(self, capsys):
         code, out, _ = run(capsys, "nf", "x1")
         assert code == 0

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metalie import lieexpr
 from metalie.lieexpr import (
     Bracket,
     Gen,
@@ -125,8 +124,7 @@ def test_parse_error_table(text, letter, rank, message, offset):
 
 
 # (text, rank, message, offset) for malformed right operands of a word
-# level, where a lone generator is read as one factor: the errors are the
-# ones the full element reader gives
+# level, recorded as literal data
 WORD_OPERAND_ERRORS = [
     ("[[x1,x2],x]", 0, "expected an integer", 10),
     ("[[x1,x2],x9]", 2, "generator index 9 out of range 1..2", 9),
@@ -146,23 +144,6 @@ def test_word_operand_errors(text, rank, message, offset):
         parse_expr(text, "x", rank)
     assert str(err.value) == f"{message} (at offset {offset})"
     assert err.value.position == offset
-
-
-@pytest.mark.parametrize("length", [2, 3, 5, 9])
-def test_word_letters_are_read_as_factors(length, monkeypatch):
-    # the top-level element and the word's first operand are the only
-    # elements read; each further letter is one factor
-    calls = []
-    real = lieexpr._parse_element
-    monkeypatch.setattr(
-        lieexpr, "_parse_element", lambda *a: calls.append(a) or real(*a)
-    )
-    word = tuple(range(1, length + 1))
-    assert parse_expr(format_expr(LeftNormed(word))) == LeftNormed(word)
-    assert len(calls) == 2
-    calls.clear()
-    parse_expr("[[x1, x2], x3 + x4]")
-    assert len(calls) == 3
 
 
 @pytest.mark.parametrize(
@@ -277,9 +258,9 @@ def test_flat_word_printer_matches_recursive_printer():
 
 
 def _seed_format(e, letter="x"):
-    """The printer as it was before sums printed in one loop (the oracle of
-    `format_expr`): a generator of (coefficient, factor text) pairs through
-    `format_terms`."""
+    """The printer as it was before word bodies were written inline (the
+    oracle of `format_expr`): one factor-printing call per term, its pairs
+    through `format_terms`."""
     if isinstance(e, (LeftNormed, Gen, Bracket)):
         return _seed_factor(e, letter)
     terms = e.parts if isinstance(e, Sum) else (e,)

@@ -127,6 +127,24 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             ev("x4", 3)
 
+    # a zero coefficient reaches the word and bracket branches as a zero
+    # multiplier; on generators and on non-generator images it gives zero
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0*[x1,x2]",
+            "0*[[x1,x2],x3]",
+            "0*[[x1,x2],[x3,x1]]",
+            "0*[x1,[x2,x3]]",
+            "0*x1 + 0*(x2 + [x1,x3])",
+        ],
+    )
+    def test_zero_coefficient(self, text):
+        assert ev(text, 3) == mb.zero(3)
+        images = rational_images(random.Random(7), 3)
+        assert mb.eval_with(parse_expr(text), images) == mb.zero(3)
+        assert ev(f"[x2,x1] + {text}", 3) == ev("[x2,x1]", 3)
+
     def test_linear_part_is_the_abelianization(self):
         # independent oracle: the abelianization read off the tree, where a
         # generator contributes its coefficient and a bracket contributes 0
