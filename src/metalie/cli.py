@@ -26,6 +26,10 @@ has at most `MAX_WORD_LENGTH` letters, any other nest ('(' or '[') at most
 bounds the output: `compose` of 'linear:[[1,1],[0,1]]' and "x1 + W; x2", W
 a left-normed word of n letters, prints about 6.2 n^2 bytes.
 
+Each command builds one result document, the dict that `--format
+structured` prints as JSON, and lays its text form out from that document,
+so every printed value is formatted once.
+
 Endomorphisms are given either as a JSON document {"rank": n, "images":
 [...]} (inline or as a file path), as a semicolon-separated list of bracket
 expressions ("x1 + [x2,x3]; x2; x3"), or through the constructor shorthands
@@ -63,11 +67,13 @@ class _UsageError(ValueError):
     """A command line the parser rejects, or an option value out of range."""
 
 
-def _emit(args, text_fn, doc_fn):
+def _emit(args, doc: dict, layout):
+    """Print a command's result document: as JSON, or as the text that
+    `layout` lays out from it."""
     if args.format == "structured":
-        print(json.dumps(doc_fn(), indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(text_fn())
+        print(layout(doc))
 
 
 # -- endomorphism input/output ------------------------------------------------
@@ -147,32 +153,17 @@ def endo_doc(phi: endos.Endo) -> dict:
     }
 
 
-def endo_text(phi: endos.Endo) -> str:
-    doc = endo_doc(phi)
-    lines = [f"rank {phi.rank}"]
-    lines += [f"x{i + 1} -> {img}" for i, img in enumerate(doc["images"])]
-    return "\n".join(lines)
-
-
-def melement_doc(f: mb.MElement) -> dict:
-    return {
-        "rank": f.rank,
-        "linear": [str(c) for c in f.linear],
-        "tpart": [str(p) for p in f.tpart],
-    }
-
-
-def melement_text(f: mb.MElement) -> str:
-    lin = ", ".join(str(c) for c in f.linear)
-    tp = ", ".join(str(p) for p in f.tpart)
-    return f"linear: ({lin})\ntpart:  ({tp})"
-
-
-def jacobian_doc(j) -> list:
-    return [[str(p) for p in row] for row in j.rows]
+def _endo_layout(doc: dict) -> str:
+    images = (f"x{i} -> {img}" for i, img in enumerate(doc["images"], 1))
+    return "\n".join((f"rank {doc['rank']}", *images))
 
 
 # -- subcommands --------------------------------------------------------------
+
+
+def _nf_layout(doc: dict) -> str:
+    lin, tp = ", ".join(doc["linear"]), ", ".join(doc["tpart"])
+    return f"linear: ({lin})\ntpart:  ({tp})"
 
 
 def cmd_nf(args) -> int:
@@ -183,22 +174,27 @@ def cmd_nf(args) -> int:
     if top > rank:
         raise ValueError(f"expression uses x{top} but rank is {rank}")
     value = mb.evaluate(expr, rank)
-    _emit(args, lambda: melement_text(value), lambda: melement_doc(value))
+    doc = {
+        "rank": rank,
+        "linear": [str(c) for c in value.linear],
+        "tpart": [str(p) for p in value.tpart],
+    }
+    _emit(args, doc, _nf_layout)
     return 0
 
 
 def cmd_jac(args) -> int:
     phi = load_endo(args.endo, args.rank)
-    j = endos.jacobian(phi)
-    _emit(args, lambda: str(j), lambda: {"rank": phi.rank, "jacobian": jacobian_doc(j)})
+    rows = [[str(p) for p in row] for row in endos.jacobian(phi).rows]
+    doc = {"rank": phi.rank, "jacobian": rows}
+    _emit(args, doc, lambda d: "\n".join(f"[{', '.join(r)}]" for r in d["jacobian"]))
     return 0
 
 
 def cmd_compose(args) -> int:
     phi = load_endo(args.endo, args.rank)
     psi = load_endo(args.other, args.rank)
-    comp = endos.compose(phi, psi)
-    _emit(args, lambda: endo_text(comp), lambda: endo_doc(comp))
+    _emit(args, endo_doc(endos.compose(phi, psi)), _endo_layout)
     return 0
 
 
@@ -206,10 +202,10 @@ def cmd_inverse(args) -> int:
     phi = load_endo(args.endo, args.rank)
     inv = endos.inverse(phi)
     if inv is None:
-        verdict = {"rank": phi.rank, "verdict": "NotAutomorphism"}
-        _emit(args, lambda: "NotAutomorphism", lambda: verdict)
+        doc = {"rank": phi.rank, "verdict": "NotAutomorphism"}
+        _emit(args, doc, lambda d: d["verdict"])
     else:
-        _emit(args, lambda: endo_text(inv), lambda: endo_doc(inv))
+        _emit(args, endo_doc(inv), _endo_layout)
     return 0
 
 
@@ -217,11 +213,8 @@ def cmd_iaut_level(args) -> int:
     phi = load_endo(args.endo, args.rank)
     level = endos.iaut_level(phi)
     rendered = "infinity" if level == float("inf") else int(level)
-    _emit(
-        args,
-        lambda: f"iaut level: {rendered}",
-        lambda: {"rank": phi.rank, "iaut_level": rendered},
-    )
+    doc = {"rank": phi.rank, "iaut_level": rendered}
+    _emit(args, doc, lambda d: f"iaut level: {d['iaut_level']}")
     return 0
 
 
@@ -235,41 +228,39 @@ def _check_limit(option: str, value: int, limit: int):
 def cmd_replay_bn(args) -> int:
     _check_limit("--factors", args.factors, MAX_FACTORS)
     report = dyadic.residual_check(args.factors)
-    _emit(args, report.to_text, report.to_doc)
+    _emit(args, report.to_doc(), report.layout)
     return 0
 
 
 def cmd_replay_oe(args) -> int:
     _check_limit("--rank", args.rank, MAX_OE_RANK)
     report = freeassoc.replay(args.rank, include_witness=args.witness)
-    _emit(args, report.to_text, report.to_doc)
+    _emit(args, report.to_doc(), report.layout)
     return 0
+
+
+def _verify_layout(doc: dict) -> str:
+    lines = []
+    for s in doc["suites"]:
+        status = "pass" if s["passed"] else "FAIL"
+        lines.append(f"{s['name']}: {status} ({s['cases']} cases)")
+        lines += [f"  {line}" for line in s["failures"]]
+    total = doc["total"]
+    status = "pass" if total["passed"] else "FAIL"
+    lines.append(f"total: {total['cases']} cases, {status}")
+    return "\n".join(lines)
 
 
 def cmd_verify(args) -> int:
     names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
     results = verify_mod.run_suites(names, args.seed)
+    suites = [
+        {"name": r.name, "passed": r.passed, "cases": r.cases, "failures": r.failures}
+        for r in results
+    ]
     passed = all(r.passed for r in results)
-    total = sum(r.cases for r in results)
-
-    def text():
-        lines = []
-        for res in results:
-            status = "pass" if res.passed else "FAIL"
-            lines.append(f"{res.name}: {status} ({res.cases} cases)")
-            lines += [f"  {line}" for line in res.failures]
-        lines.append(f"total: {total} cases, {'pass' if passed else 'FAIL'}")
-        return "\n".join(lines)
-
-    def doc():
-        suites = [
-            {"name": r.name, "passed": r.passed, "cases": r.cases,
-             "failures": r.failures}
-            for r in results
-        ]
-        return {"suites": suites, "total": {"cases": total, "passed": passed}}
-
-    _emit(args, text, doc)
+    total = {"cases": sum(r.cases for r in results), "passed": passed}
+    _emit(args, {"suites": suites, "total": total}, _verify_layout)
     return 0 if passed else 2
 
 

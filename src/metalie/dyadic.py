@@ -335,19 +335,6 @@ class RowExpr(_SymbolTerms):
         )
         return RowExpr._raw(None, out)
 
-    def substituted(self, pair: Pair, value: Scalar) -> "RowExpr":
-        pair = tuple(pair)
-        value = as_coeff(value)
-        out: dict = {}
-        _add_into(
-            out,
-            (
-                ((tuple(p for p in m if p != pair), row), c * value ** m.count(pair))
-                for (m, row), c in self.terms.items()
-            ),
-        )
-        return RowExpr._raw(None, out)
-
 
 def row_mul(i: int, x: DyadExpr) -> RowExpr:
     """Left-multiply a dyad expression by the row symbol Psi_i."""
@@ -371,41 +358,37 @@ def derive_reduced_relation(k: int = 3) -> RowExpr:
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    label: str
-    text: str
-    terms: Tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class ResidualReport:
-    """Outcome of the reduction replay: the derivation steps, the reduced
-    relation, and the surviving Psi_1 coefficient."""
+    """Outcome of the reduction replay: the derivation steps, each a
+    (label, equation, terms) triple of texts, the reduced relation, and the
+    surviving Psi_1 coefficient."""
 
     k: int
-    steps: Tuple[TraceStep, ...]
+    steps: Tuple[Tuple[str, str, Tuple[str, ...]], ...]
     reduced: RowExpr
     psi1_coefficient: ScalarPoly
     residual_survives: bool
     reduced_text: str = field(compare=False, repr=False)
 
-    def to_text(self) -> str:
-        lines = []
-        for step in self.steps:
-            lines.append(f"[{step.label}] {step.text}")
-        return "\n".join(lines)
-
     def to_doc(self) -> dict:
         return {
             "factors": self.k,
             "steps": [
-                {"label": s.label, "equation": s.text, "terms": list(s.terms)}
-                for s in self.steps
+                {"label": label, "equation": text, "terms": list(terms)}
+                for label, text, terms in self.steps
             ],
             "reduced_relation": self.reduced_text,
             "psi1_coefficient": str(self.psi1_coefficient),
             "residual_survives": self.residual_survives,
         }
+
+    @staticmethod
+    def layout(doc: dict) -> str:
+        """The text form, laid out from a `to_doc()` document."""
+        return "\n".join(f"[{s['label']}] {s['equation']}" for s in doc["steps"])
+
+    def to_text(self) -> str:
+        return self.layout(self.to_doc())
 
 
 def residual_check(k: int = 3) -> ResidualReport:
@@ -415,7 +398,7 @@ def residual_check(k: int = 3) -> ResidualReport:
     lhs, eq1, eq2, reduced = _relations(k)
     factor_texts = tuple(f"E + Φ{i}Ψ{i}" for i in range(1, k + 1))
     prod_str = "".join(f"({f})" for f in factor_texts)
-    steps = [TraceStep("P", f"{prod_str} = E - Y∂z", factor_texts)]
+    steps = [("P", f"{prod_str} = E - Y∂z", factor_texts)]
     for label, template, x in (
         ("X", "{} = -Y∂z", lhs),
         ("R1", "Ψ1 * X:  {} = 0", eq1),
@@ -426,20 +409,18 @@ def residual_check(k: int = 3) -> ResidualReport:
         pairs = x._term_pairs()
         text = format_terms(pairs)
         terms = tuple(format_term(c, body, True) for c, body in pairs)
-        steps.append(TraceStep(label, template.format(text), terms))
+        steps.append((label, template.format(text), terms))
     psi1 = reduced.coefficient(psi_sym(1))
     survives = psi1 == lam(2, 1)
     if not survives:
         raise AssertionError(
             f"expected the reduced relation to keep λ21*Ψ1, got {psi1}"
         )
-    steps.append(
-        TraceStep(
-            "verdict",
-            "coefficient of Ψ1 in R is the nonzero indeterminate λ21; "
-            "the reduced relation is not triangular in Ψ2, Ψ3, ...",
-        )
+    verdict = (
+        "coefficient of Ψ1 in R is the nonzero indeterminate λ21; "
+        "the reduced relation is not triangular in Ψ2, Ψ3, ..."
     )
+    steps.append(("verdict", verdict, ()))
     # text is str(reduced), printed for the step R
     return ResidualReport(k, tuple(steps), reduced, psi1, survives, text)
 

@@ -74,9 +74,6 @@ class Endo:
         """Row i = linear part of the image of x_{i+1}."""
         return [list(img.linear) for img in self.images]
 
-    def is_identity(self) -> bool:
-        return self.images == mb.generators(self.rank)
-
 
 def identity(rank: int) -> Endo:
     return Endo(rank, mb.generators(rank))
@@ -177,7 +174,7 @@ def jacobian(phi: Endo) -> PolyMatrix:
 def induced_poly_images(phi: Endo) -> List[Polynomial]:
     """The degree <= 1 polynomials y_i -> linear part of image i, i.e. the
     substitution data for the induced endomorphism of K[y1..yn]."""
-    return [img.linear_poly() for img in phi.images]
+    return [img.linear_poly for img in phi.images]
 
 
 def apply_induced(phi: Endo, target):

@@ -196,35 +196,6 @@ class TraceReplay:
     in_commutators: bool
     witness: Optional[WitnessSearch]
 
-    def to_text(self) -> str:
-        lines = [
-            f"rank n = {self.rank}",
-            f"source Lie monomial: {format_expr(self.source_expr, 'z')}",
-            f"d/dz1 of its expansion: {self.derivative}",
-            "cyclic-class sums:",
-        ]
-        for word, coeff in self.signature:
-            lines.append(f"  class({NCPoly._format_key(word) or '1'}): {coeff}")
-        lines.append(
-            f"in commutator subspace [U,U]: {'yes' if self.in_commutators else 'no'}"
-        )
-        w = self.witness
-        if w is not None:
-            lines.append(
-                "witness search over degree-4 second-derived corrections "
-                f"({w.unknowns} unknowns, {w.equations} cyclic-class equations):"
-            )
-            lines.append(f"  solvable: {'yes' if w.solvable else 'no'}")
-            if w.solvable:
-                for i, expr in w.witness_exprs:
-                    lines.append(f"  v{i} = {format_expr(expr, 'z')}")
-                if not w.witness_exprs:
-                    lines.append("  all v_i = 0")
-                lines.append(f"  corrected sum in [U,U]: "
-                             f"{'verified' if w.verified else 'FAILED'}")
-            lines.append(f"  null space dimension: {w.null_space_dimension}")
-        return "\n".join(lines)
-
     def to_doc(self) -> dict:
         doc = {
             "rank": self.rank,
@@ -249,6 +220,36 @@ class TraceReplay:
                 "verified": w.verified,
             }
         return doc
+
+    @staticmethod
+    def layout(doc: dict) -> str:
+        """The text form, laid out from a `to_doc()` document."""
+        yes = {True: "yes", False: "no"}
+        lines = [
+            f"rank n = {doc['rank']}",
+            f"source Lie monomial: {doc['source']}",
+            f"d/dz1 of its expansion: {doc['derivative']}",
+            "cyclic-class sums:",
+            *(f"  class({c['class']}): {c['sum']}" for c in doc["cyclic_signature"]),
+            f"in commutator subspace [U,U]: {yes[doc['in_commutator_subspace']]}",
+        ]
+        w = doc.get("witness_search")
+        if w is not None:
+            lines += [
+                "witness search over degree-4 second-derived corrections "
+                f"({w['unknowns']} unknowns, {w['equations']} cyclic-class equations):",
+                f"  solvable: {yes[w['solvable']]}",
+            ]
+            if w["solvable"]:
+                witness = [f"  {v} = {expr}" for v, expr in w["witness"].items()]
+                lines += witness or ["  all v_i = 0"]
+                verified = "verified" if w["verified"] else "FAILED"
+                lines.append(f"  corrected sum in [U,U]: {verified}")
+            lines.append(f"  null space dimension: {w['null_space_dimension']}")
+        return "\n".join(lines)
+
+    def to_text(self) -> str:
+        return self.layout(self.to_doc())
 
 
 def source_monomial() -> LieExpr:

@@ -79,7 +79,8 @@ class MElement:
         return tuple(p.constant_term() for p in self.tpart)
 
     @cached_property
-    def _linear_poly(self) -> Polynomial:
+    def linear_poly(self) -> Polynomial:
+        """The linear part as a degree <= 1 polynomial in y1..yn."""
         return Polynomial._linear(self.rank, self.linear)
 
     def is_zero(self) -> bool:
@@ -107,10 +108,6 @@ class MElement:
     def scaled(self, c: Scalar) -> "MElement":
         c = as_coeff(c)
         return MElement._raw(self.rank, tuple(p * c for p in self.tpart))
-
-    def linear_poly(self) -> Polynomial:
-        """The linear part as a degree <= 1 polynomial in y1..yn."""
-        return self._linear_poly
 
 
 def in_m(row) -> bool:
@@ -163,8 +160,8 @@ def _add_bracket(slots, f: dict, u: MElement, v: MElement):
     u = a+t, v = b+s and a polynomial f given as a term map."""
     mul = _mono_ops(u.rank)[0]
     a, nb = {}, {}
-    _mul_into(a, f, u.linear_poly().terms, mul)
-    _mul_into(nb, {k: -c for k, c in f.items()}, v.linear_poly().terms, mul)
+    _mul_into(a, f, u.linear_poly.terms, mul)
+    _mul_into(nb, {k: -c for k, c in f.items()}, v.linear_poly.terms, mul)
     for acc, t, s in zip(slots, u.tpart, v.tpart):
         _mul_into(acc, a, s.terms, mul)
         _mul_into(acc, nb, t.terms, mul)
@@ -203,7 +200,7 @@ def _eval_into(e: LieExpr, images, c: Scalar, slots: list) -> None:
         f = {(0,) * n: -c if len(idx) % 2 else c}
         for i in idx[2:]:
             f, g = {}, f
-            _mul_into(f, g, _image(images, i, n).linear_poly().terms, mul)
+            _mul_into(f, g, _image(images, i, n).linear_poly.terms, mul)
         _add_bracket(slots, f, u, v)
         return
     if isinstance(e, Scale):

@@ -233,6 +233,10 @@ class SparseTerms:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _raw, past the guard above
+        return (self._raw, (self._dim, self.terms))
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -702,6 +706,9 @@ class PolyMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
+
+    def __reduce__(self):
+        return (self._raw, (self.nvars, self.rows))
 
     @classmethod
     def identity(cls, nvars: int, n: int) -> "PolyMatrix":

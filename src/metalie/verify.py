@@ -220,11 +220,8 @@ def commutator_row_space(rank: int, degree: int) -> RowSpace:
         for length in range(1, degree)
     }
     for lu in range(1, degree):
-        lv = degree - lu
-        if lv < 1:
-            continue
         for u in words_by_len[lu]:
-            for v in words_by_len[lv]:
+            for v in words_by_len[degree - lu]:
                 if u + v != v + u:
                     space.add({u + v: 1, v + u: -1})
     return space

@@ -227,8 +227,9 @@ class TestReducedRelation:
         assert dy.derive_reduced_relation().coefficient(psi(2)).is_zero()
 
     def test_substituting_away_the_residual(self):
-        reduced = dy.derive_reduced_relation().substituted((2, 1), 0)
-        assert reduced == dy.RowExpr({psi(3): lam(2, 3)})
+        reduced = dy.derive_reduced_relation()
+        assert reduced.coefficient(psi(1)).substituted((2, 1), 0).is_zero()
+        assert reduced.coefficient(psi(3)).substituted((2, 1), 0) == lam(2, 3)
 
     def test_two_factors_degenerate(self):
         assert dy.derive_reduced_relation(2) == dy.RowExpr({psi(1): lam(2, 1)})
@@ -533,9 +534,9 @@ class TestNormalizedResults:
             assert_normalized(dy.row_mul(i, a))
 
     @settings(max_examples=60)
-    @given(row_exprs, row_exprs, scalar_polys, _pairs, _rats)
-    def test_row_expr_operations(self, r, q, s, pair, c):
-        for x in (r + q, r - q, r - r, r.scaled(s), r.substituted(pair, c)):
+    @given(row_exprs, row_exprs, scalar_polys)
+    def test_row_expr_operations(self, r, q, s):
+        for x in (r + q, r - q, r - r, r.scaled(s)):
             assert_normalized(x)
 
     @pytest.mark.parametrize("k", range(1, 9))

@@ -148,7 +148,7 @@ class TestApplyCompose:
 
     def test_inner_inverse_pair(self):
         z = ev("[x1,x2]", 3)
-        assert en.compose(en.inner(3, z), en.inner(3, -z)).is_identity()
+        assert en.compose(en.inner(3, z), en.inner(3, -z)) == en.identity(3)
 
     def test_compose_rank_mismatch(self):
         with pytest.raises(ValueError):
@@ -507,8 +507,8 @@ class TestInverse:
             phi = en.random_tame(rank, case, length, 2)
             inv = en.inverse(phi)
             assert inv is not None
-            assert en.compose(phi, inv).is_identity()
-            assert en.compose(inv, phi).is_identity()
+            assert en.compose(phi, inv) == en.identity(rank)
+            assert en.compose(inv, phi) == en.identity(rank)
             again = en.inverse(inv)
             assert again == phi
 
@@ -651,7 +651,7 @@ class TestIautLevel:
 
 class TestRandomTame:
     def test_length_zero_is_identity(self):
-        assert en.random_tame(3, 5, 0).is_identity()
+        assert en.random_tame(3, 5, 0) == en.identity(3)
 
     def test_deterministic(self):
         a = en.random_tame(4, 42, 3, 3)
@@ -723,7 +723,7 @@ class TestCoefficientConvention:
     def test_rational_inputs_stay_exact(self, seed):
         phi = en.random_tame(3, seed, 3, 3)
         inv = en.inverse(phi)
-        assert inv is not None and en.compose(inv, phi).is_identity()
+        assert inv is not None and en.compose(inv, phi) == en.identity(3)
         value = mb.evaluate(ex("1/2*[[x1,x2],x3] - 2/3*x2"), 3)
         assert_exact(endo_coeffs(phi, inv, en.compose(inv, phi)))
         assert_exact(melement_coeffs(value, value.scaled(Fraction(3, 4)), mb.bracket(value, value)))

@@ -1,6 +1,9 @@
 """Exact substrate tests: polynomials, matrices, determinants, solving."""
 
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from math import comb, gcd
@@ -11,8 +14,9 @@ from hypothesis import strategies as st
 
 from metalie import endos, polyring
 from metalie.dyadic import DyadExpr, RowExpr, ScalarPoly, dyad_mul, phi_sym, psi_sym
-from metalie.freeassoc import NCPoly
-from metalie.metabelian import MElement
+from metalie.freeassoc import NCPoly, replay
+from metalie.lieexpr import parse_expr
+from metalie.metabelian import MElement, evaluate
 from metalie.polyring import (
     MAX_MINORS,
     ParseError,
@@ -267,6 +271,48 @@ class TestSparseTerms:
             with pytest.raises(AttributeError):
                 x.terms = {}
             assert hash(x) == hash(x * 1)
+
+
+def _element_read_once() -> MElement:
+    # the linear part, kept outside the fields after the first read, is
+    # copied along
+    m = evaluate(parse_expr("1/2*x1 - [x1,x2] + 2/3*[[x1,x2],x2]", "x", 2), 2)
+    m.linear_poly
+    return m
+
+
+# one value of each kernel type, rational where the type holds coefficients
+COPYABLE = {
+    "Polynomial": lambda: Polynomial(2, {(1, 0): Fraction(1, 2), (0, 2): -3}),
+    "NCPoly": lambda: NCPoly(3, {(1, 2): 2, (): Fraction(-1, 3)}),
+    "ScalarPoly": lambda: ScalarPoly({((1, 2), (2, 3)): Fraction(3, 4), (): 1}),
+    "DyadExpr": lambda: DyadExpr.identity() + DyadExpr.dyad(phi_sym(1), psi_sym(2)),
+    "RowExpr": lambda: RowExpr({psi_sym(1): ScalarPoly({((2, 1),): Fraction(1, 2)})}),
+    "PolyMatrix": lambda: PolyMatrix(2, [[Polynomial(2, {(1, 0): Fraction(1, 2)}), 1]]),
+    "MElement": _element_read_once,
+    "Endo": lambda: endos.random_tame(3, 1, 2, 2),
+    "TraceReplay": lambda: replay(4),
+}
+
+
+@pytest.mark.parametrize("make", COPYABLE.values(), ids=COPYABLE)
+def test_values_copy_and_pickle(make):
+    """pickle, copy.copy and copy.deepcopy rebuild an equal value with the
+    same hash that is still immutable; dataclasses.astuple runs on the
+    dataclass values, and an MElement rebuilds from its tuple."""
+    x = make()
+    copies = [pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)]
+    if dataclasses.is_dataclass(x):
+        fields = dataclasses.astuple(x)
+        assert fields == dataclasses.astuple(copies[0])
+        assert hash(fields) == hash(dataclasses.astuple(copies[2]))
+    if type(x) is MElement:
+        copies.append(MElement(*dataclasses.astuple(x)))
+    for y in copies:
+        assert type(y) is type(x)
+        assert y == x and hash(y) == hash(x)
+        with pytest.raises(AttributeError):
+            y.terms = {}
 
 
 class TestSubstitute:
