@@ -105,7 +105,10 @@ def load_endo(spec: str, rank: int = 0) -> endos.Endo:
         matrix = _json(spec[len("linear:") :])
         if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
             raise ValueError("linear: matrix must be a JSON list of rows")
-        _check_limit("linear: matrix size", len(matrix), MAX_RANK)
+        n = len(matrix)
+        _check_limit("linear: matrix size", n, MAX_RANK)
+        if rank and rank != n:
+            raise ValueError(f"--rank {rank} does not match endomorphism rank {n}")
         for i, row in enumerate(matrix):
             for j, c in enumerate(row):
                 if not _is_int(c):

@@ -256,13 +256,6 @@ class DyadExpr(_SymbolTerms):
     def dyad(cls, col: ColSym, row: RowSym, coeff: ScalarPoly = None) -> "DyadExpr":
         return cls(ScalarPoly.zero(), {(col, row): coeff or ScalarPoly.one()})
 
-    @property
-    def scalar(self) -> ScalarPoly:
-        """The coefficient of E."""
-        return ScalarPoly._raw(
-            None, {m: c for (m, col, _), c in self.terms.items() if col == E_SYM}
-        )
-
 
 def dyad_mul(a: DyadExpr, b: DyadExpr) -> DyadExpr:
     """Bilinear product with the contraction rule
@@ -430,19 +423,15 @@ def residual_check(k: int = 3) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-def instantiate(
-    expr,
-    phis: Mapping[int, PolyMatrix],
-    psis: Mapping[int, PolyMatrix],
-    dz_row: Optional[PolyMatrix] = None,
-):
+def instantiate(expr, phis: Mapping[int, PolyMatrix], psis: Mapping[int, PolyMatrix]):
     """Ground a DyadExpr (to an n x n PolyMatrix) or RowExpr (to a 1 x n row)
-    with concrete columns Phi_i, rows Psi_i and optionally the row dz, where
-    n is the variable count, the length of the column Y.
+    with concrete columns Phi_i and rows Psi_i, where n is the variable
+    count, the length of the column Y. The row dz is never grounded: an
+    expression with a dz term raises ValueError ("assignment missing ∂z").
 
     The assignment is checked before any product: every Phi_i must be n x 1,
-    every Psi_i and dz 1 x n, and every Psi_i must satisfy Psi_i Phi_i = 0
-    and Psi_i Y = 0; lambda_ij is then the 1 x 1 product Psi_i Phi_j.
+    every Psi_i 1 x n, and every Psi_i must satisfy Psi_i Phi_i = 0 and
+    Psi_i Y = 0; lambda_ij is then the 1 x 1 product Psi_i Phi_j.
 
     One pass over the terms sums each column symbol's row combination, the
     sum of c * (grounded monomial) * row over its terms. A RowExpr grounds to
@@ -452,15 +441,13 @@ def instantiate(
     """
     if not isinstance(expr, (DyadExpr, RowExpr)):
         raise TypeError("expected a DyadExpr or RowExpr")
-    some = next(iter(psis.values()), None) or next(iter(phis.values()), None) or dz_row
+    some = next(iter(psis.values()), None) or next(iter(phis.values()), None)
     if some is None:
         raise ValueError("assignment is empty")
     n = nvars = some.nvars
     ycol = y_column(nvars)
     cols = {phi_sym(i): phi for i, phi in phis.items()}
     rows = {psi_sym(i): psi for i, psi in psis.items()}
-    if dz_row is not None:
-        rows[DZ_ROW] = dz_row
     for given, shape, kind in ((cols, (n, 1), "column"), (rows, (1, n), "row")):
         for sym, m in given.items():
             if m.shape != shape or m.nvars != nvars:

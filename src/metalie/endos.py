@@ -177,12 +177,12 @@ def induced_poly_images(phi: Endo) -> List[Polynomial]:
     return [img.linear_poly for img in phi.images]
 
 
-def apply_induced(phi: Endo, target):
-    """Apply the induced polynomial-ring endomorphism to a Polynomial or to
-    a PolyMatrix entrywise."""
-    if isinstance(target, (Polynomial, PolyMatrix)):
+def apply_induced(phi: Endo, target: PolyMatrix) -> PolyMatrix:
+    """Apply the induced polynomial-ring endomorphism to a PolyMatrix in
+    y1..yn entrywise: phibar of the chain rule, on a Jacobian."""
+    if isinstance(target, PolyMatrix):
         return target.substitute(induced_poly_images(phi))
-    raise TypeError("expected a Polynomial or PolyMatrix")
+    raise TypeError("expected a PolyMatrix")
 
 
 def conjugate_elementary(alpha: Sequence[Sequence], f: LieExpr, rank: int):

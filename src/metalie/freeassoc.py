@@ -72,12 +72,6 @@ class NCPoly(SparseTerms):
     def constant_term(self) -> Scalar:
         return self.terms.get((), 0)
 
-    def degree(self) -> int:
-        """Maximal word length; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(len(w) for w in self.terms)
-
     def homogeneous_component(self, d: int) -> "NCPoly":
         return NCPoly._raw(
             self._dim, {w: c for w, c in self.terms.items() if len(w) == d}
@@ -149,8 +143,8 @@ def in_commutator_subspace(p: NCPoly) -> bool:
 
 def derived_degree4_basis(n: int) -> List[LieExpr]:
     """Spanning set of the degree-4 part of the second derived subalgebra:
-    all [[z_i, z_j], [z_k, z_l]] with i > j, k > l and (i, j) > (k, l);
-    candidates whose associative expansion vanishes are dropped."""
+    all [[z_i, z_j], [z_k, z_l]] with i > j, k > l and (i, j) > (k, l).
+    None of them expands to zero (see `_degree4_quads`), so none is dropped."""
     return [_bracket(quad) for quad in _degree4_quads(n)]
 
 

@@ -29,6 +29,7 @@ from .polyring import (
     Polynomial,
     Scalar,
     _add_into,
+    _constant_key,
     _dot_y,
     _mono_ops,
     _mul_into,
@@ -131,8 +132,7 @@ def zero(rank: int) -> MElement:
 def generators(rank: int) -> Tuple[MElement, ...]:
     """x1..x_rank, built once per rank: x_i = y_i + t_i has the Fox row e_i,
     and every row shares one zero and one unit polynomial."""
-    zero_poly = Polynomial._raw(rank, {})
-    one_poly = Polynomial._raw(rank, {(0,) * rank: 1})
+    zero_poly, one_poly = Polynomial.zero(rank), Polynomial.one(rank)
     row = (zero_poly,) * rank
     return tuple(
         MElement._raw(rank, row[:i] + (one_poly,) + row[i + 1 :]) for i in range(rank)
@@ -151,7 +151,7 @@ def bracket(u: MElement, v: MElement) -> MElement:
     u._check_rank(v)
     n = u.rank
     slots: list = [{} for _ in range(n)]
-    _add_bracket(slots, {(0,) * n: 1}, u, v)
+    _add_bracket(slots, {_constant_key(n): 1}, u, v)
     return MElement._raw(n, tuple(Polynomial._raw(n, acc) for acc in slots))
 
 
@@ -197,7 +197,7 @@ def _eval_into(e: LieExpr, images, c: Scalar, slots: list) -> None:
         # acts as [t, b + s] = -b.t: the word is f.[u, v] for the product f
         # (a term map) of the -b
         mul = _mono_ops(n)[0]
-        f = {(0,) * n: -c if len(idx) % 2 else c}
+        f = {_constant_key(n): -c if len(idx) % 2 else c}
         for i in idx[2:]:
             f, g = {}, f
             _mul_into(f, g, _image(images, i, n).linear_poly.terms, mul)
@@ -215,7 +215,7 @@ def _eval_into(e: LieExpr, images, c: Scalar, slots: list) -> None:
         return
     if isinstance(e, Bracket):
         u, v = eval_with(e.left, images), eval_with(e.right, images)
-        _add_bracket(slots, {(0,) * n: c}, u, v)
+        _add_bracket(slots, {_constant_key(n): c}, u, v)
         return
     if not isinstance(e, Gen):
         raise TypeError(f"not a LieExpr: {e!r}")

@@ -24,8 +24,9 @@ run fraction-free on integer rows.
 
 Only this module knows that a monomial of `Polynomial` is a tuple of
 exponents. Other modules reach monomials through the `Polynomial`
-constructors, the key product and letter decoder of `_mono_ops`, and
-`_dot_y`, the product of a Fox row with the column of variables.
+constructors, the key product and letter decoder of `_mono_ops`, the key
+of the constant monomial, `_constant_key`, and `_dot_y`, the product of a
+Fox row with the column of variables.
 
 Coefficients are exact rationals under one convention shared by the whole
 package: a coefficient is a plain `int` until a division makes it
@@ -123,6 +124,12 @@ def _mono_ops(n: int) -> tuple:
 def _units(n: int) -> tuple:
     """The exponent vectors of y1..yn."""
     return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+
+
+@cache
+def _constant_key(n: int) -> tuple:
+    """The exponent vector of the constant monomial 1 in y1..yn."""
+    return (0,) * n
 
 
 def _mul_into(acc: dict, a: Mapping, b: Mapping, key_mul):
@@ -367,7 +374,7 @@ class Polynomial(SparseTerms):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         c = as_coeff(c)
-        return cls._raw(nvars, {(0,) * nvars: c} if c else {})
+        return cls._raw(nvars, {_constant_key(nvars): c} if c else {})
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
@@ -392,16 +399,7 @@ class Polynomial(SparseTerms):
         return all(sum(m) == 0 for m in self.terms)
 
     def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * self._dim, 0)
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
-    def coefficient(self, mono: Sequence[int]) -> Scalar:
-        return self.terms.get(tuple(mono), 0)
+        return self.terms.get(_constant_key(self._dim), 0)
 
     def homogeneous_components(self) -> dict:
         """Map total degree -> homogeneous part; zero parts omitted."""
@@ -409,12 +407,6 @@ class Polynomial(SparseTerms):
         for mono, coeff in self.terms.items():
             parts.setdefault(sum(mono), {})[mono] = coeff
         return {d: Polynomial._raw(self._dim, t) for d, t in sorted(parts.items())}
-
-    # -- substitution --------------------------------------------------------
-
-    def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Ring homomorphism sending y_i to images[i-1]."""
-        return _substitute([self], self._dim, images)[0]
 
 
 def _dot_y(row: Sequence[Polynomial]) -> dict:
@@ -432,13 +424,14 @@ def _substitute(
     polys: Sequence[Polynomial], nvars: int, images: Sequence[Polynomial]
 ) -> list:
     """Each polynomial of `polys`, all in y1..y_nvars, with y_i sent to
-    images[i-1]: the ring homomorphism, applied to every entry through one
-    table of monomial images shared by all of them.
+    images[i-1], a polynomial in the same variables: the ring endomorphism,
+    applied to every entry through one table of monomial images shared by
+    all of them. Raises ValueError unless there are nvars images, each in
+    nvars variables.
 
-    An image that is exactly y_i fixes y_i (when the images live in the ring
-    of the polynomials), and a polynomial whose monomials use only fixed
-    variables is returned as it is: constants, and every polynomial under a
-    map whose linear part is the identity.
+    An image that is exactly y_i fixes y_i, and a polynomial whose monomials
+    use only fixed variables is returned as it is: constants, and every
+    polynomial under a map whose linear part is the identity.
 
     With e the lcm of all the images' denominators, the table maps y^m to
     the int term map of prod_i N_i^m_i, N_i = e * images[i-1]. It starts with
@@ -449,29 +442,24 @@ def _substitute(
     """
     if len(images) != nvars:
         raise ValueError(f"need {nvars} images, got {len(images)}")
-    if not images:
-        return list(polys)
-    nv = images[0].nvars
-    for img in images:
-        if img.nvars != nv:
-            raise ValueError("images live in different rings")
-    units = _units(nv)
-    moved = [
-        i for i, img in enumerate(images) if nv != nvars or img.terms != {units[i]: 1}
-    ]
+    if any(img.nvars != nvars for img in images):
+        raise ValueError(f"images must be polynomials in {nvars} variables")
+    units = _units(nvars)
+    moved = [i for i, img in enumerate(images) if img.terms != {units[i]: 1}]
     if not moved:
         return list(polys)
     e = _den(img.terms for img in images)
     nums = [_numerators(img.terms, e) for img in images]
-    table = dict(zip(_units(nvars), nums))
-    table[(0,) * nvars] = {(0,) * nv: 1}
-    mul = _mono_ops(nv)[0]
+    table = dict(zip(units, nums))
+    one = _constant_key(nvars)
+    table[one] = {one: 1}
+    mul = _mono_ops(nvars)[0]
     # a walk down takes a factor of the widest image first, so single-term
     # images (fixed variables among them) are multiplied in while still small
     order = sorted(range(nvars), key=lambda i: -len(nums[i]))
     out = []
     for p in polys:
-        if nv == nvars and not any(m[i] for m in p.terms for i in moved):
+        if not any(m[i] for m in p.terms for i in moved):
             out.append(p)
             continue
         d = _den((p.terms,))
@@ -490,7 +478,7 @@ def _substitute(
             if e != 1:
                 c *= e ** (deg - sum(mono))
             _add_into(acc, table[mono].items(), c)
-        out.append(Polynomial._raw(nv, _divided(acc, d * e**deg)))
+        out.append(Polynomial._raw(nvars, _divided(acc, d * e**deg)))
     return out
 
 
@@ -500,7 +488,7 @@ def _matmul(a_rows: Sequence, b_rows: Sequence, nvars: int) -> tuple:
     kernel behind `PolyMatrix.__mul__` and `endos.compose`. It visits only
     nonzero entries, and a product with a constant entry scales the other
     entry's terms (`_add_into`) instead of running key products."""
-    one = (0,) * nvars
+    one = _constant_key(nvars)
     mul = _mono_ops(nvars)[0]
 
     def nonzero(rows, d):
@@ -785,13 +773,13 @@ class PolyMatrix:
         return NotImplemented
 
     def substitute(self, images: Sequence[Polynomial]) -> "PolyMatrix":
-        """`Polynomial.substitute` applied to every entry, through one table
-        of monomial images shared by the whole matrix (`_substitute`)."""
+        """Every entry with y_i sent to images[i-1], one polynomial in the
+        matrix's variables per variable, through one table of monomial images
+        shared by the whole matrix (`_substitute`)."""
         flat = _substitute([e for r in self.rows for e in r], self.nvars, images)
-        nv = images[0].nvars if images else self.nvars
         w = self.ncols
         return PolyMatrix._raw(
-            nv, tuple(tuple(flat[i : i + w]) for i in range(0, len(flat), w))
+            self.nvars, tuple(tuple(flat[i : i + w]) for i in range(0, len(flat), w))
         )
 
     # -- determinant and inverse ---------------------------------------------
@@ -818,7 +806,7 @@ class PolyMatrix:
             raise ValueError("inverse of a non-square matrix")
         n, nvars, rows = self.nrows, self.nvars, self.rows
         full = (1 << n) - 1
-        one = (0,) * nvars
+        one = _constant_key(nvars)
         prefixes = _minors(rows, nvars)
         table, den = prefixes[n]
         acc = table.get(full, {})
@@ -877,7 +865,7 @@ def _minors(rows, nvars: int) -> list:
     is linear in each row, the minors are those maps divided by den, the
     product of the row scales.
     """
-    prefixes = [({0: {(0,) * nvars: 1}}, 1)]
+    prefixes = [({0: {_constant_key(nvars): 1}}, 1)]
     for row in rows:
         prefixes.append(_expand(*prefixes[-1], row, nvars))
     return prefixes
@@ -1030,9 +1018,6 @@ class RowSpace:
                 break
             den *= _eliminate(rem, pivot, k)
         return rem, den
-
-    def reduce(self, row: Mapping) -> dict:
-        return _divided(*self._reduce(row))
 
     def add(self, row: Mapping) -> bool:
         """Insert a row; returns True if it enlarged the span."""

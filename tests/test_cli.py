@@ -432,6 +432,24 @@ class TestStructuredErrors:
                 },
                 "metalie: error: --rank 3 does not match endomorphism rank 2\n",
             ),
+            (
+                ["jac", "linear:[[1,0],[0,1]]", "--rank", "3"],
+                {
+                    "error": "--rank 3 does not match endomorphism rank 2",
+                    "kind": "input",
+                    "offset": None,
+                },
+                "metalie: error: --rank 3 does not match endomorphism rank 2\n",
+            ),
+            (
+                ["compose", "linear:[[0,1],[1,0]]", "linear:[[1,1],[0,1]]", "--rank", "3"],
+                {
+                    "error": "--rank 3 does not match endomorphism rank 2",
+                    "kind": "input",
+                    "offset": None,
+                },
+                "metalie: error: --rank 3 does not match endomorphism rank 2\n",
+            ),
         ],
     )
     def test_error_object(self, capsys, argv, doc, text):

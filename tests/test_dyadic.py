@@ -376,16 +376,6 @@ class TestInstantiate:
         with pytest.raises(ValueError):
             dy.instantiate(dy.expand_product(1), {1: phi_col}, {1: bad_psi})
 
-    def test_rhs_dyad_grounds_to_minus_y_dz(self):
-        import metalie.metabelian as mb
-        from metalie.lieexpr import parse_expr
-        from metalie.polyring import y_column
-
-        z = mb.evaluate(parse_expr("[x1,x2]"), 3)
-        dz = mb.fox(z)
-        out = dy.instantiate(dy.minus_y_dz(), {}, {}, dz_row=dz)
-        assert out == (y_column(3) * dz) * -1
-
     def pairs(self, rank=3):
         rng = random.Random(33)
         phis, psis = {}, {}
@@ -404,12 +394,6 @@ class TestInstantiate:
         psis[1] = row_vector(3, [0, 0, 0, 1])
         with pytest.raises(ValueError, match="Ψ1 must be a 1x3 row"):
             dy.instantiate(dy.expand_product(2), phis, psis)
-
-    def test_dz_row_shape_checked(self):
-        phis, psis = self.pairs()
-        for dz in (row_vector(3, [1, 0, 0, 0]), col_vector(3, [1, 0, 0])):
-            with pytest.raises(ValueError, match="∂z must be a 1x3 row"):
-                dy.instantiate(dy.minus_y_dz(), phis, psis, dz_row=dz)
 
 
 def assert_normalized(x):
@@ -441,6 +425,8 @@ dyad_exprs = st.builds(
 row_exprs = st.dictionaries(
     st.sampled_from([psi(1), psi(2), psi(3), dy.DZ_ROW]), scalar_polys, max_size=3
 ).map(dy.RowExpr)
+# the rows `instantiate` grounds: no dz
+grounded_row_exprs = st.dictionaries(_rows, scalar_polys, max_size=3).map(dy.RowExpr)
 
 
 @functools.cache
@@ -476,8 +462,9 @@ def ground_term_by_term(x, rank, phis, psis, dz):
             total = total + row(r) * scalar(mono, c)
         return total
     total = PolyMatrix(rank, [[0] * rank] * rank)
-    for mono, c in x.scalar.terms.items():
-        total = total + PolyMatrix.identity(rank, rank) * scalar(mono, c)
+    for (mono, col, _), c in x.terms.items():
+        if col == dy.E_SYM:
+            total = total + PolyMatrix.identity(rank, rank) * scalar(mono, c)
     for mono, c, u, r in x.term_list():
         col = ycol if u == dy.Y_COL else phis[u[1]]
         total = total + (col * row(r)) * scalar(mono, c)
@@ -486,12 +473,12 @@ def ground_term_by_term(x, rank, phis, psis, dz):
 
 class TestGroundingOracle:
     @settings(max_examples=40)
-    @given(dyad_exprs, row_exprs, st.integers(0, 3))
+    @given(dyad_exprs, grounded_row_exprs, st.integers(0, 3))
     def test_instantiate_matches_term_by_term_products(self, x, r, seed):
         rank, phis, psis, dz = assignment(seed)
         for e in (x, r):
             expected = ground_term_by_term(e, rank, phis, psis, dz)
-            assert dy.instantiate(e, phis, psis, dz_row=dz) == expected
+            assert dy.instantiate(e, phis, psis) == expected
 
     @settings(max_examples=40)
     @given(dyad_exprs, dyad_exprs, row_exprs, scalar_polys, st.integers(0, 3))
@@ -566,6 +553,10 @@ EDGE_CASES = {
     "a column missing": (
         lambda: dy.instantiate(dy.DyadExpr.dyad(phi(2), psi(1)), {}, {1: PSI1}),
         (ValueError, "assignment missing Φ2"),
+    ),
+    "the row ∂z, never grounded": (
+        lambda: dy.instantiate(dy.minus_y_dz(), {}, {1: PSI1}),
+        (ValueError, "assignment missing ∂z"),
     ),
 }
 

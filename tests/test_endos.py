@@ -753,7 +753,11 @@ EDGE_CASES = {
     ),
     "induced map on a non-polynomial": (
         lambda: en.apply_induced(en.identity(2), "y1"),
-        (TypeError, "expected a Polynomial or PolyMatrix"),
+        (TypeError, "expected a PolyMatrix"),
+    ),
+    "induced map on a polynomial": (
+        lambda: en.apply_induced(en.identity(2), Polynomial.variable(2, 1)),
+        (TypeError, "expected a PolyMatrix"),
     ),
     "conjugate by alpha of another rank": (
         lambda: en.conjugate_elementary([[1, 0], [0, 1]], parse_expr("[x2, x3]"), 3),
