@@ -19,7 +19,6 @@ from .lieexpr import (
     Gen,
     LeftNormed,
     LieExpr,
-    Scale,
     Sum,
     format_expr,
     left_normed,

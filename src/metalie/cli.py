@@ -58,6 +58,12 @@ EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
+    def _parse_optional(self, arg_string):
+        # a signed expression ('-x1', '-[x1,x2]') is an argument, not an option
+        if arg_string[:1] == "-" and arg_string[1:2] not in ("", "-", "h"):
+            return None
+        return super()._parse_optional(arg_string)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _UsageError(f"{self.prog}: error: {message}")

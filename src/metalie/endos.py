@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from . import metabelian as mb
-from .lieexpr import LieExpr, generators_used, left_normed, scale_expr, sum_exprs
+from .lieexpr import LieExpr, combination, generators_used, left_normed
 from .metabelian import MElement
 from .polyring import (
     PolyMatrix,
@@ -293,8 +293,8 @@ def random_derived_expr(
         terms = []
         for _ in range(rng.randint(1, 2)):
             coeff = rng.choice([c for c in range(-3, 4) if c])
-            terms.append(scale_expr(coeff, _random_bracket_word(rng, letters, degree)))
-        expr = sum_exprs(terms)
+            terms.append((coeff, _random_bracket_word(rng, letters, degree)))
+        expr = combination(terms)
         if not mb.evaluate(expr, rank).is_zero():
             return expr
 

@@ -22,11 +22,9 @@ from .lieexpr import (
     Gen,
     LeftNormed,
     LieExpr,
-    Scale,
     Sum,
+    combination,
     format_expr,
-    scale_expr,
-    sum_exprs,
 )
 from .polyring import Scalar, SparseTerms, _add_into, solve_sparse
 
@@ -94,12 +92,10 @@ def lie_to_assoc(e: LieExpr, rank: int) -> NCPoly:
         u = lie_to_assoc(e.left, rank)
         v = lie_to_assoc(e.right, rank)
         return u * v - v * u
-    if isinstance(e, Scale):
-        return lie_to_assoc(e.arg, rank) * e.coeff
     if isinstance(e, Sum):
         acc = NCPoly.zero(rank)
-        for p in e.parts:
-            acc = acc + lie_to_assoc(p, rank)
+        for c, p in e.parts:
+            acc = acc + lie_to_assoc(p, rank) * c
         return acc
     raise TypeError(f"not a LieExpr: {e!r}")
 
@@ -324,9 +320,9 @@ def _witness_search(rank: int, s: NCPoly) -> WitnessSearch:
     for u, coeff in enumerate(solution.particular):
         if coeff:
             i, q = divmod(u, len(quads))
-            per_gen.setdefault(i + 1, []).append(scale_expr(coeff, _bracket(quads[q])))
+            per_gen.setdefault(i + 1, []).append((coeff, _bracket(quads[q])))
     witness_exprs = tuple(
-        (i, sum_exprs(terms)) for i, terms in sorted(per_gen.items())
+        (i, combination(terms)) for i, terms in sorted(per_gen.items())
     )
 
     corrected = s

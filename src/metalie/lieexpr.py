@@ -12,9 +12,11 @@ Grammar (LETTER is 'x' or 'z' depending on context):
 The text is read as the tokens of `polyring.Tokens`: an INT is a run of
 ASCII digits, and whitespace only separates tokens. Each element is a signed
 sum read by `polyring.read_sum`, with `_parse_term` as its term reader.
-"0" denotes the empty sum. Parsing produces trees in a fixed shape (signs
-folded into scalar coefficients, one Sum node per '+/-' chain, and every
-left-normed word [[x_i1, x_i2], ..., x_im] one flat LeftNormed node), and the
+"0" denotes the empty sum. Parsing produces trees in a fixed shape: a
+linear combination is one Sum node of (coefficient, expression) pairs, signs
+folded into the coefficients, one pair per term of a '+/-' chain, and a
+single term with coefficient 1 is that term alone (`combination`); every
+left-normed word [[x_i1, x_i2], ..., x_im] is one flat LeftNormed node. The
 printer emits exactly that shape, so parse(print(e)) == e.
 
 Left-normed words cost no recursion: the parser reads a run of '[' in a loop,
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Tuple, Union
 
-from .polyring import ParseError, Scalar, Tokens, as_coeff, format_term, read_sum
+from .polyring import ParseError, Scalar, Tokens, format_term, read_sum
 
 
 @dataclass(frozen=True)
@@ -57,17 +59,14 @@ class Bracket:
 
 
 @dataclass(frozen=True)
-class Scale:
-    coeff: Scalar
-    arg: "LieExpr"
-
-
-@dataclass(frozen=True)
 class Sum:
-    parts: Tuple["LieExpr", ...]
+    """The linear combination c1*e1 + ... + ck*ek, stored as its
+    (coefficient, expression) pairs; the empty sum is zero."""
+
+    parts: Tuple[Tuple[Scalar, "LieExpr"], ...]
 
 
-LieExpr = Union[Gen, LeftNormed, Bracket, Scale, Sum]
+LieExpr = Union[Gen, LeftNormed, Bracket, Sum]
 
 ZERO_EXPR = Sum(())
 
@@ -81,27 +80,14 @@ MAX_NESTING = 200
 MAX_WORD_LENGTH = 10_000
 
 
-def scale_expr(c: Scalar, e: LieExpr) -> LieExpr:
-    c = as_coeff(c)
-    if c == 0:
-        return ZERO_EXPR
-    if c == 1:
-        return e
-    if isinstance(e, Scale):
-        return scale_expr(c * e.coeff, e.arg)
-    return Scale(c, e)
-
-
-def sum_exprs(parts) -> LieExpr:
-    flat = []
-    for p in parts:
-        if isinstance(p, Sum):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    if len(flat) == 1:
-        return flat[0]
-    return Sum(tuple(flat))
+def combination(terms) -> LieExpr:
+    """The sum of the (coefficient, expression) pairs `terms`, in the
+    parser's shape: a single term with coefficient 1 is that expression, and
+    anything else is a Sum. Coefficients are kept as given."""
+    terms = tuple(terms)
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    return Sum(terms)
 
 
 def left_normed(indices) -> LeftNormed:
@@ -119,11 +105,9 @@ def generators_used(e: LieExpr) -> frozenset:
         return frozenset(e.indices)
     if isinstance(e, Bracket):
         return generators_used(e.left) | generators_used(e.right)
-    if isinstance(e, Scale):
-        return generators_used(e.arg)
     if isinstance(e, Sum):
         out = frozenset()
-        for p in e.parts:
+        for _, p in e.parts:
             out |= generators_used(p)
         return out
     raise TypeError(f"not a LieExpr: {e!r}")
@@ -137,8 +121,7 @@ def format_expr(e: LieExpr, letter: str = "x") -> str:
     Printed as a sum of terms in one loop, one `format_term` per term."""
     sep = f"], {letter}"
     chunks: list = []
-    for t in e.parts if isinstance(e, Sum) else (e,):
-        c, t = (t.coeff, t.arg) if isinstance(t, Scale) else (1, t)
+    for c, t in e.parts if isinstance(e, Sum) else ((1, e),):
         if isinstance(t, LeftNormed):
             # one '[' per bracket, the first letter, then ", x<i>]" per letter
             idx = t.indices
@@ -169,7 +152,8 @@ def parse_expr(text: str, letter: str = "x", rank: int = 0) -> LieExpr:
 def _parse_element(
     tokens: Tokens, letter: str, rank: int, depth: int, first=None
 ) -> LieExpr:
-    """An element; `first` is its first term when that has been read."""
+    """An element; `first` is its first (coefficient, factor) term when that
+    has been read."""
     toks, i = tokens.toks, tokens.i
     if first is None and toks[i] == "0" and toks[i + 1] in ("", ",", ")", "]"):
         # lone zero is the empty sum; one token of lookahead tells
@@ -177,20 +161,17 @@ def _parse_element(
         return ZERO_EXPR
     # a partial, unlike a lambda, adds no Python frame to each nesting level
     terms = read_sum(tokens, partial(_parse_term, tokens, letter, rank, depth), first)
-    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+    return combination(terms)
 
 
 def _parse_term(
     tokens: Tokens, letter: str, rank: int, depth: int, sign: int
-) -> LieExpr:
+) -> Tuple[Scalar, LieExpr]:
     coeff = sign
     if tokens.peek().isdigit():
         coeff *= tokens.rational()
         tokens.expect("*")
-    factor = _parse_factor(tokens, letter, rank, depth)
-    if coeff == 1:
-        return factor
-    return Scale(coeff, factor)
+    return coeff, _parse_factor(tokens, letter, rank, depth)
 
 
 def _parse_factor(tokens: Tokens, letter: str, rank: int, depth: int) -> LieExpr:
@@ -241,7 +222,7 @@ def _parse_factor(tokens: Tokens, letter: str, rank: int, depth: int) -> LieExpr
             if word is not None:
                 left = _word_node(word)
                 word = None
-            left = _parse_element(tokens, letter, rank, inner, left)
+            left = _parse_element(tokens, letter, rank, inner, (1, left))
         tokens.expect(",")
         right = _parse_element(tokens, letter, rank, inner)
         tokens.expect("]")

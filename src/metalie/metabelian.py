@@ -16,14 +16,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Dict, Tuple
 
-from .lieexpr import (
-    Bracket,
-    Gen,
-    LeftNormed,
-    LieExpr,
-    Scale,
-    Sum,
-)
+from .lieexpr import Bracket, Gen, LeftNormed, LieExpr, Sum, combination
 from .polyring import (
     PolyMatrix,
     Polynomial,
@@ -188,7 +181,8 @@ def _image(images, i: int, n: int) -> MElement:
 
 def _eval_into(e: LieExpr, images, c: Scalar, slots: list) -> None:
     """Add c times the value of e to the Fox row slots (term maps) of a sum:
-    a Sum or Scale builds no element of its own."""
+    a Sum builds no element of its own, and passes each term down with its
+    coefficient multiplied into c."""
     n = len(slots)
     if isinstance(e, LeftNormed):
         idx = e.indices
@@ -203,15 +197,13 @@ def _eval_into(e: LieExpr, images, c: Scalar, slots: list) -> None:
             _mul_into(f, g, _image(images, i, n).linear_poly.terms, mul)
         _add_bracket(slots, f, u, v)
         return
-    if isinstance(e, Scale):
-        # the product loop takes nonzero terms only: a zero multiplier stops here
-        c = as_coeff(c * e.coeff)
-        if c:
-            _eval_into(e.arg, images, c, slots)
-        return
     if isinstance(e, Sum):
-        for p in e.parts:
-            _eval_into(p, images, c, slots)
+        for k, p in e.parts:
+            # the product loop takes nonzero terms only: a zero multiplier
+            # stops here
+            k = as_coeff(c * k)
+            if k:
+                _eval_into(p, images, k, slots)
         return
     if isinstance(e, Bracket):
         u, v = eval_with(e.left, images), eval_with(e.right, images)
@@ -281,7 +273,7 @@ def lift(f: MElement) -> LieExpr:
     """
     letters = _mono_ops(f.rank)[2]
     linear = enumerate(f.linear, 1)
-    terms = [Gen(i) if c == 1 else Scale(c, Gen(i)) for i, c in linear if c]
+    terms = [(c, Gen(i)) for i, c in linear if c]
     groups: dict = {}
     for i, p in enumerate(f.tpart, 1):
         for mono, c in p.terms.items():
@@ -297,8 +289,5 @@ def lift(f: MElement) -> LieExpr:
         # (-1)^(letters - 1) = (-1)^d
         odd = d % 2
         for word, c in sorted(groups[key]):
-            w = LeftNormed(head + word[:-1])
-            if odd:
-                c = -c
-            terms.append(w if c == 1 else Scale(c, w))
-    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+            terms.append((-c if odd else c, LeftNormed(head + word[:-1])))
+    return combination(terms)

@@ -91,9 +91,10 @@ def as_coeff(c: Scalar):
     a value non-integral, Fraction after. int and Fraction mix exactly under
     Python arithmetic and agree on equality and hashing, so integer inputs
     stay on the all-integer fast path and rational ones stay exact. Never
-    divide with `/` on ints, which gives a float.
+    divide with `/` on ints, which gives a float. A bool is refused, like a
+    float: it is an int subclass, not a coefficient.
     """
-    if isinstance(c, int):
+    if type(c) is int:
         return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Sequence
 
 from . import dyadic, endos, freeassoc
 from . import metabelian as mb
-from .lieexpr import Gen, LieExpr, scale_expr, sum_exprs
+from .lieexpr import Gen, LieExpr, combination
 from .polyring import PolyMatrix, RowSpace, y_column
 
 
@@ -46,17 +46,13 @@ def random_melement_expr(rng: random.Random, rank: int, degree: int) -> LieExpr:
     for i in range(1, rank + 1):
         c = rng.randint(-3, 3)
         if c:
-            terms.append(scale_expr(c, Gen(i)))
+            terms.append((c, Gen(i)))
     nbrackets = rng.randint(0, 2) if terms else rng.randint(1, 2)
     for _ in range(nbrackets):
         coeff = rng.choice([c for c in range(-3, 4) if c])
-        terms.append(
-            scale_expr(
-                coeff,
-                endos._random_bracket_word(rng, list(range(1, rank + 1)), degree),
-            )
-        )
-    return sum_exprs(terms) if terms else Gen(1)
+        word = endos._random_bracket_word(rng, list(range(1, rank + 1)), degree)
+        terms.append((coeff, word))
+    return combination(terms) if terms else Gen(1)
 
 
 def random_derived_element(rng: random.Random, rank: int, degree: int) -> mb.MElement:
@@ -258,11 +254,15 @@ def suite_freeassoc(seed: int, cases: int = 60) -> SuiteResult:
         if not freeassoc.in_commutator_subspace(u * v - v * u):
             result.failures.append(f"case {case}: commutator failed the cyclic test")
 
+        # every other block of four cases draws the degree-d part of a
+        # commutator, so that the span oracle meets nonzero members of [U, U]
         degree = 1 + case % 4
-        hom = random_nc_poly(rng, min(rank, 4), degree, 3).homogeneous_component(
-            degree
-        )
-        space = commutator_row_space(min(rank, 4), degree)
+        hom = random_nc_poly(rng, rank, degree, 3)
+        if case % 8 >= 4:
+            other = random_nc_poly(rng, rank, degree, 3)
+            hom = hom * other - other * hom
+        hom = hom.homogeneous_component(degree)
+        space = commutator_row_space(rank, degree)
         brute = space.contains(hom.terms)
         if brute != freeassoc.in_commutator_subspace(hom):
             result.failures.append(

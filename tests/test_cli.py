@@ -519,6 +519,48 @@ class TestUsage:
         code, _, err = run(capsys, "nf", "--bogus", "x1")
         assert code == 1
 
+    # an argument with a leading sign and no space is an expression, not an
+    # option: (argv, text output, structured document)
+    @pytest.mark.parametrize(
+        "argv, text, doc",
+        [
+            (
+                ("nf", "-x1"),
+                "linear: (-1)\ntpart:  (-1)\n",
+                {"rank": 1, "linear": ["-1"], "tpart": ["-1"]},
+            ),
+            (
+                ("nf", "-[x1,x2]"),
+                "linear: (0, 0)\ntpart:  (y2, -y1)\n",
+                {"rank": 2, "linear": ["0", "0"], "tpart": ["y2", "-y1"]},
+            ),
+            (
+                ("inverse", "-x1;x2"),
+                "rank 2\nx1 -> -x1\nx2 -> x2\n",
+                {"rank": 2, "images": ["-x1", "x2"]},
+            ),
+            (
+                ("compose", "-x1;x2", "x2;x1"),
+                "rank 2\nx1 -> x2\nx2 -> -x1\n",
+                {"rank": 2, "images": ["x2", "-x1"]},
+            ),
+        ],
+        ids=["nf-generator", "nf-bracket", "inverse", "compose"],
+    )
+    def test_signed_argument_is_positional(self, capsys, argv, text, doc):
+        assert run(capsys, *argv) == (0, text, "")
+        code, out, err = run(capsys, *argv, "--format", "structured")
+        assert (code, json.loads(out), err) == (0, doc, "")
+
+    def test_short_help_and_negative_option_values_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["nf", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: metalie nf [-h]")
+        code, out, err = run(capsys, "replay-bn", "--factors", "-3")
+        assert (code, out) == (1, "")
+        assert err == "metalie: error: need at least two factors\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

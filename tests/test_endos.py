@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import metalie.endos as en
 import metalie.metabelian as mb
-from metalie.lieexpr import Bracket, Scale, Sum, left_normed, parse_expr
+from metalie.lieexpr import Bracket, Sum, left_normed, parse_expr
 from metalie.polyring import (
     PolyMatrix,
     Polynomial,
@@ -675,16 +675,14 @@ def endo_coeffs(*phis):
         yield from melement_coeffs(*phi.images)
 
 
-def scale_coeffs(e):
-    if isinstance(e, Scale):
-        yield e.coeff
-        yield from scale_coeffs(e.arg)
-    elif isinstance(e, Bracket):
-        yield from scale_coeffs(e.left)
-        yield from scale_coeffs(e.right)
+def expr_coeffs(e):
+    if isinstance(e, Bracket):
+        yield from expr_coeffs(e.left)
+        yield from expr_coeffs(e.right)
     elif isinstance(e, Sum):
-        for part in e.parts:
-            yield from scale_coeffs(part)
+        for c, part in e.parts:
+            yield c
+            yield from expr_coeffs(part)
 
 
 def assert_int(coeffs):
@@ -714,8 +712,8 @@ class TestCoefficientConvention:
         assert_int(melement_coeffs(value, mb.bracket(value, gens[0]), *gens))
         assert_int(melement_coeffs(value.scaled(-3), -value, value - gens[1]))
         for img in phi.images + inv.images:
-            assert_int(scale_coeffs(mb.lift(img)))
-        assert_int(scale_coeffs(ex("-2*[x1,x2] + 4/2*x3 - x1")))
+            assert_int(expr_coeffs(mb.lift(img)))
+        assert_int(expr_coeffs(ex("-2*[x1,x2] + 4/2*x3 - x1")))
         assert_int(c for row in en.jacobian(phi).rows for p in row for c in p.terms.values())
 
     @settings(max_examples=12)
@@ -728,7 +726,7 @@ class TestCoefficientConvention:
         assert_exact(endo_coeffs(phi, inv, en.compose(inv, phi)))
         assert_exact(melement_coeffs(value, value.scaled(Fraction(3, 4)), mb.bracket(value, value)))
         for img in inv.images:
-            assert_exact(scale_coeffs(mb.lift(img)))
+            assert_exact(expr_coeffs(mb.lift(img)))
         assert_int(mb.evaluate(ex("2*(1/2*x1)"), 1).linear)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import metalie.freeassoc as fa
 from metalie.cli import MAX_OE_RANK
-from metalie.lieexpr import Bracket, Gen, LeftNormed, Scale, Sum, parse_expr
+from metalie.lieexpr import Bracket, Gen, LeftNormed, Sum, parse_expr
 from metalie.verify import commutator_row_space, random_nc_poly
 
 
@@ -346,8 +346,8 @@ class TestReplay:
     def test_witness_terms_are_basis_elements(self, rank):
         basis = fa.derived_degree4_basis(rank)
         for _, expr in fa.replay(rank).witness.witness_exprs:
-            parts = expr.parts if isinstance(expr, Sum) else (expr,)
-            terms = [p.arg if isinstance(p, Scale) else p for p in parts]
+            parts = expr.parts if isinstance(expr, Sum) else ((1, expr),)
+            terms = [t for _, t in parts]
             assert len(set(terms)) == len(terms)
             assert all(t in basis for t in terms)
 

@@ -11,15 +11,13 @@ from metalie.lieexpr import (
     Bracket,
     Gen,
     LeftNormed,
-    Scale,
     Sum,
     ZERO_EXPR,
+    combination,
     format_expr,
     generators_used,
     left_normed,
     parse_expr,
-    scale_expr,
-    sum_exprs,
 )
 from metalie.polyring import ParseError, as_coeff, format_terms
 
@@ -36,7 +34,7 @@ def test_parse_bracket():
     # any other bracket stays a Bracket over its parsed operands
     assert parse_expr("[x1, [x2, x3]]") == Bracket(Gen(1), LeftNormed((2, 3)))
     assert parse_expr("[[x1, x2] + x3, x4]") == Bracket(
-        Sum((LeftNormed((1, 2)), Gen(3))), Gen(4)
+        Sum(((1, LeftNormed((1, 2))), (1, Gen(3)))), Gen(4)
     )
 
 
@@ -44,15 +42,15 @@ def test_parse_sum_and_scalars():
     e = parse_expr("x1 + 2*[x1,x2] - 1/2*x3")
     assert e == Sum(
         (
-            Gen(1),
-            Scale(Fraction(2), LeftNormed((1, 2))),
-            Scale(Fraction(-1, 2), Gen(3)),
+            (1, Gen(1)),
+            (2, LeftNormed((1, 2))),
+            (Fraction(-1, 2), Gen(3)),
         )
     )
 
 
 def test_parse_leading_minus():
-    assert parse_expr("-x1") == Scale(Fraction(-1), Gen(1))
+    assert parse_expr("-x1") == Sum(((-1, Gen(1)),))
 
 
 def test_parse_zero():
@@ -62,7 +60,7 @@ def test_parse_zero():
 
 def test_parse_parenthesized_scale():
     e = parse_expr("2*(x1 + x2)")
-    assert e == Scale(Fraction(2), Sum((Gen(1), Gen(2))))
+    assert e == Sum(((2, Sum(((1, Gen(1)), (1, Gen(2))))),))
 
 
 def test_parse_error_position():
@@ -220,10 +218,10 @@ def _random_expr(rng, rank, depth):
             _random_expr(rng, rank, depth - 1), _random_expr(rng, rank, depth - 1)
         )
     if roll < 0.8:
-        c = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
-        return scale_expr(c, _random_expr(rng, rank, depth - 1))
-    return sum_exprs(
-        [_random_expr(rng, rank, depth - 1) for _ in range(rng.randint(2, 3))]
+        c = as_coeff(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)))
+        return combination([(c, _random_expr(rng, rank, depth - 1))])
+    return combination(
+        [(1, _random_expr(rng, rank, depth - 1)) for _ in range(rng.randint(2, 3))]
     )
 
 
@@ -234,8 +232,10 @@ def test_format_round_trip_randomized():
         e = _random_expr(rng, 4, 3)
         for letter in "xz":
             assert parse_expr(format_expr(e, letter), letter) == e
-        shapes.add(type(e))
-    assert shapes == {Gen, LeftNormed, Bracket, Scale, Sum}
+        shapes.add(f"{len(e.parts)}-term Sum" if isinstance(e, Sum) else type(e))
+    assert shapes == {
+        Gen, LeftNormed, Bracket, "1-term Sum", "2-term Sum", "3-term Sum"
+    }
 
 
 def _format_nested(indices, letter):
@@ -253,7 +253,7 @@ def test_flat_word_printer_matches_recursive_printer():
         text = format_expr(LeftNormed(word), letter)
         assert text == _format_nested(word, letter)
         assert parse_expr(text, letter) == LeftNormed(word)
-        scaled = format_expr(Scale(Fraction(-3, 2), LeftNormed(word)), letter)
+        scaled = format_expr(Sum(((Fraction(-3, 2), LeftNormed(word)),)), letter)
         assert scaled == f"-3/2*{_format_nested(word, letter)}"
 
 
@@ -261,15 +261,9 @@ def _seed_format(e, letter="x"):
     """The printer as it was before word bodies were written inline (the
     oracle of `format_expr`): one factor-printing call per term, its pairs
     through `format_terms`."""
-    if isinstance(e, (LeftNormed, Gen, Bracket)):
+    if not isinstance(e, Sum):
         return _seed_factor(e, letter)
-    terms = e.parts if isinstance(e, Sum) else (e,)
-    return format_terms(
-        (t.coeff, _seed_factor(t.arg, letter))
-        if isinstance(t, Scale)
-        else (1, _seed_factor(t, letter))
-        for t in terms
-    )
+    return format_terms((c, _seed_factor(t, letter)) for c, t in e.parts)
 
 
 def _seed_factor(e, letter):
@@ -291,15 +285,18 @@ LEAVES = st.one_of(
         lambda w: LeftNormed(tuple(w))
     ),
 )
-# parser-shaped trees: brackets in the parser's word shape, scaled factors
-# (a scaled Sum prints parenthesised) and sums of two or more terms (a sum
-# inside a sum prints parenthesised too)
+# parser-shaped trees: brackets in the parser's word shape, one-term sums
+# whose coefficient is not 1 (a Sum factor prints parenthesised) and sums of
+# two or more terms with any nonzero coefficients
+TERM_COEFFS = st.one_of(st.just(1), COEFFS)
 PARSER_TREES = st.recursive(
     LEAVES,
     lambda kids: st.one_of(
         st.tuples(kids, kids).map(lambda lr: _bracket(*lr)),
-        st.tuples(COEFFS, kids).map(lambda ce: Scale(*ce)),
-        st.lists(kids, min_size=2, max_size=4).map(lambda ps: Sum(tuple(ps))),
+        st.tuples(COEFFS, kids).map(lambda term: Sum((term,))),
+        st.lists(st.tuples(TERM_COEFFS, kids), min_size=2, max_size=4).map(
+            lambda terms: Sum(tuple(terms))
+        ),
     ),
     max_leaves=10,
 )
@@ -321,14 +318,47 @@ def test_parser_trees_cover_the_shapes():
     def collect(e):
         seen.add(type(e))
         if isinstance(e, Sum):
-            seen.update(("sum of " + type(p).__name__) for p in e.parts)
-        if isinstance(e, Scale):
-            seen.add("scaled " + type(e.arg).__name__)
-            if type(e.coeff) is Fraction:
-                seen.add("fraction")
+            kind = "scaled " if len(e.parts) == 1 else "sum of "
+            for c, p in e.parts:
+                seen.add(kind + type(p).__name__)
+                if c != 1:
+                    seen.add(kind + "coefficient")
+                if type(c) is Fraction:
+                    seen.add("fraction")
 
     collect()
-    assert {Bracket, Sum, Scale, "sum of Sum", "scaled Sum", "fraction"} <= seen
+    assert {
+        Bracket, Sum, "sum of Sum", "sum of coefficient", "scaled Sum", "fraction"
+    } <= seen
+
+
+def _unit_sums(e):
+    """The one-term Sums with coefficient 1 anywhere in a tree."""
+    if isinstance(e, Bracket):
+        return _unit_sums(e.left) + _unit_sums(e.right)
+    if not isinstance(e, Sum):
+        return []
+    found = [e] if len(e.parts) == 1 and e.parts[0][0] == 1 else []
+    return found + [s for _, t in e.parts for s in _unit_sums(t)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x1",
+        "+x1",
+        "1*x1",
+        "1/1*[x1, x2]",
+        "(x1)",
+        "((x1 + x2))",
+        "[(x1), 1*x2]",
+        "1*(1*(x1))",
+        "[[x1, x2] + x3, (+x4)]",
+        "2*(1*x1) - (1*[x1, x2])",
+    ],
+)
+def test_parser_builds_no_unit_sum(text):
+    assert _unit_sums(parse_expr(text)) == []
 
 
 def test_helpers():
@@ -346,7 +376,19 @@ def test_helpers():
 # calls no other test makes: each case is the value the call returns, or the
 # (type, message) of the exception it raises
 EDGE_CASES = {
-    "zero multiple": (lambda: scale_expr(0, parse_expr("[x1, x2]")), ZERO_EXPR),
+    "combination of no terms": (lambda: combination([]), ZERO_EXPR),
+    "combination of one unit term": (
+        lambda: combination([(1, LeftNormed((1, 2)))]),
+        LeftNormed((1, 2)),
+    ),
+    "combination of one scaled term": (
+        lambda: combination([(-1, Gen(2))]),
+        Sum(((-1, Gen(2)),)),
+    ),
+    "generators of a sum": (
+        lambda: generators_used(parse_expr("2*x3 - ([x1, x4])")),
+        frozenset({1, 3, 4}),
+    ),
     "generators of a non-expression": (
         lambda: generators_used("x1"),
         (TypeError, "not a LieExpr: 'x1'"),

@@ -16,14 +16,12 @@ from metalie.lieexpr import (
     Bracket,
     Gen,
     LeftNormed,
-    Scale,
     Sum,
     ZERO_EXPR,
+    combination,
     format_expr,
     left_normed,
     parse_expr,
-    scale_expr,
-    sum_exprs,
 )
 from metalie.polyring import Polynomial, _mono_ops, y_column
 
@@ -154,11 +152,9 @@ class TestEvaluate:
             out = [Fraction(0)] * rank
             if isinstance(e, Gen):
                 out[e.index - 1] = c
-            elif isinstance(e, Scale):
-                out = abelian(e.arg, rank, c * e.coeff)
             elif isinstance(e, Sum):
-                for p in e.parts:
-                    out = [a + b for a, b in zip(out, abelian(p, rank, c))]
+                for k, p in e.parts:
+                    out = [a + b for a, b in zip(out, abelian(p, rank, c * k))]
             return out
 
         rng = random.Random(33)
@@ -166,7 +162,7 @@ class TestEvaluate:
             rank = rng.randint(2, 5)
             e = random_melement_expr(rng, rank, 4)
             if case % 4 == 0:
-                e = Sum((e, Bracket(e, random_melement_expr(rng, rank, 2))))
+                e = Sum(((1, e), (1, Bracket(e, random_melement_expr(rng, rank, 2)))))
             assert list(mb.evaluate(e, rank).linear) == abelian(e, rank)
 
 
@@ -308,9 +304,18 @@ class TestLift:
         for _ in range(40):
             rank = rng.randint(2, 5)
             e = mb.lift(rand_element(rng, rank, 6))
-            for t in e.parts if isinstance(e, Sum) else (e,):
-                arg = t.arg if isinstance(t, Scale) else t
-                assert isinstance(arg, (Gen, LeftNormed))
+            for _, t in e.parts if isinstance(e, Sum) else ((1, e),):
+                assert isinstance(t, (Gen, LeftNormed))
+
+    def test_parts_count_the_printed_terms(self):
+        # the lift's term count is read as len(e.parts), 1 for a bare term,
+        # and a lift is never a one-term Sum with coefficient 1
+        elements = oracle_lift_elements() + pinned_lift_elements()
+        assert {f.rank for f in elements} == {2, 3, 4, 5, 6}
+        for f in elements:
+            e = mb.lift(f)
+            assert len(getattr(e, "parts", (e,))) == printed_terms(format_expr(e))
+            assert not (isinstance(e, Sum) and len(e.parts) == 1 and e.parts[0][0] == 1)
 
     def test_deterministic(self):
         rng = random.Random(10)
@@ -358,12 +363,22 @@ class TestLift:
         assert calls
 
 
+def printed_terms(text):
+    """The number of terms of a printed sum, read off the text: one more than
+    its ' + ' and ' - ' separators outside brackets, and none for "0"."""
+    depth = separators = 0
+    for i, ch in enumerate(text):
+        depth += (ch in "[(") - (ch in ")]")
+        separators += depth == 0 and text[i : i + 3] in (" + ", " - ")
+    return 0 if text == "0" else separators + 1
+
+
 def sorting_lift(f):
     """The lift as it was before groups were sorted without a key (the
     oracle of `mb.lift`): every Fox-row term in print order through
     `sorted_terms`, letters spelled out here, grouped by (-m, i), each
-    coefficient through `scale_expr` and the whole through `sum_exprs`."""
-    terms = [scale_expr(c, Gen(i)) for i, c in enumerate(f.linear, 1) if c]
+    coefficient paired with its word and the whole through `combination`."""
+    terms = [(c, Gen(i)) for i, c in enumerate(f.linear, 1) if c]
     groups = {}
     for i, p in enumerate(f.tpart, 1):
         for mono, c in p.sorted_terms():
@@ -373,10 +388,10 @@ def sorting_lift(f):
             word = (i, word[-1], *word[:-1])
             if len(word) % 2 == 0:
                 c = -c
-            groups.setdefault((-word[1], i), []).append(scale_expr(c, LeftNormed(word)))
+            groups.setdefault((-word[1], i), []).append((c, LeftNormed(word)))
     for key in sorted(groups):
         terms += groups[key]
-    return sum_exprs(terms)
+    return combination(terms)
 
 
 def oracle_lift_elements():
@@ -394,7 +409,7 @@ def oracle_lift_elements():
         if k % 3 == 0 or k % 10 == 5:
             for i in range(1, rank + 1):
                 c = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5]))
-                terms.append(scale_expr(c, Gen(i)))
+                terms.append((c, Gen(i)))
         if k % 10 != 5:  # k % 10 == 5: purely linear
             for _ in range(rng.randint(1, 5)):
                 word = left_normed(
@@ -403,8 +418,8 @@ def oracle_lift_elements():
                 if rng.random() < 0.25:
                     word = Bracket(word, left_normed((rng.randint(1, rank), 1)))
                 c = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 1, 3, 4]))
-                terms.append(scale_expr(c, word))
-        out.append(mb.evaluate(sum_exprs(terms), rank))
+                terms.append((c, word))
+        out.append(mb.evaluate(Sum(tuple(terms)), rank))
     assert any(mb.is_derived(f) and not f.is_zero() for f in out)
     return out
 
@@ -446,13 +461,13 @@ def rational_images(rng, rank):
     out = []
     for _ in range(rank):
         terms = [
-            scale_expr(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])), Gen(i))
+            (Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])), Gen(i))
             for i in range(1, rank + 1)
         ]
         for _ in range(rng.randint(0, 2)):
             word = left_normed(rng.randint(1, rank) for _ in range(rng.randint(2, 3)))
-            terms.append(scale_expr(rng.choice([-2, 1, Fraction(1, 2)]), word))
-        out.append(mb.evaluate(sum_exprs(terms), rank))
+            terms.append((rng.choice([-2, 1, Fraction(1, 2)]), word))
+        out.append(mb.evaluate(Sum(tuple(terms)), rank))
     return out
 
 
@@ -481,7 +496,8 @@ class TestEvalWithWords:
             want = reduce(product_bracket, [images[i - 1] for i in word])
             assert mb.eval_with(LeftNormed(word), images) == want
             c = Fraction(rng.choice([-3, 2, 5]), rng.choice([1, 2, 7]))
-            assert mb.eval_with(Scale(c, LeftNormed(word)), images) == want.scaled(c)
+            scaled = Sum(((c, LeftNormed(word)),))
+            assert mb.eval_with(scaled, images) == want.scaled(c)
 
     def test_images_have_rational_linear_parts(self):
         rng = random.Random(2626)
@@ -573,14 +589,14 @@ def pinned_lift_elements():
             for i in range(1, rank + 1):
                 c = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 7]))
                 if c:
-                    terms.append(scale_expr(c, Gen(i)))
+                    terms.append((c, Gen(i)))
         for _ in range(rng.randint(1, 6)):
             word = [rng.randint(1, rank) for _ in range(rng.randint(2, 6))]
             if word[0] == word[1]:
                 word[1] = word[0] % rank + 1
             c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3, 5]))
-            terms.append(scale_expr(c, left_normed(word)))
-        out.append(mb.evaluate(sum_exprs(terms), rank))
+            terms.append((c, left_normed(word)))
+        out.append(mb.evaluate(Sum(tuple(terms)), rank))
     return out
 
 
@@ -655,6 +671,14 @@ EDGE_CASES = {
     "not an expression": (
         lambda: mb.eval_with("x1", mb.generators(2)),
         (TypeError, "not a LieExpr: 'x1'"),
+    ),
+    "scaled by a bool": (
+        lambda: mb.generator(2, 1).scaled(True),
+        (TypeError, "expected an exact rational, got bool"),
+    ),
+    "scaled by an integral fraction": (
+        lambda: repr(mb.generator(2, 1).scaled(Fraction(-4, 2)).linear),
+        "(-2, 0)",
     ),
 }
 

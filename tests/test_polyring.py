@@ -31,6 +31,7 @@ from metalie.polyring import (
     _minors,
     _mono_ops,
     _substitute,
+    as_coeff,
     col_vector,
     parse_polynomial,
     rational_inverse,
@@ -1507,6 +1508,27 @@ EDGE_CASES = {
         True,
     ),
     "matrix repr": (lambda: repr(M23), "PolyMatrix(2, shape=(2, 3))"),
+    "integral fraction demoted": (lambda: type(as_coeff(Fraction(4, 2))), int),
+    "float coefficient": (
+        lambda: as_coeff(0.5),
+        (TypeError, "expected an exact rational, got float"),
+    ),
+    "bool coefficient": (
+        lambda: as_coeff(True),
+        (TypeError, "expected an exact rational, got bool"),
+    ),
+    "false coefficient": (
+        lambda: as_coeff(False),
+        (TypeError, "expected an exact rational, got bool"),
+    ),
+    "bool constant": (
+        lambda: Polynomial.constant(1, True),
+        (TypeError, "expected an exact rational, got bool"),
+    ),
+    "matrix of bools": (
+        lambda: PolyMatrix(1, [[True, False]]),
+        (TypeError, "expected an exact rational, got bool"),
+    ),
 }
 
 
