@@ -18,9 +18,10 @@ JSON document's "rank", the image count of a semicolon list, the size of a
 `inverse` of "x1 + [x2,x3]; x2; ...; x100" takes about 0.4 s, and
 `nf x10000` stops at once. Determinants and ring inverses hold at most
 `polyring.MAX_MINORS` nonzero minors of one size: `inverse` of a dense
-"linear:" map takes about 3 s at rank 14 and exits 1 at rank 15. Bracket
-expressions keep the limits of `lieexpr`: a left-normed word (no recursion)
-has at most `MAX_WORD_LENGTH` letters, any other nest ('(' or '[') at most
+"linear:" map takes about 3 s at rank 14 and exits 1 at rank 15. Parsed
+expressions keep the limits of `lieexpr`: a left-normed bracket (no
+recursion, whatever its operands) has at most `MAX_WORD_LENGTH` letters,
+and right operands, parentheses and words continued into sums nest at most
 `MAX_NESTING` levels. Lifts print as sums of left-normed words, so
 `endo_doc` output parses back at any degree up to the word cap. No cap
 bounds the output: `compose` of 'linear:[[1,1],[0,1]]' and "x1 + W; x2", W
@@ -34,7 +35,9 @@ Endomorphisms are given either as a JSON document {"rank": n, "images":
 [...]} (inline or as a file path), as a semicolon-separated list of bracket
 expressions ("x1 + [x2,x3]; x2; x3"), or through the constructor shorthands
 "inner:EXPR", "elementary:EXPR" (rank taken from --rank) and
-"linear:[[...]]".
+"linear:[[...]]". A parse error in a semicolon list is reported at its
+offset in the whole list, and an empty image before the last one is an
+error.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import accumulate
 
 from . import __version__, dyadic, endos, freeassoc
 from . import metabelian as mb
@@ -130,9 +134,8 @@ def load_endo(spec: str, rank: int = 0) -> endos.Endo:
             text = fh.read()
     elif spec.endswith(".json"):
         raise ValueError(f"no such file: {spec}")
-    text = text.strip()
-    if text.startswith("{"):
-        doc = _json(text)
+    if text.lstrip().startswith("{"):
+        doc = _json(text.strip())
         for key in ("rank", "images"):
             if key not in doc:
                 raise ValueError(f"endomorphism document has no '{key}' field")
@@ -144,13 +147,27 @@ def load_endo(spec: str, rank: int = 0) -> endos.Endo:
         _check_limit("'rank'", doc_rank, MAX_RANK)
         if not isinstance(images, list) or not all(isinstance(s, str) for s in images):
             raise ValueError("'images' must be a JSON list of expression strings")
+        starts = [0] * len(images)
     else:
-        images = [part for part in text.split(";") if part.strip()]
+        # empty parts after the last image are dropped, and no others
+        images = text.split(";")
+        while images and not images[-1].strip():
+            images.pop()
         doc_rank = len(images)
         _check_limit("image count", doc_rank, MAX_RANK)
+        for k, part in enumerate(images, 1):
+            if not part.strip():
+                raise ValueError(f"image {k} is empty")
+        # a parse offset is reported into the text the list was read from
+        starts = accumulate((len(part) + 1 for part in images), initial=0)
     if rank and rank != doc_rank:
         raise ValueError(f"--rank {rank} does not match endomorphism rank {doc_rank}")
-    exprs = [parse_expr(s, "x", doc_rank) for s in images]
+    exprs = []
+    for part, start in zip(images, starts):
+        try:
+            exprs.append(parse_expr(part, "x", doc_rank))
+        except ParseError as e:
+            raise ParseError(e.message, start + e.position) from None
     return endos.from_exprs(doc_rank, exprs)
 
 

@@ -17,15 +17,7 @@ from dataclasses import dataclass
 from operator import add, attrgetter
 from typing import Dict, List, Optional, Tuple
 
-from .lieexpr import (
-    Bracket,
-    Gen,
-    LeftNormed,
-    LieExpr,
-    Sum,
-    combination,
-    format_expr,
-)
+from .lieexpr import Gen, LeftNormed, LieExpr, Sum, combination, format_expr
 from .polyring import Scalar, SparseTerms, _add_into, solve_sparse
 
 Word = Tuple[int, ...]
@@ -81,17 +73,15 @@ def lie_to_assoc(e: LieExpr, rank: int) -> NCPoly:
     [u, v] = uv - vu."""
     if isinstance(e, LeftNormed):
         # the letters of a left-normed word, one commutator each
-        u = NCPoly.gen(rank, e.indices[0])
-        for i in e.indices[1:]:
-            v = NCPoly.gen(rank, i)
+        u, *rest = (
+            NCPoly.gen(rank, a) if type(a) is int else lie_to_assoc(a, rank)
+            for a in e.letters
+        )
+        for v in rest:
             u = u * v - v * u
         return u
     if isinstance(e, Gen):
         return NCPoly.gen(rank, e.index)
-    if isinstance(e, Bracket):
-        u = lie_to_assoc(e.left, rank)
-        v = lie_to_assoc(e.right, rank)
-        return u * v - v * u
     if isinstance(e, Sum):
         acc = NCPoly.zero(rank)
         for c, p in e.parts:
@@ -156,7 +146,7 @@ def _degree4_quads(n: int) -> List[Quad]:
 
 def _bracket(quad: Quad) -> LieExpr:
     i, j, k, l = quad
-    return Bracket(LeftNormed((i, j)), LeftNormed((k, l)))
+    return LeftNormed((i, j, LeftNormed((k, l))))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +234,7 @@ class TraceReplay:
 
 def source_monomial() -> LieExpr:
     """[[z1, [z2, z3]], z4]."""
-    return Bracket(Bracket(Gen(1), LeftNormed((2, 3))), Gen(4))
+    return LeftNormed((1, LeftNormed((2, 3)), 4))
 
 
 def replay(rank: int, include_witness: bool = True) -> TraceReplay:

@@ -1,6 +1,6 @@
-"""Bracket expression trees shared by the metabelian and free-associative
-sides, plus the text grammar used everywhere an expression crosses the CLI
-boundary.
+"""Trees of bracket expressions shared by the metabelian and
+free-associative sides, plus the text grammar used everywhere an expression
+crosses the CLI boundary.
 
 Grammar (LETTER is 'x' or 'z' depending on context):
 
@@ -16,15 +16,19 @@ sum read by `polyring.read_sum`, with `_parse_term` as its term reader.
 linear combination is one Sum node of (coefficient, expression) pairs, signs
 folded into the coefficients, one pair per term of a '+/-' chain, and a
 single term with coefficient 1 is that term alone (`combination`); every
-left-normed word [[x_i1, x_i2], ..., x_im] is one flat LeftNormed node. The
-printer emits exactly that shape, so parse(print(e)) == e.
+left-normed bracket [[a1, a2], a3, ..., am] is one flat LeftNormed node of
+its m >= 2 letters, whatever its operands. A letter is a generator index or
+any other expression (never a Gen), and the first letter is never itself a
+LeftNormed: its letters begin the word. The printer emits exactly that
+shape, so parse(print(e)) == e.
 
-Left-normed words cost no recursion: the parser reads a run of '[' in a loop,
-and the printer, the evaluator and the free-associative expansion walk a
-word's letters in a loop, so a word may have up to MAX_WORD_LENGTH letters.
-Every other nest (a '(' or a '[' that does not extend a left-normed word) is
-walked recursively, so such nests may be at most MAX_NESTING levels deep.
-Longer or deeper input is a ParseError naming the limit.
+Left-normed brackets cost no recursion: the parser reads a run of '[' in a
+loop, and the printer, the evaluator and the free-associative expansion walk
+a word's letters in a loop, so a word may have up to MAX_WORD_LENGTH letters
+whatever its operands are. What really nests is walked recursively, so it
+may be at most MAX_NESTING levels deep: right operands, parentheses, and a
+word that a '+' or '-' continues into a sum, the first letter of the next
+word. Longer or deeper input is a ParseError naming the limit.
 """
 
 from __future__ import annotations
@@ -45,17 +49,12 @@ class Gen:
 
 @dataclass(frozen=True)
 class LeftNormed:
-    """The left-normed word [[x_i1, x_i2], x_i3, ..., x_im], stored flat as
-    its generator indices (i1, ..., im), m >= 2; build it with
-    `left_normed`, which checks the length."""
+    """The left-normed bracket [[a1, a2], a3, ..., am], stored flat as its
+    letters (a1, ..., am), m >= 2. A letter is a generator index (an int) or
+    any other expression; build a word of indices with `left_normed`, which
+    checks the length."""
 
-    indices: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Bracket:
-    left: "LieExpr"
-    right: "LieExpr"
+    letters: Tuple[Union[int, "LieExpr"], ...]
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,11 @@ class Sum:
     parts: Tuple[Tuple[Scalar, "LieExpr"], ...]
 
 
-LieExpr = Union[Gen, LeftNormed, Bracket, Sum]
+LieExpr = Union[Gen, LeftNormed, Sum]
 
 ZERO_EXPR = Sum(())
 
-# deepest nesting of '(' and of '[' that does not extend a left-normed word;
+# deepest nesting of right operands, of '(' and of words continued into sums;
 # keeps every recursive walk of a parsed tree well inside Python's default
 # recursion limit
 MAX_NESTING = 200
@@ -102,9 +101,10 @@ def generators_used(e: LieExpr) -> frozenset:
     if isinstance(e, Gen):
         return frozenset((e.index,))
     if isinstance(e, LeftNormed):
-        return frozenset(e.indices)
-    if isinstance(e, Bracket):
-        return generators_used(e.left) | generators_used(e.right)
+        out = frozenset()
+        for a in e.letters:
+            out |= {a} if type(a) is int else generators_used(a)
+        return out
     if isinstance(e, Sum):
         out = frozenset()
         for _, p in e.parts:
@@ -116,21 +116,35 @@ def generators_used(e: LieExpr) -> frozenset:
 # -- printing ---------------------------------------------------------------
 
 
+class _LetterText(dict):
+    """The text of each letter that one `format_expr` call prints: an index
+    is named once, and an expression letter is printed each time."""
+
+    __slots__ = ("letter",)
+
+    def __init__(self, letter: str):
+        self.letter = letter
+
+    def __missing__(self, a) -> str:
+        if type(a) is not int:
+            return format_expr(a, self.letter)
+        text = self[a] = f"{self.letter}{a}"
+        return text
+
+
 def format_expr(e: LieExpr, letter: str = "x") -> str:
     """Canonical text form; inverse of parse_expr on parser-shaped trees.
     Printed as a sum of terms in one loop, one `format_term` per term."""
-    sep = f"], {letter}"
+    names = _LetterText(letter)
     chunks: list = []
     for c, t in e.parts if isinstance(e, Sum) else ((1, e),):
         if isinstance(t, LeftNormed):
-            # one '[' per bracket, the first letter, then ", x<i>]" per letter
-            idx = t.indices
-            rest = sep.join(map(str, idx[1:]))
-            body = f"{'[' * (len(idx) - 1)}{letter}{idx[0]}, {letter}{rest}]"
+            # one '[' per bracket, the first letter, then ", <letter>]" each
+            word = t.letters
+            rest = "], ".join(map(names.__getitem__, word[1:]))
+            body = f"{'[' * (len(word) - 1)}{names[word[0]]}, {rest}]"
         elif isinstance(t, Gen):
             body = f"{letter}{t.index}"
-        elif isinstance(t, Bracket):
-            body = f"[{format_expr(t.left, letter)}, {format_expr(t.right, letter)}]"
         else:
             body = f"({format_expr(t, letter)})"
         chunks.append(format_term(c, body, not chunks))
@@ -194,49 +208,41 @@ def _parse_factor(tokens: Tokens, letter: str, rank: int, depth: int) -> LieExpr
     if tok != "[":
         raise tokens.error(f"expected '{letter}<index>', '[' or '('")
     # A run of k '[' opens k brackets, each the first factor of the next
-    # one's left operand. They are closed in a loop from the innermost out;
-    # a bracket whose left side is a generator or word and whose right side
-    # is a generator extends the word and costs no nesting level. Level j
-    # (1 = outermost) reads the rest of its left operand and its right
-    # operand at depth + j: their depth unless the level extends a word, and
-    # then they are plain generators.
-    opens = []
+    # one's left operand: together they are one word, read in a loop, and
+    # every operand of the run is read at depth + 1.
+    k = 0
     while tokens.peek() == "[":
-        if len(opens) == MAX_WORD_LENGTH - 1:
+        if k == MAX_WORD_LENGTH - 1:
             raise tokens.error(
                 f"left-normed word longer than {MAX_WORD_LENGTH} letters"
             )
-        opens.append(tokens.i)
+        k += 1
         tokens.i += 1
-    k = len(opens)
-    left = _parse_element(tokens, letter, rank, depth + k)
-    if isinstance(left, Gen):
-        word = [left.index]
-    elif isinstance(left, LeftNormed):
-        word = list(left.indices)
+    first = _parse_element(tokens, letter, rank, depth + 1)
+    if isinstance(first, LeftNormed):
+        word = list(first.letters)
     else:
-        word = None
-    for level in range(k, 0, -1):
-        inner = depth + level
+        word = [first.index if isinstance(first, Gen) else first]
+    for _ in range(k):
         if tokens.peek() in ("+", "-"):
-            if word is not None:
-                left = _word_node(word)
-                word = None
-            left = _parse_element(tokens, letter, rank, inner, (1, left))
+            # the word so far becomes the first term of a sum, the new first
+            # letter: a real nest, one level deeper than the word itself
+            inner = LeftNormed(tuple(word))
+            if depth + _levels(inner) > MAX_NESTING:
+                raise tokens.error(f"nesting deeper than {MAX_NESTING} levels")
+            word = [_parse_element(tokens, letter, rank, depth + 1, (1, inner))]
         tokens.expect(",")
-        right = _parse_element(tokens, letter, rank, inner)
+        right = _parse_element(tokens, letter, rank, depth + 1)
         tokens.expect("]")
-        if word is not None and isinstance(right, Gen):
-            word.append(right.index)
-            continue
-        if inner > MAX_NESTING:
-            raise tokens.error(
-                f"nesting deeper than {MAX_NESTING} levels", opens[MAX_NESTING - depth]
-            )
-        left = Bracket(_word_node(word) if word is not None else left, right)
-        word = None
-    return _word_node(word) if word is not None else left
+        word.append(right.index if isinstance(right, Gen) else right)
+    return LeftNormed(tuple(word))
 
 
-def _word_node(word: list) -> LieExpr:
-    return Gen(word[0]) if len(word) == 1 else LeftNormed(tuple(word))
+def _levels(e) -> int:
+    """How deep words nest in e, one level per word, as the parser counts."""
+    if isinstance(e, Sum):
+        return max(map(_levels, [t for _, t in e.parts]), default=0)
+    if isinstance(e, LeftNormed):
+        letters = [a for a in e.letters if type(a) is not int]
+        return 1 + max(map(_levels, letters), default=0)
+    return 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Dict, Tuple
 
-from .lieexpr import Bracket, Gen, LeftNormed, LieExpr, Sum, combination
+from .lieexpr import Gen, LeftNormed, LieExpr, Sum, combination
 from .polyring import (
     PolyMatrix,
     Polynomial,
@@ -170,10 +170,14 @@ def eval_with(e: LieExpr, images) -> MElement:
     return MElement._raw(n, tuple(Polynomial._raw(n, acc) for acc in slots))
 
 
-def _image(images, i: int, n: int) -> MElement:
-    if not 1 <= i <= len(images):
-        raise ValueError(f"generator index {i} out of range 1..{len(images)}")
-    g = images[i - 1]
+def _value(images, a, n: int) -> MElement:
+    """The value of a letter: the image of the generator index a, or the
+    value of the expression a."""
+    if type(a) is not int:
+        return eval_with(a, images)
+    if not 1 <= a <= len(images):
+        raise ValueError(f"generator index {a} out of range 1..{len(images)}")
+    g = images[a - 1]
     if g.rank != n:
         raise ValueError(f"rank mismatch: {g.rank} vs {n}")
     return g
@@ -185,16 +189,16 @@ def _eval_into(e: LieExpr, images, c: Scalar, slots: list) -> None:
     coefficient multiplied into c."""
     n = len(slots)
     if isinstance(e, LeftNormed):
-        idx = e.indices
-        u, v = _image(images, idx[0], n), _image(images, idx[1], n)
+        word = e.letters
+        u, v = _value(images, word[0], n), _value(images, word[1], n)
         # [u, v] is derived (zero linear part), so each further letter b + s
         # acts as [t, b + s] = -b.t: the word is f.[u, v] for the product f
         # (a term map) of the -b
         mul = _mono_ops(n)[0]
-        f = {_constant_key(n): -c if len(idx) % 2 else c}
-        for i in idx[2:]:
+        f = {_constant_key(n): -c if len(word) % 2 else c}
+        for a in word[2:]:
             f, g = {}, f
-            _mul_into(f, g, _image(images, i, n).linear_poly.terms, mul)
+            _mul_into(f, g, _value(images, a, n).linear_poly.terms, mul)
         _add_bracket(slots, f, u, v)
         return
     if isinstance(e, Sum):
@@ -205,13 +209,9 @@ def _eval_into(e: LieExpr, images, c: Scalar, slots: list) -> None:
             if k:
                 _eval_into(p, images, k, slots)
         return
-    if isinstance(e, Bracket):
-        u, v = eval_with(e.left, images), eval_with(e.right, images)
-        _add_bracket(slots, {_constant_key(n): c}, u, v)
-        return
     if not isinstance(e, Gen):
         raise TypeError(f"not a LieExpr: {e!r}")
-    for acc, p in zip(slots, _image(images, e.index, n).tpart):
+    for acc, p in zip(slots, _value(images, e.index, n).tpart):
         _add_into(acc, p.terms.items(), c)
 
 

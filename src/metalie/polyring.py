@@ -81,6 +81,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
+        self.message = message
         self.position = position
 
 

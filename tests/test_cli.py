@@ -27,7 +27,7 @@ from metalie.cli import (
     main,
 )
 from metalie.lieexpr import MAX_NESTING, MAX_WORD_LENGTH
-from metalie.polyring import MAX_MINORS
+from metalie.polyring import MAX_MINORS, Polynomial
 
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -402,6 +402,16 @@ class TestRoundTrips:
                 assert f"y2^{depth}" in out
 
 
+def assert_error(capsys, argv, doc, text):
+    """argv exits 1 with the one-line JSON object doc on stderr under
+    --format structured, and with the line text otherwise."""
+    code, out, err = run(capsys, *argv, "--format", "structured")
+    assert (code, out) == (1, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err) == doc
+    assert run(capsys, *argv) == (1, "", text)
+
+
 class TestStructuredErrors:
     """With --format structured, an error after parsing is one JSON object
     on stderr; text mode keeps its one line."""
@@ -453,11 +463,45 @@ class TestStructuredErrors:
         ],
     )
     def test_error_object(self, capsys, argv, doc, text):
-        code, out, err = run(capsys, *argv, "--format", "structured")
-        assert (code, out) == (1, "")
-        assert err.endswith("\n") and err.count("\n") == 1
-        assert json.loads(err) == doc
-        assert run(capsys, *argv) == (1, "", text)
+        assert_error(capsys, argv, doc, text)
+
+    # a semicolon list reports parse offsets into the whole text it was read
+    # from; a JSON document, into the image string
+    @pytest.mark.parametrize(
+        "spec, message, offset",
+        [
+            ("x1; x3", "generator index 3 out of range 1..2", 4),
+            ("x1;x2;  [x1,", "expected 'x<index>', '[' or '('", 12),
+            ("  x1;x9", "generator index 9 out of range 1..2", 5),
+            ("x1;\n[x1 x2];", "expected ','", 8),
+            (endo_json(2, ["x1", " x3"]), "generator index 3 out of range 1..2", 1),
+        ],
+    )
+    def test_parse_offsets_point_into_the_argument(
+        self, capsys, tmp_path, spec, message, offset
+    ):
+        error = f"{message} (at offset {offset})"
+        doc = {"error": error, "kind": "parse", "offset": offset}
+        path = tmp_path / "endo.txt"
+        path.write_text(spec, encoding="utf-8")
+        for arg in (spec, str(path)):
+            argv = ("jac", arg)
+            assert_error(capsys, argv, doc, f"metalie: parse error: {error}\n")
+
+    @pytest.mark.parametrize(
+        "spec, k", [("x1;;x2", 2), (";x1", 1), ("x1; ;x2;", 2), ("x1;x2;\n;x3", 3)]
+    )
+    def test_empty_image_in_a_list_is_an_error(self, capsys, spec, k):
+        doc = {"error": f"image {k} is empty", "kind": "input", "offset": None}
+        text = f"metalie: error: image {k} is empty\n"
+        assert_error(capsys, ("jac", spec), doc, text)
+
+    def test_empty_parts_after_the_last_image_are_dropped(self, capsys):
+        want = run(capsys, "jac", "x2; x1")
+        assert want[0] == 0
+        for spec in ("x2; x1;", "x2; x1; ;\n", " x2;x1;;"):
+            assert run(capsys, "jac", spec) == want
+
 
     def test_parser_errors_stay_text(self, capsys):
         code, out, err = run(capsys, "nf", "--format", "structured", "--bogus", "x1")
@@ -609,9 +653,15 @@ def right_nested(depth):
 
 
 def left_spine(depth):
-    """[[... [x1, x1 + x2], ...], x1 + x2]: left-nested, but no level has a
-    generator on the right, so none folds into a word."""
+    """[[... [x1, x1 + x2], ...], x1 + x2]: one left-normed word of
+    depth + 1 letters, all but the first a sum."""
     return "[" * depth + "x1" + ", x1 + x2]" * depth
+
+
+def continued(depth):
+    """[[... [[x1, x2] + x1, x2] ... + x1, x2]: each level after the first
+    continues the word read so far into a sum, which nests it one level."""
+    return "[" * depth + "x1, x2]" + " + x1, x2]" * (depth - 1)
 
 
 def word(letters):
@@ -628,7 +678,7 @@ class TestSizeLimits:
         for text in (
             right_nested(1200),
             right_nested(MAX_NESTING + 1),
-            left_spine(MAX_NESTING + 1),
+            continued(MAX_NESTING + 2),
             "(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1),
         ):
             code, out, err = run(capsys, "nf", "--rank", "2", text)
@@ -644,9 +694,22 @@ class TestSizeLimits:
         assert f"y2^{depth}" in out
         code, out, _ = run(capsys, "nf", "--rank", "2", left_spine(depth))
         assert code == 0
+        code, out, _ = run(capsys, "nf", "--rank", "2", continued(depth + 1))
+        assert code == 0
         code, _, err = run(capsys, "nf", "(" * (depth + 1) + "x1" + ")" * (depth + 1))
         assert code == 1
         assert str(MAX_NESTING) in err
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1000])
+    def test_left_spine_is_one_word_at_any_depth(self, capsys, depth):
+        # [x1, x1 + x2] = [x1, x2] has the Fox row (-y2, y1), and each further
+        # letter x1 + x2 multiplies a derived element by -(y1 + y2)
+        y1, y2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+        f = Polynomial.one(2)
+        for _ in range(depth - 1):
+            f = f * -(y1 + y2)
+        want = f"linear: (0, 0)\ntpart:  ({-f * y2}, {f * y1})\n"
+        assert run(capsys, "nf", "--rank", "2", left_spine(depth)) == (0, want, "")
 
     def test_word_at_the_length_limit_is_accepted(self, capsys):
         # left-normed words are read in a loop: no nesting limit applies

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import metalie.endos as en
 import metalie.metabelian as mb
-from metalie.lieexpr import Bracket, Sum, left_normed, parse_expr
+from metalie.lieexpr import LeftNormed, Sum, left_normed, parse_expr
 from metalie.polyring import (
     PolyMatrix,
     Polynomial,
@@ -676,9 +676,10 @@ def endo_coeffs(*phis):
 
 
 def expr_coeffs(e):
-    if isinstance(e, Bracket):
-        yield from expr_coeffs(e.left)
-        yield from expr_coeffs(e.right)
+    if isinstance(e, LeftNormed):
+        for a in e.letters:
+            if type(a) is not int:
+                yield from expr_coeffs(a)
     elif isinstance(e, Sum):
         for c, part in e.parts:
             yield c

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +13,18 @@ from hypothesis import strategies as st
 
 import metalie.freeassoc as fa
 from metalie.cli import MAX_OE_RANK
-from metalie.lieexpr import Bracket, Gen, LeftNormed, Sum, parse_expr
+from metalie.lieexpr import Gen, LeftNormed, Sum, left_normed, parse_expr
 from metalie.verify import commutator_row_space, random_nc_poly
 
 
 def NC(rank, *terms):
     return fa.NCPoly(rank, {tuple(w): c for w, c in terms})
+
+
+def commutator_fold(values):
+    """[[u1, u2], ..., um] in the free associative algebra, folded from
+    [u, v] = uv - vu: the oracle of the word expansion."""
+    return reduce(lambda u, v: u * v - v * u, values)
 
 
 def rotations(word):
@@ -104,12 +111,36 @@ class TestLieToAssoc:
         for _ in range(80):
             rank = rng.randint(2, 4)
             word = [rng.randint(1, rank) for _ in range(rng.randint(2, 7))]
-            tree = Gen(word[0])
-            for i in word[1:]:
-                tree = Bracket(tree, Gen(i))
-            assert fa.lie_to_assoc(LeftNormed(tuple(word)), rank) == fa.lie_to_assoc(
-                tree, rank
-            )
+            want = commutator_fold([fa.NCPoly.gen(rank, i) for i in word])
+            assert fa.lie_to_assoc(LeftNormed(tuple(word)), rank) == want
+
+    def test_expression_letters_match_a_fold_of_commutators(self):
+        rng = random.Random(4)
+        shapes = set()
+        for case in range(120):
+            rank = 2 + case % 3
+            letters = []
+            for _ in range(rng.randint(2, 4)):
+                roll = rng.random()
+                if roll < 0.4:
+                    letters.append(rng.randint(1, rank))
+                elif roll < 0.6:
+                    word = (rng.randint(1, rank) for _ in range(rng.randint(2, 3)))
+                    letters.append(left_normed(word))
+                else:
+                    terms = [
+                        (Fraction(rng.choice([-3, 1, 2]), rng.choice([1, 2])), Gen(i))
+                        for i in range(1, rank + 1)
+                    ]
+                    letters.append(Sum(tuple(terms)))
+            shapes.update(type(a).__name__ for a in letters)
+            values = [
+                fa.NCPoly.gen(rank, a) if type(a) is int else fa.lie_to_assoc(a, rank)
+                for a in letters
+            ]
+            want = commutator_fold(values)
+            assert fa.lie_to_assoc(LeftNormed(tuple(letters)), rank) == want
+        assert shapes == {"int", "LeftNormed", "Sum"}
 
     def test_self_bracket(self):
         assert fa.lie_to_assoc(parse_expr("[z1,z1]", "z"), 2).is_zero()
@@ -269,7 +300,7 @@ class TestWitnessSystem:
         want = []
         for a in range(len(pairs)):
             for b in range(a):
-                expr = Bracket(LeftNormed(pairs[a]), LeftNormed(pairs[b]))
+                expr = LeftNormed(pairs[a] + (LeftNormed(pairs[b]),))
                 expansion = fa.lie_to_assoc(expr, rank)
                 if not expansion.is_zero():
                     assert sorted(expansion.terms.values()) == [-1] * 4 + [1] * 4
@@ -284,7 +315,7 @@ class TestWitnessSystem:
         for s in (source, other * Fraction(1, 3)):
             quads, *system = fa._witness_system(rank, s)
             basis, *want = old_witness_system(rank, s)
-            exprs = [Bracket(LeftNormed(q[:2]), LeftNormed(q[2:])) for q in quads]
+            exprs = [LeftNormed((*q[:2], LeftNormed(q[2:]))) for q in quads]
             assert tuple(exprs) == basis
             assert system == want
 

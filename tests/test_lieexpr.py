@@ -1,14 +1,14 @@
-"""Bracket-expression grammar: parsing, printing, round trips."""
+"""The grammar of bracket expressions: parsing, printing, round trips."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metalie.lieexpr import (
-    Bracket,
     Gen,
     LeftNormed,
     Sum,
@@ -31,10 +31,13 @@ def test_parse_bracket():
     # left-normed nests fold into one flat word node
     assert parse_expr("[x1,x2]") == LeftNormed((1, 2))
     assert parse_expr("[ [x1, x2 ] , x3 ]") == LeftNormed((1, 2, 3))
-    # any other bracket stays a Bracket over its parsed operands
-    assert parse_expr("[x1, [x2, x3]]") == Bracket(Gen(1), LeftNormed((2, 3)))
-    assert parse_expr("[[x1, x2] + x3, x4]") == Bracket(
-        Sum(((1, LeftNormed((1, 2))), (1, Gen(3)))), Gen(4)
+    # whatever its operands: an operand that is not a generator is a letter
+    assert parse_expr("[x1, [x2, x3]]") == LeftNormed((1, LeftNormed((2, 3))))
+    assert parse_expr("[[x1, [x2, x3]], x4]") == LeftNormed(
+        (1, LeftNormed((2, 3)), 4)
+    )
+    assert parse_expr("[[x1, x2] + x3, x4]") == LeftNormed(
+        (Sum(((1, LeftNormed((1, 2))), (1, Gen(3)))), 4)
     )
 
 
@@ -55,7 +58,7 @@ def test_parse_leading_minus():
 
 def test_parse_zero():
     assert parse_expr("0") == ZERO_EXPR
-    assert parse_expr("[0, x1]") == Bracket(ZERO_EXPR, Gen(1))
+    assert parse_expr("[0, x1]") == LeftNormed((ZERO_EXPR, 1))
 
 
 def test_parse_parenthesized_scale():
@@ -104,10 +107,12 @@ PARSE_ERRORS = [
     ("(" * 201 + "x1" + ")" * 201, "x", 0, "nesting deeper than 200 levels", 200),
     ("( " * 201 + "x1", "x", 0, "nesting deeper than 200 levels", 400),
     ("[x1, " * 201 + "x2" + "]" * 201, "x", 0, "nesting deeper than 200 levels", 1000),
-    ("[" * 201 + "x1 + x2" + ", x3]" * 201, "x", 0,
-     "nesting deeper than 200 levels", 200),
-    ("[ " * 201 + "z1 - z2" + ", z3 ]" * 201, "z", 0,
-     "nesting deeper than 200 levels", 400),
+    # each '+' or '-' that continues a word makes the word read so far one
+    # level deeper: the 201st does so past the limit, and its sign is refused
+    ("[" * 202 + "x1, x2]" + " + x1, x2]" * 201, "x", 0,
+     "nesting deeper than 200 levels", 2210),
+    ("[z1, " * 100 + "[" * 102 + "z1, z2]" + "- z1, z2]" * 101, "z", 0,
+     "nesting deeper than 200 levels", 1509),
     ("[" * 10000 + "x1", "x", 0, "left-normed word longer than 10000 letters", 9999),
     ("[ " * 10000, "x", 0, "left-normed word longer than 10000 letters", 19998),
 ]
@@ -119,6 +124,30 @@ def test_parse_error_table(text, letter, rank, message, offset):
         parse_expr(text, letter, rank)
     assert str(err.value) == f"{message} (at offset {offset})"
     assert err.value.position == offset
+
+
+# (text, letter, letters): left chains of operands that are not generators
+# are one word read in a loop, so the nesting limit does not count their
+# brackets; a chain one continuation short of the error rows above is taken
+LONG_LEFT_CHAINS = [
+    ("[" * 201 + "x1 + x2" + ", x3]" * 201, "x", 202),
+    ("[ " * 201 + "z1 - z2" + ", z3 ]" * 201, "z", 202),
+    ("[" * 1000 + "x1" + ", x1 + x2]" * 1000, "x", 1001),
+    ("[" * 201 + "x1, x2]" + " + x1, x2]" * 200, "x", 2),
+    ("[z1, " * 100 + "[" * 101 + "z1, z2]" + "- z1, z2]" * 100 + "]" * 100, "z", 2),
+]
+
+
+@pytest.mark.parametrize("text, letter, letters", LONG_LEFT_CHAINS)
+def test_long_left_chains_are_words(text, letter, letters):
+    e = parse_expr(text, letter)
+    assert isinstance(e, LeftNormed)
+    assert len(e.letters) == letters
+    assert _shape_faults(e) == []
+    # the printed text reads back to itself (== on trees this deep would
+    # exhaust the recursion limit)
+    printed = format_expr(e, letter)
+    assert format_expr(parse_expr(printed, letter), letter) == printed
 
 
 # (text, rank, message, offset) for malformed right operands of a word
@@ -176,6 +205,7 @@ def test_parse_expr_gives_a_tree_or_a_parse_error(text, letter, rank):
         e = parse_expr(text, letter, rank)
     except ParseError:
         return
+    assert _shape_faults(e) == []
     assert parse_expr(format_expr(e, letter), letter, rank) == e
 
 
@@ -195,15 +225,35 @@ def test_format_round_trip_examples():
         assert parse_expr(format_expr(e)) == e
 
 
+def _letter(e):
+    return e.index if isinstance(e, Gen) else e
+
+
 def _bracket(left, right):
-    """The parser's shape of [left, right]: a generator or left-normed word
-    bracketed with a generator is one longer word."""
-    if isinstance(right, Gen):
-        if isinstance(left, Gen):
-            return LeftNormed((left.index, right.index))
-        if isinstance(left, LeftNormed):
-            return LeftNormed(left.indices + (right.index,))
-    return Bracket(left, right)
+    """The parser's shape of [left, right]: a word on the left is extended
+    by one letter, and a generator is a letter as its index."""
+    first = left.letters if isinstance(left, LeftNormed) else (_letter(left),)
+    return LeftNormed(first + (_letter(right),))
+
+
+def _shape_faults(e):
+    """Where a tree breaks the parser's word shape: a Gen letter, a word as
+    a first letter, or a word of fewer than two letters."""
+    if isinstance(e, Sum):
+        return [f for _, t in e.parts for f in _shape_faults(t)]
+    if not isinstance(e, LeftNormed):
+        return []
+    faults = []
+    if len(e.letters) < 2:
+        faults.append(("short word", e))
+    if isinstance(e.letters[0], LeftNormed):
+        faults.append(("word as first letter", e))
+    for a in e.letters:
+        if isinstance(a, Gen):
+            faults.append(("Gen letter", e))
+        elif type(a) is not int:
+            faults += _shape_faults(a)
+    return faults
 
 
 def _random_expr(rng, rank, depth):
@@ -232,17 +282,25 @@ def test_format_round_trip_randomized():
         e = _random_expr(rng, 4, 3)
         for letter in "xz":
             assert parse_expr(format_expr(e, letter), letter) == e
-        shapes.add(f"{len(e.parts)}-term Sum" if isinstance(e, Sum) else type(e))
+        if isinstance(e, Sum):
+            shapes.add(f"{len(e.parts)}-term Sum")
+        elif isinstance(e, LeftNormed) and not all(type(a) is int for a in e.letters):
+            shapes.add("expression letter")
+        else:
+            shapes.add(type(e))
     assert shapes == {
-        Gen, LeftNormed, Bracket, "1-term Sum", "2-term Sum", "3-term Sum"
+        Gen, LeftNormed, "expression letter", "1-term Sum", "2-term Sum", "3-term Sum"
     }
 
 
-def _format_nested(indices, letter):
-    """Test-local recursive printer of [[x_i1, x_i2], ..., x_im]."""
-    if len(indices) == 1:
-        return f"{letter}{indices[0]}"
-    return f"[{_format_nested(indices[:-1], letter)}, {letter}{indices[-1]}]"
+def _format_nested(letters, letter):
+    """Test-local recursive printer of [[a1, a2], ..., am], one binary
+    bracket per letter after the first."""
+    last = letters[-1]
+    text = f"{letter}{last}" if type(last) is int else _seed_format(last, letter)
+    if len(letters) == 1:
+        return text
+    return f"[{_format_nested(letters[:-1], letter)}, {text}]"
 
 
 def test_flat_word_printer_matches_recursive_printer():
@@ -268,11 +326,9 @@ def _seed_format(e, letter="x"):
 
 def _seed_factor(e, letter):
     if isinstance(e, LeftNormed):
-        return _format_nested(e.indices, letter)
+        return _format_nested(e.letters, letter)
     if isinstance(e, Gen):
         return f"{letter}{e.index}"
-    if isinstance(e, Bracket):
-        return f"[{_seed_format(e.left, letter)}, {_seed_format(e.right, letter)}]"
     return f"({_seed_format(e, letter)})"
 
 
@@ -285,14 +341,15 @@ LEAVES = st.one_of(
         lambda w: LeftNormed(tuple(w))
     ),
 )
-# parser-shaped trees: brackets in the parser's word shape, one-term sums
+# parser-shaped trees: brackets of two or more operands in the parser's word
+# shape, so with expression letters, one-term sums
 # whose coefficient is not 1 (a Sum factor prints parenthesised) and sums of
 # two or more terms with any nonzero coefficients
 TERM_COEFFS = st.one_of(st.just(1), COEFFS)
 PARSER_TREES = st.recursive(
     LEAVES,
     lambda kids: st.one_of(
-        st.tuples(kids, kids).map(lambda lr: _bracket(*lr)),
+        st.lists(kids, min_size=2, max_size=4).map(lambda ops: reduce(_bracket, ops)),
         st.tuples(COEFFS, kids).map(lambda term: Sum((term,))),
         st.lists(st.tuples(TERM_COEFFS, kids), min_size=2, max_size=4).map(
             lambda terms: Sum(tuple(terms))
@@ -306,7 +363,9 @@ PARSER_TREES = st.recursive(
 @given(PARSER_TREES, st.sampled_from("xz"))
 def test_printer_round_trip_and_seed_printer(e, letter):
     text = format_expr(e, letter)
-    assert parse_expr(text, letter) == e
+    parsed = parse_expr(text, letter)
+    assert _shape_faults(parsed) == []
+    assert parsed == e
     assert text == _seed_format(e, letter)
 
 
@@ -317,6 +376,8 @@ def test_parser_trees_cover_the_shapes():
     @given(PARSER_TREES)
     def collect(e):
         seen.add(type(e))
+        if isinstance(e, LeftNormed) and not all(type(a) is int for a in e.letters):
+            seen.add("expression letter")
         if isinstance(e, Sum):
             kind = "scaled " if len(e.parts) == 1 else "sum of "
             for c, p in e.parts:
@@ -328,14 +389,19 @@ def test_parser_trees_cover_the_shapes():
 
     collect()
     assert {
-        Bracket, Sum, "sum of Sum", "sum of coefficient", "scaled Sum", "fraction"
+        "expression letter",
+        Sum,
+        "sum of Sum",
+        "sum of coefficient",
+        "scaled Sum",
+        "fraction",
     } <= seen
 
 
 def _unit_sums(e):
     """The one-term Sums with coefficient 1 anywhere in a tree."""
-    if isinstance(e, Bracket):
-        return _unit_sums(e.left) + _unit_sums(e.right)
+    if isinstance(e, LeftNormed):
+        return [s for a in e.letters if type(a) is not int for s in _unit_sums(a)]
     if not isinstance(e, Sum):
         return []
     found = [e] if len(e.parts) == 1 and e.parts[0][0] == 1 else []
@@ -361,12 +427,43 @@ def test_parser_builds_no_unit_sum(text):
     assert _unit_sums(parse_expr(text)) == []
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[(x1), (x2)]",
+        "[([x1, x2]), x3]",
+        "[1*[x1, x2], 1*x3]",
+        "[(([x1, x2])), [x3, x4]]",
+        "[+x1, (+x2)]",
+        "[(x1 + x2), [[x3, x1], x2]]",
+        "[[x1, x2] + x3, [x4, x1]]",
+        "[x1, 0] - [0, x2]",
+    ],
+)
+def test_parser_keeps_the_word_shape(text):
+    assert _shape_faults(parse_expr(text)) == []
+
+
+def test_shape_faults_are_seen():
+    for bad in (
+        LeftNormed((Gen(1), 2)),
+        LeftNormed((1, Gen(2))),
+        LeftNormed((LeftNormed((1, 2)), 3)),
+        LeftNormed((1,)),
+        Sum(((2, LeftNormed((1, LeftNormed((Gen(2), 3))))),)),
+    ):
+        assert _shape_faults(bad)
+
+
 def test_helpers():
     e = parse_expr("[x1, x3] + 2*x2")
     assert generators_used(e) == frozenset({1, 2, 3})
     assert max(generators_used(e), default=0) == 3
     assert max(generators_used(parse_expr("0")), default=0) == 0
     assert generators_used(parse_expr("[[x4, x1], x4]")) == frozenset({1, 4})
+    # expression letters, first and later
+    e = parse_expr("[[x1 + x5, [x2, x6]], x3 - x1]")
+    assert generators_used(e) == frozenset({1, 2, 3, 5, 6})
     assert left_normed([1, 2, 3]) == LeftNormed((1, 2, 3))
     assert left_normed([1, 2, 3]) == parse_expr("[[x1, x2], x3]")
     with pytest.raises(ValueError):

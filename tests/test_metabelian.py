@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import metalie.metabelian as mb
 from metalie import polyring
 from metalie.lieexpr import (
-    Bracket,
     Gen,
     LeftNormed,
     Sum,
@@ -162,16 +161,41 @@ class TestEvaluate:
             rank = rng.randint(2, 5)
             e = random_melement_expr(rng, rank, 4)
             if case % 4 == 0:
-                e = Sum(((1, e), (1, Bracket(e, random_melement_expr(rng, rank, 2)))))
+                bracket = LeftNormed((e, random_melement_expr(rng, rank, 2)))
+                e = Sum(((1, e), (1, bracket)))
             assert list(mb.evaluate(e, rank).linear) == abelian(e, rank)
 
 
-def nested(word):
-    """The left-normed word as a tree of binary Brackets, built by hand."""
-    e = Gen(word[0])
-    for i in word[1:]:
-        e = Bracket(e, Gen(i))
-    return e
+def folded(values):
+    """The left-normed bracket of the letter values, as a left fold of the
+    binary `mb.bracket`: the oracle of the word evaluator."""
+    return reduce(mb.bracket, values)
+
+
+def letter_values(letters, images):
+    return [
+        images[a - 1] if type(a) is int else mb.eval_with(a, images) for a in letters
+    ]
+
+
+def random_letter(rng, rank):
+    """An index, or an expression letter: a Sum with Fraction coefficients
+    over generators and words, a word, or zero."""
+    roll = rng.random()
+    if roll < 0.4:
+        return rng.randint(1, rank)
+    if roll < 0.55:
+        return left_normed(rng.randint(1, rank) for _ in range(rng.randint(2, 4)))
+    if roll < 0.6:
+        return ZERO_EXPR
+    terms = [
+        (Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3])), Gen(i))
+        for i in rng.sample(range(1, rank + 1), rng.randint(1, rank))
+    ]
+    if rng.random() < 0.5:
+        word = left_normed(rng.randint(1, rank) for _ in range(rng.randint(2, 3)))
+        terms.append((Fraction(rng.choice([-5, 1, 3]), 2), word))
+    return Sum(tuple(terms))
 
 
 class TestLeftNormedWord:
@@ -185,8 +209,8 @@ class TestLeftNormedWord:
                 images = [g.scaled(Fraction(rng.choice([-3, 1, 5]), 2)) for g in images]
                 images[rng.randrange(rank)] = rand_derived(rng, rank, 3)
             word = [rng.randint(1, rank) for _ in range(rng.randint(2, 7))]
-            assert mb.eval_with(LeftNormed(tuple(word)), images) == mb.eval_with(
-                nested(word), images
+            assert mb.eval_with(LeftNormed(tuple(word)), images) == folded(
+                letter_values(word, images)
             )
 
     def test_matches_nested_brackets_on_generators(self):
@@ -194,9 +218,25 @@ class TestLeftNormedWord:
         for _ in range(100):
             rank = rng.randint(2, 5)
             word = [rng.randint(1, rank) for _ in range(rng.randint(2, 12))]
-            assert mb.evaluate(LeftNormed(tuple(word)), rank) == mb.evaluate(
-                nested(word), rank
+            assert mb.evaluate(LeftNormed(tuple(word)), rank) == folded(
+                letter_values(word, mb.generators(rank))
             )
+
+    def test_expression_letters_match_a_fold_of_brackets(self):
+        rng = random.Random(34)
+        shapes = set()
+        for case in range(200):
+            rank = 2 + case % 4
+            letters = tuple(
+                random_letter(rng, rank) for _ in range(rng.randint(2, 5))
+            )
+            shapes.update(type(a).__name__ for a in letters)
+            images = mb.generators(rank)
+            if case % 2:
+                images = rational_images(rng, rank)
+            want = folded(letter_values(letters, images))
+            assert mb.eval_with(LeftNormed(letters), images) == want
+        assert shapes == {"int", "LeftNormed", "Sum"}
 
     def test_every_letter_is_range_checked(self):
         words = [(3, 1), (1, 3), (1, 2, 3), (1, 2, 2, 3), (0, 1), (1, 0)]
@@ -416,7 +456,8 @@ def oracle_lift_elements():
                     rng.randint(1, rank) for _ in range(rng.randint(2, 8))
                 )
                 if rng.random() < 0.25:
-                    word = Bracket(word, left_normed((rng.randint(1, rank), 1)))
+                    right = left_normed((rng.randint(1, rank), 1))
+                    word = LeftNormed(word.letters + (right,))
                 c = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 1, 3, 4]))
                 terms.append((c, word))
         out.append(mb.evaluate(Sum(tuple(terms)), rank))
