@@ -15,7 +15,6 @@ from .polyring import (
     y_column,
 )
 from .lieexpr import (
-    Gen,
     LeftNormed,
     LieExpr,
     Sum,

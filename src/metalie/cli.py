@@ -22,7 +22,7 @@ JSON document's "rank", the image count of a semicolon list, the size of a
 expressions keep the limits of `lieexpr`: a left-normed bracket (no
 recursion, whatever its operands) has at most `MAX_WORD_LENGTH` letters,
 and right operands, parentheses and words continued into sums nest at most
-`MAX_NESTING` levels. Lifts print as sums of left-normed words, so
+`MAX_NESTING` (100) levels. Lifts print as sums of left-normed words, so
 `endo_doc` output parses back at any degree up to the word cap. No cap
 bounds the output: `compose` of 'linear:[[1,1],[0,1]]' and "x1 + W; x2", W
 a left-normed word of n letters, prints about 6.2 n^2 bytes.
@@ -36,8 +36,8 @@ Endomorphisms are given either as a JSON document {"rank": n, "images":
 expressions ("x1 + [x2,x3]; x2; x3"), or through the constructor shorthands
 "inner:EXPR", "elementary:EXPR" (rank taken from --rank) and
 "linear:[[...]]". A parse error in a semicolon list is reported at its
-offset in the whole list, and an empty image before the last one is an
-error.
+offset in the whole list, one in a shorthand at its offset in the whole
+argument, and an empty image before the last one is an error.
 """
 
 from __future__ import annotations
@@ -101,13 +101,22 @@ def _json(text: str):
         raise ValueError("JSON input is nested too deeply") from None
 
 
+def _parse_at(text: str, start: int, rank: int):
+    """parse_expr of text that begins at offset start of an argument, with a
+    parse error reported at its offset in the argument."""
+    try:
+        return parse_expr(text, "x", rank)
+    except ParseError as e:
+        raise ParseError(e.message, start + e.position) from None
+
+
 def load_endo(spec: str, rank: int = 0) -> endos.Endo:
     _check_limit("--rank", rank, MAX_RANK)
     for prefix in ("inner:", "elementary:"):
         if spec.startswith(prefix):
             if not rank:
                 raise _UsageError(f"{prefix[:-1]} shorthand needs --rank")
-            expr = parse_expr(spec[len(prefix) :], "x", rank)
+            expr = _parse_at(spec[len(prefix) :], len(prefix), rank)
             if prefix == "inner:":
                 return endos.inner(rank, mb.evaluate(expr, rank))
             return endos.elementary(rank, expr)
@@ -162,12 +171,7 @@ def load_endo(spec: str, rank: int = 0) -> endos.Endo:
         starts = accumulate((len(part) + 1 for part in images), initial=0)
     if rank and rank != doc_rank:
         raise ValueError(f"--rank {rank} does not match endomorphism rank {doc_rank}")
-    exprs = []
-    for part, start in zip(images, starts):
-        try:
-            exprs.append(parse_expr(part, "x", doc_rank))
-        except ParseError as e:
-            raise ParseError(e.message, start + e.position) from None
+    exprs = [_parse_at(part, start, doc_rank) for part, start in zip(images, starts)]
     return endos.from_exprs(doc_rank, exprs)
 
 

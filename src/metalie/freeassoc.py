@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import add, attrgetter
 from typing import Dict, List, Optional, Tuple
 
-from .lieexpr import Gen, LeftNormed, LieExpr, Sum, combination, format_expr
+from .lieexpr import LeftNormed, LieExpr, Sum, combination, format_expr
 from .polyring import Scalar, SparseTerms, _add_into, solve_sparse
 
 Word = Tuple[int, ...]
@@ -71,17 +71,14 @@ class NCPoly(SparseTerms):
 def lie_to_assoc(e: LieExpr, rank: int) -> NCPoly:
     """Expand a bracket expression in the free associative algebra via
     [u, v] = uv - vu."""
+    if type(e) is int:
+        return NCPoly.gen(rank, e)
     if isinstance(e, LeftNormed):
         # the letters of a left-normed word, one commutator each
-        u, *rest = (
-            NCPoly.gen(rank, a) if type(a) is int else lie_to_assoc(a, rank)
-            for a in e.letters
-        )
+        u, *rest = (lie_to_assoc(a, rank) for a in e.letters)
         for v in rest:
             u = u * v - v * u
         return u
-    if isinstance(e, Gen):
-        return NCPoly.gen(rank, e.index)
     if isinstance(e, Sum):
         acc = NCPoly.zero(rank)
         for c, p in e.parts:

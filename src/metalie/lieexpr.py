@@ -12,15 +12,16 @@ Grammar (LETTER is 'x' or 'z' depending on context):
 The text is read as the tokens of `polyring.Tokens`: an INT is a run of
 ASCII digits, and whitespace only separates tokens. Each element is a signed
 sum read by `polyring.read_sum`, with `_parse_term` as its term reader.
-"0" denotes the empty sum. Parsing produces trees in a fixed shape: a
-linear combination is one Sum node of (coefficient, expression) pairs, signs
+"0" denotes the empty sum. A generator is its index, a plain int (never a
+bool), wherever an expression may stand: a whole expression, a Sum term or
+a word letter. Parsing produces trees in a fixed shape: a linear
+combination is one Sum node of (coefficient, expression) pairs, signs
 folded into the coefficients, one pair per term of a '+/-' chain, and a
 single term with coefficient 1 is that term alone (`combination`); every
 left-normed bracket [[a1, a2], a3, ..., am] is one flat LeftNormed node of
-its m >= 2 letters, whatever its operands. A letter is a generator index or
-any other expression (never a Gen), and the first letter is never itself a
-LeftNormed: its letters begin the word. The printer emits exactly that
-shape, so parse(print(e)) == e.
+its m >= 2 letters, whatever its operands, and its first letter is never
+itself a LeftNormed: its letters begin the word. The printer emits exactly
+that shape, so parse(print(e)) == e.
 
 Left-normed brackets cost no recursion: the parser reads a run of '[' in a
 loop, and the printer, the evaluator and the free-associative expansion walk
@@ -41,20 +42,16 @@ from .polyring import ParseError, Scalar, Tokens, format_term, read_sum
 
 
 @dataclass(frozen=True)
-class Gen:
-    """Generator with 1-based index."""
-
-    index: int
-
-
-@dataclass(frozen=True)
 class LeftNormed:
     """The left-normed bracket [[a1, a2], a3, ..., am], stored flat as its
-    letters (a1, ..., am), m >= 2. A letter is a generator index (an int) or
-    any other expression; build a word of indices with `left_normed`, which
-    checks the length."""
+    letters (a1, ..., am), m >= 2. A letter is any expression, so a
+    generator letter is its index; build a word of indices with
+    `left_normed`, which checks the length."""
 
-    letters: Tuple[Union[int, "LieExpr"], ...]
+    letters: Tuple["LieExpr", ...]
+
+    def __deepcopy__(self, memo):
+        return self  # immutable, and a deep tree would exhaust the recursion
 
 
 @dataclass(frozen=True)
@@ -64,15 +61,18 @@ class Sum:
 
     parts: Tuple[Tuple[Scalar, "LieExpr"], ...]
 
+    def __deepcopy__(self, memo):
+        return self  # immutable, and a deep tree would exhaust the recursion
 
-LieExpr = Union[Gen, LeftNormed, Sum]
+
+LieExpr = Union[int, LeftNormed, Sum]
 
 ZERO_EXPR = Sum(())
 
 # deepest nesting of right operands, of '(' and of words continued into sums;
-# keeps every recursive walk of a parsed tree well inside Python's default
-# recursion limit
-MAX_NESTING = 200
+# keeps every recursive walk of a parsed tree, the package's and Python's own
+# ==, hash, repr and pickle, inside Python's default recursion limit
+MAX_NESTING = 100
 
 # most letters in one left-normed word (a run of MAX_WORD_LENGTH - 1 '[');
 # bounds the input, not the recursion, which words do not use
@@ -98,19 +98,15 @@ def left_normed(indices) -> LeftNormed:
 
 
 def generators_used(e: LieExpr) -> frozenset:
-    if isinstance(e, Gen):
-        return frozenset((e.index,))
+    if type(e) is int:
+        return frozenset((e,))
     if isinstance(e, LeftNormed):
-        out = frozenset()
-        for a in e.letters:
-            out |= {a} if type(a) is int else generators_used(a)
-        return out
-    if isinstance(e, Sum):
-        out = frozenset()
-        for _, p in e.parts:
-            out |= generators_used(p)
-        return out
-    raise TypeError(f"not a LieExpr: {e!r}")
+        kids = e.letters
+    elif isinstance(e, Sum):
+        kids = [t for _, t in e.parts]
+    else:
+        raise TypeError(f"not a LieExpr: {e!r}")
+    return frozenset().union(*map(generators_used, kids))
 
 
 # -- printing ---------------------------------------------------------------
@@ -143,10 +139,12 @@ def format_expr(e: LieExpr, letter: str = "x") -> str:
             word = t.letters
             rest = "], ".join(map(names.__getitem__, word[1:]))
             body = f"{'[' * (len(word) - 1)}{names[word[0]]}, {rest}]"
-        elif isinstance(t, Gen):
-            body = f"{letter}{t.index}"
-        else:
+        elif type(t) is int:
+            body = names[t]
+        elif isinstance(t, Sum):
             body = f"({format_expr(t, letter)})"
+        else:
+            raise TypeError(f"not a LieExpr: {t!r}")
         chunks.append(format_term(c, body, not chunks))
     return " ".join(chunks) if chunks else "0"
 
@@ -197,7 +195,7 @@ def _parse_factor(tokens: Tokens, letter: str, rank: int, depth: int) -> LieExpr
         if idx < 1 or (rank and idx > rank):
             bound = rank if rank else "n"
             raise tokens.error(f"generator index {idx} out of range 1..{bound}", at)
-        return Gen(idx)
+        return idx
     if tok in ("[", "(") and depth >= MAX_NESTING:
         raise tokens.error(f"nesting deeper than {MAX_NESTING} levels")
     if tok == "(":
@@ -219,10 +217,7 @@ def _parse_factor(tokens: Tokens, letter: str, rank: int, depth: int) -> LieExpr
         k += 1
         tokens.i += 1
     first = _parse_element(tokens, letter, rank, depth + 1)
-    if isinstance(first, LeftNormed):
-        word = list(first.letters)
-    else:
-        word = [first.index if isinstance(first, Gen) else first]
+    word = list(first.letters) if isinstance(first, LeftNormed) else [first]
     for _ in range(k):
         if tokens.peek() in ("+", "-"):
             # the word so far becomes the first term of a sum, the new first
@@ -232,9 +227,8 @@ def _parse_factor(tokens: Tokens, letter: str, rank: int, depth: int) -> LieExpr
                 raise tokens.error(f"nesting deeper than {MAX_NESTING} levels")
             word = [_parse_element(tokens, letter, rank, depth + 1, (1, inner))]
         tokens.expect(",")
-        right = _parse_element(tokens, letter, rank, depth + 1)
+        word.append(_parse_element(tokens, letter, rank, depth + 1))
         tokens.expect("]")
-        word.append(right.index if isinstance(right, Gen) else right)
     return LeftNormed(tuple(word))
 
 
@@ -243,6 +237,5 @@ def _levels(e) -> int:
     if isinstance(e, Sum):
         return max(map(_levels, [t for _, t in e.parts]), default=0)
     if isinstance(e, LeftNormed):
-        letters = [a for a in e.letters if type(a) is not int]
-        return 1 + max(map(_levels, letters), default=0)
+        return 1 + max(map(_levels, e.letters))
     return 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Dict, Tuple
 
-from .lieexpr import Gen, LeftNormed, LieExpr, Sum, combination
+from .lieexpr import LeftNormed, LieExpr, Sum, combination
 from .polyring import (
     PolyMatrix,
     Polynomial,
@@ -209,9 +209,9 @@ def _eval_into(e: LieExpr, images, c: Scalar, slots: list) -> None:
             if k:
                 _eval_into(p, images, k, slots)
         return
-    if not isinstance(e, Gen):
+    if type(e) is not int:
         raise TypeError(f"not a LieExpr: {e!r}")
-    for acc, p in zip(slots, _value(images, e.index, n).tpart):
+    for acc, p in zip(slots, _value(images, e, n).tpart):
         _add_into(acc, p.terms.items(), c)
 
 
@@ -273,7 +273,7 @@ def lift(f: MElement) -> LieExpr:
     """
     letters = _mono_ops(f.rank)[2]
     linear = enumerate(f.linear, 1)
-    terms = [(c, Gen(i)) for i, c in linear if c]
+    terms = [(c, i) for i, c in linear if c]
     groups: dict = {}
     for i, p in enumerate(f.tpart, 1):
         for mono, c in p.terms.items():

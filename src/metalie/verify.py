@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Sequence
 
 from . import dyadic, endos, freeassoc
 from . import metabelian as mb
-from .lieexpr import Gen, LieExpr, combination
+from .lieexpr import LieExpr, combination
 from .polyring import PolyMatrix, RowSpace, y_column
 
 
@@ -46,13 +46,13 @@ def random_melement_expr(rng: random.Random, rank: int, degree: int) -> LieExpr:
     for i in range(1, rank + 1):
         c = rng.randint(-3, 3)
         if c:
-            terms.append((c, Gen(i)))
+            terms.append((c, i))
     nbrackets = rng.randint(0, 2) if terms else rng.randint(1, 2)
     for _ in range(nbrackets):
         coeff = rng.choice([c for c in range(-3, 4) if c])
         word = endos._random_bracket_word(rng, list(range(1, rank + 1)), degree)
         terms.append((coeff, word))
-    return combination(terms) if terms else Gen(1)
+    return combination(terms)
 
 
 def random_derived_element(rng: random.Random, rank: int, degree: int) -> mb.MElement:

@@ -466,7 +466,8 @@ class TestStructuredErrors:
         assert_error(capsys, argv, doc, text)
 
     # a semicolon list reports parse offsets into the whole text it was read
-    # from; a JSON document, into the image string
+    # from; a JSON document, into the image string; a constructor shorthand
+    # (given inline, with --rank), into the argument with its prefix
     @pytest.mark.parametrize(
         "spec, message, offset",
         [
@@ -475,6 +476,8 @@ class TestStructuredErrors:
             ("  x1;x9", "generator index 9 out of range 1..2", 5),
             ("x1;\n[x1 x2];", "expected ','", 8),
             (endo_json(2, ["x1", " x3"]), "generator index 3 out of range 1..2", 1),
+            ("inner:[x1", "expected ','", 9),
+            ("elementary:[x2,", "expected 'x<index>', '[' or '('", 15),
         ],
     )
     def test_parse_offsets_point_into_the_argument(
@@ -484,8 +487,11 @@ class TestStructuredErrors:
         doc = {"error": error, "kind": "parse", "offset": offset}
         path = tmp_path / "endo.txt"
         path.write_text(spec, encoding="utf-8")
-        for arg in (spec, str(path)):
-            argv = ("jac", arg)
+        if spec.startswith(("inner:", "elementary:")):
+            argvs = [("jac", spec, "--rank", "2")]
+        else:
+            argvs = [("jac", spec), ("jac", str(path))]
+        for argv in argvs:
             assert_error(capsys, argv, doc, f"metalie: parse error: {error}\n")
 
     @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import metalie.freeassoc as fa
 from metalie.cli import MAX_OE_RANK
-from metalie.lieexpr import Gen, LeftNormed, Sum, left_normed, parse_expr
+from metalie.lieexpr import LeftNormed, Sum, left_normed, parse_expr
 from metalie.verify import commutator_row_space, random_nc_poly
 
 
@@ -129,7 +129,7 @@ class TestLieToAssoc:
                     letters.append(left_normed(word))
                 else:
                     terms = [
-                        (Fraction(rng.choice([-3, 1, 2]), rng.choice([1, 2])), Gen(i))
+                        (Fraction(rng.choice([-3, 1, 2]), rng.choice([1, 2])), i)
                         for i in range(1, rank + 1)
                     ]
                     letters.append(Sum(tuple(terms)))
@@ -465,7 +465,7 @@ EDGE_CASES = {
     ),
     "all-zero witness": (
         lambda: fa.TraceReplay(
-            4, Gen(1), fa.NCPoly.zero(4), (), True, ZERO_WITNESS
+            4, 1, fa.NCPoly.zero(4), (), True, ZERO_WITNESS
         ).to_text().splitlines()[-3:-1],
         ["  all v_i = 0", "  corrected sum in [U,U]: verified"],
     ),

@@ -1,5 +1,7 @@
 """The grammar of bracket expressions: parsing, printing, round trips."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from functools import reduce
@@ -8,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import metalie.metabelian as mb
+from metalie.freeassoc import lie_to_assoc
 from metalie.lieexpr import (
-    Gen,
+    MAX_NESTING,
     LeftNormed,
     Sum,
     ZERO_EXPR,
@@ -23,8 +27,11 @@ from metalie.polyring import ParseError, as_coeff, format_terms
 
 
 def test_parse_generator():
-    assert parse_expr("x3") == Gen(3)
-    assert parse_expr("z3", letter="z") == Gen(3)
+    # a generator is its index, a plain int
+    assert type(parse_expr("x3")) is int
+    assert parse_expr("x3") == 3
+    assert parse_expr("z3", letter="z") == 3
+    assert parse_expr("(+x3)") == 3
 
 
 def test_parse_bracket():
@@ -37,7 +44,7 @@ def test_parse_bracket():
         (1, LeftNormed((2, 3)), 4)
     )
     assert parse_expr("[[x1, x2] + x3, x4]") == LeftNormed(
-        (Sum(((1, LeftNormed((1, 2))), (1, Gen(3)))), 4)
+        (Sum(((1, LeftNormed((1, 2))), (1, 3))), 4)
     )
 
 
@@ -45,15 +52,15 @@ def test_parse_sum_and_scalars():
     e = parse_expr("x1 + 2*[x1,x2] - 1/2*x3")
     assert e == Sum(
         (
-            (1, Gen(1)),
+            (1, 1),
             (2, LeftNormed((1, 2))),
-            (Fraction(-1, 2), Gen(3)),
+            (Fraction(-1, 2), 3),
         )
     )
 
 
 def test_parse_leading_minus():
-    assert parse_expr("-x1") == Sum(((-1, Gen(1)),))
+    assert parse_expr("-x1") == Sum(((-1, 1),))
 
 
 def test_parse_zero():
@@ -63,7 +70,7 @@ def test_parse_zero():
 
 def test_parse_parenthesized_scale():
     e = parse_expr("2*(x1 + x2)")
-    assert e == Sum(((2, Sum(((1, Gen(1)), (1, Gen(2))))),))
+    assert e == Sum(((2, Sum(((1, 1), (1, 2)))),))
 
 
 def test_parse_error_position():
@@ -104,15 +111,15 @@ PARSE_ERRORS = [
     ("", "x", 0, "expected 'x<index>', '[' or '('", 0),
     ("x1 x2", "x", 0, "trailing input", 3),
     ("[x1, x2] ]", "x", 0, "trailing input", 9),
-    ("(" * 201 + "x1" + ")" * 201, "x", 0, "nesting deeper than 200 levels", 200),
-    ("( " * 201 + "x1", "x", 0, "nesting deeper than 200 levels", 400),
-    ("[x1, " * 201 + "x2" + "]" * 201, "x", 0, "nesting deeper than 200 levels", 1000),
+    ("(" * 101 + "x1" + ")" * 101, "x", 0, "nesting deeper than 100 levels", 100),
+    ("( " * 101 + "x1", "x", 0, "nesting deeper than 100 levels", 200),
+    ("[x1, " * 101 + "x2" + "]" * 101, "x", 0, "nesting deeper than 100 levels", 500),
     # each '+' or '-' that continues a word makes the word read so far one
-    # level deeper: the 201st does so past the limit, and its sign is refused
-    ("[" * 202 + "x1, x2]" + " + x1, x2]" * 201, "x", 0,
-     "nesting deeper than 200 levels", 2210),
-    ("[z1, " * 100 + "[" * 102 + "z1, z2]" + "- z1, z2]" * 101, "z", 0,
-     "nesting deeper than 200 levels", 1509),
+    # level deeper: the 101st does so past the limit, and its sign is refused
+    ("[" * 102 + "x1, x2]" + " + x1, x2]" * 101, "x", 0,
+     "nesting deeper than 100 levels", 1110),
+    ("[z1, " * 50 + "[" * 52 + "z1, z2]" + "- z1, z2]" * 51, "z", 0,
+     "nesting deeper than 100 levels", 759),
     ("[" * 10000 + "x1", "x", 0, "left-normed word longer than 10000 letters", 9999),
     ("[ " * 10000, "x", 0, "left-normed word longer than 10000 letters", 19998),
 ]
@@ -133,8 +140,8 @@ LONG_LEFT_CHAINS = [
     ("[" * 201 + "x1 + x2" + ", x3]" * 201, "x", 202),
     ("[ " * 201 + "z1 - z2" + ", z3 ]" * 201, "z", 202),
     ("[" * 1000 + "x1" + ", x1 + x2]" * 1000, "x", 1001),
-    ("[" * 201 + "x1, x2]" + " + x1, x2]" * 200, "x", 2),
-    ("[z1, " * 100 + "[" * 101 + "z1, z2]" + "- z1, z2]" * 100 + "]" * 100, "z", 2),
+    ("[" * 101 + "x1, x2]" + " + x1, x2]" * 100, "x", 2),
+    ("[z1, " * 50 + "[" * 51 + "z1, z2]" + "- z1, z2]" * 50 + "]" * 50, "z", 2),
 ]
 
 
@@ -144,10 +151,47 @@ def test_long_left_chains_are_words(text, letter, letters):
     assert isinstance(e, LeftNormed)
     assert len(e.letters) == letters
     assert _shape_faults(e) == []
-    # the printed text reads back to itself (== on trees this deep would
-    # exhaust the recursion limit)
-    printed = format_expr(e, letter)
-    assert format_expr(parse_expr(printed, letter), letter) == printed
+    assert parse_expr(format_expr(e, letter), letter) == e
+
+
+def _nested(shape, levels):
+    """(text, value) of a tree `levels` deep in one of the shapes that really
+    nest, its value in M_3 folded here with `mb.bracket` as the oracle."""
+    x1, x2, x3 = mb.generators(3)
+    if shape == "continued words":
+        text = "[" * (levels + 1) + "x1, x2]" + " + x1, x2]" * levels
+        value = mb.bracket(x1, x2)
+        for _ in range(levels):
+            value = mb.bracket(value + x1, x2)
+        return text, value
+    text, value = "x2", x2
+    for _ in range(levels):
+        if shape == "sums as right operands":
+            text, value = f"[x1, {text}] + x3", mb.bracket(x1, value) + x3
+        elif shape == "parenthesized sums":
+            text, value = f"x1 + ({text})", x1 + value
+        else:
+            text, value = f"[x1, {text}]", mb.bracket(x1, value)
+    return text, value
+
+
+@pytest.mark.parametrize(
+    "shape",
+    ["continued words", "sums as right operands", "parenthesized sums", "words"],
+)
+def test_python_walks_hold_at_the_nesting_limit(shape):
+    # ==, hash, repr and pickle recurse through the tree in Python's own
+    # code; deepcopy returns the immutable node itself
+    text, value = _nested(shape, MAX_NESTING)
+    e, other = parse_expr(text), parse_expr(text)
+    assert e == other and hash(e) == hash(other)
+    assert repr(e) == repr(other)
+    assert pickle.loads(pickle.dumps(e)) == other
+    assert copy.deepcopy(e) is e
+    assert mb.evaluate(e, 3) == value
+    assert parse_expr(format_expr(e)) == other
+    with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels"):
+        parse_expr(_nested(shape, MAX_NESTING + 1)[0])
 
 
 # (text, rank, message, offset) for malformed right operands of a word
@@ -225,20 +269,16 @@ def test_format_round_trip_examples():
         assert parse_expr(format_expr(e)) == e
 
 
-def _letter(e):
-    return e.index if isinstance(e, Gen) else e
-
-
 def _bracket(left, right):
     """The parser's shape of [left, right]: a word on the left is extended
-    by one letter, and a generator is a letter as its index."""
-    first = left.letters if isinstance(left, LeftNormed) else (_letter(left),)
-    return LeftNormed(first + (_letter(right),))
+    by one letter."""
+    first = left.letters if isinstance(left, LeftNormed) else (left,)
+    return LeftNormed(first + (right,))
 
 
 def _shape_faults(e):
-    """Where a tree breaks the parser's word shape: a Gen letter, a word as
-    a first letter, or a word of fewer than two letters."""
+    """Where a tree breaks the parser's word shape: a word as a first
+    letter, or a word of fewer than two letters."""
     if isinstance(e, Sum):
         return [f for _, t in e.parts for f in _shape_faults(t)]
     if not isinstance(e, LeftNormed):
@@ -249,10 +289,7 @@ def _shape_faults(e):
     if isinstance(e.letters[0], LeftNormed):
         faults.append(("word as first letter", e))
     for a in e.letters:
-        if isinstance(a, Gen):
-            faults.append(("Gen letter", e))
-        elif type(a) is not int:
-            faults += _shape_faults(a)
+        faults += _shape_faults(a)
     return faults
 
 
@@ -260,7 +297,7 @@ def _random_expr(rng, rank, depth):
     """A random parser-shaped tree."""
     roll = rng.random()
     if depth == 0 or roll < 0.3:
-        return Gen(rng.randint(1, rank))
+        return rng.randint(1, rank)
     if roll < 0.45:
         return left_normed(rng.randint(1, rank) for _ in range(rng.randint(2, 6)))
     if roll < 0.6:
@@ -289,7 +326,7 @@ def test_format_round_trip_randomized():
         else:
             shapes.add(type(e))
     assert shapes == {
-        Gen, LeftNormed, "expression letter", "1-term Sum", "2-term Sum", "3-term Sum"
+        int, LeftNormed, "expression letter", "1-term Sum", "2-term Sum", "3-term Sum"
     }
 
 
@@ -327,8 +364,8 @@ def _seed_format(e, letter="x"):
 def _seed_factor(e, letter):
     if isinstance(e, LeftNormed):
         return _format_nested(e.letters, letter)
-    if isinstance(e, Gen):
-        return f"{letter}{e.index}"
+    if type(e) is int:
+        return f"{letter}{e}"
     return f"({_seed_format(e, letter)})"
 
 
@@ -336,7 +373,7 @@ COEFFS = st.builds(
     Fraction, st.integers(-7, 7).filter(bool), st.integers(1, 6)
 ).map(as_coeff).filter(lambda c: c != 1)
 LEAVES = st.one_of(
-    st.builds(Gen, st.integers(1, 12)),
+    st.integers(1, 12),
     st.lists(st.integers(1, 12), min_size=2, max_size=7).map(
         lambda w: LeftNormed(tuple(w))
     ),
@@ -446,11 +483,10 @@ def test_parser_keeps_the_word_shape(text):
 
 def test_shape_faults_are_seen():
     for bad in (
-        LeftNormed((Gen(1), 2)),
-        LeftNormed((1, Gen(2))),
         LeftNormed((LeftNormed((1, 2)), 3)),
         LeftNormed((1,)),
-        Sum(((2, LeftNormed((1, LeftNormed((Gen(2), 3))))),)),
+        Sum(((2, LeftNormed((1, LeftNormed((LeftNormed((2, 3)), 4))))),)),
+        LeftNormed((1, Sum(((1, LeftNormed((2,))),)))),
     ):
         assert _shape_faults(bad)
 
@@ -479,16 +515,12 @@ EDGE_CASES = {
         LeftNormed((1, 2)),
     ),
     "combination of one scaled term": (
-        lambda: combination([(-1, Gen(2))]),
-        Sum(((-1, Gen(2)),)),
+        lambda: combination([(-1, 2)]),
+        Sum(((-1, 2),)),
     ),
     "generators of a sum": (
         lambda: generators_used(parse_expr("2*x3 - ([x1, x4])")),
         frozenset({1, 3, 4}),
-    ),
-    "generators of a non-expression": (
-        lambda: generators_used("x1"),
-        (TypeError, "not a LieExpr: 'x1'"),
     ),
     "parenthesized word extended": (
         lambda: parse_expr("[([x1, x2]), x3]"),
@@ -500,3 +532,31 @@ EDGE_CASES = {
 @pytest.mark.parametrize("call, expected", EDGE_CASES.values(), ids=EDGE_CASES)
 def test_edge_cases(call, expected, outcome):
     assert outcome(call) == expected
+
+
+# (input, the node each walk reports): inputs that are not expressions; a
+# bool is no generator index, as a whole expression or as a letter
+NON_EXPRESSIONS = [
+    ("x1", "x1"),
+    (1.5, 1.5),
+    (True, True),
+    (None, None),
+    (Fraction(1, 2), Fraction(1, 2)),
+    (LeftNormed((1, "x")), "x"),
+    (LeftNormed((True, 2)), True),
+    (Sum(((1, "x"),)), "x"),
+]
+WALKS = {
+    "format_expr": format_expr,
+    "generators_used": generators_used,
+    "evaluate": lambda e: mb.evaluate(e, 2),
+    "lie_to_assoc": lambda e: lie_to_assoc(e, 2),
+}
+
+
+@pytest.mark.parametrize("walk", WALKS.values(), ids=WALKS)
+@pytest.mark.parametrize("e, bad", NON_EXPRESSIONS)
+def test_walks_refuse_a_non_expression(walk, e, bad):
+    with pytest.raises(TypeError) as err:
+        walk(e)
+    assert str(err.value) == f"not a LieExpr: {bad!r}"

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import metalie.metabelian as mb
 from metalie import polyring
 from metalie.lieexpr import (
-    Gen,
     LeftNormed,
     Sum,
     ZERO_EXPR,
@@ -149,8 +148,8 @@ class TestEvaluate:
 
         def abelian(e, rank, c=Fraction(1)):
             out = [Fraction(0)] * rank
-            if isinstance(e, Gen):
-                out[e.index - 1] = c
+            if type(e) is int:
+                out[e - 1] = c
             elif isinstance(e, Sum):
                 for k, p in e.parts:
                     out = [a + b for a, b in zip(out, abelian(p, rank, c * k))]
@@ -189,7 +188,7 @@ def random_letter(rng, rank):
     if roll < 0.6:
         return ZERO_EXPR
     terms = [
-        (Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3])), Gen(i))
+        (Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3])), i)
         for i in rng.sample(range(1, rank + 1), rng.randint(1, rank))
     ]
     if rng.random() < 0.5:
@@ -240,7 +239,7 @@ class TestLeftNormedWord:
 
     def test_every_letter_is_range_checked(self):
         words = [(3, 1), (1, 3), (1, 2, 3), (1, 2, 2, 3), (0, 1), (1, 0)]
-        for e in [LeftNormed(w) for w in words] + [Gen(0), Gen(-1)]:
+        for e in [LeftNormed(w) for w in words] + [0, -1]:
             with pytest.raises(ValueError):
                 mb.evaluate(e, 2)
 
@@ -312,6 +311,13 @@ class TestLift:
     def test_zero(self):
         assert mb.lift(mb.zero(3)) == ZERO_EXPR
 
+    def test_generator_lifts_to_its_index(self):
+        for n in range(1, 5):
+            for i in range(1, n + 1):
+                e = mb.lift(mb.generator(n, i))
+                assert type(e) is int and e == i
+                assert mb.evaluate(e, n) == mb.generator(n, i)
+
     def test_linear_head(self):
         f = ev("x1 - 2*x3 + [x2,x3]", 3)
         assert mb.evaluate(mb.lift(f), 3) == f
@@ -345,7 +351,7 @@ class TestLift:
             rank = rng.randint(2, 5)
             e = mb.lift(rand_element(rng, rank, 6))
             for _, t in e.parts if isinstance(e, Sum) else ((1, e),):
-                assert isinstance(t, (Gen, LeftNormed))
+                assert type(t) is int or isinstance(t, LeftNormed)
 
     def test_parts_count_the_printed_terms(self):
         # the lift's term count is read as len(e.parts), 1 for a bare term,
@@ -418,7 +424,7 @@ def sorting_lift(f):
     oracle of `mb.lift`): every Fox-row term in print order through
     `sorted_terms`, letters spelled out here, grouped by (-m, i), each
     coefficient paired with its word and the whole through `combination`."""
-    terms = [(c, Gen(i)) for i, c in enumerate(f.linear, 1) if c]
+    terms = [(c, i) for i, c in enumerate(f.linear, 1) if c]
     groups = {}
     for i, p in enumerate(f.tpart, 1):
         for mono, c in p.sorted_terms():
@@ -449,7 +455,7 @@ def oracle_lift_elements():
         if k % 3 == 0 or k % 10 == 5:
             for i in range(1, rank + 1):
                 c = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5]))
-                terms.append((c, Gen(i)))
+                terms.append((c, i))
         if k % 10 != 5:  # k % 10 == 5: purely linear
             for _ in range(rng.randint(1, 5)):
                 word = left_normed(
@@ -502,7 +508,7 @@ def rational_images(rng, rank):
     out = []
     for _ in range(rank):
         terms = [
-            (Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])), Gen(i))
+            (Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])), i)
             for i in range(1, rank + 1)
         ]
         for _ in range(rng.randint(0, 2)):
@@ -630,7 +636,7 @@ def pinned_lift_elements():
             for i in range(1, rank + 1):
                 c = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 7]))
                 if c:
-                    terms.append((c, Gen(i)))
+                    terms.append((c, i))
         for _ in range(rng.randint(1, 6)):
             word = [rng.randint(1, rank) for _ in range(rng.randint(2, 6))]
             if word[0] == word[1]:
@@ -702,11 +708,11 @@ EDGE_CASES = {
         (ValueError, "rank mismatch: 2 vs 3"),
     ),
     "no images": (
-        lambda: mb.eval_with(Gen(1), []),
+        lambda: mb.eval_with(1, []),
         (ValueError, "cannot evaluate with an empty image list"),
     ),
     "images of two ranks": (
-        lambda: mb.eval_with(Gen(2), [mb.generator(2, 1), mb.generator(3, 1)]),
+        lambda: mb.eval_with(2, [mb.generator(2, 1), mb.generator(3, 1)]),
         (ValueError, "rank mismatch: 3 vs 2"),
     ),
     "not an expression": (
