@@ -25,10 +25,10 @@ from .metabelian import MElement
 from .polyring import (
     PolyMatrix,
     Polynomial,
+    RowSpace,
     Scalar,
     _matmul,
     as_coeff,
-    col_vector,
     rational_inverse,
 )
 
@@ -137,8 +137,21 @@ def _invertible(matrix: Sequence[Sequence]):
 
 
 def linear(matrix: Sequence[Sequence]) -> Endo:
-    """x_i -> sum_j A[i][j] x_j for an invertible rational matrix A."""
-    return _linear(_invertible(matrix)[0])
+    """x_i -> sum_j A[i][j] x_j for an invertible rational matrix A.
+
+    A is invertible exactly when its n rows span a RowSpace of rank n, so
+    no inverse is built; the checks and their messages are `_invertible`'s.
+    """
+    a = [[as_coeff(c) for c in row] for row in matrix]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
+    space = RowSpace()
+    for row in a:
+        space.add(dict(enumerate(row)))
+    if space.rank < n:
+        raise ValueError("matrix is singular")
+    return _linear(a)
 
 
 def _linear(a) -> Endo:
@@ -194,6 +207,10 @@ def conjugate_elementary(alpha: Sequence[Sequence], f: LieExpr, rank: int):
     chain rule dfox(alpha(f)) = alphabar(dfox(f)) * J(alpha), and J(alpha)
     is A, so Psi is the Fox row of alpha(f), which the conjugate needs
     anyway. f is checked as `elementary` checks it, on alpha(f).
+
+    Image i is x_i + c_i * alpha(f) with c_i = (A^{-1})[i][0], the entry i
+    of Phi, so where c_i is 0 the image is the generator itself and no sum
+    is formed; Phi is built from the already normalized c_i directly.
     """
     a, a_inv = _invertible(alpha)
     alpha_endo = _linear(a)
@@ -201,9 +218,14 @@ def conjugate_elementary(alpha: Sequence[Sequence], f: LieExpr, rank: int):
         raise ValueError("alpha has the wrong rank")
     alpha_f = _perturbation(rank, f, alpha_endo.images)
     # alpha(phi_f(alpha^-1(x_i))) = x_i + a_inv[i][0] * alpha(f)
-    images = (x + alpha_f.scaled(r[0]) for x, r in zip(mb.generators(rank), a_inv))
-    conj = Endo._raw(rank, tuple(images))
-    phi_col = col_vector(rank, [a_inv[i][0] for i in range(rank)])
+    column = [r[0] for r in a_inv]
+    gens = mb.generators(rank)
+    conj = Endo._raw(
+        rank, tuple(x + alpha_f.scaled(c) if c else x for x, c in zip(gens, column))
+    )
+    phi_col = PolyMatrix._raw(
+        rank, tuple((Polynomial.constant(rank, c),) for c in column)
+    )
     return conj, phi_col, mb.fox(alpha_f)
 
 
@@ -232,13 +254,22 @@ def inverse(phi: Endo) -> Optional[Endo]:
 
 def iaut_level(phi: Endo):
     """Largest i such that phi fixes everything modulo components of degree
-    greater than i; the identity map gets float('inf')."""
+    greater than i; the identity map gets float('inf').
+
+    A Fox-row term of polynomial degree d is a component of degree d + 1,
+    so i is the lowest degree of a term in the Fox rows of the images
+    minus their generators: 0 when some linear part moves.
+    """
+    one = Polynomial.one(phi.rank)
     level = float("inf")
-    for img, gen in zip(phi.images, mb.generators(phi.rank)):
-        delta = img - gen
-        comps = mb.degree_components(delta)
-        if comps:
-            level = min(level, min(comps) - 1)
+    for i, img in enumerate(phi.images):
+        # x_i's Fox row is e_i, so img - x_i's row is img's with 1 taken off
+        # entry i
+        row = list(img.tpart)
+        row[i] -= one
+        for p in row:
+            if not p.is_zero():
+                level = min(level, p.low_degree())
     return level
 
 

@@ -128,6 +128,10 @@ class _LetterText(dict):
         return text
 
 
+# whether an iterable of letter types holds only the types of expressions
+_expression_types = frozenset((int, LeftNormed, Sum)).issuperset
+
+
 def format_expr(e: LieExpr, letter: str = "x") -> str:
     """Canonical text form; inverse of parse_expr on parser-shaped trees.
     Printed as a sum of terms in one loop, one `format_term` per term."""
@@ -137,8 +141,14 @@ def format_expr(e: LieExpr, letter: str = "x") -> str:
         if isinstance(t, LeftNormed):
             # one '[' per bracket, the first letter, then ", <letter>]" each
             word = t.letters
-            rest = "], ".join(map(names.__getitem__, word[1:]))
-            body = f"{'[' * (len(word) - 1)}{names[word[0]]}, {rest}]"
+            # a letter equal to a named index but no int (True, 1.0) would
+            # find that index's text, so such a word skips the names, and
+            # `__missing__` refuses the letter as `format_expr` does
+            text = names.__getitem__
+            if not _expression_types(map(type, word)):
+                text = names.__missing__
+            rest = "], ".join(map(text, word[1:]))
+            body = f"{'[' * (len(word) - 1)}{text(word[0])}, {rest}]"
         elif type(t) is int:
             body = names[t]
         elif isinstance(t, Sum):

@@ -403,6 +403,10 @@ class Polynomial(SparseTerms):
     def constant_term(self) -> Scalar:
         return self.terms.get(_constant_key(self._dim), 0)
 
+    def low_degree(self) -> int:
+        """The lowest total degree of a term; the polynomial must be nonzero."""
+        return min(map(sum, self.terms))
+
     def homogeneous_components(self) -> dict:
         """Map total degree -> homogeneous part; zero parts omitted."""
         parts = {}

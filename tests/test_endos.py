@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import metalie.endos as en
 import metalie.metabelian as mb
-from metalie.lieexpr import LeftNormed, Sum, left_normed, parse_expr
+from metalie.lieexpr import LeftNormed, Sum, combination, left_normed, parse_expr
 from metalie.polyring import (
     PolyMatrix,
     Polynomial,
@@ -123,6 +125,58 @@ class TestLinear:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             en.linear([[1, 1], [1, 1]])
+
+    def test_singular_exactly_when_det_is_zero(self):
+        # entries in -1..1 make about a third of these matrices singular;
+        # the determinant is the Leibniz sum, with no elimination
+        rng = random.Random(31)
+        singular = 0
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            a = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+            det = sum(
+                sign * prod(a[i][p[i]] for i in range(n))
+                for sign, p in signed_permutations(n)
+            )
+            if det == 0:
+                singular += 1
+                with pytest.raises(ValueError, match="^matrix is singular$"):
+                    en.linear(a)
+            else:
+                assert en.linear(a).linear_matrix() == a
+        assert 50 < singular < 250
+
+
+def signed_permutations(n):
+    """(sign, permutation) for every permutation of range(n)."""
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        yield (-1) ** inversions, p
+
+
+# each input matrix of `linear`, and the (type, message) it raises
+LINEAR_ERRORS = {
+    "non-square": ([[1, 0, 0], [0, 1, 0]], (ValueError, "matrix must be square")),
+    "ragged": ([[1, 0], [0]], (ValueError, "matrix must be square")),
+    "singular": ([[1, 2], [2, 4]], (ValueError, "matrix is singular")),
+    "singular of rank n - 2": (
+        [[1, 2, 3], [2, 4, 6], [-1, -2, -3]],
+        (ValueError, "matrix is singular"),
+    ),
+    "bool entry": ([[True, 0], [0, 1]], (TypeError, "expected an exact rational, got bool")),
+    "float entry": ([[0.5, 0], [0, 1]], (TypeError, "expected an exact rational, got float")),
+    # entries are checked before the shape
+    "bool entry of a non-square": (
+        [[True, 0, 0]],
+        (TypeError, "expected an exact rational, got bool"),
+    ),
+    "empty": ([], (ValueError, "an endomorphism needs rank at least 1, got rank 0")),
+}
+
+
+@pytest.mark.parametrize("matrix, expected", LINEAR_ERRORS.values(), ids=LINEAR_ERRORS)
+def test_linear_errors(matrix, expected, outcome):
+    assert outcome(lambda: en.linear(matrix)) == expected
 
 
 class TestApplyCompose:
@@ -460,6 +514,47 @@ class TestConjugateElementary:
         with pytest.raises(ValueError, match="matrix is singular"):
             en.conjugate_elementary([[1, 1, 0], [1, 1, 0], [0, 0, 1]], ex("[x2,x3]"), 3)
 
+    @pytest.mark.parametrize("kind", ["permutation", "unimodular"])
+    def test_against_direct_evaluation(self, kind):
+        # image i is alpha(phi_f(alpha^-1(x_i))), each map applied by
+        # evaluation on the lift; alphas whose A^-1 has zeros in column 0
+        rng = random.Random(32)
+        zeros = 0
+        for _ in range(12):
+            rank = rng.randint(3, 5)
+            if kind == "permutation":
+                perm = rng.sample(range(rank), rank)
+                a = [[int(j == perm[i]) for j in range(rank)] for i in range(rank)]
+            else:
+                a = en._random_unimodular_matrix(rng, rank)
+            a_inv = en.rational_inverse(a)
+            assert [
+                [sum(a[i][k] * a_inv[k][j] for k in range(rank)) for j in range(rank)]
+                for i in range(rank)
+            ] == [[int(i == j) for j in range(rank)] for i in range(rank)]
+            f = en.random_derived_expr(rng, rank, 3, list(range(2, rank + 1)))
+            conj, phi_col, psi_row = en.conjugate_elementary(a, f, rank)
+
+            gens = mb.generators(rank)
+            alpha = [mb.eval_with(linear_expr(row), gens) for row in a]
+            phi_f = (gens[0] + mb.evaluate(f, rank),) + gens[1:]
+            for i, row in enumerate(a_inv):
+                moved = mb.eval_with(linear_expr(row), phi_f)
+                assert conj.images[i] == mb.eval_with(mb.lift(moved), alpha)
+                if row[0] == 0:
+                    zeros += 1
+                    assert conj.images[i] is gens[i]
+            assert phi_col == col_vector(rank, [row[0] for row in a_inv])
+            assert psi_row == mb.fox(mb.eval_with(f, alpha))
+            ident = PolyMatrix.identity(rank, rank)
+            assert en.jacobian(conj) == ident + phi_col * psi_row
+        assert zeros >= 12
+
+
+def linear_expr(row):
+    """sum_j row[j] * x_{j+1} as an expression."""
+    return combination([(c, j + 1) for j, c in enumerate(row) if c])
+
 
 class TestFromExprs:
     @pytest.mark.parametrize("rank", [1, 4, 30])
@@ -647,6 +742,68 @@ class TestIautLevel:
             b = en.random_tame_iaut(rank, case + 50, 1, 3)
             level = en.iaut_level(en.compose(a, b))
             assert level >= min(en.iaut_level(a), en.iaut_level(b))
+
+
+def level_by_components(phi):
+    """The lowest degree of a component of some image minus its generator,
+    less 1, split by `degree_components`."""
+    lowest = [
+        min(mb.degree_components(img - g))
+        for img, g in zip(phi.images, mb.generators(phi.rank))
+        if not (img - g).is_zero()
+    ]
+    return min(lowest) - 1 if lowest else float("inf")
+
+
+def level_by_exponents(phi):
+    """The lowest exponent sum of a Fox-row term of some image minus its
+    generator, read off the exponent tuples."""
+    return min(
+        (
+            sum(mono)
+            for img, g in zip(phi.images, mb.generators(phi.rank))
+            for p in (img - g).tpart
+            for mono in p.terms
+        ),
+        default=float("inf"),
+    )
+
+
+class TestIautLevelOracle:
+    def cases(self):
+        rng = random.Random(33)
+        for rank in (3, 4, 5):
+            yield None, en.identity(rank)
+            for seed in range(4):
+                yield None, en.random_tame(rank, seed, 1 + seed % 3, 3)
+                yield None, en.random_tame_iaut(rank, seed, 1 + seed % 3, 3)
+                yield 0, en.linear(en._random_invertible_matrix(rng, rank))
+            for degree in range(2, 6):
+                position = rng.randint(1, rank)
+                letters = [i for i in range(1, rank + 1) if i != position]
+                word = [rng.choice(letters) for _ in range(degree)]
+                while word[0] == word[1]:
+                    word[1] = rng.choice(letters)
+                f = Sum(((rng.choice([-2, 1, 3]), left_normed(word)),))
+                yield degree - 1, en.elementary(rank, f, position)
+
+    def test_matches_both_routes(self):
+        levels = []
+        for expected, phi in self.cases():
+            level = en.iaut_level(phi)
+            assert level == level_by_components(phi) == level_by_exponents(phi)
+            if expected is not None:
+                assert level == expected
+            levels.append(level)
+        assert {0, 1, 2, 3, 4, float("inf")} <= set(levels)
+
+    def test_an_entry_of_mixed_degrees_gives_its_lowest(self):
+        # x1 -> x1 + [x2,x3] + [[x2,x3],x3]: Fox entries with terms of
+        # degrees 1 and 2
+        phi = en.from_exprs(3, [ex("x1 + [x2,x3] + [[x2,x3],x3]"), ex("x2"), ex("x3")])
+        assert en.iaut_level(phi) == 1
+        phi = en.from_exprs(3, [ex("x1"), ex("x2 + [[x1,x3],x3]"), ex("x3 - [x1,x3]")])
+        assert en.iaut_level(phi) == 1
 
 
 class TestRandomTame:

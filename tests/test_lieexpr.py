@@ -535,7 +535,8 @@ def test_edge_cases(call, expected, outcome):
 
 
 # (input, the node each walk reports): inputs that are not expressions; a
-# bool is no generator index, as a whole expression or as a letter
+# bool is no generator index, as a whole expression or as a letter, and
+# neither is a letter equal to an index met earlier in the same word
 NON_EXPRESSIONS = [
     ("x1", "x1"),
     (1.5, 1.5),
@@ -544,6 +545,8 @@ NON_EXPRESSIONS = [
     (Fraction(1, 2), Fraction(1, 2)),
     (LeftNormed((1, "x")), "x"),
     (LeftNormed((True, 2)), True),
+    (LeftNormed((2, 1, True)), True),
+    (LeftNormed((2, 1, 1.0)), 1.0),
     (Sum(((1, "x"),)), "x"),
 ]
 WALKS = {
