@@ -21,7 +21,8 @@ single term with coefficient 1 is that term alone (`combination`); every
 left-normed bracket [[a1, a2], a3, ..., am] is one flat LeftNormed node of
 its m >= 2 letters, whatever its operands, and its first letter is never
 itself a LeftNormed: its letters begin the word. The printer emits exactly
-that shape, so parse(print(e)) == e.
+that shape, so parse(print(e)) == e. Every walk trusts a word's letters,
+checked once when the word is made (`lift` builds its words unchecked).
 
 Left-normed brackets cost no recursion: the parser reads a run of '[' in a
 loop, and the printer, the evaluator and the free-associative expansion walk
@@ -41,14 +42,27 @@ from typing import Tuple, Union
 from .polyring import ParseError, Scalar, Tokens, format_term, read_sum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LeftNormed:
     """The left-normed bracket [[a1, a2], a3, ..., am], stored flat as its
     letters (a1, ..., am), m >= 2. A letter is any expression, so a
     generator letter is its index; build a word of indices with
-    `left_normed`, which checks the length."""
+    `left_normed`, which checks the length. The constructor refuses a letter
+    of any other type (a bool is no index); kernels use `_raw`, unchecked."""
 
     letters: Tuple["LieExpr", ...]
+
+    def __post_init__(self):
+        for a in self.letters:
+            if type(a) not in _EXPRESSION_TYPES:
+                raise TypeError(f"not a LieExpr: {a!r}")
+
+    @classmethod
+    def _raw(cls, letters: tuple) -> "LeftNormed":
+        """Build from letters known to be expressions (internal)."""
+        word = object.__new__(cls)
+        _set_letters(word, letters)
+        return word
 
     def __deepcopy__(self, memo):
         return self  # immutable, and a deep tree would exhaust the recursion
@@ -66,6 +80,9 @@ class Sum:
 
 
 LieExpr = Union[int, LeftNormed, Sum]
+
+_EXPRESSION_TYPES = frozenset((int, LeftNormed, Sum))
+_set_letters = LeftNormed.letters.__set__
 
 ZERO_EXPR = Sum(())
 
@@ -128,29 +145,21 @@ class _LetterText(dict):
         return text
 
 
-# whether an iterable of letter types holds only the types of expressions
-_expression_types = frozenset((int, LeftNormed, Sum)).issuperset
-
-
 def format_expr(e: LieExpr, letter: str = "x") -> str:
     """Canonical text form; inverse of parse_expr on parser-shaped trees.
-    Printed as a sum of terms in one loop, one `format_term` per term."""
-    names = _LetterText(letter)
+    Printed as a sum of terms in one loop, one `format_term` per term. Word
+    letters are not checked again: a word was checked when it was made, so
+    no letter equal to an index but no int (True, 1.0) finds its name."""
+    text = _LetterText(letter).__getitem__
     chunks: list = []
     for c, t in e.parts if isinstance(e, Sum) else ((1, e),):
         if isinstance(t, LeftNormed):
             # one '[' per bracket, the first letter, then ", <letter>]" each
             word = t.letters
-            # a letter equal to a named index but no int (True, 1.0) would
-            # find that index's text, so such a word skips the names, and
-            # `__missing__` refuses the letter as `format_expr` does
-            text = names.__getitem__
-            if not _expression_types(map(type, word)):
-                text = names.__missing__
             rest = "], ".join(map(text, word[1:]))
             body = f"{'[' * (len(word) - 1)}{text(word[0])}, {rest}]"
         elif type(t) is int:
-            body = names[t]
+            body = text(t)
         elif isinstance(t, Sum):
             body = f"({format_expr(t, letter)})"
         else:

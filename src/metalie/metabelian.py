@@ -258,36 +258,35 @@ def lift(f: MElement) -> LieExpr:
     y_i e_m - y_m e_i, and each further letter x_j multiplies it by -y_j.
     A monomial with m <= i needs no word of its own: by the syzygy
     condition it equals what the words of the other slots put there, and it
-    is dropped before any sort. Words are emitted by descending m, then
-    ascending i, then descending degree, each group in print order, so
-    lifts are deterministic. A group sorts with no key: on ascending letter
-    tuples of one length (y1^2*y3 -> (1, 1, 3)), tuple order is the print
-    order (-sum(m), -m[0], ..., -m[n-1]) of their monomials, because at the
-    first place where two differ, a_k < b_k, the smaller has one more a_k
-    and the same count of every smaller letter. Coefficients are the stored,
-    normalized ones.
+    is dropped before the sort; the last slot, d_n, is skipped whole. Words
+    are emitted by descending m, then ascending i, then descending degree,
+    each group in print order, so lifts are deterministic. One sort with no
+    key does it, on the tuples (-m, i, -degree, letters of u, coefficient):
+    (i, letters) is unique, so coefficients are never compared, and on
+    ascending letter tuples of one length (y1^2*y3 -> (1, 1, 3)), tuple
+    order is the print order (-sum(m), -m[0], ..., -m[n-1]) of their
+    monomials, because at the first place where two differ, a_k < b_k, the
+    smaller has one more a_k and the same count of every smaller letter.
+    Coefficients are the stored, normalized ones.
 
     Membership is not checked again: the `MElement` constructor checks it,
     and the kernels build members only. (So d1 has no term y1^k, k >= 1: it
     would leave a y1^(k+1) in d1*y1 + ... + dn*yn that nothing cancels.)
     """
     letters = _mono_ops(f.rank)[2]
-    linear = enumerate(f.linear, 1)
-    terms = [(c, i) for i, c in linear if c]
-    groups: dict = {}
-    for i, p in enumerate(f.tpart, 1):
+    terms = [(c, i) for i, c in enumerate(f.linear, 1) if c]
+    words = []
+    for i, p in enumerate(f.tpart[:-1], 1):
         for mono, c in p.terms.items():
             word = letters(mono)
             # the constant term lifts with the linear part, and a top letter
             # m <= i is covered by the words of the other slots
             if word and word[-1] > i:
-                groups.setdefault((-word[-1], i, -len(word)), []).append((word, c))
-    for key in sorted(groups):
-        m, i, d = key
-        head = (i, -m)
+                words.append((-word[-1], i, -len(word), word, c))
+    words.sort()
+    raw = LeftNormed._raw
+    for m, i, d, word, c in words:
         # [[x_i, x_m], x_j, ...] has 1 - d letters and carries the sign
         # (-1)^(letters - 1) = (-1)^d
-        odd = d % 2
-        for word, c in sorted(groups[key]):
-            terms.append((-c if odd else c, LeftNormed(head + word[:-1])))
+        terms.append((-c if d % 2 else c, raw((i, -m) + word[:-1])))
     return combination(terms)

@@ -5,7 +5,12 @@ here would pass every other test.
 
 Every Python file of the package, its tests and its benchmark is also
 written for the oldest Python that `pyproject.toml` admits
-(`requires-python`), which a newer interpreter alone would not show."""
+(`requires-python`), which a newer interpreter alone would not show.
+
+A left-normed word's letters are checked once, by the `LeftNormed`
+constructor, and every walk trusts them after. Only `metabelian.lift`, which
+builds words of indices, skips the check through `LeftNormed._raw`; a scan
+of the sources shows that no other path does."""
 
 import ast
 import re
@@ -64,3 +69,53 @@ def test_python_files_found():
 def test_parses_at_the_declared_python_floor(path):
     text = path.read_text(encoding="utf-8")
     ast.parse(text, str(path), feature_version=declared_floor())
+
+
+def scopes_referencing(path: Path, is_reference) -> list:
+    """The dotted names of the functions and classes of a source file, "" for
+    the module itself, around each node for which is_reference holds."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if is_reference(child):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return found
+
+
+def names_raw_word(node) -> bool:
+    """`LeftNormed._raw`, through the class or an attribute naming it."""
+    if not (isinstance(node, ast.Attribute) and node.attr == "_raw"):
+        return False
+    owner = node.value
+    return getattr(owner, "id", None) == "LeftNormed" or getattr(
+        owner, "attr", None
+    ) == "LeftNormed"
+
+
+def sets_letters(node) -> bool:
+    """The `letters` slot's setter, by name or as `<class>.letters.__set__`,
+    or the field named as a string, as `object.__setattr__` would need:
+    each makes or changes a word without its constructor."""
+    if isinstance(node, ast.Attribute) and node.attr == "__set__":
+        return getattr(node.value, "attr", None) == "letters"
+    if isinstance(node, ast.Constant):
+        return node.value == "letters"
+    return isinstance(node, ast.Name) and node.id == "_set_letters"
+
+
+def references(is_reference) -> set:
+    """(module, scope) of every node of the package's sources for which
+    is_reference holds."""
+    return {(p.stem, s) for p in SOURCES for s in scopes_referencing(p, is_reference)}
+
+
+def test_raw_words_are_built_by_lift_only():
+    assert references(names_raw_word) == {("metabelian", "lift")}
+    assert references(sets_letters) == {("lieexpr", ""), ("lieexpr", "LeftNormed._raw")}

@@ -1,8 +1,10 @@
 """The grammar of bracket expressions: parsing, printing, round trips."""
 
 import copy
+import dataclasses
 import pickle
 import random
+import threading
 from fractions import Fraction
 from functools import reduce
 
@@ -175,10 +177,10 @@ def _nested(shape, levels):
     return text, value
 
 
-@pytest.mark.parametrize(
-    "shape",
-    ["continued words", "sums as right operands", "parenthesized sums", "words"],
-)
+NESTED_SHAPES = ["continued words", "sums as right operands", "parenthesized sums", "words"]
+
+
+@pytest.mark.parametrize("shape", NESTED_SHAPES)
 def test_python_walks_hold_at_the_nesting_limit(shape):
     # ==, hash, repr and pickle recurse through the tree in Python's own
     # code; deepcopy returns the immutable node itself
@@ -192,6 +194,42 @@ def test_python_walks_hold_at_the_nesting_limit(shape):
     assert parse_expr(format_expr(e)) == other
     with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels"):
         parse_expr(_nested(shape, MAX_NESTING + 1)[0])
+
+
+def _under_frames(frames, check):
+    """check() run in a new thread, which starts on a shallow stack as an
+    interpreter does, below `frames` more Python frames; the
+    RecursionError it raises, if any."""
+    out = []
+
+    def pad(k):
+        return pad(k - 1) if k else check()
+
+    def run():
+        try:
+            out.append(pad(frames))
+        except RecursionError as err:
+            out.append(err)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return out[0]
+
+
+@pytest.mark.parametrize("shape", NESTED_SHAPES)
+def test_python_walks_leave_a_stack_margin(shape):
+    # a caller up to 60 frames deep may compare, print and pickle any tree
+    # the parser accepts; the shallowest shapes hold with about 90
+    text = _nested(shape, MAX_NESTING)[0]
+    e, other = parse_expr(text), parse_expr(text)
+    for check in (
+        lambda: e == other,
+        lambda: repr(e) == repr(other),
+        lambda: pickle.loads(pickle.dumps(e)) == other,
+    ):
+        assert _under_frames(60, check) is True
 
 
 # (text, rank, message, offset) for malformed right operands of a word
@@ -535,18 +573,13 @@ def test_edge_cases(call, expected, outcome):
 
 
 # (input, the node each walk reports): inputs that are not expressions; a
-# bool is no generator index, as a whole expression or as a letter, and
-# neither is a letter equal to an index met earlier in the same word
+# bool is no generator index, as a whole expression or as a Sum term
 NON_EXPRESSIONS = [
     ("x1", "x1"),
     (1.5, 1.5),
     (True, True),
     (None, None),
     (Fraction(1, 2), Fraction(1, 2)),
-    (LeftNormed((1, "x")), "x"),
-    (LeftNormed((True, 2)), True),
-    (LeftNormed((2, 1, True)), True),
-    (LeftNormed((2, 1, 1.0)), 1.0),
     (Sum(((1, "x"),)), "x"),
 ]
 WALKS = {
@@ -563,3 +596,25 @@ def test_walks_refuse_a_non_expression(walk, e, bad):
     with pytest.raises(TypeError) as err:
         walk(e)
     assert str(err.value) == f"not a LieExpr: {bad!r}"
+
+
+# (letters, the letter reported): words that cannot be made, refused where
+# words are made, so no walk meets them; a bool is no generator index, and
+# neither is a letter equal to an index met earlier in the same word
+NON_WORDS = [
+    ((1, "x"), "x"),
+    ((True, 2), True),
+    ((2, 1, True), True),
+    ((2, 1, 1.0), 1.0),
+]
+
+
+@pytest.mark.parametrize("letters, bad", NON_WORDS)
+def test_words_refuse_a_non_expression_letter(letters, bad):
+    for make in (
+        lambda: LeftNormed(letters),
+        lambda: dataclasses.replace(LeftNormed((1, 2)), letters=letters),
+    ):
+        with pytest.raises(TypeError) as err:
+            make()
+        assert str(err.value) == f"not a LieExpr: {bad!r}"

@@ -1,7 +1,9 @@
 """Normal forms, bracket rule, Fox derivatives, lift, grading."""
 
+import copy
 import dataclasses
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 from functools import reduce
@@ -386,6 +388,25 @@ class TestLift:
         texts = [format_expr(mb.lift(f)) for f in pinned_lift_elements()]
         digests = [hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts]
         assert digests == PINNED_LIFT_DIGESTS
+
+    def test_lifted_words_are_words_the_constructor_accepts(self):
+        # lift builds its words unchecked; each must be the word the checked
+        # constructor makes of the same letters, all of them plain ints, and
+        # the printed lift must read back to f
+        degrees = set()
+        for f in oracle_lift_elements():
+            e = mb.lift(f)
+            for _, w in e.parts if isinstance(e, Sum) else ((1, e),):
+                if type(w) is int:
+                    continue
+                checked = LeftNormed(w.letters)
+                assert w == checked and hash(w) == hash(checked)
+                assert {type(a) for a in w.letters} == {int}
+                assert pickle.loads(pickle.dumps(w)) == w
+                assert copy.copy(w) == w and copy.deepcopy(w) is w
+                degrees.add(len(w.letters))
+            assert mb.evaluate(parse_expr(format_expr(e)), f.rank) == f
+        assert {2, 8} <= degrees
 
     def test_matches_sorting_lift(self):
         for f in oracle_lift_elements():
