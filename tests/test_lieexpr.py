@@ -218,18 +218,22 @@ def _under_frames(frames, check):
     return out[0]
 
 
+# (name, check of two equal trees): the walks Python runs in its own code
+MARGIN_WALKS = {
+    "eq": lambda e, other: e == other,
+    "repr": lambda e, other: repr(e) == repr(other),
+    "pickle": lambda e, other: pickle.loads(pickle.dumps(e)) == other,
+}
+
+
+@pytest.mark.parametrize("walk", MARGIN_WALKS.values(), ids=MARGIN_WALKS)
 @pytest.mark.parametrize("shape", NESTED_SHAPES)
-def test_python_walks_leave_a_stack_margin(shape):
+def test_python_walks_leave_a_stack_margin(shape, walk):
     # a caller up to 60 frames deep may compare, print and pickle any tree
     # the parser accepts; the shallowest shapes hold with about 90
     text = _nested(shape, MAX_NESTING)[0]
     e, other = parse_expr(text), parse_expr(text)
-    for check in (
-        lambda: e == other,
-        lambda: repr(e) == repr(other),
-        lambda: pickle.loads(pickle.dumps(e)) == other,
-    ):
-        assert _under_frames(60, check) is True
+    assert _under_frames(60, lambda: walk(e, other)) is True
 
 
 # (text, rank, message, offset) for malformed right operands of a word
@@ -609,12 +613,19 @@ NON_WORDS = [
 ]
 
 
+# (name, a maker of the word with the given letters): the public ways a
+# word is made
+WORD_MAKERS = {
+    "LeftNormed": LeftNormed,
+    "replace": lambda letters: dataclasses.replace(
+        LeftNormed((1, 2)), letters=letters
+    ),
+}
+
+
+@pytest.mark.parametrize("make", WORD_MAKERS.values(), ids=WORD_MAKERS)
 @pytest.mark.parametrize("letters, bad", NON_WORDS)
-def test_words_refuse_a_non_expression_letter(letters, bad):
-    for make in (
-        lambda: LeftNormed(letters),
-        lambda: dataclasses.replace(LeftNormed((1, 2)), letters=letters),
-    ):
-        with pytest.raises(TypeError) as err:
-            make()
-        assert str(err.value) == f"not a LieExpr: {bad!r}"
+def test_words_refuse_a_non_expression_letter(letters, bad, make):
+    with pytest.raises(TypeError) as err:
+        make(letters)
+    assert str(err.value) == f"not a LieExpr: {bad!r}"
