@@ -19,7 +19,6 @@ from .lieexpr import (
     LieExpr,
     Sum,
     format_expr,
-    left_normed,
     parse_expr,
 )
 from .metabelian import (

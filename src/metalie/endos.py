@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from . import metabelian as mb
-from .lieexpr import LieExpr, combination, generators_used, left_normed
+from .lieexpr import LeftNormed, LieExpr, combination, generators_used
 from .metabelian import MElement
 from .polyring import (
     PolyMatrix,
@@ -309,7 +309,7 @@ def _random_bracket_word(rng: random.Random, letters: Sequence[int], degree: int
         word[1] = rng.choice(letters)
     for _ in range(rng.randint(0, max(0, degree - 2))):
         word.append(rng.choice(letters))
-    return left_normed(word)
+    return LeftNormed(tuple(word))
 
 
 def random_derived_expr(

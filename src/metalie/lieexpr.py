@@ -45,14 +45,18 @@ from .polyring import ParseError, Scalar, Tokens, format_term, read_sum
 @dataclass(frozen=True, slots=True)
 class LeftNormed:
     """The left-normed bracket [[a1, a2], a3, ..., am], stored flat as its
-    letters (a1, ..., am), m >= 2. A letter is any expression, so a
-    generator letter is its index; build a word of indices with
-    `left_normed`, which checks the length. The constructor refuses a letter
-    of any other type (a bool is no index); kernels use `_raw`, unchecked."""
+    letters (a1, ..., am). A letter is any expression, so a generator letter
+    is its index. The constructor is the one maker of a word: it refuses
+    letters that are not a tuple of m >= 2 expressions (a bool is no index);
+    kernels use `_raw`, unchecked."""
 
     letters: Tuple["LieExpr", ...]
 
     def __post_init__(self):
+        if type(self.letters) is not tuple:
+            raise TypeError(f"word letters must be a tuple, got {self.letters!r}")
+        if len(self.letters) < 2:
+            raise ValueError(f"a word needs at least two letters: {self.letters!r}")
         for a in self.letters:
             if type(a) not in _EXPRESSION_TYPES:
                 raise TypeError(f"not a LieExpr: {a!r}")
@@ -104,14 +108,6 @@ def combination(terms) -> LieExpr:
     if len(terms) == 1 and terms[0][0] == 1:
         return terms[0][1]
     return Sum(terms)
-
-
-def left_normed(indices) -> LeftNormed:
-    """[[x_{i1}, x_{i2}], x_{i3}, ..., x_{im}] as one flat node."""
-    idx = tuple(indices)
-    if len(idx) < 2:
-        raise ValueError("need at least two generators")
-    return LeftNormed(idx)
 
 
 def generators_used(e: LieExpr) -> frozenset:
@@ -180,18 +176,14 @@ def parse_expr(text: str, letter: str = "x", rank: int = 0) -> LieExpr:
     return e
 
 
-def _parse_element(
-    tokens: Tokens, letter: str, rank: int, depth: int, first=None
-) -> LieExpr:
-    """An element; `first` is its first (coefficient, factor) term when that
-    has been read."""
+def _parse_element(tokens: Tokens, letter: str, rank: int, depth: int) -> LieExpr:
     toks, i = tokens.toks, tokens.i
-    if first is None and toks[i] == "0" and toks[i + 1] in ("", ",", ")", "]"):
+    if toks[i] == "0" and toks[i + 1] in ("", ",", ")", "]"):
         # lone zero is the empty sum; one token of lookahead tells
         tokens.i += 1
         return ZERO_EXPR
     # a partial, unlike a lambda, adds no Python frame to each nesting level
-    terms = read_sum(tokens, partial(_parse_term, tokens, letter, rank, depth), first)
+    terms = read_sum(tokens, partial(_parse_term, tokens, letter, rank, depth))
     return combination(terms)
 
 
@@ -244,7 +236,9 @@ def _parse_factor(tokens: Tokens, letter: str, rank: int, depth: int) -> LieExpr
             inner = LeftNormed(tuple(word))
             if depth + _levels(inner) > MAX_NESTING:
                 raise tokens.error(f"nesting deeper than {MAX_NESTING} levels")
-            word = [_parse_element(tokens, letter, rank, depth + 1, (1, inner))]
+            term = partial(_parse_term, tokens, letter, rank, depth + 1)
+            rest = read_sum(tokens, term)
+            word = [combination([(1, inner), *rest])]
         tokens.expect(",")
         word.append(_parse_element(tokens, letter, rank, depth + 1))
         tokens.expect("]")

@@ -611,11 +611,10 @@ class Tokens:
         return ParseError(message, m.end() if end else m.start())
 
 
-def read_sum(tokens: Tokens, term, first=None) -> list:
+def read_sum(tokens: Tokens, term) -> list:
     """Read ('+'|'-')? term (('+'|'-') term)*, the inverse of format_terms,
-    and return the terms. `term(sign)` reads one term and applies the sign;
-    a sum whose first term has been read already passes it as `first`."""
-    terms = [] if first is None else [first]
+    and return the terms. `term(sign)` reads one term and applies the sign."""
+    terms = []
     while True:
         tok = tokens.peek()
         if tok == "+" or tok == "-":

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import metalie.endos as en
 import metalie.metabelian as mb
-from metalie.lieexpr import LeftNormed, Sum, combination, left_normed, parse_expr
+from metalie.lieexpr import LeftNormed, Sum, combination, parse_expr
 from metalie.polyring import (
     PolyMatrix,
     Polynomial,
@@ -59,7 +59,7 @@ class TestElementary:
 
     def test_rejects_generator_index_below_one(self):
         with pytest.raises(ValueError):
-            en.elementary(3, left_normed([0, 2]))
+            en.elementary(3, LeftNormed((0, 2)))
 
     def test_other_position(self):
         phi = en.elementary(3, ex("[x1,x3]"), position=2)
@@ -265,7 +265,7 @@ class TestApplyCompose:
         # known divisor one factor at a time, in a loop (a recursive build
         # would exceed the interpreter's recursion limit)
         phi = en.linear([[1, 1], [0, 1]])
-        word = mb.evaluate(left_normed([2] + [1] * 200 + [2] * 1300), 2)
+        word = mb.evaluate(LeftNormed((2,) + (1,) * 200 + (2,) * 1300), 2)
         psi = en.Endo(2, (mb.generator(2, 1) + word, mb.generator(2, 2)))
         comp = en.compose(phi, psi)
         for i in range(2):
@@ -784,7 +784,7 @@ class TestIautLevelOracle:
                 word = [rng.choice(letters) for _ in range(degree)]
                 while word[0] == word[1]:
                     word[1] = rng.choice(letters)
-                f = Sum(((rng.choice([-2, 1, 3]), left_normed(word)),))
+                f = Sum(((rng.choice([-2, 1, 3]), LeftNormed(tuple(word))),))
                 yield degree - 1, en.elementary(rank, f, position)
 
     def test_matches_both_routes(self):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import metalie.freeassoc as fa
 from metalie.cli import MAX_OE_RANK
-from metalie.lieexpr import LeftNormed, Sum, left_normed, parse_expr
+from metalie.lieexpr import LeftNormed, Sum, parse_expr
 from metalie.verify import commutator_row_space, random_nc_poly
 
 
@@ -100,7 +100,7 @@ class TestLieToAssoc:
         out = fa.lie_to_assoc(parse_expr("[z1,z2]", "z"), 2)
         assert out == NC(2, ((1, 2), 1), ((2, 1), -1))
 
-    def test_left_normed_hand_expansion(self):
+    def test_word_hand_expansion(self):
         out = fa.lie_to_assoc(parse_expr("[[z1,z2],z3]", "z"), 3)
         assert out == NC(
             3, ((1, 2, 3), 1), ((2, 1, 3), -1), ((3, 1, 2), -1), ((3, 2, 1), 1)
@@ -126,7 +126,7 @@ class TestLieToAssoc:
                     letters.append(rng.randint(1, rank))
                 elif roll < 0.6:
                     word = (rng.randint(1, rank) for _ in range(rng.randint(2, 3)))
-                    letters.append(left_normed(word))
+                    letters.append(LeftNormed(tuple(word)))
                 else:
                     terms = [
                         (Fraction(rng.choice([-3, 1, 2]), rng.choice([1, 2])), i)

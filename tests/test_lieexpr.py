@@ -22,7 +22,6 @@ from metalie.lieexpr import (
     combination,
     format_expr,
     generators_used,
-    left_normed,
     parse_expr,
 )
 from metalie.polyring import ParseError, as_coeff, format_terms
@@ -320,14 +319,12 @@ def _bracket(left, right):
 
 def _shape_faults(e):
     """Where a tree breaks the parser's word shape: a word as a first
-    letter, or a word of fewer than two letters."""
+    letter. (A word of fewer than two letters cannot be made.)"""
     if isinstance(e, Sum):
         return [f for _, t in e.parts for f in _shape_faults(t)]
     if not isinstance(e, LeftNormed):
         return []
     faults = []
-    if len(e.letters) < 2:
-        faults.append(("short word", e))
     if isinstance(e.letters[0], LeftNormed):
         faults.append(("word as first letter", e))
     for a in e.letters:
@@ -341,7 +338,8 @@ def _random_expr(rng, rank, depth):
     if depth == 0 or roll < 0.3:
         return rng.randint(1, rank)
     if roll < 0.45:
-        return left_normed(rng.randint(1, rank) for _ in range(rng.randint(2, 6)))
+        letters = (rng.randint(1, rank) for _ in range(rng.randint(2, 6)))
+        return LeftNormed(tuple(letters))
     if roll < 0.6:
         return _bracket(
             _random_expr(rng, rank, depth - 1), _random_expr(rng, rank, depth - 1)
@@ -526,9 +524,8 @@ def test_parser_keeps_the_word_shape(text):
 def test_shape_faults_are_seen():
     for bad in (
         LeftNormed((LeftNormed((1, 2)), 3)),
-        LeftNormed((1,)),
         Sum(((2, LeftNormed((1, LeftNormed((LeftNormed((2, 3)), 4))))),)),
-        LeftNormed((1, Sum(((1, LeftNormed((2,))),)))),
+        LeftNormed((1, Sum(((2, LeftNormed((LeftNormed((2, 3)), 1))),)))),
     ):
         assert _shape_faults(bad)
 
@@ -542,10 +539,7 @@ def test_helpers():
     # expression letters, first and later
     e = parse_expr("[[x1 + x5, [x2, x6]], x3 - x1]")
     assert generators_used(e) == frozenset({1, 2, 3, 5, 6})
-    assert left_normed([1, 2, 3]) == LeftNormed((1, 2, 3))
-    assert left_normed([1, 2, 3]) == parse_expr("[[x1, x2], x3]")
-    with pytest.raises(ValueError):
-        left_normed([1])
+    assert LeftNormed((1, 2, 3)) == parse_expr("[[x1, x2], x3]")
 
 
 # calls no other test makes: each case is the value the call returns, or the
@@ -602,14 +596,17 @@ def test_walks_refuse_a_non_expression(walk, e, bad):
     assert str(err.value) == f"not a LieExpr: {bad!r}"
 
 
-# (letters, the letter reported): words that cannot be made, refused where
-# words are made, so no walk meets them; a bool is no generator index, and
-# neither is a letter equal to an index met earlier in the same word
+# (letters, (type, message) raised): words that cannot be made, refused
+# where words are made, so no walk meets them; a bool is no generator index,
+# and neither is a letter equal to an index met earlier in the same word
 NON_WORDS = [
-    ((1, "x"), "x"),
-    ((True, 2), True),
-    ((2, 1, True), True),
-    ((2, 1, 1.0), 1.0),
+    ((1, "x"), (TypeError, "not a LieExpr: 'x'")),
+    ((True, 2), (TypeError, "not a LieExpr: True")),
+    ((2, 1, True), (TypeError, "not a LieExpr: True")),
+    ((2, 1, 1.0), (TypeError, "not a LieExpr: 1.0")),
+    ((), (ValueError, "a word needs at least two letters: ()")),
+    ((1,), (ValueError, "a word needs at least two letters: (1,)")),
+    ([1, 2], (TypeError, "word letters must be a tuple, got [1, 2]")),
 ]
 
 
@@ -624,8 +621,6 @@ WORD_MAKERS = {
 
 
 @pytest.mark.parametrize("make", WORD_MAKERS.values(), ids=WORD_MAKERS)
-@pytest.mark.parametrize("letters, bad", NON_WORDS)
-def test_words_refuse_a_non_expression_letter(letters, bad, make):
-    with pytest.raises(TypeError) as err:
-        make(letters)
-    assert str(err.value) == f"not a LieExpr: {bad!r}"
+@pytest.mark.parametrize("letters, error", NON_WORDS)
+def test_word_makers_refuse_bad_letters(letters, error, make, outcome):
+    assert outcome(lambda: make(letters)) == error

@@ -20,7 +20,6 @@ from metalie.lieexpr import (
     ZERO_EXPR,
     combination,
     format_expr,
-    left_normed,
     parse_expr,
 )
 from metalie.polyring import Polynomial, _mono_ops, y_column
@@ -108,7 +107,7 @@ class TestBracket:
 
 
 class TestEvaluate:
-    def test_left_normed_word(self):
+    def test_word(self):
         v = ev("[[x1,x2],x3]", 3)
         assert tp(v) == ["y2*y3", "-y1*y3", "0"]
 
@@ -186,7 +185,8 @@ def random_letter(rng, rank):
     if roll < 0.4:
         return rng.randint(1, rank)
     if roll < 0.55:
-        return left_normed(rng.randint(1, rank) for _ in range(rng.randint(2, 4)))
+        letters = (rng.randint(1, rank) for _ in range(rng.randint(2, 4)))
+        return LeftNormed(tuple(letters))
     if roll < 0.6:
         return ZERO_EXPR
     terms = [
@@ -194,7 +194,8 @@ def random_letter(rng, rank):
         for i in rng.sample(range(1, rank + 1), rng.randint(1, rank))
     ]
     if rng.random() < 0.5:
-        word = left_normed(rng.randint(1, rank) for _ in range(rng.randint(2, 3)))
+        letters = (rng.randint(1, rank) for _ in range(rng.randint(2, 3)))
+        word = LeftNormed(tuple(letters))
         terms.append((Fraction(rng.choice([-5, 1, 3]), 2), word))
     return Sum(tuple(terms))
 
@@ -306,7 +307,7 @@ class TestLift:
         f = ev("[x1,x2]", 3)
         assert mb.lift(f) == parse_expr("[x1,x2]")
 
-    def test_left_normed_roundtrip(self):
+    def test_word_roundtrip(self):
         f = ev("[[x1,x2],x3]", 3)
         assert mb.evaluate(mb.lift(f), 3) == f
 
@@ -479,11 +480,11 @@ def oracle_lift_elements():
                 terms.append((c, i))
         if k % 10 != 5:  # k % 10 == 5: purely linear
             for _ in range(rng.randint(1, 5)):
-                word = left_normed(
-                    rng.randint(1, rank) for _ in range(rng.randint(2, 8))
+                word = LeftNormed(
+                    tuple(rng.randint(1, rank) for _ in range(rng.randint(2, 8)))
                 )
                 if rng.random() < 0.25:
-                    right = left_normed((rng.randint(1, rank), 1))
+                    right = LeftNormed((rng.randint(1, rank), 1))
                     word = LeftNormed(word.letters + (right,))
                 c = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 1, 3, 4]))
                 terms.append((c, word))
@@ -533,7 +534,8 @@ def rational_images(rng, rank):
             for i in range(1, rank + 1)
         ]
         for _ in range(rng.randint(0, 2)):
-            word = left_normed(rng.randint(1, rank) for _ in range(rng.randint(2, 3)))
+            letters = (rng.randint(1, rank) for _ in range(rng.randint(2, 3)))
+            word = LeftNormed(tuple(letters))
             terms.append((rng.choice([-2, 1, Fraction(1, 2)]), word))
         out.append(mb.evaluate(Sum(tuple(terms)), rank))
     return out
@@ -663,7 +665,7 @@ def pinned_lift_elements():
             if word[0] == word[1]:
                 word[1] = word[0] % rank + 1
             c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3, 5]))
-            terms.append((c, left_normed(word)))
+            terms.append((c, LeftNormed(tuple(word))))
         out.append(mb.evaluate(Sum(tuple(terms)), rank))
     return out
 
