@@ -21,8 +21,12 @@ single term with coefficient 1 is that term alone (`combination`); every
 left-normed bracket [[a1, a2], a3, ..., am] is one flat LeftNormed node of
 its m >= 2 letters, whatever its operands, and its first letter is never
 itself a LeftNormed: its letters begin the word. The printer emits exactly
-that shape, so parse(print(e)) == e. Every walk trusts a word's letters,
-checked once when the word is made (`lift` builds its words unchecked).
+that shape, so parse(print(e)) == e. A node is made by its constructor,
+which checks it once: a word's letters are a tuple of m >= 2 expressions,
+a sum's parts a tuple of (coefficient, expression) pairs, each coefficient
+an int or a Fraction. Copy and pickle rebuild through the constructors, and
+every walk trusts a node it meets (`lift` alone builds its words and its
+sum unchecked, with `_raw`).
 
 Left-normed brackets cost no recursion: the parser reads a run of '[' in a
 loop, and the printer, the evaluator and the free-associative expansion walk
@@ -36,10 +40,12 @@ word. Longer or deeper input is a ParseError naming the limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 from typing import Tuple, Union
 
-from .polyring import ParseError, Scalar, Tokens, format_term, read_sum
+from .polyring import ParseError, Scalar, Tokens, as_coeff, format_term, read_sum
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,19 +53,19 @@ class LeftNormed:
     """The left-normed bracket [[a1, a2], a3, ..., am], stored flat as its
     letters (a1, ..., am). A letter is any expression, so a generator letter
     is its index. The constructor is the one maker of a word: it refuses
-    letters that are not a tuple of m >= 2 expressions (a bool is no index);
-    kernels use `_raw`, unchecked."""
+    letters that are not a tuple of m >= 2 expressions (a bool is no index),
+    and copy and pickle rebuild through it; kernels use `_raw`, unchecked."""
 
     letters: Tuple["LieExpr", ...]
 
     def __post_init__(self):
-        if type(self.letters) is not tuple:
-            raise TypeError(f"word letters must be a tuple, got {self.letters!r}")
-        if len(self.letters) < 2:
-            raise ValueError(f"a word needs at least two letters: {self.letters!r}")
-        for a in self.letters:
-            if type(a) not in _EXPRESSION_TYPES:
-                raise TypeError(f"not a LieExpr: {a!r}")
+        letters = self.letters
+        if type(letters) is not tuple:
+            raise TypeError(f"word letters must be a tuple, got {letters!r}")
+        if len(letters) < 2:
+            raise ValueError(f"a word needs at least two letters: {letters!r}")
+        if not _EXPRESSION_TYPES.issuperset(map(type, letters)):
+            _refuse_non_expressions(letters)
 
     @classmethod
     def _raw(cls, letters: tuple) -> "LeftNormed":
@@ -68,25 +74,77 @@ class LeftNormed:
         _set_letters(word, letters)
         return word
 
+    def __reduce__(self):
+        return (LeftNormed, (self.letters,))
+
     def __deepcopy__(self, memo):
         return self  # immutable, and a deep tree would exhaust the recursion
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum:
     """The linear combination c1*e1 + ... + ck*ek, stored as its
-    (coefficient, expression) pairs; the empty sum is zero."""
+    (coefficient, expression) pairs; the empty sum is zero. The constructor
+    refuses parts that are not a tuple of such pairs, each coefficient an
+    int or a Fraction (not a bool or a float), and copy and pickle rebuild
+    through it; `lift` uses `_raw`, unchecked."""
 
     parts: Tuple[Tuple[Scalar, "LieExpr"], ...]
 
+    def __post_init__(self):
+        parts = self.parts
+        if type(parts) is not tuple:
+            raise TypeError(f"sum parts must be a tuple, got {parts!r}")
+        # one C-level scan per property, as a sum may have many terms
+        if not (
+            _TUPLE.issuperset(map(type, parts)) and _PAIR.issuperset(map(len, parts))
+        ):
+            bad = next(p for p in parts if type(p) is not tuple or len(p) != 2)
+            raise TypeError(f"not a (coefficient, expression) pair: {bad!r}")
+        if not _COEFFICIENT_TYPES.issuperset(map(type, map(_first, parts))):
+            for c in map(_first, parts):
+                as_coeff(c)
+        if not _EXPRESSION_TYPES.issuperset(map(type, map(_second, parts))):
+            _refuse_non_expressions(map(_second, parts))
+
+    @classmethod
+    def _raw(cls, parts: tuple) -> "Sum":
+        """Build from pairs known to be (coefficient, expression) (internal)."""
+        s = object.__new__(cls)
+        _set_parts(s, parts)
+        return s
+
+    def __reduce__(self):
+        return (Sum, (self.parts,))
+
     def __deepcopy__(self, memo):
         return self  # immutable, and a deep tree would exhaust the recursion
+
+
+def _refuse_non_expressions(items) -> None:
+    """Raise the walks' TypeError for the first item that is no expression."""
+    for a in items:
+        if type(a) not in _EXPRESSION_TYPES:
+            raise TypeError(f"not a LieExpr: {a!r}")
+
+
+def _refuse_state(node, state) -> None:
+    # a node pickles as a call of its constructor; a pickle that sets its
+    # fields from a state (as one of a LeftNormed without slots did) is refused
+    raise TypeError(f"a {type(node).__name__} is rebuilt by its constructor only")
 
 
 LieExpr = Union[int, LeftNormed, Sum]
 
 _EXPRESSION_TYPES = frozenset((int, LeftNormed, Sum))
+_COEFFICIENT_TYPES = frozenset((int, Fraction))
+_TUPLE, _PAIR = frozenset((tuple,)), frozenset((2,))
+_first, _second = itemgetter(0), itemgetter(1)
 _set_letters = LeftNormed.letters.__set__
+_set_parts = Sum.parts.__set__
+# set here, not in the class bodies: Python 3.10's dataclass(slots=True)
+# replaces a __setstate__ of the class body with its own
+LeftNormed.__setstate__ = Sum.__setstate__ = _refuse_state
 
 ZERO_EXPR = Sum(())
 

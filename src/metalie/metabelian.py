@@ -289,4 +289,5 @@ def lift(f: MElement) -> LieExpr:
         # [[x_i, x_m], x_j, ...] has 1 - d letters and carries the sign
         # (-1)^(letters - 1) = (-1)^d
         terms.append((-c if d % 2 else c, raw((i, -m) + word[:-1])))
-    return combination(terms)
+    # combination's shape, built unchecked: only a lone term can stand alone
+    return Sum._raw(tuple(terms)) if len(terms) != 1 else combination(terms)

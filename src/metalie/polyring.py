@@ -14,13 +14,13 @@ and the print-order key out once per n, so a key product is n additions in
 one tuple display); `format_term` prints every term of a signed sum and
 `format_terms` every sum but a bracket expression's (polynomials, lambda
 polynomials, dyad and row expressions, free-algebra polynomials), and
-`read_sum` reads one back for both text grammars (polynomials and bracket
-expressions) from the one tokenizer, `Tokens`, which cuts a text once into
-runs of ASCII digits and single other characters; `_minors`, a Laplace
-expansion over column subsets along the rows in order, gives the
-determinant, and its prefix tables the adjugate; and `RowSpace` is the one
-exact rational elimination, behind `solve_sparse` and `rational_inverse`,
-run fraction-free on integer rows.
+`read_sum(tokens, term)` reads one back, with one signature for both text
+grammars (polynomials and bracket expressions), from the one tokenizer,
+`Tokens`, which cuts a text once into runs of ASCII digits and single other
+characters; `_minors`, a Laplace expansion over column subsets along the
+rows in order, gives the determinant, and its prefix tables the adjugate;
+and `RowSpace` is the one exact rational elimination, behind
+`solve_sparse` and `rational_inverse`, run fraction-free on integer rows.
 
 Only this module knows that a monomial of `Polynomial` is a tuple of
 exponents. Other modules reach monomials through the `Polynomial`

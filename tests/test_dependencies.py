@@ -7,10 +7,11 @@ Every Python file of the package, its tests and its benchmark is also
 written for the oldest Python that `pyproject.toml` admits
 (`requires-python`), which a newer interpreter alone would not show.
 
-A left-normed word's letters are checked once, by the `LeftNormed`
-constructor, and every walk trusts them after. Only `metabelian.lift`, which
-builds words of indices, skips the check through `LeftNormed._raw`; a scan
-of the sources shows that no other path does."""
+A bracket-expression node is checked once, by its constructor (a word's
+letters by `LeftNormed`, a sum's pairs by `Sum`), and every walk trusts it
+after. Only `metabelian.lift`, which builds words of indices and their sum,
+skips the checks, through `LeftNormed._raw` and `Sum._raw`; a scan of the
+sources shows that no other path does."""
 
 import ast
 import re
@@ -89,25 +90,48 @@ def scopes_referencing(path: Path, is_reference) -> list:
     return found
 
 
-def names_raw_word(node) -> bool:
-    """`LeftNormed._raw`, through the class or an attribute naming it."""
-    if not (isinstance(node, ast.Attribute) and node.attr == "_raw"):
-        return False
-    owner = node.value
-    return getattr(owner, "id", None) == "LeftNormed" or getattr(
-        owner, "attr", None
-    ) == "LeftNormed"
+NODE_CLASSES = {"LeftNormed", "Sum"}
+NODE_FIELDS = {"letters", "parts"}
 
 
-def sets_letters(node) -> bool:
-    """The `letters` slot's setter, by name or as `<class>.letters.__set__`,
-    or the field named as a string, as `object.__setattr__` would need:
-    each makes or changes a word without its constructor."""
+def names_a_node_class(node) -> bool:
+    """`LeftNormed` or `Sum`, bare or as an attribute."""
+    name = getattr(node, "id", None) or getattr(node, "attr", None)
+    return name in NODE_CLASSES
+
+
+def names_raw_node(node) -> bool:
+    """`LeftNormed._raw` or `Sum._raw`, through the class or an attribute
+    naming it."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "_raw"
+        and names_a_node_class(node.value)
+    )
+
+
+def sets_a_node_field(node) -> bool:
+    """The `letters` or `parts` slot's setter, by name or as
+    `<class>.letters.__set__`, or the field named as a string, as
+    `object.__setattr__` would need: each makes or changes a node without
+    its constructor."""
     if isinstance(node, ast.Attribute) and node.attr == "__set__":
-        return getattr(node.value, "attr", None) == "letters"
+        return getattr(node.value, "attr", None) in NODE_FIELDS
     if isinstance(node, ast.Constant):
-        return node.value == "letters"
-    return isinstance(node, ast.Name) and node.id == "_set_letters"
+        return node.value in NODE_FIELDS
+    return isinstance(node, ast.Name) and node.id in ("_set_letters", "_set_parts")
+
+
+def allocates(node) -> bool:
+    """A call of `__new__`, as in `object.__new__(cls)`: an instance made
+    without its constructor."""
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__"
+
+
+def allocates_by_name(node) -> bool:
+    """`__new__` of anything but `cls`, the class of the method around it."""
+    first = node.args[0] if allocates(node) and node.args else None
+    return allocates(node) and getattr(first, "id", None) != "cls"
 
 
 def references(is_reference) -> set:
@@ -117,5 +141,15 @@ def references(is_reference) -> set:
 
 
 def test_raw_words_are_built_by_lift_only():
-    assert references(names_raw_word) == {("metabelian", "lift")}
-    assert references(sets_letters) == {("lieexpr", ""), ("lieexpr", "LeftNormed._raw")}
+    raw_makers = {("lieexpr", "LeftNormed._raw"), ("lieexpr", "Sum._raw")}
+    assert references(names_raw_node) == {("metabelian", "lift")}
+    assert references(sets_a_node_field) == {("lieexpr", "")} | raw_makers
+    # each `__new__` makes an instance of the class whose method calls it,
+    # and in a node class only `_raw` calls it
+    assert references(allocates_by_name) == set()
+    in_node_classes = {
+        (module, scope)
+        for module, scope in references(allocates)
+        if scope.split(".")[0] in NODE_CLASSES
+    }
+    assert in_node_classes == raw_makers

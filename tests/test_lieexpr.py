@@ -578,7 +578,6 @@ NON_EXPRESSIONS = [
     (True, True),
     (None, None),
     (Fraction(1, 2), Fraction(1, 2)),
-    (Sum(((1, "x"),)), "x"),
 ]
 WALKS = {
     "format_expr": format_expr,
@@ -624,3 +623,58 @@ WORD_MAKERS = {
 @pytest.mark.parametrize("letters, error", NON_WORDS)
 def test_word_makers_refuse_bad_letters(letters, error, make, outcome):
     assert outcome(lambda: make(letters)) == error
+
+
+# (parts, (type, message) raised): sums that cannot be made, refused where
+# sums are made; a coefficient is an int or a Fraction, as `as_coeff` says
+NON_SUMS = [
+    (((1, "x"),), (TypeError, "not a LieExpr: 'x'")),
+    (((2, 1), (1, True)), (TypeError, "not a LieExpr: True")),
+    (((1.5, 1),), (TypeError, "expected an exact rational, got float")),
+    (((True, 1),), (TypeError, "expected an exact rational, got bool")),
+    (((2, 1), ("2", 1)), (TypeError, "expected an exact rational, got str")),
+    ([(1, 1)], (TypeError, "sum parts must be a tuple, got [(1, 1)]")),
+    (([1, 1],), (TypeError, "not a (coefficient, expression) pair: [1, 1]")),
+    (((1, 1, 1),), (TypeError, "not a (coefficient, expression) pair: (1, 1, 1)")),
+    ((1,), (TypeError, "not a (coefficient, expression) pair: 1")),
+]
+SUM_MAKERS = {
+    "Sum": Sum,
+    "replace": lambda parts: dataclasses.replace(ZERO_EXPR, parts=parts),
+}
+
+
+@pytest.mark.parametrize("make", SUM_MAKERS.values(), ids=SUM_MAKERS)
+@pytest.mark.parametrize("parts, error", NON_SUMS)
+def test_sum_makers_refuse_bad_parts(parts, error, make, outcome):
+    assert outcome(lambda: make(parts)) == error
+
+
+# (name, pickle): pickles that set a node's fields from a state, past its
+# constructor, as `pickle.dumps` wrote them at protocol 2 when `LeftNormed`
+# and `Sum` kept a __dict__, and when `LeftNormed` had slots but no
+# __reduce__; each loaded as a wrong or unchecked node
+STATE_PICKLES = {
+    "word, dict state": b"\x80\x02cmetalie.lieexpr\nLeftNormed\nq\x00)\x81q\x01}q\x02"
+    b"X\x07\x00\x00\x00lettersq\x03K\x01K\x02K\x03\x87q\x04sb.",
+    "word, slot state": b"\x80\x02cmetalie.lieexpr\nLeftNormed\nq\x00)\x81q\x01]q\x02"
+    b"K\x01K\x02K\x03\x87q\x03ab.",
+    "sum, dict state": b"\x80\x02cmetalie.lieexpr\nSum\nq\x00)\x81q\x01}q\x02"
+    b"X\x05\x00\x00\x00partsq\x03K\x02K\x01\x86q\x04\x85q\x05sb.",
+}
+
+
+@pytest.mark.parametrize("data", STATE_PICKLES.values(), ids=STATE_PICKLES)
+def test_state_pickles_are_refused(data):
+    with pytest.raises(TypeError, match="rebuilt by its constructor only"):
+        pickle.loads(data)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_pickle_and_copy_rebuild_through_the_constructors(protocol):
+    e = parse_expr("2*[[x1, x2] + x3, 1/2*x4] - ([x1, [x2, x3]])")
+    assert pickle.loads(pickle.dumps(e, protocol)) == e
+    assert copy.copy(e) == e and copy.deepcopy(e) is e
+    word = e.parts[0][1]
+    assert e.__reduce__() == (Sum, (e.parts,))
+    assert word.__reduce__() == (LeftNormed, (word.letters,))
