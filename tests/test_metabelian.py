@@ -391,12 +391,14 @@ class TestLift:
         assert digests == PINNED_LIFT_DIGESTS
 
     def test_lifted_words_are_words_the_constructor_accepts(self):
-        # lift builds its words unchecked; each must be the word the checked
-        # constructor makes of the same letters, all of them plain ints, and
-        # the printed lift must read back to f
+        # lift builds its words and its sum unchecked; each must be the node
+        # the checked constructor makes of the same letters or pairs, every
+        # letter a plain int, and the printed lift must read back to f
         degrees = set()
         for f in oracle_lift_elements():
             e = mb.lift(f)
+            if isinstance(e, Sum):
+                assert Sum(e.parts) == e and hash(Sum(e.parts)) == hash(e)
             for _, w in e.parts if isinstance(e, Sum) else ((1, e),):
                 if type(w) is int:
                     continue
